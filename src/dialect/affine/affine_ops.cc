@@ -32,8 +32,8 @@ ApplyOp::create(OpBuilder& builder, std::vector<Value*> ivs,
 {
     HIDA_ASSERT(ivs.size() == coeffs.size(), "affine.apply arity mismatch");
     Operation* op = builder.create(kOpName, std::move(ivs), {Type::index()});
-    op->setAttr("coeffs", Attribute::i64Array(coeffs));
-    op->setIntAttr("offset", offset);
+    op->setAttr(coeffsId(), Attribute::i64Array(coeffs));
+    op->setIntAttr(offsetId(), offset);
     return ApplyOp(op);
 }
 
@@ -77,18 +77,31 @@ decomposeIndex(Value* index)
         return expr;
     }
     Operation* def = index->definingOp();
-    if (auto apply = dynCast<ApplyOp>(def)) {
-        std::vector<int64_t> coeffs = apply.coeffs();
+    if (isa<ApplyOp>(def)) {
+        // Unverified input may carry a malformed map: one coefficient
+        // per operand or the index is not affine.
+        const Attribute* coeffs = def->findAttr(ApplyOp::coeffsId());
+        if (coeffs == nullptr || !*coeffs ||
+            coeffs->kind() != AttrKind::kArray ||
+            coeffs->asArray().size() != def->numOperands())
+            return std::nullopt;
         for (unsigned i = 0; i < def->numOperands(); ++i) {
-            Value* operand = def->operand(i);
-            auto nested = decomposeIndex(operand);
+            const Attribute& coeff = coeffs->asArray()[i];
+            if (!coeff || coeff.kind() != AttrKind::kInt)
+                return std::nullopt;
+            auto nested = decomposeIndex(def->operand(i));
             if (!nested)
                 return std::nullopt;
             for (const AffineTerm& term : nested->terms)
-                expr.terms.push_back({term.iv, term.coeff * coeffs[i]});
-            expr.offset += nested->offset * coeffs[i];
+                expr.terms.push_back({term.iv, term.coeff * coeff.asInt()});
+            expr.offset += nested->offset * coeff.asInt();
         }
-        expr.offset += apply.offset();
+        const Attribute* offset = def->findAttr(ApplyOp::offsetId());
+        if (offset != nullptr) {
+            if (!*offset || offset->kind() != AttrKind::kInt)
+                return std::nullopt;
+            expr.offset += offset->asInt();
+        }
         return expr;
     }
     if (auto constant = dynCast<ConstantOp>(def)) {
@@ -190,7 +203,26 @@ registerAffineDialect()
                 return "affine.for has negative trip count";
             return std::nullopt;
         }});
-    registry.registerOp(ApplyOp::kOpName, OpInfo{});
+    registry.registerOp(
+        ApplyOp::kOpName,
+        OpInfo{.verify = [](Operation* op) -> std::optional<std::string> {
+            const Attribute* coeffs = op->findAttr(ApplyOp::coeffsId());
+            if (coeffs == nullptr || !*coeffs ||
+                coeffs->kind() != AttrKind::kArray)
+                return "affine.apply requires an integer array 'coeffs'";
+            for (const Attribute& coeff : coeffs->asArray())
+                if (!coeff || coeff.kind() != AttrKind::kInt)
+                    return "affine.apply 'coeffs' must hold integers";
+            if (coeffs->asArray().size() != op->numOperands())
+                return strCat("affine.apply has ", op->numOperands(),
+                              " operands but ", coeffs->asArray().size(),
+                              " coeffs");
+            const Attribute* offset = op->findAttr(ApplyOp::offsetId());
+            if (offset != nullptr &&
+                (!*offset || offset->kind() != AttrKind::kInt))
+                return "affine.apply 'offset' must be an integer";
+            return std::nullopt;
+        }});
     registry.registerOp(
         LoadOp::kOpName,
         OpInfo{.verify = [](Operation* op) -> std::optional<std::string> {

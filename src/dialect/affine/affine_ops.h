@@ -88,9 +88,16 @@ class ApplyOp : public OpWrapper {
 
     std::vector<int64_t> coeffs() const
     {
-        return op_->attr("coeffs").asI64Array();
+        return op_->attr(coeffsId()).asI64Array();
     }
-    int64_t offset() const { return op_->intAttrOr("offset", 0); }
+    int64_t offset() const { return op_->intAttrOr(offsetId(), 0); }
+
+    /** @name Cached interned attribute keys. @{ */
+    // clang-format off
+    static Identifier coeffsId() { static const Identifier id = Identifier::get("coeffs"); return id; }
+    static Identifier offsetId() { static const Identifier id = Identifier::get("offset"); return id; }
+    // clang-format on
+    /** @} */
 };
 
 /** Affine memory load ("affine.load"): operands = memref, indices... */
@@ -167,7 +174,9 @@ struct AffineIndexExpr {
 /**
  * Decompose the index value @p index of a load/store into an affine
  * expression over induction variables. Returns std::nullopt for non-affine
- * indices (which the verifier rejects inside affine accesses anyway).
+ * indices (which the verifier rejects inside affine accesses anyway) and
+ * for an affine.apply whose coeffs/offset are malformed (which its
+ * verifier reports), never reading past the coefficient list.
  */
 std::optional<AffineIndexExpr> decomposeIndex(Value* index);
 

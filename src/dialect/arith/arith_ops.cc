@@ -33,7 +33,7 @@ ConstantOp
 ConstantOp::create(OpBuilder& builder, Type type, double value)
 {
     Operation* op = builder.create(kOpName, {}, {type});
-    op->setAttr("value", Attribute::real(value));
+    op->setAttr(valueId(), Attribute::real(value));
     op->result(0)->setNameHint("c");
     return ConstantOp(op);
 }

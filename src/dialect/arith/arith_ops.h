@@ -24,8 +24,15 @@ class ConstantOp : public OpWrapper {
     static ConstantOp create(OpBuilder& builder, Type type, double value);
     static ConstantOp createIndex(OpBuilder& builder, int64_t value);
 
-    double value() const { return op_->attr("value").asFloat(); }
+    double value() const { return op_->attr(valueId()).asFloat(); }
     int64_t intValue() const { return static_cast<int64_t>(value()); }
+
+    /** Cached interned key of the "value" attribute. */
+    static Identifier valueId()
+    {
+        static const Identifier id = Identifier::get("value");
+        return id;
+    }
 };
 
 /** Binary arithmetic kind. */

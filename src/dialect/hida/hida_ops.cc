@@ -86,21 +86,22 @@ NodeOp::create(OpBuilder& builder, std::vector<Value*> operands,
         body->addArgument(operands[i]->type(), operands[i]->nameHint());
         encoded.push_back(static_cast<int64_t>(effects[i]));
     }
-    op->setAttr("effects", Attribute::i64Array(encoded));
-    op->setAttr("label", Attribute::string(label));
+    op->setAttr(NodeOp::effectsId(), Attribute::i64Array(encoded));
+    op->setAttr(NodeOp::labelId(), Attribute::string(label));
     return NodeOp(op);
 }
 
 std::string
 NodeOp::label() const
 {
-    return op_->hasAttr("label") ? op_->attr("label").asString() : "node";
+    const Attribute* label = op_->findAttr(labelId());
+    return label != nullptr ? label->asString() : "node";
 }
 
 void
 NodeOp::setLabel(const std::string& label)
 {
-    op_->setAttr("label", Attribute::string(label));
+    op_->setAttr(labelId(), Attribute::string(label));
 }
 
 MemoryEffect
@@ -114,16 +115,16 @@ NodeOp::effect(unsigned operand_index) const
 void
 NodeOp::setEffect(unsigned operand_index, MemoryEffect effect)
 {
-    std::vector<int64_t> encoded = op_->attr("effects").asI64Array();
+    std::vector<int64_t> encoded = op_->attr(effectsId()).asI64Array();
     encoded.at(operand_index) = static_cast<int64_t>(effect);
-    op_->setAttr("effects", Attribute::i64Array(encoded));
+    op_->setAttr(effectsId(), Attribute::i64Array(encoded));
 }
 
 std::vector<MemoryEffect>
 NodeOp::effects() const
 {
     std::vector<MemoryEffect> result;
-    for (int64_t e : op_->attr("effects").asI64Array())
+    for (int64_t e : op_->attr(effectsId()).asI64Array())
         result.push_back(static_cast<MemoryEffect>(e));
     return result;
 }
@@ -132,9 +133,9 @@ Value*
 NodeOp::appendArgument(Value* operand, MemoryEffect effect)
 {
     op_->appendOperand(operand);
-    std::vector<int64_t> encoded = op_->attr("effects").asI64Array();
+    std::vector<int64_t> encoded = op_->attr(effectsId()).asI64Array();
     encoded.push_back(static_cast<int64_t>(effect));
-    op_->setAttr("effects", Attribute::i64Array(encoded));
+    op_->setAttr(effectsId(), Attribute::i64Array(encoded));
     return op_->body()->addArgument(operand->type(), operand->nameHint());
 }
 
@@ -142,9 +143,9 @@ void
 NodeOp::removeArgument(unsigned i)
 {
     HIDA_ASSERT(!innerArg(i)->hasUses(), "removing a used node argument");
-    std::vector<int64_t> encoded = op_->attr("effects").asI64Array();
+    std::vector<int64_t> encoded = op_->attr(effectsId()).asI64Array();
     encoded.erase(encoded.begin() + i);
-    op_->setAttr("effects", Attribute::i64Array(encoded));
+    op_->setAttr(effectsId(), Attribute::i64Array(encoded));
     op_->eraseOperand(i);
     op_->body()->eraseArgument(i);
 }
@@ -335,8 +336,8 @@ registerHidaDialect()
                    if (!op->hasBody() ||
                        op->body()->numArguments() != op->numOperands())
                        return "hida.node args must mirror operands";
-                   if (!op->hasAttr("effects") ||
-                       op->attr("effects").asI64Array().size() !=
+                   if (!op->hasAttr(NodeOp::effectsId()) ||
+                       op->attr(NodeOp::effectsId()).asI64Array().size() !=
                            op->numOperands())
                        return "hida.node requires one effect per operand";
                    return std::nullopt;

@@ -133,6 +133,12 @@ class NodeOp : public OpWrapper {
         static const Identifier id = Identifier::get("effects");
         return id;
     }
+    /** Cached interned key of the "label" string. */
+    static Identifier labelId()
+    {
+        static const Identifier id = Identifier::get("label");
+        return id;
+    }
 
     /** Operand indices of buffers/streams this node writes. */
     std::vector<unsigned> writtenOperandIndices() const;

@@ -16,6 +16,7 @@ DesignPointGrid::addAxis(std::string name, std::vector<int64_t> values)
     axis.name = std::move(name);
     axis.values = std::move(values);
     axes_.push_back(std::move(axis));
+    contentHash_ = hashAxes(axes_);
     return *this;
 }
 
@@ -28,6 +29,8 @@ DesignPointGrid::addDirectiveAxis(std::string name,
     addAxis(std::move(name), std::move(values));
     axes_.back().layerSeq = layer_seq;
     axes_.back().loopTag = Identifier::get(loop_tag);
+    Operation::addAttrStructural(axes_.back().loopTag);
+    contentHash_ = hashAxes(axes_);
     return *this;
 }
 
@@ -160,11 +163,11 @@ hashString(uint64_t h, std::string_view s)
 } // namespace
 
 uint64_t
-DesignPointGrid::contentHash() const
+DesignPointGrid::hashAxes(const std::vector<GridAxis>& axes)
 {
     uint64_t h = hashMix(0x48494441u /* "HIDA" */);
-    h = hashCombine(h, axes_.size());
-    for (const GridAxis& axis : axes_) {
+    h = hashCombine(h, axes.size());
+    for (const GridAxis& axis : axes) {
         h = hashString(h, axis.name);
         h = hashCombine(h, axis.values.size());
         for (int64_t v : axis.values)
@@ -181,11 +184,15 @@ DesignPointGrid::contentHash() const
 uint64_t
 DesignPointGrid::pointFingerprint(size_t index) const
 {
-    std::vector<int64_t> values;
-    decode(index, values);
-    uint64_t h = hashCombine(contentHash(), index);
-    for (int64_t v : values)
+    HIDA_ASSERT(index < size(), "point index out of range");
+    // decode() order (axis 0 first), without materializing the values.
+    uint64_t h = hashCombine(contentHash_, index);
+    size_t stride = size();
+    for (const GridAxis& axis : axes_) {
+        stride /= axis.values.size();
+        int64_t v = axis.values[(index / stride) % axis.values.size()];
         h = hashCombine(h, static_cast<uint64_t>(v));
+    }
     return h;
 }
 
@@ -198,6 +205,26 @@ layerSeqId()
     static const Identifier id = Identifier::get("layer_seq");
     return id;
 }
+
+/** One write of applyPoint: axis @p axis sets the unroll of @p loop. */
+struct LoopBinding {
+    size_t axis;
+    Operation* loop;
+};
+
+/**
+ * The calling thread's applyPoint bindings. A sweep worker owns its
+ * clone and evaluates on one thread, so one entry per thread serves a
+ * whole shard; an entry for another tree or grid is simply replaced.
+ */
+struct BindingCache {
+    const Operation* root = nullptr;
+    uint64_t epoch = 0;
+    uint64_t gridHash = 0;
+    std::vector<LoopBinding> bindings;  ///< applyPoint walk order.
+};
+
+thread_local BindingCache t_binding_cache;
 
 } // namespace
 
@@ -232,22 +259,38 @@ applyPoint(ModuleOp module, const DesignPointGrid& grid,
 {
     HIDA_ASSERT(values.size() == grid.numAxes(),
                 "point/grid axis count mismatch");
-    module.op()->walk([&](Operation* op) {
-        if (!isa<ForOp>(op))
-            return;
-        int64_t seq = op->intAttrOr(layerSeqId(), -1);
-        if (seq < 0)
-            return;
-        for (size_t i = 0; i < grid.numAxes(); ++i) {
-            const GridAxis& axis = grid.axis(i);
-            if (!axis.bound() || axis.layerSeq != seq ||
-                !op->hasAttr(axis.loopTag))
-                continue;
-            ForOp loop(op);
-            loop.setUnrollFactor(
-                std::min<int64_t>(values[i], loop.tripCount()));
-        }
-    });
+    Operation* root = module.op();
+    const uint64_t epoch = root->structureEpoch();
+    BindingCache& cache = t_binding_cache;
+    if (cache.root != root || cache.epoch != epoch ||
+        cache.gridHash != grid.contentHash()) {
+        // Bindings depend on op identity, layer_seq and the loop tags:
+        // all structure or structural keys, so the epoch covers them.
+        cache.bindings.clear();
+        root->walk([&](Operation* op) {
+            if (!isa<ForOp>(op))
+                return;
+            int64_t seq = op->intAttrOr(layerSeqId(), -1);
+            if (seq < 0)
+                return;
+            for (size_t i = 0; i < grid.numAxes(); ++i) {
+                const GridAxis& axis = grid.axis(i);
+                if (axis.bound() && axis.layerSeq == seq &&
+                    op->hasAttr(axis.loopTag))
+                    cache.bindings.push_back({i, op});
+            }
+        });
+        cache.root = root;
+        cache.epoch = epoch;
+        cache.gridHash = grid.contentHash();
+    }
+    // The trip count is re-read on every write: lb/ub/step are plain
+    // attributes, not structural keys.
+    for (const LoopBinding& binding : cache.bindings) {
+        ForOp loop(binding.loop);
+        loop.setUnrollFactor(
+            std::min<int64_t>(values[binding.axis], loop.tripCount()));
+    }
 }
 
 } // namespace hida

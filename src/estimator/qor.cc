@@ -663,22 +663,6 @@ QorEstimator::estimateLoop(ForOp loop)
     return qor;
 }
 
-uint64_t
-QorEstimator::scheduleTopologyKey(const std::vector<Operation*>& nodes)
-{
-    // The dataflow graph's wiring is almost entirely structural (covered
-    // by structureEpoch), except for the per-node "effects" attribute:
-    // an effect edit flips producer/consumer roles without any
-    // structural mutation, so it must force a skeleton rebuild.
-    uint64_t h = hashMix(nodes.size());
-    for (Operation* node : nodes) {
-        h = hashCombine(h, reinterpret_cast<uintptr_t>(node));
-        if (Attribute effects = node->attr(NodeOp::effectsId()))
-            h = hashCombine(h, effects.hash());
-    }
-    return h;
-}
-
 int64_t
 QorEstimator::channelCapacity(Value* channel, Operation* buffer_op)
 {
@@ -703,7 +687,6 @@ QorEstimator::rebuildScheduleEntry(ScheduleOp schedule,
     entry.nodes.clear();
     for (NodeOp node : graph.topoOrder())
         entry.nodes.push_back(node.op());
-    entry.topologyKey = scheduleTopologyKey(entry.nodes);
     const size_t n = entry.nodes.size();
     entry.nodeFps.assign(n, 0);
     entry.nodeQors.assign(n, DesignQor());
@@ -780,9 +763,9 @@ QorEstimator::estimateSchedule(ScheduleOp schedule)
     // survives the recursive estimateSchedule calls nested node bodies
     // can trigger through estimateNodeWithFp.
     ScheduleCacheEntry& entry = scheduleCache_[schedule.op()];
+    // The skeleton reads "effects" too, but that key is structural: an
+    // effect edit bumps the epoch like any op insert or move.
     bool structural = entry.epoch != schedule.op()->structureEpoch();
-    if (!structural)
-        structural = scheduleTopologyKey(entry.nodes) != entry.topologyKey;
     if (structural) {
         rebuildScheduleEntry(schedule, entry);
         ++cacheStats_.scheduleBuilds;

@@ -172,7 +172,7 @@ class QorEstimator {
     int64_t bramOf(Operation* root);
 
     /** Partition info of the buffer feeding @p value (through node args). */
-    BufferOp resolveBuffer(Value* value);
+    static BufferOp resolveBuffer(Value* value);
 
   private:
     struct BlockCost {
@@ -236,9 +236,10 @@ class QorEstimator {
      * expensive structure — DataflowGraph topo order, channel lists, the
      * multi-producer sequential verdict and the SimGraph wiring — only
      * depends on the IR's *shape*, so it is revalidated against
-     * Operation::structureEpoch() (plus the per-node "effects"
-     * attributes, the one graph input an attribute write can change).
-     * Pure directive edits reuse the skeleton: only nodes whose
+     * Operation::structureEpoch() alone: the one graph input an
+     * attribute carries, the per-node "effects", is a structural key
+     * whose writes bump the epoch. Pure directive edits reuse the
+     * skeleton: only nodes whose
      * fingerprint moved are re-estimated, channel capacities are
      * re-read, and the simulation re-runs only when a per-frame latency
      * or a capacity actually changed — otherwise the cached SimResult
@@ -246,7 +247,6 @@ class QorEstimator {
      */
     struct ScheduleCacheEntry {
         uint64_t epoch = ~uint64_t{0};  ///< structureEpoch at (re)build.
-        uint64_t topologyKey = 0;       ///< Fold of per-node "effects".
         bool sequential = false;        ///< Multi-producer fallback.
         std::vector<Operation*> nodes;  ///< Topo (= program) order.
         std::vector<uint64_t> nodeFps;  ///< Last-seen node fingerprints.
@@ -263,8 +263,6 @@ class QorEstimator {
 
     /** Rebuild @p entry's structural skeleton from the current IR. */
     void rebuildScheduleEntry(ScheduleOp schedule, ScheduleCacheEntry& entry);
-    /** Fold of the cached nodes' "effects" attrs (graph revalidation). */
-    static uint64_t scheduleTopologyKey(const std::vector<Operation*>& nodes);
     /** Frame capacity of @p channel backed by @p buffer_op (or null). */
     static int64_t channelCapacity(Value* channel, Operation* buffer_op);
     /**

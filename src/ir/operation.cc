@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <initializer_list>
 #include <mutex>
 
 #include "src/support/diagnostics.h"
@@ -31,44 +32,87 @@ nextStructureEpoch()
 thread_local SubtreeHashStats t_subtree_hash_stats;
 
 /**
- * Attribute keys excluded from subtree hashing. Append-only and tiny;
- * reads (every setAttr/removeAttr and hash fold, on every thread) are
- * lock-free scans over a fixed array, appends take a mutex. Pre-seeded
- * with "ii": the estimator writes it back as an output.
+ * Append-only, process-wide set of attribute keys. Reads (every
+ * setAttr/removeAttr and hash fold, on every thread) are lock-free scans;
+ * appends take a mutex and publish into a table that doubles when full.
+ * Superseded tables stay alive for racing readers, so a set may grow with
+ * input (grids register their loop tags) without a fixed cap.
  */
-struct HashExemptKeys {
-    static constexpr size_t kMax = 16;
-    std::mutex mutex;
-    std::atomic<uint32_t> keys[kMax] = {};
-    std::atomic<size_t> count{0};
-
-    HashExemptKeys() { add(Identifier::get("ii")); }
+class AttrKeySet {
+  public:
+    AttrKeySet(std::initializer_list<std::string_view> seed)
+    {
+        for (std::string_view key : seed)
+            add(Identifier::get(key));
+    }
 
     bool contains(uint32_t raw) const
     {
-        size_t n = count.load(std::memory_order_acquire);
+        // count_ is published after the entries (and any grown table)
+        // it covers, so the table loaded next holds all n of them.
+        size_t n = count_.load(std::memory_order_acquire);
+        const Table* table = table_.load(std::memory_order_acquire);
         for (size_t i = 0; i < n; ++i)
-            if (keys[i].load(std::memory_order_relaxed) == raw)
+            if (table->keys[i].load(std::memory_order_relaxed) == raw)
                 return true;
         return false;
     }
 
     void add(Identifier key)
     {
-        std::lock_guard<std::mutex> lock(mutex);
+        std::lock_guard<std::mutex> lock(mutex_);
         if (contains(key.raw()))
             return;
-        size_t n = count.load(std::memory_order_relaxed);
-        HIDA_ASSERT(n < kMax, "too many hash-exempt attribute keys");
-        keys[n].store(key.raw(), std::memory_order_relaxed);
-        count.store(n + 1, std::memory_order_release);
+        size_t n = count_.load(std::memory_order_relaxed);
+        Table* table = tables_.empty() ? nullptr : tables_.back().get();
+        if (table == nullptr || n == table->keys.size()) {
+            auto grown = std::make_unique<Table>(std::max<size_t>(8, 2 * n));
+            for (size_t i = 0; i < n; ++i)
+                grown->keys[i].store(
+                    table->keys[i].load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+            table = grown.get();
+            tables_.push_back(std::move(grown));
+            table_.store(table, std::memory_order_release);
+        }
+        table->keys[n].store(key.raw(), std::memory_order_relaxed);
+        count_.store(n + 1, std::memory_order_release);
     }
+
+  private:
+    struct Table {
+        explicit Table(size_t capacity) : keys(capacity) {}
+        std::vector<std::atomic<uint32_t>> keys;
+    };
+
+    std::mutex mutex_;
+    /** Every table ever published (guarded by mutex_). */
+    std::vector<std::unique_ptr<Table>> tables_;
+    std::atomic<const Table*> table_{nullptr};
+    std::atomic<size_t> count_{0};
 };
 
-HashExemptKeys&
+/**
+ * Keys excluded from subtree hashing. Pre-seeded with "ii": the
+ * estimator writes it back as an output.
+ */
+AttrKeySet&
 hashExemptKeys()
 {
-    static HashExemptKeys keys;
+    static AttrKeySet keys{"ii"};
+    return keys;
+}
+
+/**
+ * Keys whose writes bump the structure epoch. Pre-seeded with the
+ * attributes structure caches read besides the op tree itself: affine
+ * index maps, node effects (the dataflow graph's wiring) and the layer
+ * sequence numbers directive grids bind to.
+ */
+AttrKeySet&
+structuralKeys()
+{
+    static AttrKeySet keys{"coeffs", "effects", "layer_seq"};
     return keys;
 }
 
@@ -455,6 +499,18 @@ Operation::addAttrHashExempt(Identifier key)
     hashExemptKeys().add(key);
 }
 
+bool
+Operation::isAttrStructural(Identifier key)
+{
+    return structuralKeys().contains(key.raw());
+}
+
+void
+Operation::addAttrStructural(Identifier key)
+{
+    structuralKeys().add(key);
+}
+
 Operation*
 Operation::rootOp()
 {
@@ -519,22 +575,28 @@ attrLowerBound(const Operation::AttrList& attrs, Identifier key)
 bool
 Operation::hasAttr(Identifier key) const
 {
-    auto it = attrLowerBound(attrs_, key);
-    return it != attrs_.end() && it->first == key;
+    return findAttr(key) != nullptr;
 }
 
 Attribute
 Operation::attr(Identifier key) const
 {
+    const Attribute* value = findAttr(key);
+    return value != nullptr ? *value : Attribute();
+}
+
+const Attribute*
+Operation::findAttr(Identifier key) const
+{
     auto it = attrLowerBound(attrs_, key);
-    return it != attrs_.end() && it->first == key ? it->second : Attribute();
+    return it != attrs_.end() && it->first == key ? &it->second : nullptr;
 }
 
 int64_t
 Operation::intAttrOr(Identifier key, int64_t def) const
 {
-    auto it = attrLowerBound(attrs_, key);
-    return it != attrs_.end() && it->first == key ? it->second.asInt() : def;
+    const Attribute* value = findAttr(key);
+    return value != nullptr ? value->asInt() : def;
 }
 
 void
@@ -554,6 +616,20 @@ Operation::setAttr(Identifier key, Attribute value)
     }
     if (!isAttrHashExempt(key))
         invalidateSubtreeHash();
+    if (isAttrStructural(key))
+        bumpStructureEpoch();
+}
+
+void
+Operation::setIntAttr(Identifier key, int64_t v)
+{
+    // The per-point directive writers mostly rewrite the value already
+    // there: skip building an attribute handle just to drop it.
+    const Attribute* current = findAttr(key);
+    if (current != nullptr && *current &&
+        current->kind() == AttrKind::kInt && current->asInt() == v)
+        return;
+    setAttr(key, Attribute::integer(v));
 }
 
 void
@@ -565,6 +641,8 @@ Operation::removeAttr(Identifier key)
     attrs_.erase(attrs_.begin() + (it - attrs_.begin()));
     if (!isAttrHashExempt(key))
         invalidateSubtreeHash();
+    if (isAttrStructural(key))
+        bumpStructureEpoch();
 }
 
 Block*

@@ -277,12 +277,16 @@ class Operation {
 
     bool hasAttr(Identifier key) const;
     Attribute attr(Identifier key) const;
+    /**
+     * The attribute stored under @p key, or nullptr: a handle-free read
+     * for hot paths that compare in place. Valid until this op's next
+     * attribute write.
+     */
+    const Attribute* findAttr(Identifier key) const;
     int64_t intAttrOr(Identifier key, int64_t def) const;
     void setAttr(Identifier key, Attribute value);
-    void setIntAttr(Identifier key, int64_t v)
-    {
-        setAttr(key, Attribute::integer(v));
-    }
+    /** setAttr of an integer; an unchanged value is compared in place. */
+    void setIntAttr(Identifier key, int64_t v);
     void removeAttr(Identifier key);
 
     bool hasAttr(std::string_view key) const
@@ -392,12 +396,26 @@ class Operation {
     static void addAttrHashExempt(Identifier key);
 
     /**
+     * Keys whose writes are structural: a setAttr/removeAttr that changes
+     * one also bumps the structure epoch, so a cache keyed on
+     * structureEpoch() alone may read their values. Pre-seeded with
+     * "coeffs" (affine.apply index maps), "effects" (per-operand node
+     * roles, the dataflow graph's wiring) and "layer_seq";
+     * DesignPointGrid::addDirectiveAxis registers its loop tag.
+     * Registration is append-only and process-wide; a cache that reads
+     * any other attribute must re-read it on every use.
+     */
+    static bool isAttrStructural(Identifier key);
+    static void addAttrStructural(Identifier key);
+
+    /**
      * Structure epoch of the tree this op lives in, stored on the tree's
      * root operation and changed on every *structural* mutation within
      * that tree (op insert/move/erase, operand edits, block/region/
-     * argument growth, value retyping) — attribute writes do not change
-     * it. Lets clients cache structure-derived data (e.g. the estimator's
-     * memref access-site lists) and revalidate with one compare, and
+     * argument growth, value retyping, writes of structural attribute
+     * keys) — other attribute writes do not change it. Lets clients
+     * cache structure-derived data (e.g. the estimator's memref
+     * access-site lists) and revalidate with one compare, and
      * keeps concurrent compilations isolated: one worker's mutations
      * never move another worker's epoch. Epoch values are drawn from a
      * process-wide atomic counter, so a value can never repeat — not

@@ -580,6 +580,26 @@ TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
 // Journal mechanics (no sweep needed)
 //===----------------------------------------------------------------------===//
 
+TEST(SweepJournalTest, GridHashesArePinnedForJournalCompatibility)
+{
+    // Journals and the persistent QoR store key on these values, so a
+    // change to how they are computed must never change the numbers:
+    // a journal written by an older build has to stay resumable.
+    DesignPointGrid grid;
+    grid.addDirectiveAxis("kpf1", {1, 2, 3, 6}, 1, "kpf_loop");
+    grid.addDirectiveAxis("cpf1", {1}, 1, "cpf_loop");
+    grid.addDirectiveAxis("kpf2", {1, 2, 4, 8, 16}, 2, "kpf_loop");
+    grid.addDirectiveAxis("cpf2", {1, 2, 3, 6}, 2, "cpf_loop");
+    grid.addDirectiveAxis("kpf3", {1, 2, 3, 4, 6, 8}, 3, "kpf_loop");
+    grid.addDirectiveAxis("cpf3", {1, 2, 4, 8, 16}, 3, "cpf_loop");
+    grid.addAxis("batch", {1, 5, 10});
+    EXPECT_EQ(DesignPointGrid().contentHash(), 0x53a5db9473f9bcacull);
+    EXPECT_EQ(grid.contentHash(), 0xd085b2eeaaebe019ull);
+    EXPECT_EQ(grid.pointFingerprint(0), 0x5a47d3e3e71356c3ull);
+    EXPECT_EQ(grid.pointFingerprint(1234), 0x430c55f47803e67dull);
+    EXPECT_EQ(grid.pointFingerprint(grid.size() - 1), 0x8596a2a1a3e7c0a5ull);
+}
+
 TEST(SweepJournalTest, RoundTripsRecordsAcrossInstances)
 {
     std::string path =

@@ -531,8 +531,12 @@ TEST(OrderingTest, GrayCodeOrderingCutsRehashTrafficOverRowMajor)
 
     // Serial exhaustive sweeps: one worker walking the whole grid in
     // each order, so the cache counters measure the ordering alone
-    // (point-to-worker assignment and timing play no part).
+    // (point-to-worker assignment and timing play no part). The single
+    // worker runs inline on this thread, whose subtree-hash counters are
+    // cumulative: reset them so each sweep reports only its own work,
+    // whatever ran earlier in the process.
     auto sweep = [&](PointOrder order) {
+        Operation::resetSubtreeHashStats();
         StrategyOptions so;
         so.order = order;
         std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, so);
@@ -567,6 +571,23 @@ TEST(OrderingTest, GrayCodeOrderingCutsRehashTrafficOverRowMajor)
     EXPECT_EQ(gray.stats.cache.hits, row.stats.cache.hits);
     EXPECT_LT(gray.stats.cache.hashRecomputes,
               row.stats.cache.hashRecomputes);
+
+    // Exact serial counters. The per-point directive writers (applyPoint
+    // and ArrayPartition) skip unchanged values and cache their walks,
+    // but must leave the estimator exactly the work it had when they
+    // rewrote every directive on every point: these are the counts a
+    // full rewalk per point produces. The Vitis flow has no dataflow
+    // schedule, so the schedule counters stay zero.
+    const QorCacheStats& g = gray.stats.cache;
+    const QorCacheStats& r = row.stats.cache;
+    EXPECT_EQ(g.hashRecomputes, 10847u);
+    EXPECT_EQ(r.hashRecomputes, 12505u);
+    for (const QorCacheStats* stats : {&g, &r}) {
+        EXPECT_EQ(stats->hits, 16742u);
+        EXPECT_EQ(stats->misses, 58u);
+        EXPECT_EQ(stats->scheduleBuilds, 0u);
+        EXPECT_EQ(stats->simRuns, 0u);
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,13 +16,23 @@
  * constructed cold estimator. On the first divergence the full mutation
  * trace is printed so the failing sequence can be replayed.
  *
+ * A second harness fuzzes the per-point directive path a sweep runs
+ * before estimating: applyPoint's per-thread loop bindings and one reused
+ * ArrayPartition instance, both cached on the structure epoch. After
+ * every random grid point or IR edit (loop tags, layer_seq, index maps,
+ * node effects, direct unroll/bound writes, structural inserts, erases
+ * and moves) the warm module must hash equal to a fresh clone driven
+ * through an uncached reference walk and a fresh pass.
+ *
  * Determinism: the xorshift seed is fixed per test, so a failure here is
  * reproducible bit for bit on any machine.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,10 +41,12 @@
 #include "src/dialect/arith/arith_ops.h"
 #include "src/dialect/hida/hida_ops.h"
 #include "src/driver/driver.h"
+#include "src/dse/grid.h"
 #include "src/estimator/qor.h"
 #include "src/ir/builder.h"
 #include "src/models/dnn_models.h"
 #include "src/models/polybench.h"
+#include "src/transforms/passes.h"
 
 namespace hida {
 namespace {
@@ -89,6 +101,8 @@ class DifferentialFuzzer {
                 loops_.push_back(op);
             else if (isa<BufferOp>(op))
                 buffers_.push_back(op);
+            else if (isa<NodeOp>(op) && op->numOperands() > 0)
+                nodes_.push_back(op);
         });
     }
 
@@ -113,7 +127,7 @@ class DifferentialFuzzer {
             }
             return desc.str();
         }
-        switch (rng_.below(5)) {
+        switch (rng_.below(6)) {
         case 0: {  // unroll
             if (loops_.empty())
                 break;
@@ -171,13 +185,25 @@ class DifferentialFuzzer {
             desc << "stages=" << stages;
             break;
         }
-        default: {  // soft FIFO depth
+        case 4: {  // soft FIFO depth
             if (buffers_.empty())
                 break;
             BufferOp buffer(buffers_[rng_.below(buffers_.size())]);
             int64_t depth = 1 + static_cast<int64_t>(rng_.below(8));
             buffer.setSoftFifoDepth(depth);
             desc << "soft_fifo_depth=" << depth;
+            break;
+        }
+        default: {  // node effect flip: rewires the dataflow graph
+            if (nodes_.empty())
+                break;
+            NodeOp node(nodes_[rng_.below(nodes_.size())]);
+            unsigned operand = static_cast<unsigned>(
+                rng_.below(node.op()->numOperands()));
+            auto effect = static_cast<MemoryEffect>(1 + rng_.below(3));
+            node.setEffect(operand, effect);
+            desc << "effect " << node.label() << "[" << operand
+                 << "]=" << static_cast<int64_t>(effect);
             break;
         }
         }
@@ -224,6 +250,7 @@ class DifferentialFuzzer {
     FuncOp func_{nullptr};
     std::vector<Operation*> loops_;
     std::vector<Operation*> buffers_;
+    std::vector<Operation*> nodes_;
     std::vector<std::string> trace_;
 };
 
@@ -310,6 +337,339 @@ TEST(EstimatorDifferentialTest, MultiProducer3mmSurvives900Mutations)
 
     DifferentialFuzzer fuzzer(module.get(), device, /*seed=*/0x5EEDC0DE);
     fuzzer.run(900);
+}
+
+//===----------------------------------------------------------------------===//
+// Per-point directive path: cached applyPoint + reused ArrayPartition
+//===----------------------------------------------------------------------===//
+
+/**
+ * The uncached applyPoint: one full walk per point binding every tagged
+ * loop afresh. The reference the cached bindings must agree with.
+ */
+void
+referenceApplyPoint(ModuleOp module, const DesignPointGrid& grid,
+                    const std::vector<int64_t>& values)
+{
+    module.op()->walk([&](Operation* op) {
+        if (!isa<ForOp>(op))
+            return;
+        int64_t seq = op->intAttrOr("layer_seq", -1);
+        if (seq < 0)
+            return;
+        for (size_t i = 0; i < grid.numAxes(); ++i) {
+            const GridAxis& axis = grid.axis(i);
+            if (!axis.bound() || axis.layerSeq != seq ||
+                !op->hasAttr(axis.loopTag))
+                continue;
+            ForOp loop(op);
+            loop.setUnrollFactor(
+                std::min<int64_t>(values[i], loop.tripCount()));
+        }
+    });
+}
+
+/**
+ * One campaign over a sweep prototype. Each step is a random grid point
+ * or a random IR edit; after it the warm path (applyPoint with its
+ * per-thread bindings, then one long-lived ArrayPartition instance with
+ * its access plan) must leave the module hashing equal to a fresh clone
+ * taken before the warm path ran and driven through referenceApplyPoint
+ * and a fresh pass instance.
+ */
+class PerPointFuzzer {
+  public:
+    PerPointFuzzer(ModuleOp module, const DesignPointGrid& grid,
+                   FlowOptions partition, uint64_t seed)
+        : module_(module), grid_(grid), partition_(partition), rng_(seed),
+          warmPass_(createArrayPartitionPass(partition)),
+          point_(grid.point(0))
+    {
+        module.op()->walk([&](Operation* op) {
+            if (isa<ForOp>(op))
+                loops_.push_back(op);
+            else if (isa<BufferOp>(op))
+                buffers_.push_back(op);
+            else if (isa<NodeOp>(op) && op->numOperands() > 0)
+                nodes_.push_back(op);
+            else if (isa<ApplyOp>(op))
+                applies_.push_back(op);
+        });
+        // New access sites go to on-chip buffers, the ones the pass
+        // partitions (any buffer when a prototype has none).
+        for (Operation* buffer : buffers_)
+            if (BufferOp(buffer).type().memorySpace() !=
+                MemorySpace::kExternal)
+                onChip_.push_back(buffer);
+        if (onChip_.empty())
+            onChip_ = buffers_;
+        for (size_t i = 0; i < grid.numAxes(); ++i)
+            if (std::find(tags_.begin(), tags_.end(), grid.axis(i).loopTag) ==
+                tags_.end())
+                tags_.push_back(grid.axis(i).loopTag);
+    }
+
+    void
+    run(int steps)
+    {
+        ASSERT_FALSE(loops_.empty()) << "prototype has no loops";
+        check("initial point");
+        for (int i = 0; i < steps && !::testing::Test::HasFailure(); ++i)
+            check(step());
+    }
+
+  private:
+    Operation*
+    pick(const std::vector<Operation*>& ops)
+    {
+        return ops[rng_.below(ops.size())];
+    }
+
+    /** Apply one random point or edit; returns its trace line. */
+    std::string
+    step()
+    {
+        std::ostringstream desc;
+        switch (rng_.below(16)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+        case 4:
+        case 5: {  // a new design point
+            size_t index = rng_.below(grid_.size());
+            point_ = grid_.point(index);
+            desc << "point " << index;
+            break;
+        }
+        case 6: {  // tag or untag a loop
+            Operation* loop = pick(loops_);
+            Identifier tag = tags_[rng_.below(tags_.size())];
+            if (loop->hasAttr(tag)) {
+                loop->removeAttr(tag);
+                desc << "untag " << tag.str();
+            } else {
+                loop->setAttr(tag, Attribute::unit());
+                desc << "tag " << tag.str();
+            }
+            desc << " on loop " << indexOf(loops_, loop);
+            break;
+        }
+        case 7: {  // move a loop to another layer, or out of every layer
+            Operation* loop = pick(loops_);
+            int64_t seq = static_cast<int64_t>(rng_.below(5));
+            if (seq == 0) {
+                loop->removeAttr("layer_seq");
+                desc << "clear layer_seq";
+            } else {
+                loop->setIntAttr("layer_seq", seq);
+                desc << "layer_seq=" << seq;
+            }
+            desc << " on loop " << indexOf(loops_, loop);
+            break;
+        }
+        case 8: {  // rewrite an index map's strides
+            if (applies_.empty())
+                break;
+            Operation* apply = pick(applies_);
+            std::vector<int64_t> coeffs(apply->numOperands());
+            for (int64_t& c : coeffs)
+                c = static_cast<int64_t>(rng_.below(7)) - 3;
+            apply->setAttr("coeffs", Attribute::i64Array(coeffs));
+            desc << "coeffs of apply " << indexOf(applies_, apply);
+            break;
+        }
+        case 9: {  // flip a node effect
+            if (nodes_.empty())
+                break;
+            NodeOp node(pick(nodes_));
+            unsigned operand = static_cast<unsigned>(
+                rng_.below(node.op()->numOperands()));
+            auto effect = static_cast<MemoryEffect>(1 + rng_.below(3));
+            node.setEffect(operand, effect);
+            desc << "effect " << node.label() << "[" << operand
+                 << "]=" << static_cast<int64_t>(effect);
+            break;
+        }
+        case 10:
+        case 11: {  // a directive written behind the grid's back
+            Operation* loop = pick(loops_);
+            int64_t factor = 1 + static_cast<int64_t>(rng_.below(8));
+            if (factor == 1) {
+                loop->removeAttr(ForOp::unrollId());
+                desc << "clear unroll";
+            } else {
+                ForOp(loop).setUnrollFactor(factor);
+                desc << "unroll=" << factor;
+            }
+            desc << " on loop " << indexOf(loops_, loop);
+            break;
+        }
+        case 12: {  // a new trip count clamps the bound factors
+            ForOp loop(pick(loops_));
+            int64_t trip = 1 + static_cast<int64_t>(rng_.below(16));
+            loop.op()->setIntAttr(
+                ForOp::ubId(), loop.lowerBound() + trip * loop.step());
+            desc << "trip=" << trip << " on loop "
+                 << indexOf(loops_, loop.op());
+            break;
+        }
+        case 13: {  // structural move
+            if (buffers_.empty())
+                break;
+            Operation* buffer = pick(buffers_);
+            buffer->moveToFront(buffer->block());
+            desc << "move buffer " << indexOf(buffers_, buffer)
+                 << " to block front";
+            break;
+        }
+        case 14: {  // structural insert: a new access site
+            if (onChip_.empty())
+                break;
+            Operation* buffer = pick(onChip_);
+            ForOp loop(pick(loops_));
+            size_t rank = BufferOp(buffer).type().shape().size();
+            OpBuilder builder(loop.body());
+            LoadOp load = LoadOp::create(
+                builder, buffer->result(0),
+                std::vector<Value*>(rank, loop.inductionVar()));
+            inserted_.push_back(load.op());
+            desc << "load buffer " << indexOf(buffers_, buffer)
+                 << " in loop " << indexOf(loops_, loop.op());
+            break;
+        }
+        default: {  // structural erase
+            if (inserted_.empty()) {
+                OpBuilder builder(ForOp(pick(loops_)).body());
+                builder.create("test.nop")->erase();
+                desc << "insert+erase nop";
+                break;
+            }
+            size_t i = rng_.below(inserted_.size());
+            inserted_[i]->erase();
+            inserted_.erase(inserted_.begin() + i);
+            desc << "erase inserted load " << i;
+            break;
+        }
+        }
+        if (desc.str().empty())
+            desc << "no-op";
+        return desc.str();
+    }
+
+    static size_t
+    indexOf(const std::vector<Operation*>& ops, Operation* op)
+    {
+        return std::find(ops.begin(), ops.end(), op) - ops.begin();
+    }
+
+    /** Warm path vs a cold reference on a clone, by root subtree hash. */
+    void
+    check(const std::string& what)
+    {
+        trace_.push_back(what);
+        OwnedModule reference = OwnedModule::clone(module_);
+        applyPoint(module_, grid_, point_);
+        warmPass_->runOnModule(module_);
+        referenceApplyPoint(reference.get(), grid_, point_);
+        createArrayPartitionPass(partition_)->runOnModule(reference.get());
+        if (module_.op()->subtreeHash() == reference.get().op()->subtreeHash())
+            return;
+        std::ostringstream msg;
+        msg << "warm per-point path diverged from the reference after step #"
+            << trace_.size() - 1 << "\nstep trace:\n";
+        for (size_t i = 0; i < trace_.size(); ++i)
+            msg << "  [" << i << "] " << trace_[i] << "\n";
+        FAIL() << msg.str();
+    }
+
+    ModuleOp module_;
+    const DesignPointGrid& grid_;
+    FlowOptions partition_;
+    XorShift rng_;
+    std::unique_ptr<Pass> warmPass_;
+    std::vector<int64_t> point_;
+    std::vector<Operation*> loops_;
+    std::vector<Operation*> buffers_;
+    std::vector<Operation*> onChip_;
+    std::vector<Operation*> nodes_;
+    std::vector<Operation*> applies_;
+    std::vector<Operation*> inserted_;
+    std::vector<Identifier> tags_;
+    std::vector<std::string> trace_;
+};
+
+/** The Figure 1 factor grid (the benchmark's and fig1 bench's axes). */
+DesignPointGrid
+fig1Grid()
+{
+    DesignPointGrid grid;
+    grid.addDirectiveAxis("kpf1", {1, 2, 3, 6}, 1, "kpf_loop");
+    grid.addDirectiveAxis("cpf1", {1}, 1, "cpf_loop");
+    grid.addDirectiveAxis("kpf2", {1, 2, 4, 8, 16}, 2, "kpf_loop");
+    grid.addDirectiveAxis("cpf2", {1, 2, 3, 6}, 2, "cpf_loop");
+    grid.addDirectiveAxis("kpf3", {1, 2, 3, 4, 6, 8}, 3, "kpf_loop");
+    grid.addDirectiveAxis("cpf3", {1, 2, 4, 8, 16}, 3, "cpf_loop");
+    return grid;
+}
+
+/** A LeNet sweep prototype, lowered as the Figure 1 sweep lowers it. */
+void
+runLenetPerPointCampaign(Flow flow, uint64_t seed, int steps)
+{
+    DesignPointGrid grid = fig1Grid();
+    OwnedModule module = buildLeNet(1);
+    FlowOptions options = optionsFor(flow);
+    options.enableTiling = false;
+    options.enableParallelization = false;
+    compile(module.get(), options, TargetDevice::pynqZ2());
+    FlowOptions partition = options;
+    partition.enableParallelization = true;
+
+    PerPointFuzzer fuzzer(module.get(), grid, partition, seed);
+    fuzzer.run(steps);
+}
+
+TEST(PerPointDifferentialTest, LenetDataflowSurvives1500Steps)
+{
+    runLenetPerPointCampaign(Flow::kHida, /*seed=*/0xF1D0F1D0, 1500);
+}
+
+TEST(PerPointDifferentialTest, LenetVitisSurvives1500Steps)
+{
+    runLenetPerPointCampaign(Flow::kVitis, /*seed=*/0x0DDBA11, 1500);
+}
+
+TEST(PerPointDifferentialTest, Polybench2mmSurvives1500Steps)
+{
+    // 2mm carries no layer tags of its own: bind a deterministic third
+    // of its loops to two layers so grid points have loops to write.
+    DesignPointGrid grid;
+    grid.addDirectiveAxis("kpf1", {1, 2, 4}, 1, "kpf_loop");
+    grid.addDirectiveAxis("cpf1", {1, 2, 4}, 1, "cpf_loop");
+    grid.addDirectiveAxis("kpf2", {1, 2, 4, 8}, 2, "kpf_loop");
+    grid.addDirectiveAxis("cpf2", {1, 2}, 2, "cpf_loop");
+    OwnedModule module = buildPolybenchKernel("2mm", 16);
+    FlowOptions options = optionsFor(Flow::kHida);
+    options.enableParallelization = false;
+    compile(module.get(), options, TargetDevice::zu3eg());
+    size_t n = 0;
+    module.get().op()->walk([&](Operation* op) {
+        if (!isa<ForOp>(op))
+            return;
+        if (n % 3 != 2) {
+            op->setIntAttr("layer_seq", 1 + static_cast<int64_t>(n / 3 % 2));
+            op->setAttr(n % 3 == 0 ? "kpf_loop" : "cpf_loop",
+                        Attribute::unit());
+        }
+        ++n;
+    });
+    FlowOptions partition = options;
+    partition.enableParallelization = true;
+
+    PerPointFuzzer fuzzer(module.get(), grid, partition,
+                          /*seed=*/0x2EEDBEEF);
+    fuzzer.run(1500);
 }
 
 } // namespace

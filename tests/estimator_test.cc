@@ -321,6 +321,24 @@ TEST(ScheduleCacheTest, StructuralEditForcesSkeletonRebuild)
     expectEqualQor(warm, f.cold(), "after structural move");
 }
 
+TEST(ScheduleCacheTest, EffectEditForcesSkeletonRebuild)
+{
+    ScheduleCacheFixture f;
+    QorEstimator estimator(TargetDevice::zu3eg());
+    estimator.estimateFunc(f.func);
+
+    // An effect flip is an attribute write, not an op insert or move,
+    // yet it rewires the dataflow graph: with n2 only reading B, B has
+    // no producer and n3 no longer waits on n2. "effects" is a
+    // structural key, so the skeleton must be rebuilt, never reused.
+    f.n2.setEffect(1, MemoryEffect::kRead);
+    DesignQor warm = estimator.estimateFunc(f.func);
+    QorCacheStats s = estimator.cacheStats();
+    EXPECT_EQ(s.scheduleBuilds, 2u);
+    EXPECT_EQ(s.scheduleReuses, 0u);
+    expectEqualQor(warm, f.cold(), "after effect flip");
+}
+
 TEST(ScheduleCacheTest, ChannelDepthEditResimulatesWithoutNodeReestimates)
 {
     ScheduleCacheFixture f;

@@ -158,6 +158,54 @@ TEST_F(IrCoreTest, AffineAccessDecomposition)
     EXPECT_FALSE(verify(module.get().op()).has_value());
 }
 
+TEST_F(IrCoreTest, MalformedAffineApplyIsADiagnosticNotAnAbort)
+{
+    OwnedModule module;
+    OpBuilder builder(module.get().body());
+    FuncOp func = FuncOp::create(builder, "kernel", {});
+    builder.setInsertionPointToEnd(func.body());
+    AllocOp buf = AllocOp::create(builder, Type::memref({32}, Type::f32()));
+    ForOp loop_i = ForOp::create(builder, 0, 8);
+    builder.setInsertionPointToEnd(loop_i.body());
+    ForOp loop_k = ForOp::create(builder, 0, 4);
+    builder.setInsertionPointToEnd(loop_k.body());
+    ApplyOp apply = ApplyOp::create(
+        builder, {loop_i.inductionVar(), loop_k.inductionVar()}, {4, 1}, 0);
+    LoadOp load =
+        LoadOp::create(builder, buf.op()->result(0), {apply.op()->result(0)});
+    Operation* op = apply.op();
+    ASSERT_FALSE(verifyToDiagnostic(module.get().op()).has_value());
+
+    // Each malformed map, as a parsed or hand-built input could carry
+    // it: the verifier reports it and index analysis declines it,
+    // instead of an assert or a read past the coefficient list.
+    auto expect_rejected = [&](const char* what, const char* message) {
+        auto diag = verifyToDiagnostic(module.get().op());
+        ASSERT_TRUE(diag.has_value()) << what;
+        EXPECT_EQ(diag->code, ErrorCode::kVerifyFailed) << what;
+        EXPECT_NE(diag->message.find(message), std::string::npos)
+            << what << ": " << diag->message;
+        EXPECT_FALSE(decomposeIndex(load.index(0)).has_value()) << what;
+    };
+    op->setAttr(ApplyOp::coeffsId(), Attribute::i64Array({4}));
+    expect_rejected("short coeffs", "2 operands but 1 coeffs");
+    op->removeAttr(ApplyOp::coeffsId());
+    expect_rejected("missing coeffs", "integer array 'coeffs'");
+    op->setAttr(ApplyOp::coeffsId(),
+                Attribute::array({Attribute::integer(4), Attribute::real(1)}));
+    expect_rejected("float coeff", "'coeffs' must hold integers");
+    op->setAttr(ApplyOp::coeffsId(), Attribute::i64Array({4, 1}));
+    op->setAttr(ApplyOp::offsetId(), Attribute::string("1"));
+    expect_rejected("string offset", "'offset' must be an integer");
+
+    op->setIntAttr(ApplyOp::offsetId(), 1);
+    EXPECT_FALSE(verifyToDiagnostic(module.get().op()).has_value());
+    auto expr = decomposeIndex(load.index(0));
+    ASSERT_TRUE(expr.has_value());
+    EXPECT_EQ(expr->coeffOf(loop_i.inductionVar()), 4);
+    EXPECT_EQ(expr->offset, 1);
+}
+
 TEST_F(IrCoreTest, CloneRemapsNestedValues)
 {
     OwnedModule module;

@@ -92,6 +92,51 @@ TEST(FingerprintTest, ExemptAttrWritesDoNotDirty)
     EXPECT_EQ(f.warm(), before);
 }
 
+TEST(FingerprintTest, StructuralKeyWritesBumpTheEpoch)
+{
+    NestFixture f;
+    Operation* root = f.module.get().op();
+    Operation* loop = f.inner.op();
+    uint64_t epoch = root->structureEpoch();
+
+    // A directive write is not structural.
+    loop->setIntAttr(ForOp::unrollId(), 4);
+    EXPECT_EQ(root->structureEpoch(), epoch);
+
+    // "layer_seq" is pre-registered: a changed value or a removal moves
+    // the epoch, an unchanged write or a missing key does not.
+    loop->setIntAttr("layer_seq", 1);
+    EXPECT_NE(root->structureEpoch(), epoch);
+    epoch = root->structureEpoch();
+    loop->setIntAttr("layer_seq", 1);
+    EXPECT_EQ(root->structureEpoch(), epoch);
+    loop->removeAttr("layer_seq");
+    EXPECT_NE(root->structureEpoch(), epoch);
+    epoch = root->structureEpoch();
+    loop->removeAttr("layer_seq");
+    EXPECT_EQ(root->structureEpoch(), epoch);
+
+    // A key registered later (a grid's loop tag) behaves the same from
+    // then on, and the set grows without a fixed cap.
+    Identifier tag = Identifier::get("structural_test_tag");
+    loop->setAttr(tag, Attribute::unit());
+    EXPECT_EQ(root->structureEpoch(), epoch);
+    EXPECT_FALSE(Operation::isAttrStructural(tag));
+    for (int i = 0; i < 40; ++i)
+        Operation::addAttrStructural(
+            Identifier::get("structural_test_tag_" + std::to_string(i)));
+    Operation::addAttrStructural(tag);
+    EXPECT_TRUE(Operation::isAttrStructural(tag));
+    for (int i = 0; i < 40; ++i)
+        EXPECT_TRUE(Operation::isAttrStructural(
+            Identifier::get("structural_test_tag_" + std::to_string(i))));
+    EXPECT_TRUE(Operation::isAttrStructural(Identifier::get("coeffs")));
+    EXPECT_TRUE(Operation::isAttrStructural(NodeOp::effectsId()));
+    EXPECT_FALSE(Operation::isAttrStructural(ForOp::unrollId()));
+    loop->removeAttr(tag);
+    EXPECT_NE(root->structureEpoch(), epoch);
+}
+
 TEST(FingerprintTest, InsertMoveEraseDirtyAncestorChain)
 {
     NestFixture f;
