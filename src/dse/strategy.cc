@@ -23,77 +23,111 @@ StrategyWorkerPool::StrategyWorkerPool(unsigned workers, WorkerInit init,
       scheduler_(scheduler)
 {
     // Dialect registration mutates the process-wide OpRegistry; do it
-    // once up front so workers never race a first-compile registration
+    // once up front so helpers never race a first-compile registration
     // (the runShards rule).
     registerAllDialects();
-    if (workers_ == 1)
-        return;  // Inline mode: no thread, worker created lazily.
-    threads_.reserve(workers_);
-    for (unsigned w = 0; w < workers_; ++w)
-        threads_.emplace_back([this, w]() { workerMain(w); });
 }
 
 StrategyWorkerPool::~StrategyWorkerPool() { shutdown(); }
 
-void
-StrategyWorkerPool::recordWorkerFailure(unsigned index,
-                                        const std::string& what)
+unsigned
+StrategyWorkerPool::participants(size_t count) const
 {
+    size_t p = std::clamp<size_t>(count / kFanOutGrain, 1, workers_);
+    // A dead driver evaluates nothing: hand slot 0 to a helper pool that
+    // can steal it.
+    if (driverDead_ && workers_ > 1)
+        p = std::max<size_t>(p, 2);
+    return static_cast<unsigned>(p);
+}
+
+bool
+StrategyWorkerPool::guarded(unsigned index, FunctionRef<void()> fn)
+{
+    std::string what;
+    try {
+        fn();
+        return true;
+    } catch (const std::exception& e) {
+        what = e.what();
+    } catch (...) {
+        what = "unknown exception";
+    }
     Diagnostic diag(ErrorCode::kWorkerFailed,
                     strCat("exception escaped strategy worker: ", what),
                     strCat("worker w", index));
     emitDiagnostic(diag);
     std::lock_guard<std::mutex> lock(failuresMutex_);
     workerFailures_.push_back(std::move(diag));
+    return false;
+}
+
+bool
+StrategyWorkerPool::driverAlive()
+{
+    if (!driverInit_) {
+        driverInit_ = true;
+        driverDead_ = !guarded(0, [&] { driver_ = init_(); });
+    }
+    return !driverDead_;
 }
 
 void
-StrategyWorkerPool::workerMain(unsigned index)
+StrategyWorkerPool::startHelpers(size_t count, unsigned participants)
+{
+    // A new helper has seen every round before this one; it runs its
+    // init and then joins this round.
+    while (threads_.size() + 1 < participants) {
+        const unsigned index = static_cast<unsigned>(threads_.size()) + 1;
+        threads_.emplace_back(
+            [this, index, seen = round_]() { helperMain(index, seen); });
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // Safe to reset here: every helper is parked (the previous
+        // round's participants all acked), so none is inside take().
+        queue_.reset(count, participants, scheduler_);
+        participants_ = participants;
+        done_ = 0;
+        ++round_;
+    }
+    workCv_.notify_all();
+}
+
+void
+StrategyWorkerPool::helperMain(unsigned index, uint64_t seen)
 {
     // Tag diagnostic lines with the worker index (emission itself is
     // serialized), exactly like runShards workers.
     setDiagnosticThreadTag(strCat("w", index));
-    // Worker-local state (module clone, estimator, passes) is created
-    // here, on the worker thread, and lives until shutdown — warm
-    // caches survive across rounds. An exception out of init retires
-    // the worker as data, but it still acks every round below so the
-    // driver never deadlocks (under kStealing the survivors drain its
-    // slices; under kStatic they go unevaluated).
+    // Helper-local state (module clone, estimator, passes) is created
+    // here, on the helper thread, and lives until shutdown — warm caches
+    // survive across rounds. An exception out of init retires the helper
+    // as data, but it still acks every round it is part of so the driver
+    // never deadlocks (under kStealing the others drain its slices;
+    // under kStatic they go unevaluated).
     WorkerFns fns;
-    bool alive = true;
-    try {
-        fns = init_();
-    } catch (const std::exception& e) {
-        recordWorkerFailure(index, e.what());
-        alive = false;
-    } catch (...) {
-        recordWorkerFailure(index, "unknown exception");
-        alive = false;
-    }
-    uint64_t seen = 0;
+    bool alive = guarded(index, [&] { fns = init_(); });
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        workCv_.wait(lock, [&] { return exit_ || round_ != seen; });
+        // Rounds too small to reach this helper pass it by.
+        workCv_.wait(lock, [&] {
+            return exit_ || (round_ != seen && index < participants_);
+        });
         if (exit_)
             break;
         seen = round_;
         lock.unlock();
         if (alive) {
-            try {
+            alive = guarded(index, [&] {
                 size_t begin = 0;
                 size_t end = 0;
                 while (queue_.take(index, &begin, &end))
                     fns.run(begin, end);
-            } catch (const std::exception& e) {
-                recordWorkerFailure(index, e.what());
-                alive = false;
-            } catch (...) {
-                recordWorkerFailure(index, "unknown exception");
-                alive = false;
-            }
+            });
         }
         lock.lock();
-        if (++done_ == workers_)
+        if (++done_ + 1 == participants_)
             doneCv_.notify_all();
     }
     lock.unlock();
@@ -106,35 +140,33 @@ StrategyWorkerPool::runRound(size_t count)
 {
     if (count == 0)
         return;
-    if (workers_ == 1) {
-        // Serial reference semantics: everything on the driver thread —
-        // including the worker-boundary exception catch.
-        if (serialDead_)
-            return;
-        try {
-            if (!serialInit_) {
-                serial_ = init_();
-                serialInit_ = true;
-            }
-            serial_.run(0, count);
-        } catch (const std::exception& e) {
-            recordWorkerFailure(0, e.what());
-            serialDead_ = true;
-        } catch (...) {
-            recordWorkerFailure(0, "unknown exception");
-            serialDead_ = true;
-        }
-        return;
+    unsigned p = participants(count);
+    // Helpers start before the driver's first init, so their clones and
+    // the driver's are built side by side.
+    if (p > 1)
+        startHelpers(count, p);
+    // A driver that dies in its first init leaves an inline round with
+    // no one to run it: fan that round out instead.
+    if (!driverAlive() && p == 1 && workers_ > 1) {
+        p = 2;
+        startHelpers(count, p);
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    // Safe to reset here: every worker is parked waiting for the next
-    // round (done_ == workers_ from the previous one), so none is
-    // inside take().
-    queue_.reset(count, workers_, scheduler_);
-    done_ = 0;
-    ++round_;
-    workCv_.notify_all();
-    doneCv_.wait(lock, [&] { return done_ == workers_; });
+    if (!driverDead_) {
+        driverDead_ = !guarded(0, [&] {
+            if (p == 1) {
+                driver_.run(0, count);
+                return;
+            }
+            size_t begin = 0;
+            size_t end = 0;
+            while (queue_.take(0, &begin, &end))
+                driver_.run(begin, end);
+        });
+    }
+    if (p > 1) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        doneCv_.wait(lock, [&] { return done_ + 1 == p; });
+    }
 }
 
 void
@@ -143,11 +175,8 @@ StrategyWorkerPool::shutdown()
     if (shutdown_)
         return;
     shutdown_ = true;
-    if (workers_ == 1) {
-        if (serialInit_ && serial_.finish)
-            serial_.finish();
-        return;
-    }
+    if (driverInit_ && !driverDead_ && driver_.finish)
+        driver_.finish();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         exit_ = true;
@@ -215,10 +244,11 @@ resolveBudget(const DesignPointGrid& grid, size_t budget)
     return std::min(budget == 0 ? fallback : budget, grid.size());
 }
 
-/** Every point, one batch, proposed in the configured PointOrder (the
- * executor slices the batch exactly like ShardedSweep::runResilient).
- * Under kGrayCode consecutive batch positions mutate exactly one
- * directive, so each worker's slice walks single-axis steps. */
+/** Every point, one batch, proposed in the configured PointOrder (once
+ * the batch reaches every pool worker, the executor slices it exactly
+ * like ShardedSweep::runResilient). Under kGrayCode consecutive batch
+ * positions mutate exactly one directive, so each worker's slice walks
+ * single-axis steps. */
 class ExhaustiveStrategy : public SearchStrategy {
   public:
     ExhaustiveStrategy(const DesignPointGrid& grid, PointOrder order)

@@ -7,10 +7,12 @@
  * design space tractable without enumerating it (the paper's own Figure
  * 1 motivation: >2.4e4 points for LeNet alone). A SearchStrategy
  * proposes batches of grid indices and consumes (index, objectives)
- * results; runStrategySweep() drives one through a persistent sharded
- * worker pool so every batch is evaluated with the same per-worker
- * clone/estimator recipe (and the same fault-isolation, journal,
- * deadline and budget semantics) as ShardedSweep::runResilient.
+ * results; runStrategySweep() drives one through a StrategyWorkerPool
+ * hosted on the calling thread — small batches run inline on one warm
+ * worker, large ones fan out to lazily spawned helpers — so every batch
+ * is evaluated with the same per-worker clone/estimator recipe (and the
+ * same fault-isolation, journal, deadline and budget semantics) as
+ * ShardedSweep::runResilient.
  *
  * Four built-in strategies (makeStrategy / HIDA_DSE_STRATEGY):
  *  - exhaustive: every point, one batch, proposed in the configured
@@ -41,8 +43,9 @@
  *
  * Thread-safety: a SearchStrategy is confined to the driver thread
  * (strictly per-driver in the ROADMAP sharing rules). StrategyWorkerPool
- * is internally synchronized; each pool worker owns its ResilientWorker
- * state exactly like a ShardedSweep worker.
+ * is internally synchronized; each pool worker (the driver as worker 0,
+ * helpers on their own threads) owns its ResilientWorker state exactly
+ * like a ShardedSweep worker.
  */
 
 #include <condition_variable>
@@ -57,6 +60,7 @@
 
 #include "src/dse/pareto.h"
 #include "src/dse/sweep.h"
+#include "src/support/function_ref.h"
 
 namespace hida {
 
@@ -159,31 +163,42 @@ std::unique_ptr<SearchStrategy> makeStrategy(const DesignPointGrid& grid,
 StrategyOptions strategyOptionsFromEnv();
 
 /**
- * A fixed-size pool of persistent worker threads for batch-by-batch
+ * A help-while-waiting pool of persistent workers for batch-by-batch
  * sweeps. Unlike ShardedSweep::runShards (threads per call), the pool
  * keeps each worker — and therefore its module clone and warm estimator
  * caches — alive across batches, which is what lets an evolutionary
  * strategy's neighbor points hit the caches its earlier batches warmed.
  *
- * Worker w of a round over @p count positions owns the contiguous
- * slice [count*w/W, count*(w+1)/W) — the runShards shard math, so a
- * single whole-grid round is sliced exactly like runResilient. Under
- * SweepScheduler::kStealing a dry worker additionally adopts tail
- * halves of straggler slices through the shared WorkQueue (sweep.h).
+ * Worker 0 is the driver: the thread that calls runRound() always
+ * evaluates, and its hooks are created on it at the first round. A
+ * round over @p count positions fans out to participants(count) =
+ * clamp(count / kFanOutGrain, 1, W) workers, so a small round runs
+ * inline on the driver's one warm worker and a helper is woken only
+ * when it gets at least one full chunk. Helper threads (workers 1..W-1)
+ * are spawned, and their init run on them, at the first round that
+ * fans out to them, never in the constructor.
+ *
+ * Participant w of a round owns the contiguous slice
+ * [count*w/P, count*(w+1)/P) — the WorkQueue math over the round's P
+ * participants, so under kStatic the point-to-worker assignment depends
+ * only on (count, W). Under SweepScheduler::kStealing a dry participant
+ * (the driver included) additionally adopts tail halves of straggler
+ * slices through the shared WorkQueue (sweep.h).
  *
  * Exception safety: an exception escaping a worker's init or run hook
  * retires that worker as a kWorkerFailed Diagnostic (workerFailures())
- * instead of calling std::terminate — the dead worker keeps acking
- * rounds so the driver never deadlocks, and under kStealing the
- * survivors drain its slices.
+ * instead of calling std::terminate — a dead helper keeps acking rounds
+ * so the driver never deadlocks, and under kStealing the survivors
+ * drain its slices. Once the driver's own worker is dead, every round
+ * of a W > 1 pool fans out to at least two participants so stealing
+ * helpers can drain slot 0.
  *
- * Thread-safety: runRound()/shutdown()/workerFailures() are
- * driver-only; the pool internally synchronizes hand-off to its
- * workers (mutex + condvars), so everything the driver wrote before
- * runRound() is visible to workers, and worker writes are visible to
- * the driver when runRound() returns. With one worker the pool runs
- * inline on the driver thread (the serial reference semantics of
- * runShards).
+ * Thread-safety: every member function is driver-only, and shutdown()
+ * must run on the driver thread (its finish hook runs there). The pool
+ * internally synchronizes hand-off to its helpers (mutex + condvars),
+ * so everything the driver wrote before runRound() is visible to
+ * helpers, and helper writes are visible to the driver when runRound()
+ * returns.
  */
 class StrategyWorkerPool {
   public:
@@ -197,8 +212,21 @@ class StrategyWorkerPool {
     };
     using WorkerInit = std::function<WorkerFns()>;
 
-    /** Spawn @p workers threads (1 = inline mode, no thread). @p init
-     * runs once per worker on that worker's thread. */
+    /**
+     * Positions per participant before a round fans out: the
+     * WorkQueue's chunk cap, so a woken helper always gets at least one
+     * full chunk. The measured reason (fig1 LeNet grid, 4-vCPU VM): an
+     * evolve round holds 1-30 points of a few microseconds each, and
+     * splitting such rounds over 3 workers cost 22.5 us of executor
+     * overhead per point (0.7 us inline), two extra clones per sweep
+     * and a memo hit ratio of 0.846 instead of 0.927. An exhaustive
+     * round of 2400 points still fans out to every worker.
+     */
+    static constexpr size_t kFanOutGrain = WorkQueue::kMaxChunk;
+
+    /** A pool of up to @p workers participants (the driver plus
+     * workers - 1 lazily spawned helpers). @p init runs once per
+     * worker, on that worker's thread. No thread is spawned here. */
     StrategyWorkerPool(unsigned workers, WorkerInit init,
                        SweepScheduler scheduler = SweepScheduler::kStatic);
     /** Joins (runs shutdown()) if the driver has not already. */
@@ -209,16 +237,20 @@ class StrategyWorkerPool {
 
     unsigned workers() const { return workers_; }
 
-    /** Run one round over @p count batch positions; blocks until every
-     * worker finished its slice. */
+    /** Participants a round over @p count positions fans out to. */
+    unsigned participants(size_t count) const;
+
+    /** Run one round over @p count batch positions on the calling
+     * (driver) thread plus participants(count) - 1 helpers; blocks
+     * until every participant finished its slice. */
     void runRound(size_t count);
 
-    /** Run every worker's finish hook and join the threads. */
+    /** Run every worker's finish hook and join the helper threads. */
     void shutdown();
 
     /** Workers retired by an escaped exception (code kWorkerFailed).
      * Read between rounds or after shutdown() — the round hand-off
-     * orders worker writes before the driver's read. */
+     * orders helper writes before the driver's read. */
     const std::vector<Diagnostic>&
     workerFailures() const
     {
@@ -226,18 +258,23 @@ class StrategyWorkerPool {
     }
 
   private:
-    void workerMain(unsigned index);
-    void recordWorkerFailure(unsigned index, const std::string& what);
+    /** Create the driver's hooks on first use; false once it is dead. */
+    bool driverAlive();
+    /** Spawn helpers up to @p participants - 1, hand them a round. */
+    void startHelpers(size_t count, unsigned participants);
+    void helperMain(unsigned index, uint64_t seen);
+    /** Run @p fn as worker @p index. An escaped exception retires the
+     * worker as a kWorkerFailed diagnostic; returns false when it did. */
+    bool guarded(unsigned index, FunctionRef<void()> fn);
 
     unsigned workers_ = 1;
     WorkerInit init_;
     SweepScheduler scheduler_ = SweepScheduler::kStatic;
     WorkQueue queue_;
-    std::vector<std::thread> threads_;
-    /** Inline-mode worker (workers_ == 1), created lazily. */
-    WorkerFns serial_;
-    bool serialInit_ = false;
-    bool serialDead_ = false;
+    /** The driver's worker (slot 0), created lazily on its thread. */
+    WorkerFns driver_;
+    bool driverInit_ = false;
+    bool driverDead_ = false;
     bool shutdown_ = false;
 
     std::mutex failuresMutex_;
@@ -246,9 +283,13 @@ class StrategyWorkerPool {
     std::mutex mutex_;
     std::condition_variable workCv_;
     std::condition_variable doneCv_;
-    uint64_t round_ = 0;    ///< Round generation counter.
-    unsigned done_ = 0;     ///< Workers finished with the current round.
+    uint64_t round_ = 0;         ///< Round generation counter.
+    unsigned participants_ = 1;  ///< Participants of the current round.
+    unsigned done_ = 0;          ///< Helpers finished with the round.
     bool exit_ = false;
+    /** Helper w + 1 runs on threads_[w]; declared last, after all the
+     * state helpers use. */
+    std::vector<std::thread> threads_;
 };
 
 /** Aggregate counters of one strategy-driven sweep. */
@@ -279,7 +320,10 @@ struct StrategyOutcome {
 };
 
 /**
- * Drive @p strategy over @p grid with @p threads persistent workers.
+ * Drive @p strategy over @p grid on a StrategyWorkerPool of up to
+ * @p threads workers: the calling thread is worker 0, and a batch of
+ * fewer than 2 * StrategyWorkerPool::kFanOutGrain points runs inline on
+ * it alone, so its clone and caches stay warm across batches.
  *
  * Per batch: the strategy proposes indices (driver thread), the pool
  * evaluates them with exactly the runResilient per-point pipeline
@@ -293,7 +337,9 @@ struct StrategyOutcome {
  * for strategy feedback (the index field is overwritten).
  *
  * @p schedule.scheduler picks the pool's round slicing (static or
- * stealing; output-invariant — results store by grid index).
+ * stealing; output-invariant — results store by grid index). A batch
+ * is sliced like runResilient only when it reaches every worker
+ * (kFanOutGrain * threads points or more, e.g. an exhaustive batch).
  * @p schedule.order is a *strategy* concern: the exhaustive strategy
  * takes it from StrategyOptions at construction; batches arriving here
  * are evaluated in their proposed order.

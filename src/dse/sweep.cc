@@ -82,7 +82,7 @@ WorkQueue::reset(size_t count, size_t workers, SweepScheduler scheduler)
     } else {
         // Small enough that stragglers can be relieved, large enough
         // that queue traffic stays negligible next to point evaluation.
-        chunk_ = std::clamp<size_t>(count / (workers * 16), 1, 64);
+        chunk_ = std::clamp<size_t>(count / (workers * 16), 1, kMaxChunk);
     }
 }
 

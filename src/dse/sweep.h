@@ -155,6 +155,9 @@ SweepSchedule sweepScheduleFromEnv();
  */
 class WorkQueue {
   public:
+    /** Largest chunk one take() hands out under kStealing. */
+    static constexpr size_t kMaxChunk = 64;
+
     /** Carve [0, count) into @p workers owner slots. */
     void reset(size_t count, size_t workers, SweepScheduler scheduler);
 
@@ -238,10 +241,10 @@ struct ResilientWorker {
     std::function<void()> recover;
     /**
      * Optional: the worker's aggregate estimator cache counters,
-     * sampled once when the worker retires (on the worker's own thread
-     * — QorCacheStats folds thread_local subtree-hash counters). The
-     * strategy executor (src/dse/strategy.h) sums these across workers
-     * to prove warm-cache behavior; plain runResilient ignores it.
+     * sampled once when the worker retires (on the worker's own
+     * thread). The strategy executor (src/dse/strategy.h) sums these
+     * across workers to prove warm-cache behavior; plain runResilient
+     * ignores it.
      */
     std::function<QorCacheStats()> cacheStats;
     /**

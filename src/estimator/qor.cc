@@ -55,6 +55,11 @@ hasAccumulation(Block* body)
 uint64_t
 QorEstimator::directiveFingerprint(Operation* root)
 {
+    // The per-thread subtree-hash counters are cumulative over everything
+    // the thread ran (a prototype compile, other estimators, other
+    // requests), so only their delta across this call is this
+    // estimator's work.
+    const SubtreeHashStats hash_before = Operation::subtreeHashStats();
     // Seed with the root pointer: two live subtrees never collide on it,
     // and the full directive state below is folded in so a recycled
     // address with different directives still changes the key.
@@ -105,6 +110,10 @@ QorEstimator::directiveFingerprint(Operation* root)
         // Same non-exempt attr fold as subtreeHash ("ii" etc. excluded).
         h = p->foldOwnAttrs(h);
     }
+    const SubtreeHashStats& hash_after = Operation::subtreeHashStats();
+    cacheStats_.hashCacheHits += hash_after.cacheHits - hash_before.cacheHits;
+    cacheStats_.hashRecomputes +=
+        hash_after.recomputes - hash_before.recomputes;
     return h;
 }
 
@@ -154,10 +163,7 @@ operator+=(QorCacheStats& lhs, const QorCacheStats& rhs)
 QorCacheStats
 QorEstimator::cacheStats() const
 {
-    QorCacheStats stats = cacheStats_;
-    stats.hashCacheHits = Operation::subtreeHashStats().cacheHits;
-    stats.hashRecomputes = Operation::subtreeHashStats().recomputes;
-    return stats;
+    return cacheStats_;
 }
 
 BufferOp

@@ -50,9 +50,11 @@ struct DesignQor {
 /**
  * Hit/miss counters of the per-node QoR memo cache, the schedule-level
  * graph/simulation cache, plus the reuse counters of the underlying
- * subtree-hash cache (the latter two are per-thread, mirrored from
- * Operation::subtreeHashStats — a sharded-DSE worker estimating on its
- * own thread sees exactly its own module's reuse).
+ * subtree-hash cache. The hash counters count only the hashing this
+ * estimator's own fingerprints did (the delta of the per-thread
+ * Operation::subtreeHashStats across each fingerprint), so they depend
+ * neither on what else the thread ran nor on which thread the estimator
+ * runs.
  */
 struct QorCacheStats {
     uint64_t hits = 0;            ///< Memoized estimates returned.
@@ -128,7 +130,7 @@ class QorEstimator {
     const TargetDevice& device() const { return device_; }
 
     /** Memo-cache hit/miss counters (estimateNode/estimateLoop) plus the
-     * process-wide subtree-hash reuse counters. */
+     * subtree-hash work of this estimator's fingerprints. */
     QorCacheStats cacheStats() const;
     /** Drop all memoized estimates (e.g. when switching modules). */
     void invalidateCache()
@@ -209,7 +211,9 @@ class QorEstimator {
      * The buffer-partition contributions are keyed off the cached hashes
      * of the buffer ops feeding the subtree's memref operands, whose
      * access-site list is itself cached per root and revalidated against
-     * Operation::structureEpoch().
+     * Operation::structureEpoch(). The subtree hashing it does (and
+     * only that) is added to cacheStats_'s hash counters: these are the
+     * estimator's only subtreeHash() calls.
      */
     uint64_t directiveFingerprint(Operation* root);
 

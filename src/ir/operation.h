@@ -35,8 +35,10 @@ class Region;
  * Per-thread counters of the per-operation subtree-fingerprint cache
  * (see Operation::subtreeHash): how often a cached hash was reused versus
  * how many operations had to be re-hashed after an invalidation. Kept
- * thread-local so concurrent DSE workers each observe exactly the reuse
- * of their own module without cross-thread noise (or contention).
+ * thread-local so concurrent DSE workers never contend on them. They are
+ * cumulative over everything the thread ran; QorEstimator::cacheStats()
+ * reports only its own share (the delta across each of its directive
+ * fingerprints).
  */
 struct SubtreeHashStats {
     uint64_t cacheHits = 0;   ///< subtreeHash() calls served from the cache.

@@ -47,10 +47,13 @@
  * — prototype plus warm clone pool — from a per-model warm-session
  * pool; two concurrent requests on the same model get *independent*
  * Session instances, so no IR is ever shared across requests. Within a
- * request, the sweep runs through a StrategyWorkerPool of
- * ServiceOptions::sweepThreads workers claiming clones from the leased
- * session only (pool join happens-before the lease is returned, so
- * estimator caches stay warm without cross-request sharing). A
+ * request, the sweep runs through a StrategyWorkerPool of at most
+ * ServiceOptions::sweepThreads workers, the lane thread included, each
+ * claiming a clone from the leased session only (pool join
+ * happens-before the lease is returned, so estimator caches stay warm
+ * without cross-request sharing). A batch below two fan-out grains
+ * (StrategyWorkerPool::kFanOutGrain) runs on the lane alone, so small
+ * requests spawn no thread and claim one clone. A
  * housekeeping thread promotes elapsed backoff requeues and batches
  * QoR-store snapshots to disk off the request threads. Results are
  * bit-identical at any concurrency x sweepThreads combination: every
@@ -152,7 +155,8 @@ struct ServiceOptions {
      * min(4, hardware cores)). Results are bit-identical at any
      * value — concurrency shapes wall clock only. */
     unsigned concurrency = 0;
-    /** Worker threads per request sweep (HIDA_SERVICE_WORKERS). */
+    /** Most workers per request sweep, the lane thread included
+     * (HIDA_SERVICE_WORKERS); small batches use fewer. */
     unsigned sweepThreads = 1;
     /** Dispatch slots per fair-queue visit for named tenants
      * (HIDA_SERVICE_TENANT_WEIGHTS, "name=w,name=w"); unnamed tenants

@@ -15,6 +15,13 @@
  *    runStrategySweep produces the same per-point results as
  *    ShardedSweep::runResilient — the invariant behind the benches'
  *    stable output_sha256.
+ *  - StrategyWorkerPool: a round below two fan-out grains runs on the
+ *    calling thread alone, larger rounds wake lazily spawned helpers,
+ *    and a worker whose init throws becomes one kWorkerFailed
+ *    diagnostic (stealing survivors still finish every point).
+ *  - Cross-thread determinism on the full fig1 grid, where rounds are
+ *    large enough to fan out: exhaustive and random sweeps at 1/2/4
+ *    threads x static/steal are bit-identical.
  *  - Evolve acceptance: on the full fig1 LeNet factor grid (2400
  *    points per mode/batch config), evolve at the default pinned seed
  *    recovers >= 95% of the exhaustive Pareto front spending <= 10% of
@@ -33,7 +40,11 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/driver/driver.h"
@@ -252,6 +263,216 @@ TEST(ExhaustiveTest, ProposesWholeGridOnce)
 }
 
 //===----------------------------------------------------------------------===//
+// StrategyWorkerPool: the driver is worker 0, helpers wake per grain
+//===----------------------------------------------------------------------===//
+
+/**
+ * Hooks for a pool under test that record which thread ran them and
+ * how often each position of the current round was evaluated. Init
+ * throws on any thread @p initThrows selects.
+ */
+struct PoolProbe {
+    std::mutex mutex;
+    std::vector<std::thread::id> initThreads;
+    std::set<std::thread::id> runThreads;  ///< Reset by round().
+    std::vector<std::thread::id> finishThreads;
+    std::vector<int> hits;  ///< Per position of the current round.
+    std::function<bool(std::thread::id)> initThrows;
+
+    StrategyWorkerPool::WorkerInit
+    init()
+    {
+        return [this]() {
+            const std::thread::id self = std::this_thread::get_id();
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                initThreads.push_back(self);
+            }
+            if (initThrows && initThrows(self))
+                throw std::runtime_error("worker init failed");
+            StrategyWorkerPool::WorkerFns fns;
+            fns.run = [this](size_t begin, size_t end) {
+                std::lock_guard<std::mutex> lock(mutex);
+                runThreads.insert(std::this_thread::get_id());
+                for (size_t pos = begin; pos < end; ++pos)
+                    ++hits[pos];
+            };
+            fns.finish = [this]() {
+                std::lock_guard<std::mutex> lock(mutex);
+                finishThreads.push_back(std::this_thread::get_id());
+            };
+            return fns;
+        };
+    }
+
+    /** Run one round of @p count positions through @p pool. */
+    void
+    round(StrategyWorkerPool& pool, size_t count)
+    {
+        hits.assign(count, 0);
+        runThreads.clear();
+        pool.runRound(count);
+    }
+
+    size_t
+    evaluated() const
+    {
+        size_t n = 0;
+        for (int h : hits)
+            n += h == 1 ? 1 : 0;
+        return n;
+    }
+};
+
+constexpr size_t kGrain = StrategyWorkerPool::kFanOutGrain;
+
+TEST(StrategyWorkerPoolTest, SmallRoundsRunInlineOnTheCallingThread)
+{
+    const std::thread::id self = std::this_thread::get_id();
+    PoolProbe probe;
+    {
+        StrategyWorkerPool pool(4, probe.init(), SweepScheduler::kStealing);
+        // Nothing is created before the first round.
+        EXPECT_TRUE(probe.initThreads.empty());
+        // Below two grains a round has one participant: the caller.
+        for (size_t count : {size_t{1}, size_t{30}, kGrain, 2 * kGrain - 1}) {
+            EXPECT_EQ(pool.participants(count), 1u) << count;
+            probe.round(pool, count);
+            EXPECT_EQ(probe.evaluated(), count);
+            EXPECT_EQ(probe.runThreads, std::set<std::thread::id>{self});
+        }
+        pool.shutdown();
+        EXPECT_TRUE(pool.workerFailures().empty());
+    }
+    // One worker, created and finished on the test thread: no helper
+    // was ever spawned (a helper runs its init on its own thread).
+    EXPECT_EQ(probe.initThreads, std::vector<std::thread::id>{self});
+    EXPECT_EQ(probe.finishThreads, std::vector<std::thread::id>{self});
+}
+
+TEST(StrategyWorkerPoolTest, LargeRoundsFanOutToEveryWorker)
+{
+    const std::thread::id self = std::this_thread::get_id();
+    PoolProbe probe;
+    StrategyWorkerPool pool(4, probe.init(), SweepScheduler::kStatic);
+    EXPECT_EQ(pool.participants(2 * kGrain), 2u);
+    EXPECT_EQ(pool.participants(4 * kGrain), 4u);
+    EXPECT_EQ(pool.participants(100 * kGrain), 4u);
+
+    // Two grains wake exactly one helper, spawned for this round.
+    probe.round(pool, 2 * kGrain);
+    EXPECT_EQ(probe.evaluated(), 2 * kGrain);
+    EXPECT_EQ(probe.runThreads.size(), 2u);
+    EXPECT_EQ(probe.initThreads.size(), 2u);
+
+    // W grains reach all W participants, the caller among them, each
+    // with its own static slice; two more helpers spawn now.
+    probe.round(pool, 4 * kGrain);
+    EXPECT_EQ(probe.evaluated(), 4 * kGrain);
+    EXPECT_EQ(probe.runThreads.size(), 4u);
+    EXPECT_TRUE(probe.runThreads.count(self));
+    ASSERT_EQ(probe.initThreads.size(), 4u);
+    const std::set<std::thread::id> init_threads(probe.initThreads.begin(),
+                                                 probe.initThreads.end());
+    EXPECT_EQ(init_threads.size(), 4u);
+
+    // A small round after a large one still runs inline; the parked
+    // helpers sit it out.
+    probe.round(pool, 10);
+    EXPECT_EQ(probe.evaluated(), 10u);
+    EXPECT_EQ(probe.runThreads, std::set<std::thread::id>{self});
+
+    pool.shutdown();
+    EXPECT_EQ(probe.finishThreads.size(), 4u);
+    EXPECT_TRUE(pool.workerFailures().empty());
+}
+
+TEST(StrategyWorkerPoolTest, DriverInitFailureAtOneWorkerIsOneDiagnostic)
+{
+    const std::thread::id self = std::this_thread::get_id();
+    PoolProbe probe;
+    probe.initThrows = [self](std::thread::id id) { return id == self; };
+    StrategyWorkerPool pool(1, probe.init());
+    probe.round(pool, 10);
+    EXPECT_EQ(probe.evaluated(), 0u);
+    probe.round(pool, 4 * kGrain);
+    EXPECT_EQ(probe.evaluated(), 0u);
+    pool.shutdown();
+    // The dead driver is not re-initialized, and never aborts.
+    EXPECT_EQ(probe.initThreads.size(), 1u);
+    EXPECT_TRUE(probe.finishThreads.empty());
+    ASSERT_EQ(pool.workerFailures().size(), 1u);
+    EXPECT_EQ(pool.workerFailures()[0].code, ErrorCode::kWorkerFailed);
+    EXPECT_EQ(pool.workerFailures()[0].opPath, "worker w0");
+}
+
+TEST(StrategyWorkerPoolTest, StealingHelpersDrainADeadDriversSlot)
+{
+    const std::thread::id self = std::this_thread::get_id();
+    PoolProbe probe;
+    probe.initThrows = [self](std::thread::id id) { return id == self; };
+    StrategyWorkerPool pool(4, probe.init(), SweepScheduler::kStealing);
+
+    // A fan-out round whose driver dies in its init: the helpers steal
+    // slot 0, so every point still completes.
+    probe.round(pool, 4 * kGrain);
+    EXPECT_EQ(probe.evaluated(), 4 * kGrain);
+    EXPECT_FALSE(probe.runThreads.count(self));
+
+    // With the driver dead, even a round below the grain fans out to a
+    // helper that can drain slot 0.
+    EXPECT_EQ(pool.participants(10), 2u);
+    probe.round(pool, 10);
+    EXPECT_EQ(probe.evaluated(), 10u);
+    EXPECT_FALSE(probe.runThreads.count(self));
+
+    pool.shutdown();
+    ASSERT_EQ(pool.workerFailures().size(), 1u);
+    EXPECT_EQ(pool.workerFailures()[0].opPath, "worker w0");
+}
+
+TEST(StrategyWorkerPoolTest, DriverDeadInFirstInlineRoundStillCompletes)
+{
+    // The driver's first init happens in a round too small to fan out;
+    // once it fails, that same round is handed to a helper.
+    const std::thread::id self = std::this_thread::get_id();
+    PoolProbe probe;
+    probe.initThrows = [self](std::thread::id id) { return id == self; };
+    StrategyWorkerPool pool(4, probe.init(), SweepScheduler::kStealing);
+    probe.round(pool, 10);
+    EXPECT_EQ(probe.evaluated(), 10u);
+    pool.shutdown();
+    EXPECT_EQ(pool.workerFailures().size(), 1u);
+}
+
+TEST(StrategyWorkerPoolTest, HelperInitFailure)
+{
+    // Two workers, the helper's init throws. Under stealing the driver
+    // drains the helper's slot; under static exactly the helper's slice
+    // [kGrain, 2 * kGrain) goes unevaluated.
+    const std::thread::id self = std::this_thread::get_id();
+    for (SweepScheduler scheduler :
+         {SweepScheduler::kStealing, SweepScheduler::kStatic}) {
+        SCOPED_TRACE(sweepSchedulerName(scheduler));
+        PoolProbe probe;
+        probe.initThrows = [self](std::thread::id id) { return id != self; };
+        StrategyWorkerPool pool(2, probe.init(), scheduler);
+        probe.round(pool, 2 * kGrain);
+        if (scheduler == SweepScheduler::kStealing) {
+            EXPECT_EQ(probe.evaluated(), 2 * kGrain);
+        } else {
+            for (size_t pos = 0; pos < 2 * kGrain; ++pos)
+                EXPECT_EQ(probe.hits[pos], pos < kGrain ? 1 : 0) << pos;
+        }
+        EXPECT_EQ(probe.runThreads, std::set<std::thread::id>{self});
+        pool.shutdown();
+        ASSERT_EQ(pool.workerFailures().size(), 1u);
+        EXPECT_EQ(pool.workerFailures()[0].code, ErrorCode::kWorkerFailed);
+        EXPECT_EQ(pool.workerFailures()[0].opPath, "worker w1");
+    }
+}
+
+//===----------------------------------------------------------------------===//
 // Strategy sweeps through the real estimator pipeline
 //===----------------------------------------------------------------------===//
 
@@ -383,55 +604,195 @@ TEST(StrategySweepTest, ExhaustiveMatchesRunResilient)
 }
 
 //===----------------------------------------------------------------------===//
+// The full fig1 grid
+//===----------------------------------------------------------------------===//
+
+/**
+ * The full fig1 LeNet factor grid (2400 points), batch 1, no dataflow —
+ * the widest reference front of the bench's ten (mode, batch) configs.
+ * One compile for the whole suite; tests only read it.
+ */
+struct FullLenetGrid {
+    TargetDevice device = TargetDevice::pynqZ2();
+    OwnedModule prototype;
+    FlowOptions partition;
+    DesignPointGrid grid;
+
+    FullLenetGrid() : prototype(buildLeNet(1))
+    {
+        FlowOptions options = optionsFor(Flow::kVitis);
+        options.enableTiling = false;
+        options.enableParallelization = false;
+        compile(prototype.get(), options, device);
+        partition = options;
+        partition.enableParallelization = true;
+
+        grid.addDirectiveAxis("kpf1", {1, 2, 3, 6}, 1, "kpf_loop");
+        grid.addDirectiveAxis("cpf1", {1}, 1, "cpf_loop");
+        grid.addDirectiveAxis("kpf2", {1, 2, 4, 8, 16}, 2, "kpf_loop");
+        grid.addDirectiveAxis("cpf2", {1, 2, 3, 6}, 2, "cpf_loop");
+        grid.addDirectiveAxis("kpf3", {1, 2, 3, 4, 6, 8}, 3, "kpf_loop");
+        grid.addDirectiveAxis("cpf3", {1, 2, 4, 8, 16}, 3, "cpf_loop");
+    }
+
+    std::function<ResilientWorker<DesignQor>()>
+    factory()
+    {
+        return [this]() {
+            auto w = std::make_shared<CloneSweepWorker>(
+                prototype.get(), createArrayPartitionPass(partition), device);
+            ResilientWorker<DesignQor> worker;
+            worker.evaluate =
+                [w, this](size_t, const std::vector<int64_t>& vals)
+                -> Result<DesignQor> {
+                return w->evaluateChecked(grid, vals);
+            };
+            worker.recover = [w]() { w->rebuild(); };
+            worker.cacheStats = [w]() { return w->estimator.cacheStats(); };
+            return worker;
+        };
+    }
+
+    ParetoSample
+    objective(size_t index, const DesignQor& q) const
+    {
+        return ParetoSample{index, q.res.utilization(device),
+                            q.throughput(device)};
+    }
+
+    StrategyOutcome<DesignQor>
+    run(const StrategyOptions& options, unsigned threads,
+        SweepScheduler scheduler,
+        const std::function<ResilientWorker<DesignQor>()>& worker_factory)
+    {
+        std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, options);
+        SweepSchedule schedule;
+        schedule.scheduler = scheduler;
+        return runStrategySweep<DesignQor>(
+            grid, *strategy, worker_factory,
+            [this](size_t index, const DesignQor& q) {
+                return objective(index, q);
+            },
+            threads, SweepLimits(), schedule);
+    }
+};
+
+FullLenetGrid&
+fullLenet()
+{
+    static FullLenetGrid lenet;
+    return lenet;
+}
+
+/** One full-grid sweep, plus how many workers it created and how many
+ * of them evaluated a point. */
+struct CountedSweep {
+    StrategyOutcome<DesignQor> outcome;
+    size_t created = 0;
+    size_t evaluating = 0;
+};
+
+CountedSweep
+countedSweep(const StrategyOptions& options, unsigned threads,
+             SweepScheduler scheduler)
+{
+    // One flag per worker, set by the worker's own thread when it
+    // evaluates a point; read after the sweep joined its helpers.
+    std::mutex mutex;
+    std::vector<std::shared_ptr<bool>> flags;
+    auto inner = fullLenet().factory();
+    auto factory = [&]() {
+        ResilientWorker<DesignQor> worker = inner();
+        auto flag = std::make_shared<bool>(false);
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            flags.push_back(flag);
+        }
+        auto evaluate = worker.evaluate;
+        worker.evaluate = [evaluate, flag](size_t index, const auto& vals) {
+            *flag = true;
+            return evaluate(index, vals);
+        };
+        return worker;
+    };
+    CountedSweep sweep;
+    sweep.outcome = fullLenet().run(options, threads, scheduler, factory);
+    sweep.created = flags.size();
+    for (const auto& flag : flags)
+        sweep.evaluating += *flag ? 1 : 0;
+    return sweep;
+}
+
+TEST(StrategySweepTest, FullGridBitIdenticalAcrossThreadsAndSchedulers)
+{
+    // The cross-thread determinism case whose rounds are large enough to
+    // reach the helpers: an exhaustive sweep (one 2400-point round) and
+    // random at a 1024-point budget (one round of 16 grains), each at
+    // 1/2/4 threads under both schedulers. Every run must match the
+    // serial one bit for bit, and every multi-thread run must really
+    // have reached all its workers.
+    ASSERT_EQ(fullLenet().grid.size(), 2400u);
+    for (StrategyKind kind :
+         {StrategyKind::kExhaustive, StrategyKind::kRandom}) {
+        SCOPED_TRACE(strategyKindName(kind));
+        StrategyOptions options;
+        options.kind = kind;
+        options.budget = 1024;  // Ignored by exhaustive.
+        const size_t points = kind == StrategyKind::kExhaustive ? 2400 : 1024;
+        std::optional<StrategyOutcome<DesignQor>> serial;
+        for (unsigned threads : {1u, 2u, 4u}) {
+            for (SweepScheduler scheduler :
+                 {SweepScheduler::kStatic, SweepScheduler::kStealing}) {
+                SCOPED_TRACE(threads);
+                SCOPED_TRACE(sweepSchedulerName(scheduler));
+                CountedSweep run = countedSweep(options, threads, scheduler);
+                EXPECT_TRUE(run.outcome.failures.empty());
+                EXPECT_EQ(run.outcome.stats.evaluated, points);
+                // Every round reaches all workers. Under static each
+                // one evaluates its own slice; under stealing a helper
+                // still cloning may find its slot already drained, so
+                // only its creation is certain.
+                EXPECT_EQ(run.created, threads);
+                if (scheduler == SweepScheduler::kStatic) {
+                    EXPECT_EQ(run.evaluating, threads);
+                }
+                if (!serial) {
+                    serial = std::move(run.outcome);
+                    continue;
+                }
+                ASSERT_EQ(run.outcome.completed, serial->completed);
+                for (size_t i = 0; i < serial->results.size(); ++i) {
+                    if (!serial->completed[i])
+                        continue;
+                    ASSERT_EQ(std::memcmp(&run.outcome.results[i],
+                                          &serial->results[i],
+                                          sizeof(DesignQor)),
+                              0)
+                        << "point " << i << " diverged";
+                }
+            }
+        }
+    }
+}
+
+//===----------------------------------------------------------------------===//
 // Evolve acceptance on the full fig1 grid
 //===----------------------------------------------------------------------===//
 
 TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
 {
-    // The full fig1 LeNet factor grid (2400 points), batch 1, no
-    // dataflow — the widest reference front of the bench's ten
-    // (mode, batch) configs.
-    TargetDevice device = TargetDevice::pynqZ2();
-    OwnedModule prototype = buildLeNet(1);
-    FlowOptions options = optionsFor(Flow::kVitis);
-    options.enableTiling = false;
-    options.enableParallelization = false;
-    compile(prototype.get(), options, device);
-    FlowOptions partition = options;
-    partition.enableParallelization = true;
-
-    DesignPointGrid grid;
-    grid.addDirectiveAxis("kpf1", {1, 2, 3, 6}, 1, "kpf_loop");
-    grid.addDirectiveAxis("cpf1", {1}, 1, "cpf_loop");
-    grid.addDirectiveAxis("kpf2", {1, 2, 4, 8, 16}, 2, "kpf_loop");
-    grid.addDirectiveAxis("cpf2", {1, 2, 3, 6}, 2, "cpf_loop");
-    grid.addDirectiveAxis("kpf3", {1, 2, 3, 4, 6, 8}, 3, "kpf_loop");
-    grid.addDirectiveAxis("cpf3", {1, 2, 4, 8, 16}, 3, "cpf_loop");
+    FullLenetGrid& lenet = fullLenet();
+    const DesignPointGrid& grid = lenet.grid;
     ASSERT_EQ(grid.size(), 2400u);
-
-    auto factory = [&]() -> ResilientWorker<DesignQor> {
-        auto w = std::make_shared<CloneSweepWorker>(
-            prototype.get(), createArrayPartitionPass(partition), device);
-        ResilientWorker<DesignQor> worker;
-        worker.evaluate = [w, &grid](size_t, const std::vector<int64_t>& vals)
-            -> Result<DesignQor> { return w->evaluateChecked(grid, vals); };
-        worker.recover = [w]() { w->rebuild(); };
-        worker.cacheStats = [w]() { return w->estimator.cacheStats(); };
-        return worker;
-    };
-    auto objective = [&](size_t index, const DesignQor& q) {
-        return ParetoSample{index, q.res.utilization(device),
-                            q.throughput(device)};
-    };
 
     // Exhaustive reference front (feasible points only).
     SweepOutcome<DesignQor> reference =
-        ShardedSweep::runResilient<DesignQor>(grid, factory, 4);
+        ShardedSweep::runResilient<DesignQor>(grid, lenet.factory(), 4);
     std::vector<ParetoSample> feasible;
     for (size_t i = 0; i < reference.results.size(); ++i) {
         if (!reference.completed[i])
             continue;
-        ParetoSample s = objective(i, reference.results[i]);
+        ParetoSample s = lenet.objective(i, reference.results[i]);
         if (s.cost <= 1.05)
             feasible.push_back(s);
     }
@@ -442,17 +803,12 @@ TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
         StrategyOptions so;
         so.kind = kind;  // Pinned default seed 42, default 10% budget.
         so.costLimit = 1.05;
-        std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, so);
         // Static schedule: the memo-hit comparison below needs the
         // deterministic point-to-worker assignment — under kStealing
         // the assignment (and so each worker's cache history) depends
         // on timing. Results would be identical either way; the cache
         // *counters* would not be stable.
-        SweepSchedule schedule;
-        schedule.scheduler = SweepScheduler::kStatic;
-        return runStrategySweep<DesignQor>(grid, *strategy, factory,
-                                           objective, 4, SweepLimits(),
-                                           schedule);
+        return lenet.run(so, 4, SweepScheduler::kStatic, lenet.factory());
     };
     StrategyOutcome<DesignQor> evolve = sample(StrategyKind::kEvolve);
 
@@ -464,7 +820,7 @@ TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
     for (size_t i = 0; i < evolve.results.size(); ++i) {
         if (!evolve.completed[i])
             continue;
-        ParetoSample s = objective(i, evolve.results[i]);
+        ParetoSample s = lenet.objective(i, evolve.results[i]);
         if (s.cost <= 1.05)
             found.insert(s);
     }
@@ -491,57 +847,24 @@ TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
 
 TEST(OrderingTest, GrayCodeOrderingCutsRehashTrafficOverRowMajor)
 {
-    // The full fig1 LeNet factor grid (2400 points), batch 1, no
-    // dataflow — the grid the tentpole claim is about: a Gray-code walk
-    // mutates exactly one directive per step, so each point dirties
-    // (and re-hashes) strictly fewer subtrees than the row-major walk,
-    // whose axis rollovers rewrite several directives at once.
-    TargetDevice device = TargetDevice::pynqZ2();
-    OwnedModule prototype = buildLeNet(1);
-    FlowOptions options = optionsFor(Flow::kVitis);
-    options.enableTiling = false;
-    options.enableParallelization = false;
-    compile(prototype.get(), options, device);
-    FlowOptions partition = options;
-    partition.enableParallelization = true;
-
-    DesignPointGrid grid;
-    grid.addDirectiveAxis("kpf1", {1, 2, 3, 6}, 1, "kpf_loop");
-    grid.addDirectiveAxis("cpf1", {1}, 1, "cpf_loop");
-    grid.addDirectiveAxis("kpf2", {1, 2, 4, 8, 16}, 2, "kpf_loop");
-    grid.addDirectiveAxis("cpf2", {1, 2, 3, 6}, 2, "cpf_loop");
-    grid.addDirectiveAxis("kpf3", {1, 2, 3, 4, 6, 8}, 3, "kpf_loop");
-    grid.addDirectiveAxis("cpf3", {1, 2, 4, 8, 16}, 3, "cpf_loop");
+    // A Gray-code walk mutates exactly one directive per step, so each
+    // point dirties (and re-hashes) strictly fewer subtrees than the
+    // row-major walk, whose axis rollovers rewrite several directives
+    // at once.
+    FullLenetGrid& lenet = fullLenet();
+    const DesignPointGrid& grid = lenet.grid;
     ASSERT_EQ(grid.size(), 2400u);
-
-    auto factory = [&]() -> ResilientWorker<DesignQor> {
-        auto w = std::make_shared<CloneSweepWorker>(
-            prototype.get(), createArrayPartitionPass(partition), device);
-        ResilientWorker<DesignQor> worker;
-        worker.evaluate = [w, &grid](size_t, const std::vector<int64_t>& vals)
-            -> Result<DesignQor> { return w->evaluateChecked(grid, vals); };
-        worker.recover = [w]() { w->rebuild(); };
-        worker.cacheStats = [w]() { return w->estimator.cacheStats(); };
-        return worker;
-    };
-    auto objective = [&](size_t index, const DesignQor& q) {
-        return ParetoSample{index, q.res.utilization(device),
-                            q.throughput(device)};
-    };
 
     // Serial exhaustive sweeps: one worker walking the whole grid in
     // each order, so the cache counters measure the ordering alone
-    // (point-to-worker assignment and timing play no part). The single
-    // worker runs inline on this thread, whose subtree-hash counters are
-    // cumulative: reset them so each sweep reports only its own work,
-    // whatever ran earlier in the process.
+    // (point-to-worker assignment and timing play no part). The worker
+    // runs inline on this thread, which also compiled the prototype and
+    // ran other suites; the estimator counts only its own hashing, so
+    // no counter reset is needed.
     auto sweep = [&](PointOrder order) {
-        Operation::resetSubtreeHashStats();
         StrategyOptions so;
         so.order = order;
-        std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, so);
-        return runStrategySweep<DesignQor>(grid, *strategy, factory,
-                                           objective, 1);
+        return lenet.run(so, 1, SweepScheduler::kStatic, lenet.factory());
     };
     StrategyOutcome<DesignQor> gray = sweep(PointOrder::kGrayCode);
     StrategyOutcome<DesignQor> row = sweep(PointOrder::kRowMajor);

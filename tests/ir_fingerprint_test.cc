@@ -317,5 +317,31 @@ TEST(FingerprintTest, RepeatedPointsHitTheMemo)
     EXPECT_GT(second.hashCacheHits, first.hashCacheHits);
 }
 
+TEST(FingerprintTest, HashCountersCountOnlyTheEstimatorsOwnWork)
+{
+    // The per-thread subtree-hash counters are cumulative over all the
+    // thread ran (here: the fixture's compile). An estimator reports
+    // only the hashing its own fingerprints did.
+    EstimatorFixture f;
+    perfectNest(f.outer)[1].setUnrollFactor(4);
+    QorEstimator first(f.device);
+    first.estimateFunc(f.func);
+    const QorCacheStats warm = first.cacheStats();
+    EXPECT_GT(warm.hashRecomputes, 0u);
+    EXPECT_LT(warm.hashRecomputes, Operation::subtreeHashStats().recomputes);
+
+    // A second estimator over the now-clean tree re-hashes nothing.
+    QorEstimator second(f.device);
+    second.estimateFunc(f.func);
+    EXPECT_EQ(second.cacheStats().hashRecomputes, 0u);
+    EXPECT_GT(second.cacheStats().hashCacheHits, 0u);
+
+    // Hashing outside both estimators is counted by neither.
+    perfectNest(f.outer)[1].setUnrollFactor(2);
+    f.module.get().op()->subtreeHash();
+    EXPECT_EQ(first.cacheStats().hashRecomputes, warm.hashRecomputes);
+    EXPECT_EQ(second.cacheStats().hashRecomputes, 0u);
+}
+
 } // namespace
 } // namespace hida
