@@ -80,9 +80,15 @@ CompileResult compile(ModuleOp module, Flow flow, const TargetDevice& device);
 bool scaleHlsSupports(ModuleOp module);
 
 /**
- * Auto-tune the maximum parallel factor for @p flow on @p device: sweeps
- * powers of two and keeps the best feasible throughput, mirroring the
- * paper's resource-guided factor generation (Section 6.5, step 3).
+ * Auto-tune the maximum parallel factor on @p device, mirroring the
+ * paper's resource-guided factor generation (Section 6.5, step 3):
+ * compiles with @p base_options at maxParallelFactor 1, 2, 4, ... up to
+ * @p max_pf and returns the trial with the highest effectiveThroughput.
+ * That ranking is overload-degraded, not filtered by feasibility, so an
+ * infeasible design wins when its extra parallelism outruns its
+ * degradation. A trial replaces the best only if it is more than 2%
+ * better, and the search stops after three doublings in a row that are
+ * not. The result's compileSeconds sums every trial.
  * @param rebuild builds a fresh copy of the input module per trial.
  */
 CompileResult

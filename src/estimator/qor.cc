@@ -50,16 +50,37 @@ hasAccumulation(Block* body)
     return false;
 }
 
+/**
+ * Adds the subtree hashing done during its lifetime to @p stats. The
+ * per-thread counters are cumulative over everything the thread ran (a
+ * prototype compile, other estimators, other requests), so only their
+ * delta across an estimator call is that estimator's work.
+ */
+class HashWorkScope {
+  public:
+    explicit HashWorkScope(QorCacheStats& stats)
+        : stats_(stats), before_(Operation::subtreeHashStats())
+    {}
+    ~HashWorkScope()
+    {
+        const SubtreeHashStats& after = Operation::subtreeHashStats();
+        stats_.hashCacheHits += after.cacheHits - before_.cacheHits;
+        stats_.hashRecomputes += after.recomputes - before_.recomputes;
+    }
+    HashWorkScope(const HashWorkScope&) = delete;
+    HashWorkScope& operator=(const HashWorkScope&) = delete;
+
+  private:
+    QorCacheStats& stats_;
+    const SubtreeHashStats before_;
+};
+
 } // namespace
 
 uint64_t
 QorEstimator::directiveFingerprint(Operation* root)
 {
-    // The per-thread subtree-hash counters are cumulative over everything
-    // the thread ran (a prototype compile, other estimators, other
-    // requests), so only their delta across this call is this
-    // estimator's work.
-    const SubtreeHashStats hash_before = Operation::subtreeHashStats();
+    HashWorkScope hash_work(cacheStats_);
     // Seed with the root pointer: two live subtrees never collide on it,
     // and the full directive state below is folded in so a recycled
     // address with different directives still changes the key.
@@ -69,52 +90,82 @@ QorEstimator::directiveFingerprint(Operation* root)
     // re-hashes only the dirtied path from its ancestors down to the
     // changed op (clean siblings fold their cached hashes).
     h = hashCombine(h, root->subtreeHash());
-    // The banking attributes of the buffer behind every memref operand
+    // The banking attributes of the buffers behind the memref operands
     // drive the II and resource models; the buffer ops usually live
-    // outside the subtree (func/schedule scope), so fold their access
-    // hashes in per access site. The fold deliberately excludes the
-    // buffer's "stages"/"soft_fifo_depth" (see bufferAccessHash): those
-    // only feed the schedule-level channel capacities, which the
-    // schedule cache re-reads on every pass. The site list itself is
-    // purely structural — cache it per root until any structural IR
-    // mutation.
-    FingerprintSites& sites = fpSites_[root];
-    if (sites.epoch != root->structureEpoch()) {
-        sites.memrefs.clear();
-        sites.hasNestedSchedule = false;
-        root->walk([&](Operation* op) {
-            if (op != root && isa<ScheduleOp>(op))
-                sites.hasNestedSchedule = true;
-            for (Value* operand : op->operands())
-                if (operand->type().isMemRef())
-                    sites.memrefs.push_back(operand);
-        }, WalkOrder::kPreOrder);
-        sites.epoch = root->structureEpoch();
+    // outside the subtree (func/schedule scope), so fold each distinct
+    // one in. Leaf subtrees fold the depth-free access hash, so
+    // "stages"/"soft_fifo_depth" edits stay schedule-level (the schedule
+    // cache re-reads channel capacities on every pass). Hierarchical
+    // subtrees embed a nested schedule's frame simulation, which reacts
+    // to channel depths: they fold the buffers' full subtree hash.
+    const FingerprintPlan& plan = fingerprintPlan(root);
+    for (Operation* buffer : plan.buffers) {
+        const BufferMemo& memo = bufferMemo(buffer);
+        h = hashCombine(h, plan.hasNestedSchedule ? memo.subtreeHash
+                                                  : memo.accessHash);
     }
-    // Hierarchical subtrees embed a nested schedule's frame simulation,
-    // which reacts to channel depths — their fingerprints must see the
-    // buffers' full directive state. Leaf subtrees use the depth-free
-    // access hash so stages/soft_fifo_depth edits stay schedule-level.
-    for (Value* memref : sites.memrefs)
-        if (BufferOp buffer = resolveBuffer(memref))
-            h = hashCombine(h, sites.hasNestedSchedule
-                                   ? buffer.op()->subtreeHash()
-                                   : bufferAccessHash(buffer.op()));
     // Loops enclosing the root feed the estimate from above: their unroll
     // factors enter the port-pressure model and tile loops multiply the
     // external refetch traffic (enclosingLoops crosses node boundaries).
-    for (Operation* p = root->parentOp(); p != nullptr; p = p->parentOp()) {
-        if (!isa<ForOp>(p))
-            continue;
-        h = hashCombine(h, p->nameId().raw());
+    for (Operation* loop : plan.enclosingLoops) {
+        h = hashCombine(h, loop->nameId().raw());
         // Same non-exempt attr fold as subtreeHash ("ii" etc. excluded).
-        h = p->foldOwnAttrs(h);
+        h = loop->foldOwnAttrs(h);
     }
-    const SubtreeHashStats& hash_after = Operation::subtreeHashStats();
-    cacheStats_.hashCacheHits += hash_after.cacheHits - hash_before.cacheHits;
-    cacheStats_.hashRecomputes +=
-        hash_after.recomputes - hash_before.recomputes;
     return h;
+}
+
+const QorEstimator::FingerprintPlan&
+QorEstimator::fingerprintPlan(Operation* root)
+{
+    FingerprintPlan& plan = fpPlans_[root];
+    const uint64_t epoch = root->structureEpoch();
+    if (plan.epoch == epoch)
+        return plan;
+    plan.buffers.clear();
+    plan.enclosingLoops.clear();
+    plan.hasNestedSchedule = false;
+    root->walk([&](Operation* op) {
+        if (op != root && isa<ScheduleOp>(op))
+            plan.hasNestedSchedule = true;
+        for (Value* operand : op->operands()) {
+            if (!operand->type().isMemRef())
+                continue;
+            Operation* buffer = resolveBuffer(operand).op();
+            if (buffer != nullptr &&
+                std::find(plan.buffers.begin(), plan.buffers.end(),
+                          buffer) == plan.buffers.end())
+                plan.buffers.push_back(buffer);
+        }
+    }, WalkOrder::kPreOrder);
+    for (Operation* p = root->parentOp(); p != nullptr; p = p->parentOp())
+        if (isa<ForOp>(p))
+            plan.enclosingLoops.push_back(p);
+    plan.epoch = epoch;
+    return plan;
+}
+
+const QorEstimator::BufferMemo&
+QorEstimator::bufferMemo(Operation* buffer)
+{
+    // Any edit of the buffer's attributes or type dirties its subtree
+    // hash, so an entry whose hash still matches is current.
+    const uint64_t subtree = buffer->subtreeHash();
+    auto [it, inserted] = bufferMemo_.try_emplace(buffer);
+    BufferMemo& memo = it->second;
+    if (!inserted && memo.subtreeHash == subtree)
+        return memo;
+    memo.subtreeHash = subtree;
+    memo.accessHash = bufferAccessHash(buffer);
+    memo.resources = bufferResources(BufferOp(buffer));
+    return memo;
+}
+
+Resources
+QorEstimator::memoizedBufferResources(Operation* buffer)
+{
+    HashWorkScope hash_work(cacheStats_);
+    return bufferMemo(buffer).resources;
 }
 
 uint64_t
@@ -125,13 +176,7 @@ QorEstimator::bufferAccessHash(Operation* buffer)
     // kind) but never its frame depth: "stages" and "soft_fifo_depth"
     // only bound the schedule-level channel capacity. Keeping them out
     // of the node fingerprint means a depth-only edit re-simulates the
-    // schedule without invalidating a single node estimate. Memoized on
-    // the buffer's dirty-bit subtree hash, which any attribute edit
-    // invalidates, so stale access hashes are impossible.
-    uint64_t subtree = buffer->subtreeHash();
-    auto [it, inserted] = bufferHashMemo_.try_emplace(buffer);
-    if (!inserted && it->second.first == subtree)
-        return it->second.second;
+    // schedule without invalidating a single node estimate.
     uint64_t h = hashMix(buffer->nameId().raw());
     h = hashCombine(h, buffer->result(0)->type().hash());
     for (const auto& [key, value] : buffer->attrs()) {
@@ -142,7 +187,6 @@ QorEstimator::bufferAccessHash(Operation* buffer)
         h = hashCombine(h, key.raw());
         h = hashCombine(h, value.hash());
     }
-    it->second = {subtree, h};
     return h;
 }
 
@@ -492,8 +536,8 @@ QorEstimator::costOfBlock(Block* block)
             cost.latency += q.latencyCycles;
             cost.res += q.res;
             (void)schedule;
-        } else if (auto buffer = dynCast<BufferOp>(op)) {
-            cost.res += bufferResources(buffer);
+        } else if (isa<BufferOp>(op)) {
+            cost.res += memoizedBufferResources(op);
         } else if (auto node = dynCast<NodeOp>(op)) {
             DesignQor q = estimateNode(node);
             cost.latency += q.latencyCycles;
@@ -804,10 +848,11 @@ QorEstimator::estimateSchedule(ScheduleOp schedule)
             latency_changed = true;
         }
     }
-    // Buffer resources are cheap pure attribute math — recompute every
-    // pass so stages/partition edits are always reflected.
+    // Buffer resources come from the per-buffer memo, which revalidates
+    // on the buffer's subtree hash, so stages/partition edits are always
+    // reflected.
     for (Operation* op : entry.bufferOps)
-        qor.res += bufferResources(BufferOp(op));
+        qor.res += memoizedBufferResources(op);
     if (entry.nodes.empty())
         return qor;
 
@@ -864,8 +909,8 @@ QorEstimator::estimateFunc(FuncOp func)
             DesignQor q = estimateLoop(loop);
             qor.res += q.res;
             qor.latencyCycles += q.latencyCycles;
-        } else if (auto buffer = dynCast<BufferOp>(op)) {
-            qor.res += bufferResources(buffer);
+        } else if (isa<BufferOp>(op)) {
+            qor.res += memoizedBufferResources(op);
         } else if (auto node = dynCast<NodeOp>(op)) {
             DesignQor q = estimateNode(node);
             qor.res += q.res;

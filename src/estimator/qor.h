@@ -92,15 +92,16 @@ QorCacheStats& operator+=(QorCacheStats& lhs, const QorCacheStats& rhs);
  * Node and standalone-loop estimates are memoized on a *directive
  * fingerprint*: a structural hash of the estimated subtree (op names,
  * attributes minus the estimator-written "ii", operand/result/block-arg
- * types), the partition/stage/vector attributes of the buffer behind
- * every memref operand (resolved through isolation boundaries, since
- * buffers usually live outside the subtree), and the directives of loops
- * enclosing the root (their unroll factors and tile_loop tags feed the
- * port-pressure and refetch models). A DSE sweep that re-applies
- * directives point by point therefore only re-estimates the nodes whose
- * factors actually changed; every untouched node is a hash lookup. The
- * "ii" attributes an estimate writes are replayed on cache hits so the
- * IR annotation always matches the returned estimate.
+ * types), the partition/stage/vector attributes of each distinct buffer
+ * behind the subtree's memref operands (resolved through isolation
+ * boundaries, since buffers usually live outside the subtree), and the
+ * directives of loops enclosing the root (their unroll factors and
+ * tile_loop tags feed the port-pressure and refetch models). A DSE
+ * sweep that re-applies directives point by point therefore only
+ * re-estimates the nodes whose factors actually changed; every
+ * untouched node is a hash lookup. The "ii" attributes an estimate
+ * writes are replayed on cache hits so the IR annotation always matches
+ * the returned estimate.
  *
  * Invalidation rule: any IR state that influences an estimate must feed
  * the fingerprint — the cache is never explicitly flushed on directive
@@ -137,9 +138,9 @@ class QorEstimator {
     {
         memo_.clear();
         tileMemo_.clear();
-        fpSites_.clear();
+        fpPlans_.clear();
         scheduleCache_.clear();
-        bufferHashMemo_.clear();
+        bufferMemo_.clear();
     }
 
     /** Estimate the design rooted at @p func (body latency + resources). */
@@ -201,26 +202,41 @@ class QorEstimator {
     /** II of a pipelined innermost body given enclosing unrolled loops. */
     int64_t initiationInterval(Block* body,
                                const std::vector<class ForOp>& enclosing);
-    Resources bufferResources(BufferOp buffer);
+    /** Resources of one buffer: pure math over its type and attributes. */
+    static Resources bufferResources(BufferOp buffer);
 
     /**
      * Directive fingerprint of the subtree rooted at @p root (see class
      * comment). Built from the dirty-bit cached Operation::subtreeHash —
      * after a DSE directive change only the mutated nest and its ancestor
      * chain are re-hashed; every clean subtree is an O(1) cached read.
-     * The buffer-partition contributions are keyed off the cached hashes
-     * of the buffer ops feeding the subtree's memref operands, whose
-     * access-site list is itself cached per root and revalidated against
-     * Operation::structureEpoch(). The subtree hashing it does (and
-     * only that) is added to cacheStats_'s hash counters: these are the
-     * estimator's only subtreeHash() calls.
+     * Everything else it folds comes from the root's FingerprintPlan
+     * (gathered once per structure epoch): one access hash per distinct
+     * buffer behind the subtree's memref operands, read through the
+     * per-buffer memo, and the directives of the enclosing loops. The
+     * subtree hashing it does is added to cacheStats_'s hash counters,
+     * as is the memo revalidation of the buffer-resource readers: these
+     * are the estimator's only subtreeHash() calls.
      */
     uint64_t directiveFingerprint(Operation* root);
 
-    /** Cached memref access-site list of one fingerprint root. */
-    struct FingerprintSites {
+    /**
+     * What a fingerprint folds besides the root's own subtree hash,
+     * gathered once per structure epoch of the root's tree. Every input
+     * is structural: resolveBuffer reads only operands, block arguments
+     * and op kinds, and the enclosing chain only parent links, so the
+     * epoch alone revalidates the plan (the structural-key rule). The
+     * values folded from it (buffer directives, loop attributes) are
+     * re-read on every fingerprint.
+     */
+    struct FingerprintPlan {
         uint64_t epoch = ~uint64_t{0};  ///< structureEpoch at collection.
-        std::vector<Value*> memrefs;    ///< memref operands in the subtree.
+        /** Distinct buffers behind the subtree's memref operands, already
+         * resolved, in first-access (pre-order) order. */
+        std::vector<Operation*> buffers;
+        /** ForOps enclosing the root, innermost first (their unroll and
+         * tile_loop directives feed the estimate from above). */
+        std::vector<Operation*> enclosingLoops;
         /**
          * Subtree contains a nested ScheduleOp: its estimate embeds the
          * nested frame simulation, which depends on channel depths, so
@@ -229,6 +245,30 @@ class QorEstimator {
          */
         bool hasNestedSchedule = false;
     };
+
+    /** @p root's plan, rebuilt when the tree's structure epoch moved. */
+    const FingerprintPlan& fingerprintPlan(Operation* root);
+
+    /**
+     * Everything the estimator reads from one buffer op, memoized on the
+     * buffer's dirty-bit subtree hash. The hash covers the buffer's
+     * attributes (none of the ones read here is hash-exempt) and its
+     * result type, the only inputs of both values, so an entry whose hash
+     * still matches is current — even for a new buffer allocated at an
+     * erased one's address.
+     */
+    struct BufferMemo {
+        uint64_t subtreeHash = 0;  ///< Revalidation key.
+        uint64_t accessHash = 0;   ///< bufferAccessHash of the buffer.
+        Resources resources;       ///< bufferResources of the buffer.
+    };
+
+    /** @p buffer's memo entry, recomputed when its subtree hash moved.
+     * Does not count its hashing; callers do. */
+    const BufferMemo& bufferMemo(Operation* buffer);
+    /** bufferResources through the memo, counting the revalidation in
+     * cacheStats_. */
+    Resources memoizedBufferResources(Operation* buffer);
 
     /** estimateNode body with the fingerprint already computed. */
     DesignQor estimateNodeWithFp(NodeOp node, uint64_t fp);
@@ -271,13 +311,13 @@ class QorEstimator {
     static int64_t channelCapacity(Value* channel, Operation* buffer_op);
     /**
      * Hash of the buffer directives the *node-level* models read
-     * (partition/tile/vector/mem_kind...). Excludes "stages" and
-     * "soft_fifo_depth": those only set channel capacities, which the
-     * schedule-level cache re-reads every pass — so a depth edit
-     * re-simulates without invalidating any node estimate. Memoized on
-     * the buffer's cached subtree hash.
+     * (partition/tile/vector/mem_kind...) and of its type. Excludes
+     * "stages" and "soft_fifo_depth": those only set channel capacities,
+     * which the schedule-level cache re-reads every pass — so a depth
+     * edit re-simulates without invalidating any node estimate. Pure;
+     * fingerprints read it through the per-buffer memo.
      */
-    uint64_t bufferAccessHash(Operation* buffer);
+    static uint64_t bufferAccessHash(Operation* buffer);
 
     /**
      * A memoized estimate plus the "ii" attributes the estimation wrote
@@ -296,13 +336,12 @@ class QorEstimator {
     TargetDevice device_;
     std::unordered_map<uint64_t, MemoEntry> memo_;
     std::unordered_map<uint64_t, int64_t> tileMemo_;
-    /** Per-root memref site lists (same root-aliasing caveat as memo_). */
-    std::unordered_map<Operation*, FingerprintSites> fpSites_;
+    /** Per-root fingerprint plans (same root-aliasing caveat as memo_). */
+    std::unordered_map<Operation*, FingerprintPlan> fpPlans_;
     /** Per-schedule skeletons (same root-aliasing caveat as memo_). */
     std::unordered_map<Operation*, ScheduleCacheEntry> scheduleCache_;
-    /** Per-buffer (subtree hash -> access hash) memo for fingerprints. */
-    std::unordered_map<Operation*, std::pair<uint64_t, uint64_t>>
-        bufferHashMemo_;
+    /** Per-buffer memo, revalidated by subtree hash (see BufferMemo). */
+    std::unordered_map<Operation*, BufferMemo> bufferMemo_;
     /** Stack of in-flight memo entries collecting ii writes. */
     std::vector<std::vector<std::pair<Operation*, int64_t>>*> iiRecorders_;
     QorCacheStats cacheStats_;

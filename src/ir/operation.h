@@ -416,8 +416,8 @@ class Operation {
      * that tree (op insert/move/erase, operand edits, block/region/
      * argument growth, value retyping, writes of structural attribute
      * keys) — other attribute writes do not change it. Lets clients
-     * cache structure-derived data (e.g. the estimator's memref
-     * access-site lists) and revalidate with one compare, and
+     * cache structure-derived data (e.g. the estimator's fingerprint
+     * plans) and revalidate with one compare, and
      * keeps concurrent compilations isolated: one worker's mutations
      * never move another worker's epoch. Epoch values are drawn from a
      * process-wide atomic counter, so a value can never repeat — not

@@ -619,15 +619,18 @@ DseService::releaseWorker(Session& session,
 Result<ServicePoint>
 DseService::evaluatePoint(Session& session, CloneSweepWorker& worker,
                           const DesignPointGrid& grid, size_t index,
-                          const std::vector<int64_t>& values)
+                          const std::vector<int64_t>& values,
+                          std::atomic<size_t>& store_hits)
 {
     ServicePoint point;
     // Process-independent key: any process (or tenant) that evaluated
     // this exact (prototype, directive assignment) already paid for it.
     const uint64_t key =
         hashCombine(session.modelHash, grid.pointFingerprint(index));
-    if (store_.lookup(key, &point))
+    if (store_.lookup(key, &point)) {
+        ++store_hits;
         return point;
+    }
     Result<DesignQor> qor = worker.evaluateChecked(grid, values);
     if (!qor.ok())
         return qor.takeDiag();
@@ -762,17 +765,21 @@ DseService::runRequest(Pending pending)
     if (has_deadline)
         limits.deadlineSeconds = remaining;
 
-    const QorStore::Stats store_before = store_.stats();
+    // This request's store hits. The store's own hit counter is shared
+    // by every lane, so a delta of it would also count the hits of
+    // requests running at the same time.
+    std::atomic<size_t> store_hits{0};
     std::function<ResilientWorker<ServicePoint>()> factory =
-        [this, &session, &grid]() {
+        [this, &session, &grid, &store_hits]() {
             std::shared_ptr<CloneSweepWorker> w = claimWorker(*session);
             ResilientWorker<ServicePoint> worker;
             worker.evaluate =
-                [this, &session, &grid, w](
+                [this, &session, &grid, &store_hits, w](
                     size_t index,
                     const std::vector<int64_t>& values)
                 -> Result<ServicePoint> {
-                return evaluatePoint(*session, *w, grid, index, values);
+                return evaluatePoint(*session, *w, grid, index, values,
+                                     store_hits);
             };
             worker.recover = [w]() { w->rebuild(); };
             worker.cacheStats = [w]() { return w->estimator.cacheStats(); };
@@ -797,7 +804,7 @@ DseService::runRequest(Pending pending)
     // The sweep counts every successful evaluate() — including ones the
     // store answered. "evaluated" reports genuinely recomputed points,
     // so warm-started requests read as (evaluated 0, storeHits N).
-    const size_t sweep_hits = store_.stats().hits - store_before.hits;
+    const size_t sweep_hits = store_hits.load();
     response.evaluated = outcome.stats.evaluated > sweep_hits
                              ? outcome.stats.evaluated - sweep_hits
                              : 0;
@@ -834,11 +841,13 @@ DseService::runRequest(Pending pending)
                 FaultScope scope(
                     hashCombine(hashMix(failure.index), attempt));
                 ++response.pointRetries;
+                const size_t hits_before = store_hits.load();
                 Result<ServicePoint> result =
                     [&]() -> Result<ServicePoint> {
                     try {
                         return evaluatePoint(*session, *retry_worker, grid,
-                                             failure.index, values);
+                                             failure.index, values,
+                                             store_hits);
                     } catch (const std::exception& e) {
                         return Diagnostic(
                             ErrorCode::kWorkerFailed,
@@ -854,7 +863,8 @@ DseService::runRequest(Pending pending)
                 if (result.ok()) {
                     response.results[failure.index] = result.value();
                     response.completed[failure.index] = 1;
-                    ++response.evaluated;
+                    if (store_hits.load() == hits_before)
+                        ++response.evaluated;
                 } else {
                     failure.diag = result.takeDiag();
                     retry_worker->rebuild();
@@ -867,7 +877,7 @@ DseService::runRequest(Pending pending)
             releaseWorker(*session, std::move(retry_worker));
     }
 
-    response.storeHits = store_.stats().hits - store_before.hits;
+    response.storeHits = store_hits.load();
     response.runSeconds = secondsSince(start);
     if (outcome.stats.stopped && outcome.stats.stopReason) {
         response.status = RequestStatus::kPartial;

@@ -61,6 +61,7 @@
  * never on timing or executor placement.
  */
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -305,11 +306,15 @@ class DseService {
     std::shared_ptr<CloneSweepWorker> claimWorker(Session& session);
     static void releaseWorker(Session& session,
                               std::shared_ptr<CloneSweepWorker> worker);
+    /** Serve one point from the store or evaluate and store it. A store
+     * hit increments @p store_hits, the calling request's own counter
+     * (atomic: a round of 128 points or more fans out to helpers). */
     Result<ServicePoint> evaluatePoint(Session& session,
                                        CloneSweepWorker& worker,
                                        const DesignPointGrid& grid,
                                        size_t index,
-                                       const std::vector<int64_t>& values);
+                                       const std::vector<int64_t>& values,
+                                       std::atomic<size_t>& store_hits);
     void respond(ServiceResponse response);
     void respondLocked(ServiceResponse response);
     /** Answer every never-started queued request with kShutdown;

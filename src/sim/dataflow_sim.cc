@@ -22,20 +22,21 @@ simulateCore(const SimGraph& graph, const std::vector<int>& producer_of,
     const int n = static_cast<int>(graph.nodes.size());
     SimResult result;
 
-    // finish[f][i]: cycle node i finishes frame f.
-    std::vector<std::vector<int64_t>> finish(
-        frames, std::vector<int64_t>(n, 0));
+    // finish[f * n + i]: cycle node i finishes frame f. One flat buffer,
+    // so a simulation makes one allocation whatever the window.
+    std::vector<int64_t> finish(static_cast<size_t>(frames) * n, 0);
+    auto at = [&](int64_t f, int i) -> int64_t& { return finish[f * n + i]; };
     for (int f = 0; f < frames; ++f) {
         for (int i = 0; i < n; ++i) {
             int64_t start = 0;
             // One frame in flight per node (internally double buffered).
             if (f > 0)
-                start = std::max(start, finish[f - 1][i]);
+                start = std::max(start, at(f - 1, i));
             // Data availability: all producers must have written frame f.
             for (int c : graph.nodes[i].inputs) {
                 int p = producer_of[c];
                 if (p >= 0)
-                    start = std::max(start, finish[f][p]);
+                    start = std::max(start, at(f, p));
             }
             // Back-pressure: writing frame f into channel c requires every
             // consumer to be done with frame f - capacity.
@@ -43,17 +44,16 @@ simulateCore(const SimGraph& graph, const std::vector<int>& producer_of,
                 int64_t cap = std::max<int64_t>(capacities[c], 1);
                 if (f >= cap) {
                     for (int consumer : consumers_of[c])
-                        start = std::max(start,
-                                         finish[f - cap][consumer]);
+                        start = std::max(start, at(f - cap, consumer));
                 }
             }
-            finish[f][i] = start + latencies[i];
+            at(f, i) = start + latencies[i];
         }
     }
 
     int64_t first_done = 0;
     for (int i = 0; i < n; ++i)
-        first_done = std::max(first_done, finish[0][i]);
+        first_done = std::max(first_done, at(0, i));
     result.frameLatency = first_done;
 
     if (frames >= 2) {
@@ -63,7 +63,7 @@ simulateCore(const SimGraph& graph, const std::vector<int>& producer_of,
         auto frame_end = [&](int f) {
             int64_t end = 0;
             for (int i = 0; i < n; ++i)
-                end = std::max(end, finish[f][i]);
+                end = std::max(end, at(f, i));
             return end;
         };
         result.steadyInterval =

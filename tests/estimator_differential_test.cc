@@ -111,20 +111,13 @@ class DifferentialFuzzer {
     mutate()
     {
         std::ostringstream desc;
-        // ~1 in 16 mutations is structural: the schedule cache must
-        // rebuild its skeleton, everything else must revalidate.
-        if (rng_.below(16) == 0 && !buffers_.empty()) {
-            if (rng_.below(2) == 0) {
-                Operation* buffer = buffers_[rng_.below(buffers_.size())];
-                buffer->moveToFront(buffer->block());
-                desc << "move buffer to block front";
-            } else if (!loops_.empty()) {
-                Operation* loop = loops_[rng_.below(loops_.size())];
-                OpBuilder builder(ForOp(loop).body());
-                Operation* nop = builder.create("test.nop");
-                nop->erase();
-                desc << "insert+erase nop in loop body";
-            }
+        // ~1 in 8 mutations is structural: the schedule skeleton and the
+        // fingerprint plans must rebuild, everything else must
+        // revalidate.
+        if (rng_.below(8) == 0 && !buffers_.empty()) {
+            mutateStructure(desc);
+            if (desc.str().empty())
+                desc << "no-op";
             return desc.str();
         }
         switch (rng_.below(6)) {
@@ -210,6 +203,140 @@ class DifferentialFuzzer {
         if (desc.str().empty())
             desc << "no-op";
         return desc.str();
+    }
+
+    /**
+     * One structural mutation. Besides op moves and insert/erase pairs,
+     * these are the edits a fingerprint plan (the distinct buffers behind
+     * a subtree's memref operands, keyed on the structure epoch) and the
+     * per-buffer memo (keyed on the buffer op, revalidated by its subtree
+     * hash) must follow: an access re-pointed to another buffer, a second
+     * access to an already accessed buffer, a buffer replaced by a fresh
+     * op (later ones may reuse an erased buffer's address), and a buffer
+     * retyped to another element width.
+     */
+    void
+    mutateStructure(std::ostringstream& desc)
+    {
+        switch (rng_.below(6)) {
+        case 0: {
+            Operation* buffer = buffers_[rng_.below(buffers_.size())];
+            buffer->moveToFront(buffer->block());
+            desc << "move buffer to block front";
+            break;
+        }
+        case 1: {
+            if (loops_.empty())
+                break;
+            Operation* loop = loops_[rng_.below(loops_.size())];
+            OpBuilder builder(ForOp(loop).body());
+            Operation* nop = builder.create("test.nop");
+            nop->erase();
+            desc << "insert+erase nop in loop body";
+            break;
+        }
+        case 2: {  // re-point an access to another on-chip buffer
+            std::vector<std::pair<Operation*, unsigned>> uses;
+            module_.op()->walk([&](Operation* op) {
+                for (unsigned i = 0; i < op->numOperands(); ++i)
+                    if (Operation* def = op->operand(i)->definingOp();
+                        def != nullptr && isa<BufferOp>(def) &&
+                        !BufferOp(def).isExternal())
+                        uses.emplace_back(op, i);
+            });
+            if (uses.empty())
+                break;
+            auto [user, index] = uses[rng_.below(uses.size())];
+            Operation* from = user->operand(index)->definingOp();
+            // A node may name a channel once: the simulator rejects a
+            // node writing one channel through two operands.
+            auto used = [&](Operation* buffer) {
+                for (Value* operand : user->operands())
+                    if (operand == buffer->result(0))
+                        return true;
+                return false;
+            };
+            std::vector<Operation*> targets;
+            for (Operation* op : *from->block())
+                if (isa<BufferOp>(op) && !used(op) &&
+                    !BufferOp(op).isExternal() &&
+                    BufferOp(op).type().shape().size() ==
+                        BufferOp(from).type().shape().size())
+                    targets.push_back(op);
+            if (targets.empty())
+                break;
+            Operation* to = targets[rng_.below(targets.size())];
+            user->setOperand(index, to->result(0));
+            desc << "re-point " << user->nameId().str() << "[" << index
+                 << "] from buffer " << indexOf(from) << " to buffer "
+                 << indexOf(to);
+            break;
+        }
+        case 3: {  // a second access to an already accessed buffer
+            std::vector<Operation*> accesses;
+            module_.op()->walk([&](Operation* op) {
+                if (isa<LoadOp>(op) || isa<StoreOp>(op))
+                    accesses.push_back(op);
+            });
+            if (accesses.empty())
+                break;
+            Operation* access = accesses[rng_.below(accesses.size())];
+            Value* memref = nullptr;
+            std::vector<Value*> indices;
+            if (auto load = dynCast<LoadOp>(access)) {
+                memref = load.memref();
+                for (unsigned i = 0; i < load.numIndices(); ++i)
+                    indices.push_back(load.index(i));
+            } else {
+                StoreOp store(access);
+                memref = store.memref();
+                for (unsigned i = 0; i < store.numIndices(); ++i)
+                    indices.push_back(store.index(i));
+            }
+            OpBuilder builder;
+            builder.setInsertionPointBefore(access);
+            LoadOp::create(builder, memref, indices);
+            desc << "second load beside a " << access->nameId().str();
+            break;
+        }
+        case 4: {  // replace a buffer with a fresh op
+            size_t k = rng_.below(buffers_.size());
+            Operation* old = buffers_[k];
+            OpBuilder builder;
+            builder.setInsertionPointBefore(old);
+            int64_t stages = 1 + static_cast<int64_t>(rng_.below(3));
+            BufferOp fresh = BufferOp::create(builder, BufferOp(old).type(),
+                                              stages, "fresh");
+            old->result(0)->replaceAllUsesWith(fresh.op()->result(0));
+            old->erase();
+            buffers_[k] = fresh.op();
+            desc << "replace buffer " << k << " (fresh, stages=" << stages
+                 << ")";
+            break;
+        }
+        default: {  // retype a buffer's element width
+            size_t k = rng_.below(buffers_.size());
+            Value* result = buffers_[k]->result(0);
+            Type type = result->type();
+            static const unsigned kWidths[] = {8, 16, 32, 64};
+            unsigned width = kWidths[rng_.below(4)];
+            Type element = type.elementType().isFloat() && width >= 32
+                               ? Type::floating(width)
+                               : Type::integer(width);
+            result->setType(
+                Type::memref(type.shape(), element, type.memorySpace()));
+            desc << "retype buffer " << k << " to "
+                 << (element.isFloat() ? "f" : "i") << width;
+            break;
+        }
+        }
+    }
+
+    size_t
+    indexOf(Operation* buffer) const
+    {
+        return std::find(buffers_.begin(), buffers_.end(), buffer) -
+               buffers_.begin();
     }
 
     /** Warm estimate vs a fresh cold estimator, exact equality. */

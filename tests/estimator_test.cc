@@ -375,6 +375,34 @@ TEST(ScheduleCacheTest, ChannelDepthEditResimulatesWithoutNodeReestimates)
     expectEqualQor(warm, f.cold(), "settled depths");
 }
 
+TEST(ScheduleCacheTest, StagesEditUpdatesBufferResourcesThroughTheMemo)
+{
+    ScheduleCacheFixture f;
+    QorEstimator estimator(TargetDevice::zu3eg());
+    DesignQor before = estimator.estimateFunc(f.func);
+    QorCacheStats s1 = estimator.cacheStats();
+
+    // B is a 1 Kb LUTRAM buffer, so its LUT/FF cost scales with its
+    // ping-pong stages. The per-buffer memo revalidates on B's subtree
+    // hash: the edit re-hashes B once (its two readers' fingerprints and
+    // the resource read share that one recompute), the resources move,
+    // and no node estimate is looked up.
+    f.bufB.setStages(4);
+    DesignQor after = estimator.estimateFunc(f.func);
+    QorCacheStats s2 = estimator.cacheStats();
+    EXPECT_GT(after.res.lut, before.res.lut);
+    EXPECT_GT(after.res.ff, before.res.ff);
+    EXPECT_EQ(s2.misses, s1.misses);
+    EXPECT_EQ(s2.hits, s1.hits);
+    EXPECT_EQ(s2.hashRecomputes, s1.hashRecomputes + 1);
+    expectEqualQor(after, f.cold(), "after stages edit");
+
+    // invalidateCache() drops the memo with the other caches; the
+    // rebuilt entries give the same answer.
+    estimator.invalidateCache();
+    expectEqualQor(estimator.estimateFunc(f.func), after, "after invalidate");
+}
+
 TEST(ScheduleCacheTest, NestedScheduleDepthEditInvalidatesOuterNode)
 {
     // Regression: a memoized *node* estimate can embed a nested

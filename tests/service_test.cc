@@ -664,6 +664,44 @@ TEST_F(ServiceTest, ConcurrentRequestsShareTheLanes)
     EXPECT_GE(stats.maxInFlight, 2u);
 }
 
+TEST_F(ServiceTest, StoreAccountingIsPerRequestUnderConcurrency)
+{
+    // storeHits and evaluated describe the request's own points: at
+    // K = 4 the other lanes hit the same shared store at the same time,
+    // and none of their hits may land in this response. Rounds of 192
+    // points fan out to a helper, so a request's hits are counted from
+    // two threads.
+    ServiceOptions options;
+    options.concurrency = 4;
+    options.sweepThreads = 2;
+    DseService service(options);
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < 8; ++i) {
+        ServiceRequest request = smallRequest();
+        request.grid = bigGrid();
+        request.strategy.kind = StrategyKind::kRandom;
+        request.strategy.budget = 192;
+        request.strategy.seed = 11 + i % 2;
+        ids.push_back(service.submit(request));
+    }
+    size_t hits = 0;
+    for (uint64_t id : ids) {
+        ServiceResponse response = service.wait(id);
+        ASSERT_EQ(response.status, RequestStatus::kCompleted)
+            << response.diag.message;
+        ASSERT_TRUE(response.failures.empty());
+        size_t completed = 0;
+        for (uint8_t done : response.completed)
+            completed += done;
+        EXPECT_EQ(response.storeHits + response.evaluated, completed)
+            << "request " << id << ": " << response.storeHits
+            << " store hits + " << response.evaluated << " evaluated";
+        hits += response.storeHits;
+    }
+    // Two seeds over eight requests: most points repeat.
+    EXPECT_GT(hits, 0u);
+}
+
 TEST_F(ServiceTest, ResponsesAreBitIdenticalAcrossConcurrency)
 {
     // The acceptance contract: the same 8-request multi-tenant mix,
