@@ -7,10 +7,12 @@
  * tiles inflate DSP via address generation; throughput correlates
  * positively with tile size at large parallel factors.
  *
- * Each point is an independent full compile, so the sweep runs on the
- * sharded DSE engine: every worker builds and compiles its own modules,
- * and results are printed in grid order — identical output at any
- * HIDA_BENCH_THREADS.
+ * Each point is an independent full compile, so the sweep runs on
+ * ShardedSweep::runResilient: every worker builds and compiles its own
+ * modules on its own thread (a one-round sweep spreads its 25 points
+ * over HIDA_BENCH_THREADS workers), and results are printed in grid
+ * order — identical output at any HIDA_BENCH_THREADS. A lost point or
+ * worker is fatal: the figure is printed whole or not at all.
  */
 
 #include <cstdio>
@@ -18,6 +20,7 @@
 #include "src/driver/driver.h"
 #include "src/dse/sweep.h"
 #include "src/models/dnn_models.h"
+#include "src/support/diagnostics.h"
 
 using namespace hida;
 
@@ -29,18 +32,27 @@ main()
     grid.addAxis("pf", {1, 4, 16, 64, 256});
     grid.addAxis("tile", {2, 4, 8, 16, 32});
 
-    std::vector<CompileResult> results = ShardedSweep::run<CompileResult>(
-        grid,
-        [&]() {
-            return [&device](size_t, const std::vector<int64_t>& vals) {
-                OwnedModule module = buildDnnModel("ResNet-18", nullptr);
-                FlowOptions options = optionsFor(Flow::kHida);
-                options.maxParallelFactor = vals[0];
-                options.tileSize = vals[1];
-                return compile(module.get(), options, device);
-            };
-        },
-        dseThreadCount(), sweepScheduleFromEnv());
+    SweepOutcome<CompileResult> outcome =
+        ShardedSweep::runResilient<CompileResult>(
+            grid,
+            [&]() {
+                ResilientWorker<CompileResult> worker;
+                worker.evaluate = [&device](size_t,
+                                            const std::vector<int64_t>& vals)
+                    -> Result<CompileResult> {
+                    OwnedModule module = buildDnnModel("ResNet-18", nullptr);
+                    FlowOptions options = optionsFor(Flow::kHida);
+                    options.maxParallelFactor = vals[0];
+                    options.tileSize = vals[1];
+                    return compile(module.get(), options, device);
+                };
+                return worker;
+            },
+            dseThreadCount(), SweepLimits(), sweepScheduleFromEnv());
+    if (!outcome.allCompleted() || !outcome.stats.workerFailures.empty())
+        HIDA_FATAL("Figure 10 sweep lost ", outcome.failures.size(),
+                   " point(s) and ", outcome.stats.workerFailures.size(),
+                   " worker(s)");
 
     std::printf("Figure 10: ResNet-18 parallel factor x tile size ablation "
                 "(VU9P one SLR)\n");
@@ -49,7 +61,7 @@ main()
     std::vector<int64_t> vals;
     for (size_t i = 0; i < grid.size(); ++i) {
         grid.decode(i, vals);
-        const CompileResult& result = results[i];
+        const CompileResult& result = outcome.results[i];
         std::printf("%8ld %6ld %8ld %8ld %12.2f\n", vals[0], vals[1],
                     result.qor.res.dsp, result.qor.res.bram18k,
                     result.qor.throughput(device));

@@ -7,9 +7,11 @@
  * to flawed (over-subscribed, misaligned) designs; where all arms work,
  * IA+CA spends several-fold less DSP/BRAM for the same throughput.
  *
- * Points are independent full compiles; the sweep runs on the sharded
- * DSE engine with the (arm, PF) grid and prints in grid order, so the
- * output is identical at any HIDA_BENCH_THREADS.
+ * Points are independent full compiles; the sweep runs on
+ * ShardedSweep::runResilient over the (arm, PF) grid (its 20 points
+ * spread over HIDA_BENCH_THREADS workers) and prints in grid order, so
+ * the output is identical at any HIDA_BENCH_THREADS. A lost point or
+ * worker is fatal: the figure is printed whole or not at all.
  */
 
 #include <cstdio>
@@ -41,19 +43,29 @@ main()
     HIDA_ASSERT(grid.axis(0).values.size() == std::size(arms),
                 "arm axis and arms[] diverged");
 
-    std::vector<CompileResult> results = ShardedSweep::run<CompileResult>(
-        grid,
-        [&]() {
-            return [&device, &arms](size_t, const std::vector<int64_t>& vals) {
-                OwnedModule module = buildDnnModel("ResNet-18", nullptr);
-                FlowOptions options = optionsFor(Flow::kHida);
-                options.maxParallelFactor = vals[1];
-                const Arm& arm = arms[vals[0]];
-                options.strategy = {arm.ia, arm.ca};
-                return compile(module.get(), options, device);
-            };
-        },
-        dseThreadCount(), sweepScheduleFromEnv());
+    SweepOutcome<CompileResult> outcome =
+        ShardedSweep::runResilient<CompileResult>(
+            grid,
+            [&]() {
+                ResilientWorker<CompileResult> worker;
+                worker.evaluate = [&device, &arms](
+                                      size_t,
+                                      const std::vector<int64_t>& vals)
+                    -> Result<CompileResult> {
+                    OwnedModule module = buildDnnModel("ResNet-18", nullptr);
+                    FlowOptions options = optionsFor(Flow::kHida);
+                    options.maxParallelFactor = vals[1];
+                    const Arm& arm = arms[vals[0]];
+                    options.strategy = {arm.ia, arm.ca};
+                    return compile(module.get(), options, device);
+                };
+                return worker;
+            },
+            dseThreadCount(), SweepLimits(), sweepScheduleFromEnv());
+    if (!outcome.allCompleted() || !outcome.stats.workerFailures.empty())
+        HIDA_FATAL("Figure 11 sweep lost ", outcome.failures.size(),
+                   " point(s) and ", outcome.stats.workerFailures.size(),
+                   " worker(s)");
 
     std::printf("Figure 11: ResNet-18 IA/CA ablation (VU9P one SLR)\n");
     std::printf("%-7s %6s %8s %8s %14s %10s\n", "Arm", "PF", "DSP", "BRAM",
@@ -62,7 +74,7 @@ main()
     for (size_t i = 0; i < grid.size(); ++i) {
         grid.decode(i, vals);
         const Arm& arm = arms[vals[0]];
-        const CompileResult& result = results[i];
+        const CompileResult& result = outcome.results[i];
         std::printf("%-7s %6ld %8ld %8ld %14.2f %9.2fx\n", arm.name, vals[1],
                     result.qor.res.dsp, result.qor.res.bram18k,
                     result.effectiveThroughput, result.overload);

@@ -175,7 +175,7 @@ main()
     const double deadline_seconds = sweepDeadlineSeconds();
     size_t total_failures = 0, total_restored = 0;
     bool any_stopped = false;
-    StrategySweepStats total_stats;
+    SweepStats total_stats;
     // True-coverage accounting vs the per-(mode, batch) exhaustive
     // reference fronts (sampling runs only).
     size_t front_covered = 0, front_total = 0;
@@ -245,7 +245,7 @@ main()
 
             std::unique_ptr<SearchStrategy> strategy =
                 makeStrategy(grid, strategy_options);
-            StrategyOutcome<Point> outcome = runStrategySweep<Point>(
+            SweepOutcome<Point> outcome = runStrategySweep<Point>(
                 grid, *strategy, factory,
                 [](size_t index, const Point& p) {
                     return ParetoSample{index, p.util, p.throughput};

@@ -44,21 +44,11 @@ StrategyWorkerPool::participants(size_t count) const
 bool
 StrategyWorkerPool::guarded(unsigned index, FunctionRef<void()> fn)
 {
-    std::string what;
-    try {
-        fn();
+    std::optional<Diagnostic> diag = guardWorker(index, fn);
+    if (!diag)
         return true;
-    } catch (const std::exception& e) {
-        what = e.what();
-    } catch (...) {
-        what = "unknown exception";
-    }
-    Diagnostic diag(ErrorCode::kWorkerFailed,
-                    strCat("exception escaped strategy worker: ", what),
-                    strCat("worker w", index));
-    emitDiagnostic(diag);
     std::lock_guard<std::mutex> lock(failuresMutex_);
-    workerFailures_.push_back(std::move(diag));
+    workerFailures_.push_back(std::move(*diag));
     return false;
 }
 
@@ -132,7 +122,7 @@ StrategyWorkerPool::helperMain(unsigned index, uint64_t seen)
     }
     lock.unlock();
     if (alive && fns.finish)
-        fns.finish();
+        guarded(index, fns.finish);
 }
 
 void
@@ -176,7 +166,7 @@ StrategyWorkerPool::shutdown()
         return;
     shutdown_ = true;
     if (driverInit_ && !driverDead_ && driver_.finish)
-        driver_.finish();
+        guarded(0, driver_.finish);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         exit_ = true;

@@ -9,10 +9,11 @@
  * proposes batches of grid indices and consumes (index, objectives)
  * results; runStrategySweep() drives one through a StrategyWorkerPool
  * hosted on the calling thread — small batches run inline on one warm
- * worker, large ones fan out to lazily spawned helpers — so every batch
- * is evaluated with the same per-worker clone/estimator recipe (and the
- * same fault-isolation, journal, deadline and budget semantics) as
- * ShardedSweep::runResilient.
+ * worker, large ones fan out to lazily spawned helpers. Every batch runs
+ * through the SweepPipeline of src/dse/sweep.h, the one per-point
+ * contract ShardedSweep::runResilient also drives: the same per-worker
+ * clone/estimator recipe, fault isolation, journal, deadline, budget
+ * and worker hooks, and the same SweepOutcome.
  *
  * Four built-in strategies (makeStrategy / HIDA_DSE_STRATEGY):
  *  - exhaustive: every point, one batch, proposed in the configured
@@ -45,7 +46,7 @@
  * (strictly per-driver in the ROADMAP sharing rules). StrategyWorkerPool
  * is internally synchronized; each pool worker (the driver as worker 0,
  * helpers on their own threads) owns its ResilientWorker state exactly
- * like a ShardedSweep worker.
+ * like a runShards worker.
  */
 
 #include <condition_variable>
@@ -164,10 +165,11 @@ StrategyOptions strategyOptionsFromEnv();
 
 /**
  * A help-while-waiting pool of persistent workers for batch-by-batch
- * sweeps. Unlike ShardedSweep::runShards (threads per call), the pool
- * keeps each worker — and therefore its module clone and warm estimator
- * caches — alive across batches, which is what lets an evolutionary
- * strategy's neighbor points hit the caches its earlier batches warmed.
+ * sweeps. It runs the same WorkerFns hooks as ShardedSweep::runShards,
+ * but where runShards spawns threads per call, the pool keeps each
+ * worker — and therefore its module clone and warm estimator caches —
+ * alive across batches, which is what lets an evolutionary strategy's
+ * neighbor points hit the caches its earlier batches warmed.
  *
  * Worker 0 is the driver: the thread that calls runRound() always
  * evaluates, and its hooks are created on it at the first round. A
@@ -185,13 +187,14 @@ StrategyOptions strategyOptionsFromEnv();
  * (the driver included) additionally adopts tail halves of straggler
  * slices through the shared WorkQueue (sweep.h).
  *
- * Exception safety: an exception escaping a worker's init or run hook
- * retires that worker as a kWorkerFailed Diagnostic (workerFailures())
- * instead of calling std::terminate — a dead helper keeps acking rounds
- * so the driver never deadlocks, and under kStealing the survivors
- * drain its slices. Once the driver's own worker is dead, every round
- * of a W > 1 pool fans out to at least two participants so stealing
- * helpers can drain slot 0.
+ * Exception safety: an exception escaping a worker's init, run or
+ * finish hook retires that worker through guardWorker (sweep.h), as a
+ * kWorkerFailed Diagnostic in workerFailures() instead of a call to
+ * std::terminate — a dead worker never finishes, a dead helper keeps
+ * acking rounds so the driver never deadlocks, and under kStealing the
+ * survivors drain its slices. Once the driver's own worker is dead,
+ * every round of a W > 1 pool fans out to at least two participants so
+ * stealing helpers can drain slot 0.
  *
  * Thread-safety: every member function is driver-only, and shutdown()
  * must run on the driver thread (its finish hook runs there). The pool
@@ -202,16 +205,6 @@ StrategyOptions strategyOptionsFromEnv();
  */
 class StrategyWorkerPool {
   public:
-    /** Per-worker hooks, created on the worker's own thread. */
-    struct WorkerFns {
-        /** Evaluate batch positions [begin, end) of the current round. */
-        std::function<void(size_t begin, size_t end)> run;
-        /** Called once when the pool shuts down (still on the worker
-         * thread — thread_local stats are readable). Optional. */
-        std::function<void()> finish;
-    };
-    using WorkerInit = std::function<WorkerFns()>;
-
     /**
      * Positions per participant before a round fans out: the
      * WorkQueue's chunk cap, so a woken helper always gets at least one
@@ -263,8 +256,8 @@ class StrategyWorkerPool {
     /** Spawn helpers up to @p participants - 1, hand them a round. */
     void startHelpers(size_t count, unsigned participants);
     void helperMain(unsigned index, uint64_t seen);
-    /** Run @p fn as worker @p index. An escaped exception retires the
-     * worker as a kWorkerFailed diagnostic; returns false when it did. */
+    /** Run @p fn as worker @p index under guardWorker; false (and the
+     * diagnostic recorded) when an escaped exception retired it. */
     bool guarded(unsigned index, FunctionRef<void()> fn);
 
     unsigned workers_ = 1;
@@ -292,32 +285,9 @@ class StrategyWorkerPool {
     std::vector<std::thread> threads_;
 };
 
-/** Aggregate counters of one strategy-driven sweep. */
-struct StrategySweepStats {
-    size_t batches = 0;    ///< Non-empty batches proposed.
-    size_t proposed = 0;   ///< Indices proposed across all batches.
-    size_t evaluated = 0;  ///< Points newly evaluated (restores are free).
-    size_t restored = 0;   ///< Points restored from the journal.
-    bool stopped = false;  ///< A SweepLimits condition ended the sweep.
-    std::optional<Diagnostic> stopReason;  ///< Set when stopped.
-    /** Workers retired by an escaped exception (code kWorkerFailed). */
-    std::vector<Diagnostic> workerFailures;
-    /** Estimator cache counters summed over all workers. */
-    QorCacheStats cache;
-};
-
-/**
- * Outcome of runStrategySweep: results/completed are indexed by *grid*
- * index (untouched points default-constructed with completed[i] == 0),
- * failures are merged in grid order.
- */
+/** SweepOutcome under its older name, which benchmark/sweeps.cc uses. */
 template <typename R>
-struct StrategyOutcome {
-    std::vector<R> results;
-    std::vector<uint8_t> completed;
-    std::vector<PointFailure> failures;
-    StrategySweepStats stats;
-};
+using StrategyOutcome = SweepOutcome<R>;
 
 /**
  * Drive @p strategy over @p grid on a StrategyWorkerPool of up to
@@ -326,12 +296,11 @@ struct StrategyOutcome {
  * it alone, so its clone and caches stay warm across batches.
  *
  * Per batch: the strategy proposes indices (driver thread), the pool
- * evaluates them with exactly the runResilient per-point pipeline
- * (journal restore -> budget -> decode -> FaultScope(index) ->
- * evaluate, failures recovered per worker), and the batch's results are
- * fed back in batch order. SweepLimits compose unchanged: deadline /
- * cancel / point budget stop all workers between points, and a journal
- * restores completed points byte-exactly on resume.
+ * evaluates them through the SweepPipeline runResilient also uses (so
+ * fault isolation, journal restore, deadline / cancel / point budget
+ * and the cache and retire hooks behave identically), and the batch's
+ * results are fed back in batch order — journal-restored points like
+ * evaluated ones.
  *
  * @p objective maps a completed result to its ParetoSample objectives
  * for strategy feedback (the index field is overwritten).
@@ -350,152 +319,34 @@ struct StrategyOutcome {
  * the grid index (see the file comment).
  */
 template <typename R>
-StrategyOutcome<R>
+SweepOutcome<R>
 runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
                  const std::function<ResilientWorker<R>()>& factory,
                  const std::function<ParetoSample(size_t, const R&)>& objective,
                  unsigned threads, const SweepLimits& limits = SweepLimits(),
                  const SweepSchedule& schedule = SweepSchedule())
 {
-    static_assert(std::is_trivially_copyable_v<R>,
-                  "sweep results are journaled as raw bytes");
     const size_t n = grid.size();
-    StrategyOutcome<R> out;
-    out.results.resize(n);
-    out.completed.assign(n, 0);
-
-    SweepJournal* journal = limits.journal;
-    HIDA_ASSERT(journal == nullptr || journal->payloadSize() == sizeof(R),
-                "journal payload size does not match the result type");
-
-    std::atomic<bool> stop{false};
-    // 0 = running, else the stop cause (first writer wins).
-    std::atomic<int> stop_cause{0};
-    std::atomic<size_t> evaluated{0};
-    std::atomic<size_t> restored{0};
-    const bool has_deadline = limits.deadlineSeconds > 0.0;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(
-                has_deadline ? limits.deadlineSeconds : 0.0));
-    std::mutex merge_mutex;  // Guards failures + aggregated cache stats.
-
+    // Declared before the pool, whose destructor may still retire
+    // workers into it.
+    SweepPipeline<R> pipeline(grid, limits);
+    SweepOutcome<R>& out = pipeline.outcome();
     // The current batch: written by the driver between rounds, read by
     // workers during one (the pool's round hand-off orders the two).
     std::vector<size_t> batch;
-
-    unsigned workers = std::max(1u, threads);
-    workers = std::min(workers, static_cast<unsigned>(std::max<size_t>(n, 1)));
+    const size_t workers =
+        std::min<size_t>(std::max(1u, threads), std::max<size_t>(n, 1));
     StrategyWorkerPool pool(
-        workers,
-        [&]() -> StrategyWorkerPool::WorkerFns {
-            auto worker =
-                std::make_shared<ResilientWorker<R>>(factory());
-            StrategyWorkerPool::WorkerFns fns;
-            fns.run = [&, worker](size_t begin, size_t end) {
-                std::vector<int64_t> values;
-                std::vector<PointFailure> local_failures;
-                for (size_t pos = begin; pos < end; ++pos) {
-                    if (stop.load(std::memory_order_relaxed))
-                        break;
-                    if (limits.cancel != nullptr &&
-                        limits.cancel->cancelled()) {
-                        int expected = 0;
-                        stop_cause.compare_exchange_strong(expected, 2);
-                        stop.store(true, std::memory_order_relaxed);
-                        break;
-                    }
-                    if (has_deadline &&
-                        std::chrono::steady_clock::now() >= deadline) {
-                        int expected = 0;
-                        stop_cause.compare_exchange_strong(expected, 1);
-                        stop.store(true, std::memory_order_relaxed);
-                        break;
-                    }
-                    const size_t i = batch[pos];
-                    if (journal != nullptr &&
-                        journal->restore(i, grid.pointFingerprint(i),
-                                         &out.results[i])) {
-                        out.completed[i] = 1;
-                        restored.fetch_add(1, std::memory_order_relaxed);
-                        continue;
-                    }
-                    if (limits.pointBudget > 0) {
-                        size_t prev = evaluated.fetch_add(
-                            1, std::memory_order_relaxed);
-                        if (prev >= limits.pointBudget) {
-                            evaluated.fetch_sub(1, std::memory_order_relaxed);
-                            int expected = 0;
-                            stop_cause.compare_exchange_strong(expected, 3);
-                            stop.store(true, std::memory_order_relaxed);
-                            break;
-                        }
-                    } else {
-                        evaluated.fetch_add(1, std::memory_order_relaxed);
-                    }
-                    grid.decode(i, values);
-                    // The fault key is the grid index: injected failures
-                    // are identical at any thread count.
-                    FaultScope fault_scope(i);
-                    // An exception out of evaluate is a per-point
-                    // failure, not a dead worker: catch it here so the
-                    // worker recovers and keeps evaluating.
-                    Result<R> result = [&]() -> Result<R> {
-                        try {
-                            return worker->evaluate(i, values);
-                        } catch (const std::exception& e) {
-                            return Diagnostic(
-                                ErrorCode::kWorkerFailed,
-                                strCat("exception escaped evaluate: ",
-                                       e.what()),
-                                strCat("point #", i));
-                        } catch (...) {
-                            return Diagnostic(
-                                ErrorCode::kWorkerFailed,
-                                "unknown exception escaped evaluate",
-                                strCat("point #", i));
-                        }
-                    }();
-                    if (result.ok()) {
-                        out.results[i] = result.value();
-                        out.completed[i] = 1;
-                        if (journal != nullptr)
-                            journal->record(i, grid.pointFingerprint(i),
-                                            &out.results[i]);
-                    } else {
-                        Diagnostic diag = result.takeDiag();
-                        diag.severity = Severity::kWarning;
-                        emitDiagnostic(diag);
-                        local_failures.push_back({i, std::move(diag)});
-                        if (worker->recover)
-                            worker->recover();
-                    }
-                }
-                if (!local_failures.empty()) {
-                    std::lock_guard<std::mutex> lock(merge_mutex);
-                    out.failures.insert(
-                        out.failures.end(),
-                        std::make_move_iterator(local_failures.begin()),
-                        std::make_move_iterator(local_failures.end()));
-                }
-            };
-            fns.finish = [&, worker]() {
-                if (worker->cacheStats) {
-                    QorCacheStats stats = worker->cacheStats();
-                    std::lock_guard<std::mutex> lock(merge_mutex);
-                    out.stats.cache += stats;
-                }
-                if (worker->retire)
-                    worker->retire();
-            };
-            return fns;
+        static_cast<unsigned>(workers),
+        [&]() {
+            return pipeline.workerFns(
+                factory, [&batch](size_t pos) { return batch[pos]; });
         },
         schedule.scheduler);
 
     std::vector<uint8_t> proposed_ever(n, 0);
     std::vector<StrategyResult> feedback;
-    while (!stop.load(std::memory_order_relaxed)) {
+    while (!pipeline.stopped()) {
         batch.clear();
         strategy.propose(batch);
         if (batch.empty())
@@ -525,42 +376,7 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
         strategy.consume(feedback);
     }
     pool.shutdown();
-    out.stats.workerFailures = pool.workerFailures();
-
-    std::sort(out.failures.begin(), out.failures.end(),
-              [](const PointFailure& a, const PointFailure& b) {
-                  return a.index < b.index;
-              });
-    out.stats.evaluated = evaluated.load();
-    out.stats.restored = restored.load();
-    switch (stop_cause.load()) {
-      case 1:
-        out.stats.stopped = true;
-        out.stats.stopReason = Diagnostic(
-            ErrorCode::kDeadlineExceeded,
-            strCat("sweep deadline of ", limits.deadlineSeconds,
-                   "s expired"),
-            "strategy-sweep");
-        break;
-      case 2:
-        out.stats.stopped = true;
-        out.stats.stopReason = Diagnostic(
-            ErrorCode::kCancelled, "sweep cancelled", "strategy-sweep");
-        break;
-      case 3:
-        out.stats.stopped = true;
-        out.stats.stopReason = Diagnostic(
-            ErrorCode::kCancelled,
-            strCat("sweep point budget of ", limits.pointBudget,
-                   " exhausted"),
-            "strategy-sweep");
-        break;
-      default:
-        break;
-    }
-    if (journal != nullptr)
-        journal->flush();
-    return out;
+    return pipeline.finish("strategy-sweep", pool.workerFailures());
 }
 
 } // namespace hida

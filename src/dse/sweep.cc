@@ -139,38 +139,27 @@ WorkQueue::take(size_t self, size_t* begin, size_t* end)
     return false;
 }
 
-namespace {
-
-/** Wrap one worker's whole lifetime (factory + chunk loop) so an
- * escaped exception retires the worker as data instead of calling
- * std::terminate with unflushed journals. */
 std::optional<Diagnostic>
-runWorker(const ShardedSweep::ShardFactory& factory, WorkQueue& queue,
-          size_t self)
+guardWorker(size_t index, FunctionRef<void()> fn)
 {
+    std::string what;
     try {
-        ShardedSweep::ShardFn shard = factory();
-        size_t begin = 0;
-        size_t end = 0;
-        while (queue.take(self, &begin, &end))
-            shard(begin, end);
+        fn();
         return std::nullopt;
     } catch (const std::exception& e) {
-        return Diagnostic(ErrorCode::kWorkerFailed,
-                          strCat("exception escaped sweep worker: ",
-                                 e.what()),
-                          strCat("worker w", self));
+        what = e.what();
     } catch (...) {
-        return Diagnostic(ErrorCode::kWorkerFailed,
-                          "unknown exception escaped sweep worker",
-                          strCat("worker w", self));
+        what = "unknown exception";
     }
+    Diagnostic diag(ErrorCode::kWorkerFailed,
+                    strCat("exception escaped sweep worker: ", what),
+                    strCat("worker w", index));
+    emitDiagnostic(diag);
+    return diag;
 }
 
-} // namespace
-
 std::vector<Diagnostic>
-ShardedSweep::runShards(size_t num_points, const ShardFactory& factory,
+ShardedSweep::runShards(size_t num_points, const WorkerInit& init,
                         unsigned threads, SweepScheduler scheduler)
 {
     std::vector<Diagnostic> worker_failures;
@@ -179,35 +168,41 @@ ShardedSweep::runShards(size_t num_points, const ShardFactory& factory,
     // Dialect registration mutates the process-wide OpRegistry; do it
     // once up front so workers never race a first-compile registration.
     registerAllDialects();
-    size_t workers = std::max(1u, threads);
-    workers = std::min(workers, num_points);
+    const size_t workers = std::min<size_t>(std::max(1u, threads), num_points);
     WorkQueue queue;
     queue.reset(num_points, workers, scheduler);
-    if (workers == 1) {
-        // Serial fast path: no thread spawn, same factory contract —
-        // including the worker-boundary exception catch.
-        if (auto diag = runWorker(factory, queue, 0)) {
-            emitDiagnostic(*diag);
+    std::mutex failures_mutex;
+    // Worker w's whole life, on the calling thread: init (so the clones,
+    // estimators and passes it creates are owned by this thread), its
+    // chunks, its finish hook.
+    auto work = [&](size_t w) {
+        std::optional<Diagnostic> diag = guardWorker(w, [&] {
+            WorkerFns fns = init();
+            size_t begin = 0;
+            size_t end = 0;
+            while (queue.take(w, &begin, &end))
+                fns.run(begin, end);
+            if (fns.finish)
+                fns.finish();
+        });
+        if (diag) {
+            std::lock_guard<std::mutex> lock(failures_mutex);
             worker_failures.push_back(std::move(*diag));
         }
+    };
+    if (workers == 1) {
+        // Serial fast path: no thread spawn, same worker contract.
+        work(0);
         return worker_failures;
     }
-    std::mutex failures_mutex;
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&factory, &queue, &failures_mutex,
-                           &worker_failures, w]() {
-            // The factory runs here, on the worker thread, so clones,
-            // estimators and passes it creates are owned by this thread.
+        pool.emplace_back([&work, w]() {
             // Tag the thread so concurrent diagnostic lines say which
             // worker emitted them (emission itself is serialized).
             setDiagnosticThreadTag(strCat("w", w));
-            if (auto diag = runWorker(factory, queue, w)) {
-                emitDiagnostic(*diag);
-                std::lock_guard<std::mutex> lock(failures_mutex);
-                worker_failures.push_back(std::move(*diag));
-            }
+            work(w);
         });
     }
     for (std::thread& t : pool)
@@ -221,6 +216,27 @@ verifySweepPrototype(ModuleOp prototype)
     // The setup fault scope lets HIDA_FAULT_INJECT force this path.
     FaultScope scope(kFaultSetupKey);
     return verifyToDiagnostic(prototype.op(), "sweep prototype");
+}
+
+std::optional<std::chrono::steady_clock::time_point>
+sweepDeadline(double seconds)
+{
+    using Clock = std::chrono::steady_clock;
+    if (!(seconds > 0.0))
+        return std::nullopt;
+    const Clock::time_point now = Clock::now();
+    const Clock::duration headroom = Clock::time_point::max() - now;
+    // Compare in clock ticks as doubles: converting an out-of-range
+    // double to the integer tick count is undefined behavior (on x86 it
+    // lands in the past, so the deadline expires at once).
+    const double ticks =
+        std::chrono::duration<double, Clock::period>(
+            std::chrono::duration<double>(seconds))
+            .count();
+    if (!(ticks < static_cast<double>(headroom.count())))
+        return std::nullopt;
+    return now + std::min(Clock::duration(static_cast<Clock::rep>(ticks)),
+                          headroom);
 }
 
 unsigned

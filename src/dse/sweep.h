@@ -31,17 +31,17 @@
  * differential fuzzer), so the merged output is bit-identical across
  * every {order} x {scheduler} x {thread count} combination.
  *
- * Two execution modes:
- *  - run(): the PR 5 contract — every point must succeed; a panic in a
- *    worker aborts the process (compiler-bug semantics).
- *  - runResilient(): the fault-isolated contract (see ROADMAP "Error
- *    handling contract") — a failed point becomes a structured
- *    PointFailure in the outcome (grid order; surviving points are
- *    bit-identical to a clean run), the worker rebuilds its clone from
- *    the prototype after a failure, a cooperative CancelToken and a
- *    wall-clock deadline stop all shards between points, and an
- *    optional SweepJournal checkpoints completed points so an
- *    interrupted sweep resumes instead of restarting.
+ * One per-point contract, two drivers (see ROADMAP "Error handling
+ * contract"): SweepPipeline holds the only copy of the per-point loop —
+ * a failed point becomes a structured PointFailure in the outcome (grid
+ * order; surviving points are bit-identical to a clean run), the worker
+ * rebuilds its clone from the prototype after a failure, a cooperative
+ * CancelToken, a wall-clock deadline and a point budget stop every
+ * worker between points, and an optional SweepJournal checkpoints
+ * completed points so an interrupted sweep resumes instead of
+ * restarting. ShardedSweep::runResilient drives it over the whole grid
+ * in one round of runShards threads; runStrategySweep
+ * (src/dse/strategy.h) drives it batch by batch on a StrategyWorkerPool.
  */
 
 #include <algorithm>
@@ -55,6 +55,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -63,6 +65,7 @@
 #include "src/dse/journal.h"
 #include "src/support/diagnostics.h"
 #include "src/support/fault_inject.h"
+#include "src/support/function_ref.h"
 
 namespace hida {
 
@@ -183,8 +186,9 @@ class WorkQueue {
 
 /** Stop conditions and checkpointing of one resilient sweep. */
 struct SweepLimits {
-    /** Wall-clock budget in seconds (<= 0: unbounded), measured from
-     * runResilient() entry and checked between points. */
+    /** Wall-clock budget in seconds, measured from sweep entry and
+     * checked between points. <= 0, or too far out for the steady
+     * clock to represent (e.g. +inf), means no deadline. */
     double deadlineSeconds = 0.0;
     /** Max *newly evaluated* points across all shards (0: unbounded);
      * journal-restored points are free. The deterministic interrupt
@@ -197,25 +201,35 @@ struct SweepLimits {
     SweepJournal* journal = nullptr;
 };
 
+/** Aggregate counters of one sweep, from either driver. */
+struct SweepStats {
+    size_t batches = 0;    ///< Non-empty batches (runResilient: one).
+    size_t proposed = 0;   ///< Indices proposed across all batches.
+    size_t evaluated = 0;  ///< Points newly evaluated (restores are free).
+    size_t restored = 0;   ///< Points restored from the journal.
+    bool stopped = false;  ///< A SweepLimits condition ended the sweep.
+    std::optional<Diagnostic> stopReason;  ///< Set when stopped.
+    /** Workers lost to an exception escaping their factory or hooks
+     * (guardWorker), code kWorkerFailed. Distinct from stopped: under
+     * kStealing the survivors usually finish the dead worker's points,
+     * so check allCompleted() to learn whether coverage suffered. */
+    std::vector<Diagnostic> workerFailures;
+    /** Estimator cache counters summed over all workers. */
+    QorCacheStats cache;
+};
+
 /**
- * Outcome of a resilient sweep. Indexes mirror grid order; a point is
- * either completed (results[i] valid), failed (a PointFailure carries
- * its diagnostic), or not reached (sweep stopped first).
+ * Outcome of a sweep. Indexes mirror grid order; a point is either
+ * completed (results[i] valid), failed (a PointFailure carries its
+ * diagnostic), or not reached (never proposed, or the sweep stopped
+ * first).
  */
 template <typename R>
 struct SweepOutcome {
     std::vector<R> results;           ///< Valid where completed[i] != 0.
     std::vector<uint8_t> completed;   ///< Per grid index.
     std::vector<PointFailure> failures;  ///< Grid order.
-    /** Workers lost to an escaped exception (factory or evaluator
-     * boundary), code kWorkerFailed. Distinct from stopped: under
-     * kStealing the survivors usually finish the dead worker's points,
-     * so check allCompleted() to learn whether coverage suffered. */
-    std::vector<Diagnostic> workerFailures;
-    size_t evaluated = 0;  ///< Points newly evaluated this run.
-    size_t restored = 0;   ///< Points restored from the journal.
-    bool stopped = false;  ///< Deadline/cancel/budget ended the sweep.
-    std::optional<Diagnostic> stopReason;  ///< Set when stopped.
+    SweepStats stats;
 
     bool
     allCompleted() const
@@ -228,42 +242,81 @@ struct SweepOutcome {
 };
 
 /**
- * Per-worker hooks of a resilient sweep. evaluate returns the point's
- * result or a Diagnostic; recover (optional) restores the worker to a
- * known-good state after a failed point — a half-applied point may have
- * corrupted the worker's clone, so the canonical recover deep-clones
- * the prototype again (CloneSweepWorker::rebuild).
+ * Per-worker hooks of a sweep, created on the worker's own thread.
+ * evaluate returns the point's result or a Diagnostic; recover
+ * (optional) restores the worker to a known-good state after a failed
+ * point — a half-applied point may have corrupted the worker's clone,
+ * so the canonical recover deep-clones the prototype again
+ * (CloneSweepWorker::rebuild).
  */
 template <typename R>
 struct ResilientWorker {
     std::function<Result<R>(size_t index, const std::vector<int64_t>&)>
         evaluate;
     std::function<void()> recover;
-    /**
-     * Optional: the worker's aggregate estimator cache counters,
-     * sampled once when the worker retires (on the worker's own
-     * thread). The strategy executor (src/dse/strategy.h) sums these
-     * across workers to prove warm-cache behavior; plain runResilient
-     * ignores it.
-     */
+    /** Optional: the worker's aggregate estimator cache counters,
+     * sampled once when the worker retires (on its own thread) and
+     * summed into SweepStats::cache. */
     std::function<QorCacheStats()> cacheStats;
     /**
-     * Optional: called once when the strategy executor retires the
-     * worker (after cacheStats, still on the worker's thread). The
-     * service (src/service/service.h) uses it to return a warm clone +
-     * estimator to its session pool so the *next* request on the same
-     * prototype starts warm. Plain runResilient ignores it.
+     * Optional: called once when the worker retires, after cacheStats
+     * and still on its thread. The service (src/service/service.h)
+     * uses it to return a warm clone + estimator to its session pool so
+     * the *next* request on the same prototype starts warm.
      */
     std::function<void()> retire;
 };
+
+/** Executor-level hooks of one worker (runShards, StrategyWorkerPool). */
+struct WorkerFns {
+    /** Evaluate positions [begin, end) of the current round. */
+    std::function<void(size_t begin, size_t end)> run;
+    /** Called once when the worker retires, on the worker's thread
+     * (thread_local stats are readable). Optional. */
+    std::function<void()> finish;
+};
+/** Creates a worker's hooks; called once per worker, on its thread. */
+using WorkerInit = std::function<WorkerFns()>;
+
+/**
+ * The worker boundary: run @p fn as worker @p index. An escaped
+ * exception retires the worker as data (error contract: recoverable
+ * failures are data) instead of calling std::terminate with unflushed
+ * journals: it is emitted and returned as a kWorkerFailed Diagnostic at
+ * "worker w<index>".
+ */
+std::optional<Diagnostic> guardWorker(size_t index, FunctionRef<void()> fn);
+
+/**
+ * The point boundary: evaluate point @p index through @p fn. An
+ * exception escaping it is a per-point kWorkerFailed failure at
+ * "point #<index>", not a dead worker, so the caller recovers the
+ * worker and keeps its points.
+ */
+template <typename R, typename Fn>
+Result<R>
+guardPoint(size_t index, Fn&& fn)
+{
+    try {
+        return fn();
+    } catch (const std::exception& e) {
+        return Diagnostic(ErrorCode::kWorkerFailed,
+                          strCat("exception escaped evaluate: ", e.what()),
+                          strCat("point #", index));
+    } catch (...) {
+        return Diagnostic(ErrorCode::kWorkerFailed,
+                          "unknown exception escaped evaluate",
+                          strCat("point #", index));
+    }
+}
 
 /**
  * The canonical worker-local state of a clone-the-prototype sweep (the
  * Figure 1 shape: one pre-lowered module, per-point directive rewrites):
  * a private deep clone of the prototype, its top function, the per-point
  * directive pass, and a private estimator whose caches warm up over the
- * worker's shard. Construct inside a ShardedSweep worker factory — i.e.
- * on the worker thread — so every member is owned by that thread.
+ * worker's points. Construct inside a worker factory — i.e. on the
+ * worker thread — so every member is owned by that thread.
  */
 struct CloneSweepWorker {
     ModuleOp prototype;
@@ -283,20 +336,11 @@ struct CloneSweepWorker {
         HIDA_ASSERT(func, "sweep prototype has no function to estimate");
     }
 
-    /** applyPoint + per-point pass + estimate, on the worker's clone. */
-    DesignQor
-    evaluate(const DesignPointGrid& grid, const std::vector<int64_t>& values)
-    {
-        applyPoint(module.get(), grid, values);
-        perPointPass->runOnModule(module.get());
-        return estimator.estimateFunc(func);
-    }
-
     /**
-     * Fault-isolating evaluate: every per-point stage (directive
-     * binding, per-point pass, estimation) reports failure as a
-     * Diagnostic instead of aborting. After a failure call rebuild() —
-     * the clone may be half-transformed.
+     * applyPoint + per-point pass + estimate on the worker's clone.
+     * Every stage (directive binding, per-point pass, estimation)
+     * reports failure as a Diagnostic instead of aborting. After a
+     * failure call rebuild() — the clone may be half-transformed.
      */
     Result<DesignQor>
     evaluateChecked(const DesignPointGrid& grid,
@@ -335,80 +379,263 @@ struct CloneSweepWorker {
 std::optional<Diagnostic> verifySweepPrototype(ModuleOp prototype);
 
 /**
- * Evaluates grid points through worker-local evaluation functions.
- * Non-template core (shard math, thread lifecycle) lives in sweep.cc;
- * the typed run()/runResilient() adapters store results by point index.
+ * The steady-clock instant @p seconds from now, or nullopt for no
+ * deadline: @p seconds <= 0 or NaN, or too far out for the clock to
+ * represent (1e12 s, +inf) — never an out-of-range conversion.
+ */
+std::optional<std::chrono::steady_clock::time_point>
+sweepDeadline(double seconds);
+
+/**
+ * The per-point contract of both sweep drivers (runResilient below,
+ * runStrategySweep in src/dse/strategy.h), written once. Per point:
+ * stop checks (cancel, deadline), journal restore, point budget,
+ * FaultScope keyed on the grid index, exception-to-failure, worker
+ * recovery; per worker: the failure merge and the retire hooks; per
+ * sweep: the stop reason and the journal flush.
+ *
+ * The pipeline owns the outcome under construction. Each worker's
+ * hooks come from workerFns(), on the worker's thread; the driver may
+ * read and update outcome() between rounds and calls finish() once,
+ * after every worker retired. Declare the pipeline before the executor
+ * running those hooks: an executor's destructor may still retire
+ * workers into it.
+ *
+ * R must be trivially copyable (journaled byte-exactly) and
+ * default-constructible (placeholder for unreached points).
+ */
+template <typename R>
+class SweepPipeline {
+  public:
+    SweepPipeline(const DesignPointGrid& grid, const SweepLimits& limits)
+        : grid_(grid), limits_(limits),
+          deadline_(sweepDeadline(limits.deadlineSeconds))
+    {
+        static_assert(std::is_trivially_copyable_v<R>,
+                      "sweep results are journaled as raw bytes");
+        HIDA_ASSERT(limits.journal == nullptr ||
+                        limits.journal->payloadSize() == sizeof(R),
+                    "journal payload size does not match the result type");
+        outcome_.results.resize(grid.size());
+        outcome_.completed.assign(grid.size(), 0);
+    }
+
+    /** The outcome so far; driver-only, between rounds. */
+    SweepOutcome<R>& outcome() { return outcome_; }
+
+    /** A stop condition fired: no further point will be evaluated. */
+    bool
+    stopped() const
+    {
+        return cause_.load(std::memory_order_relaxed) != kRunning;
+    }
+
+    /**
+     * The hooks of one worker, built on the calling (worker) thread:
+     * @p factory's worker, its run hook evaluating positions through
+     * @p index_of (position -> grid index), its finish hook retiring it.
+     */
+    template <typename IndexOf>
+    WorkerFns
+    workerFns(const std::function<ResilientWorker<R>()>& factory,
+              IndexOf index_of)
+    {
+        auto worker = std::make_shared<ResilientWorker<R>>(factory());
+        WorkerFns fns;
+        fns.run = [this, worker, index_of](size_t begin, size_t end) {
+            run(*worker, begin, end, index_of);
+        };
+        fns.finish = [this, worker]() { retire(*worker); };
+        return fns;
+    }
+
+    /**
+     * Seal the sweep: failures in grid order, the counters, the stop
+     * reason (located at @p where) and the journal flush.
+     */
+    SweepOutcome<R>
+    finish(std::string_view where, std::vector<Diagnostic> worker_failures)
+    {
+        std::sort(outcome_.failures.begin(), outcome_.failures.end(),
+                  [](const PointFailure& a, const PointFailure& b) {
+                      return a.index < b.index;
+                  });
+        SweepStats& stats = outcome_.stats;
+        stats.evaluated = evaluated_.load();
+        stats.restored = restored_.load();
+        stats.workerFailures = std::move(worker_failures);
+        const std::string at(where);
+        switch (cause_.load()) {
+          case kDeadline:
+            stats.stopReason = Diagnostic(
+                ErrorCode::kDeadlineExceeded,
+                strCat("sweep deadline of ", limits_.deadlineSeconds,
+                       "s expired"),
+                at);
+            break;
+          case kCancel:
+            stats.stopReason =
+                Diagnostic(ErrorCode::kCancelled, "sweep cancelled", at);
+            break;
+          case kBudget:
+            stats.stopReason = Diagnostic(
+                ErrorCode::kCancelled,
+                strCat("sweep point budget of ", limits_.pointBudget,
+                       " exhausted"),
+                at);
+            break;
+          default:
+            break;
+        }
+        stats.stopped = stats.stopReason.has_value();
+        if (limits_.journal != nullptr)
+            limits_.journal->flush();
+        return std::move(outcome_);
+    }
+
+  private:
+    enum StopCause : int { kRunning, kDeadline, kCancel, kBudget };
+
+    /** Evaluate positions [begin, end) on @p worker. */
+    template <typename IndexOf>
+    void
+    run(ResilientWorker<R>& worker, size_t begin, size_t end,
+        const IndexOf& index_of)
+    {
+        SweepJournal* journal = limits_.journal;
+        std::vector<int64_t> values;
+        std::vector<PointFailure> failures;
+        for (size_t pos = begin; pos < end && !stopBeforePoint(); ++pos) {
+            const size_t i = index_of(pos);
+            if (journal != nullptr &&
+                journal->restore(i, grid_.pointFingerprint(i),
+                                 &outcome_.results[i])) {
+                outcome_.completed[i] = 1;
+                restored_.fetch_add(1, std::memory_order_relaxed);
+                continue;
+            }
+            if (!claimPoint())
+                break;
+            grid_.decode(i, values);
+            // The fault key is the grid index: injected failures are
+            // identical at any thread count.
+            FaultScope fault_scope(i);
+            Result<R> result =
+                guardPoint<R>(i, [&] { return worker.evaluate(i, values); });
+            if (result.ok()) {
+                outcome_.results[i] = result.value();
+                outcome_.completed[i] = 1;
+                if (journal != nullptr)
+                    journal->record(i, grid_.pointFingerprint(i),
+                                    &outcome_.results[i]);
+                continue;
+            }
+            Diagnostic diag = result.takeDiag();
+            diag.severity = Severity::kWarning;
+            emitDiagnostic(diag);
+            failures.push_back({i, std::move(diag)});
+            if (worker.recover)
+                worker.recover();
+        }
+        if (failures.empty())
+            return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        outcome_.failures.insert(outcome_.failures.end(),
+                                 std::make_move_iterator(failures.begin()),
+                                 std::make_move_iterator(failures.end()));
+    }
+
+    /** Retire @p worker on its thread: sum its cache counters, then run
+     * its retire hook. */
+    void
+    retire(ResilientWorker<R>& worker)
+    {
+        if (worker.cacheStats) {
+            const QorCacheStats stats = worker.cacheStats();
+            std::lock_guard<std::mutex> lock(mutex_);
+            outcome_.stats.cache += stats;
+        }
+        if (worker.retire)
+            worker.retire();
+    }
+
+    /** True when no further point may start; the first cause wins. */
+    bool
+    stopBeforePoint()
+    {
+        if (stopped())
+            return true;
+        if (limits_.cancel != nullptr && limits_.cancel->cancelled())
+            return stop(kCancel);
+        if (deadline_ && std::chrono::steady_clock::now() >= *deadline_)
+            return stop(kDeadline);
+        return false;
+    }
+
+    /** Record @p cause unless another came first; returns true. */
+    bool
+    stop(StopCause cause)
+    {
+        int running = kRunning;
+        cause_.compare_exchange_strong(running, cause);
+        return true;
+    }
+
+    /** Count one newly evaluated point; false once the budget is spent
+     * (journal restores are free). */
+    bool
+    claimPoint()
+    {
+        const size_t prev = evaluated_.fetch_add(1, std::memory_order_relaxed);
+        if (limits_.pointBudget == 0 || prev < limits_.pointBudget)
+            return true;
+        evaluated_.fetch_sub(1, std::memory_order_relaxed);
+        return !stop(kBudget);
+    }
+
+    const DesignPointGrid& grid_;
+    const SweepLimits limits_;
+    const std::optional<std::chrono::steady_clock::time_point> deadline_;
+    /** Workers write disjoint results/completed slots; failures and
+     * stats.cache are merged under mutex_. */
+    SweepOutcome<R> outcome_;
+    std::mutex mutex_;
+    std::atomic<int> cause_{kRunning};
+    std::atomic<size_t> evaluated_{0};
+    std::atomic<size_t> restored_{0};
+};
+
+/**
+ * Sweeps whose points are all proposed up front: one round of threads
+ * per call. runResilient is the grid-order driver of SweepPipeline; the
+ * batch-by-batch driver is runStrategySweep (src/dse/strategy.h).
  */
 class ShardedSweep {
   public:
-    /** Worker-bound evaluation of the contiguous positions [begin,
-     * end). Called once per claimed chunk — exactly once per worker
-     * under kStatic, repeatedly under kStealing. */
-    using ShardFn = std::function<void(size_t begin, size_t end)>;
     /**
-     * Called once per worker on that worker's thread; returns the
-     * shard evaluator bound to the worker-local state it sets up.
-     */
-    using ShardFactory = std::function<ShardFn()>;
-
-    /**
-     * Distribute [0, num_points) across @p threads workers and run them
-     * concurrently (inline, spawning no thread, when one worker
-     * suffices). Worker w owns [w*n/T, (w+1)*n/T); under kStatic it
-     * evaluates exactly that range (the deterministic PR 5 contract —
-     * a point's evaluation history depends only on its shard, never on
-     * timing); under kStealing dry workers additionally adopt tail
-     * halves of straggler ranges. Panics in a worker still abort the
-     * process (compiler-bug semantics), but an *exception* escaping the
-     * factory or the shard fn retires only that worker: it is caught at
-     * the worker boundary, emitted, and returned as a kWorkerFailed
-     * Diagnostic (error contract: recoverable failures are data).
+     * Distribute [0, num_points) across min(@p threads, num_points)
+     * workers and run them concurrently (inline, spawning no thread,
+     * when one worker suffices). Each worker runs @p init, its run hook
+     * once per claimed chunk and then its finish hook, all on its own
+     * thread. Worker w owns [w*n/T, (w+1)*n/T); under kStatic it
+     * evaluates exactly that range (a point's evaluation history
+     * depends only on its shard, never on timing); under kStealing dry
+     * workers additionally adopt tail halves of straggler ranges.
+     * Panics in a worker still abort the process (compiler-bug
+     * semantics); an exception escaping a hook retires only that worker
+     * (guardWorker) and is returned as its kWorkerFailed Diagnostic.
      * Spawned workers tag their diagnostic lines "w<index>" (see
      * setDiagnosticThreadTag).
      */
     static std::vector<Diagnostic>
-    runShards(size_t num_points, const ShardFactory& factory,
-              unsigned threads,
+    runShards(size_t num_points, const WorkerInit& init, unsigned threads,
               SweepScheduler scheduler = SweepScheduler::kStatic);
 
     /**
-     * Evaluate every point of @p grid. @p factory runs once per worker
-     * on the worker thread and returns the per-point evaluator; results
-     * are returned in grid order regardless of @p threads or
-     * @p schedule (positions walk schedule.order, results store by grid
-     * index).
-     */
-    template <typename R>
-    static std::vector<R>
-    run(const DesignPointGrid& grid,
-        const std::function<std::function<R(size_t index,
-                                            const std::vector<int64_t>&)>()>&
-            factory,
-        unsigned threads, const SweepSchedule& schedule = SweepSchedule())
-    {
-        std::vector<R> results(grid.size());
-        runShards(
-            grid.size(),
-            [&]() -> ShardFn {
-                auto evaluate = factory();
-                return [&results, &grid, &schedule,
-                        evaluate = std::move(evaluate)](size_t begin,
-                                                        size_t end) {
-                    std::vector<int64_t> values;
-                    for (size_t pos = begin; pos < end; ++pos) {
-                        const size_t i =
-                            grid.orderedIndex(pos, schedule.order);
-                        grid.decode(i, values);
-                        results[i] = evaluate(i, values);
-                    }
-                };
-            },
-            threads, schedule.scheduler);
-        return results;
-    }
-
-    /**
-     * Fault-isolated, deadline-bounded, resumable sweep over @p grid.
+     * Fault-isolated, deadline-bounded, resumable sweep of every point
+     * of @p grid: SweepPipeline over runShards, positions walking
+     * @p schedule.order, results stored by grid index. Reports one
+     * batch of grid.size() proposed points.
      *
      * Contract (pinned by tests/dse_fault_test.cc):
      *  - A failed point never takes the sweep down: its Diagnostic is
@@ -422,9 +649,6 @@ class ShardedSweep {
      *  - With limits.journal, completed points are checkpointed and a
      *    restarted sweep restores them byte-exactly instead of
      *    re-evaluating (same output hash as an uninterrupted run).
-     *
-     * R must be trivially copyable (journaled byte-exactly) and
-     * default-constructible (placeholder for unreached points).
      */
     template <typename R>
     static SweepOutcome<R>
@@ -433,164 +657,20 @@ class ShardedSweep {
                  unsigned threads, const SweepLimits& limits = SweepLimits(),
                  const SweepSchedule& schedule = SweepSchedule())
     {
-        static_assert(std::is_trivially_copyable_v<R>,
-                      "sweep results are journaled as raw bytes");
-        const size_t n = grid.size();
-        SweepOutcome<R> outcome;
-        outcome.results.resize(n);
-        outcome.completed.assign(n, 0);
-
-        SweepJournal* journal = limits.journal;
-        HIDA_ASSERT(journal == nullptr ||
-                        journal->payloadSize() == sizeof(R),
-                    "journal payload size does not match the result type");
-
-        std::atomic<bool> stop{false};
-        // 0 = running, else the stop cause (first writer wins).
-        std::atomic<int> stop_cause{0};
-        std::atomic<size_t> evaluated{0};
-        std::atomic<size_t> restored{0};
-        const bool has_deadline = limits.deadlineSeconds > 0.0;
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(
-                    has_deadline ? limits.deadlineSeconds : 0.0));
-        std::mutex failures_mutex;
-
-        outcome.workerFailures = runShards(
-            n,
-            [&]() -> ShardFn {
-                ResilientWorker<R> worker = factory();
-                return [&, worker = std::move(worker)](size_t begin,
-                                                       size_t end) {
-                    std::vector<int64_t> values;
-                    std::vector<PointFailure> local_failures;
-                    for (size_t pos = begin; pos < end; ++pos) {
-                        const size_t i =
-                            grid.orderedIndex(pos, schedule.order);
-                        if (stop.load(std::memory_order_relaxed))
-                            break;
-                        if (limits.cancel != nullptr &&
-                            limits.cancel->cancelled()) {
-                            int expected = 0;
-                            stop_cause.compare_exchange_strong(expected, 2);
-                            stop.store(true, std::memory_order_relaxed);
-                            break;
-                        }
-                        if (has_deadline &&
-                            std::chrono::steady_clock::now() >= deadline) {
-                            int expected = 0;
-                            stop_cause.compare_exchange_strong(expected, 1);
-                            stop.store(true, std::memory_order_relaxed);
-                            break;
-                        }
-                        if (journal != nullptr &&
-                            journal->restore(i, grid.pointFingerprint(i),
-                                             &outcome.results[i])) {
-                            outcome.completed[i] = 1;
-                            restored.fetch_add(1, std::memory_order_relaxed);
-                            continue;
-                        }
-                        if (limits.pointBudget > 0) {
-                            size_t prev = evaluated.fetch_add(
-                                1, std::memory_order_relaxed);
-                            if (prev >= limits.pointBudget) {
-                                evaluated.fetch_sub(
-                                    1, std::memory_order_relaxed);
-                                int expected = 0;
-                                stop_cause.compare_exchange_strong(expected,
-                                                                   3);
-                                stop.store(true, std::memory_order_relaxed);
-                                break;
-                            }
-                        } else {
-                            evaluated.fetch_add(1,
-                                                std::memory_order_relaxed);
-                        }
-                        grid.decode(i, values);
-                        // The fault key is the grid index: injected
-                        // failures are identical at any thread count.
-                        FaultScope fault_scope(i);
-                        // An exception out of evaluate is a per-point
-                        // failure, not a dead worker: catch it here so
-                        // the worker recovers and keeps its shard.
-                        Result<R> result = [&]() -> Result<R> {
-                            try {
-                                return worker.evaluate(i, values);
-                            } catch (const std::exception& e) {
-                                return Diagnostic(
-                                    ErrorCode::kWorkerFailed,
-                                    strCat("exception escaped evaluate: ",
-                                           e.what()),
-                                    strCat("point #", i));
-                            } catch (...) {
-                                return Diagnostic(
-                                    ErrorCode::kWorkerFailed,
-                                    "unknown exception escaped evaluate",
-                                    strCat("point #", i));
-                            }
-                        }();
-                        if (result.ok()) {
-                            outcome.results[i] = result.value();
-                            outcome.completed[i] = 1;
-                            if (journal != nullptr)
-                                journal->record(i, grid.pointFingerprint(i),
-                                                &outcome.results[i]);
-                        } else {
-                            Diagnostic diag = result.takeDiag();
-                            diag.severity = Severity::kWarning;
-                            emitDiagnostic(diag);
-                            local_failures.push_back({i, std::move(diag)});
-                            if (worker.recover)
-                                worker.recover();
-                        }
-                    }
-                    if (!local_failures.empty()) {
-                        std::lock_guard<std::mutex> lock(failures_mutex);
-                        outcome.failures.insert(
-                            outcome.failures.end(),
-                            std::make_move_iterator(local_failures.begin()),
-                            std::make_move_iterator(local_failures.end()));
-                    }
-                };
+        SweepPipeline<R> pipeline(grid, limits);
+        const PointOrder order = schedule.order;
+        std::vector<Diagnostic> worker_failures = runShards(
+            grid.size(),
+            [&]() {
+                return pipeline.workerFns(
+                    factory, [&grid, order](size_t pos) {
+                        return grid.orderedIndex(pos, order);
+                    });
             },
             threads, schedule.scheduler);
-
-        std::sort(outcome.failures.begin(), outcome.failures.end(),
-                  [](const PointFailure& a, const PointFailure& b) {
-                      return a.index < b.index;
-                  });
-        outcome.evaluated = evaluated.load();
-        outcome.restored = restored.load();
-        switch (stop_cause.load()) {
-          case 1:
-            outcome.stopped = true;
-            outcome.stopReason = Diagnostic(
-                ErrorCode::kDeadlineExceeded,
-                strCat("sweep deadline of ", limits.deadlineSeconds,
-                       "s expired"),
-                "sweep");
-            break;
-          case 2:
-            outcome.stopped = true;
-            outcome.stopReason = Diagnostic(ErrorCode::kCancelled,
-                                            "sweep cancelled", "sweep");
-            break;
-          case 3:
-            outcome.stopped = true;
-            outcome.stopReason = Diagnostic(
-                ErrorCode::kCancelled,
-                strCat("sweep point budget of ", limits.pointBudget,
-                       " exhausted"),
-                "sweep");
-            break;
-          default:
-            break;
-        }
-        if (journal != nullptr)
-            journal->flush();
-        return outcome;
+        pipeline.outcome().stats.batches = grid.size() > 0 ? 1 : 0;
+        pipeline.outcome().stats.proposed = grid.size();
+        return pipeline.finish("sweep", std::move(worker_failures));
     }
 };
 

@@ -789,7 +789,7 @@ DseService::runRequest(Pending pending)
 
     std::unique_ptr<SearchStrategy> strategy =
         makeStrategy(grid, pending.request.strategy);
-    StrategyOutcome<ServicePoint> outcome =
+    SweepOutcome<ServicePoint> outcome =
         runStrategySweep<ServicePoint>(
             grid, *strategy, factory,
             [](size_t index, const ServicePoint& point) {
@@ -843,23 +843,11 @@ DseService::runRequest(Pending pending)
                 ++response.pointRetries;
                 const size_t hits_before = store_hits.load();
                 Result<ServicePoint> result =
-                    [&]() -> Result<ServicePoint> {
-                    try {
+                    guardPoint<ServicePoint>(failure.index, [&] {
                         return evaluatePoint(*session, *retry_worker, grid,
                                              failure.index, values,
                                              store_hits);
-                    } catch (const std::exception& e) {
-                        return Diagnostic(
-                            ErrorCode::kWorkerFailed,
-                            strCat("exception escaped retry: ", e.what()),
-                            strCat("point #", failure.index));
-                    } catch (...) {
-                        return Diagnostic(
-                            ErrorCode::kWorkerFailed,
-                            "unknown exception escaped retry",
-                            strCat("point #", failure.index));
-                    }
-                }();
+                    });
                 if (result.ok()) {
                     response.results[failure.index] = result.value();
                     response.completed[failure.index] = 1;

@@ -87,7 +87,8 @@ namespace hida {
  * One tenant request: which prototype (model/batch/dataflow — the
  * session key), which design space (grid), and how to search it
  * (strategy options incl. budget). deadlineSeconds covers queue wait
- * plus sweep time (0 = unbounded).
+ * plus sweep time (0, or too far out for the steady clock such as
+ * +inf = unbounded).
  */
 struct ServiceRequest {
     std::string model = "lenet";  ///< dnnModelNames() entry or "lenet".
@@ -127,7 +128,7 @@ const char* requestStatusName(RequestStatus status);
 
 /**
  * The exactly-once terminal answer. results/completed are indexed by
- * grid index (like StrategyOutcome); failures lists the points that
+ * grid index (like SweepOutcome); failures lists the points that
  * stayed failed after retries, in grid order.
  */
 struct ServiceResponse {

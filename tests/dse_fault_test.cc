@@ -1,10 +1,12 @@
 /**
  * @file
- * Robustness tests for the resilient DSE engine (runResilient): fault
- * isolation, deterministic fault injection, stop conditions (deadline /
- * cancel / point budget) and the checkpoint journal.
+ * Robustness tests for the resilient DSE engine — the SweepPipeline
+ * per-point contract behind both sweep drivers (runResilient and
+ * runStrategySweep): fault isolation, deterministic fault injection,
+ * stop conditions (deadline / cancel / point budget) and the checkpoint
+ * journal.
  *
- * The pinned contracts:
+ * The pinned contracts, each through both drivers:
  *  - Injected failures land at the exact same grid points at 1, 2 or 4
  *    workers, and surviving points are bit-identical to a clean run —
  *    the fault key is the grid index, never a thread or a clock.
@@ -13,7 +15,9 @@
  *  - An interrupted sweep (point budget here; wall-clock deadline in the
  *    benches) resumed from its journal reproduces the clean run's
  *    results byte-exactly, including across a truncated or corrupted
- *    journal tail.
+ *    journal tail; a resumed evolve search retraces its uninterrupted
+ *    run.
+ *  - A deadline the clock cannot represent is no deadline.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -30,6 +35,7 @@
 #include "src/driver/driver.h"
 #include "src/dse/grid.h"
 #include "src/dse/journal.h"
+#include "src/dse/strategy.h"
 #include "src/dse/sweep.h"
 #include "src/estimator/qor.h"
 #include "src/models/dnn_models.h"
@@ -48,6 +54,18 @@ qorEq(const DesignQor& a, const DesignQor& b)
            a.res.ff == b.res.ff;
 }
 
+/** The two sweep drivers the per-point contract cases run through. */
+enum class Driver { kRunResilient, kExhaustiveStrategy };
+
+std::string
+driverName(const ::testing::TestParamInfo<Driver>& info)
+{
+    return info.param == Driver::kRunResilient ? "RunResilient"
+                                               : "ExhaustiveStrategy";
+}
+
+using WorkerFactory = std::function<ResilientWorker<DesignQor>()>;
+
 /**
  * Shared LeNet sweep setup (one compile for the whole suite): the same
  * prototype + 48-point Table 1 sub-grid as dse_parallel_test, evaluated
@@ -58,7 +76,7 @@ struct LeNetSweep {
     OwnedModule prototype;
     FlowOptions partitionOptions;
     DesignPointGrid grid;
-    std::vector<DesignQor> clean;  ///< Legacy-engine reference results.
+    std::vector<DesignQor> clean;  ///< A plain serial evaluateChecked loop.
 
     LeNetSweep() : prototype(buildLeNet(1))
     {
@@ -75,20 +93,17 @@ struct LeNetSweep {
         grid.addDirectiveAxis("kpf3", {2, 8}, 3, "kpf_loop");
         grid.addDirectiveAxis("cpf3", {1, 16}, 3, "cpf_loop");
 
-        clean = ShardedSweep::run<DesignQor>(
-            grid,
-            [this]() {
-                auto w = std::make_shared<CloneSweepWorker>(
-                    prototype.get(),
-                    createArrayPartitionPass(partitionOptions), device);
-                return [w, this](size_t, const std::vector<int64_t>& vals) {
-                    return w->evaluate(grid, vals);
-                };
-            },
-            2);
+        CloneSweepWorker worker(prototype.get(),
+                                createArrayPartitionPass(partitionOptions),
+                                device);
+        std::vector<int64_t> vals;
+        for (size_t i = 0; i < grid.size(); ++i) {
+            grid.decode(i, vals);
+            clean.push_back(worker.evaluateChecked(grid, vals).value());
+        }
     }
 
-    std::function<ResilientWorker<DesignQor>()>
+    WorkerFactory
     factory()
     {
         return [this]() {
@@ -107,13 +122,39 @@ struct LeNetSweep {
         };
     }
 
+    /** Sweep the grid through @p driver (the exhaustive strategy walks
+     * @p schedule.order); @p worker_factory defaults to factory(). */
     SweepOutcome<DesignQor>
-    run(unsigned threads, const SweepLimits& limits = SweepLimits(),
-        const SweepSchedule& schedule = SweepSchedule())
+    run(Driver driver, unsigned threads,
+        const SweepLimits& limits = SweepLimits(),
+        const SweepSchedule& schedule = SweepSchedule(),
+        WorkerFactory worker_factory = nullptr)
     {
-        return ShardedSweep::runResilient<DesignQor>(grid, factory(),
-                                                     threads, limits,
-                                                     schedule);
+        if (!worker_factory)
+            worker_factory = factory();
+        if (driver == Driver::kRunResilient)
+            return ShardedSweep::runResilient<DesignQor>(
+                grid, worker_factory, threads, limits, schedule);
+        StrategyOptions options;  // Exhaustive.
+        options.order = schedule.order;
+        return runStrategy(options, threads, limits, schedule,
+                           worker_factory);
+    }
+
+    SweepOutcome<DesignQor>
+    runStrategy(const StrategyOptions& options, unsigned threads,
+                const SweepLimits& limits,
+                const SweepSchedule& schedule = SweepSchedule(),
+                WorkerFactory worker_factory = nullptr)
+    {
+        std::unique_ptr<SearchStrategy> strategy = makeStrategy(grid, options);
+        return runStrategySweep<DesignQor>(
+            grid, *strategy, worker_factory ? worker_factory : factory(),
+            [this](size_t index, const DesignQor& q) {
+                return ParetoSample{index, q.res.utilization(device),
+                                    q.throughput(device)};
+            },
+            threads, limits, schedule);
     }
 };
 
@@ -131,6 +172,15 @@ class DseFaultTest : public ::testing::Test {
     void TearDown() override { setFaultConfig(FaultConfig()); }
 };
 
+/** The per-point contract cases, once per sweep driver. */
+class SweepContractTest : public DseFaultTest,
+                          public ::testing::WithParamInterface<Driver> {};
+
+INSTANTIATE_TEST_SUITE_P(BothDrivers, SweepContractTest,
+                         ::testing::Values(Driver::kRunResilient,
+                                           Driver::kExhaustiveStrategy),
+                         driverName);
+
 std::string
 tempJournalPath(const std::string& name)
 {
@@ -144,21 +194,21 @@ tempJournalPath(const std::string& name)
 // Fault isolation and determinism
 //===----------------------------------------------------------------------===//
 
-TEST_F(DseFaultTest, CleanResilientRunMatchesLegacyEngine)
+TEST_P(SweepContractTest, CleanRunMatchesSerialLoop)
 {
     LeNetSweep& s = lenet();
-    SweepOutcome<DesignQor> outcome = s.run(4);
+    SweepOutcome<DesignQor> outcome = s.run(GetParam(), 4);
     ASSERT_EQ(outcome.results.size(), s.grid.size());
     EXPECT_TRUE(outcome.allCompleted());
     EXPECT_TRUE(outcome.failures.empty());
-    EXPECT_FALSE(outcome.stopped);
-    EXPECT_EQ(outcome.evaluated, s.grid.size());
-    EXPECT_EQ(outcome.restored, 0u);
+    EXPECT_FALSE(outcome.stats.stopped);
+    EXPECT_EQ(outcome.stats.evaluated, s.grid.size());
+    EXPECT_EQ(outcome.stats.restored, 0u);
     for (size_t i = 0; i < s.grid.size(); ++i)
         EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i])) << "point " << i;
 }
 
-TEST_F(DseFaultTest, InjectedFailuresIdenticalAtAnyThreadCount)
+TEST_P(SweepContractTest, InjectedFailuresIdenticalAtAnyThreadCount)
 {
     LeNetSweep& s = lenet();
     FaultConfig config;
@@ -170,8 +220,8 @@ TEST_F(DseFaultTest, InjectedFailuresIdenticalAtAnyThreadCount)
 
     std::vector<size_t> reference;
     for (unsigned threads : {1u, 2u, 4u}) {
-        SweepOutcome<DesignQor> outcome = s.run(threads);
-        EXPECT_FALSE(outcome.stopped);
+        SweepOutcome<DesignQor> outcome = s.run(GetParam(), threads);
+        EXPECT_FALSE(outcome.stats.stopped);
 
         // (b) failures arrive in grid order as structured records.
         std::vector<size_t> failed;
@@ -206,7 +256,7 @@ TEST_F(DseFaultTest, InjectedFailuresIdenticalAtAnyThreadCount)
     }
 }
 
-TEST_F(DseFaultTest, WorkerRecoversAfterMidPipelineFault)
+TEST_P(SweepContractTest, WorkerRecoversAfterMidPipelineFault)
 {
     // Pass-site faults fire *after* applyPoint touched the worker's
     // clone: the recover hook (rebuild from the prototype) is what keeps
@@ -219,7 +269,7 @@ TEST_F(DseFaultTest, WorkerRecoversAfterMidPipelineFault)
     config.rate = 0.2;
     setFaultConfig(config);
 
-    SweepOutcome<DesignQor> outcome = s.run(2);
+    SweepOutcome<DesignQor> outcome = s.run(GetParam(), 2);
     ASSERT_FALSE(outcome.failures.empty());
     for (const PointFailure& failure : outcome.failures)
         EXPECT_EQ(failure.diag.code, ErrorCode::kFaultInjected);
@@ -281,7 +331,7 @@ TEST_F(DseFaultTest, InvalidDirectiveFailsThePointNotTheSweep)
         EXPECT_EQ(failure.diag.code, ErrorCode::kInvalidDirective);
     EXPECT_TRUE(outcome.completed[2]);
     EXPECT_TRUE(outcome.completed[3]);
-    EXPECT_FALSE(outcome.stopped);
+    EXPECT_FALSE(outcome.stats.stopped);
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,7 +344,7 @@ TEST_F(DseFaultTest, InvalidDirectiveFailsThePointNotTheSweep)
  * thread draws the short straw is scheduling-dependent, so tests only
  * assert scheduler-level outcomes, never which shard was lost.
  */
-std::function<ResilientWorker<DesignQor>()>
+WorkerFactory
 throwingFactory(LeNetSweep& s, std::shared_ptr<std::atomic<int>> calls,
                 int fatal_call)
 {
@@ -321,9 +371,10 @@ TEST_F(DseFaultTest, WorkerFactoryExceptionBecomesDiagnostic)
             s.grid, throwingFactory(s, calls, 2), 2, SweepLimits(),
             schedule);
 
-    ASSERT_EQ(outcome.workerFailures.size(), 1u);
-    EXPECT_EQ(outcome.workerFailures[0].code, ErrorCode::kWorkerFailed);
-    EXPECT_FALSE(outcome.stopped);
+    ASSERT_EQ(outcome.stats.workerFailures.size(), 1u);
+    EXPECT_EQ(outcome.stats.workerFailures[0].code,
+              ErrorCode::kWorkerFailed);
+    EXPECT_FALSE(outcome.stats.stopped);
     EXPECT_TRUE(outcome.failures.empty());
     EXPECT_FALSE(outcome.allCompleted());
     size_t completed = 0;
@@ -351,15 +402,16 @@ TEST_F(DseFaultTest, StealingRescuesADeadWorkersShard)
             s.grid, throwingFactory(s, calls, 2), 2, SweepLimits(),
             schedule);
 
-    ASSERT_EQ(outcome.workerFailures.size(), 1u);
-    EXPECT_EQ(outcome.workerFailures[0].code, ErrorCode::kWorkerFailed);
-    EXPECT_FALSE(outcome.stopped);
+    ASSERT_EQ(outcome.stats.workerFailures.size(), 1u);
+    EXPECT_EQ(outcome.stats.workerFailures[0].code,
+              ErrorCode::kWorkerFailed);
+    EXPECT_FALSE(outcome.stats.stopped);
     EXPECT_TRUE(outcome.allCompleted());
     for (size_t i = 0; i < s.grid.size(); ++i)
         EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i])) << "point " << i;
 }
 
-TEST_F(DseFaultTest, EvaluatorExceptionBecomesPointFailure)
+TEST_P(SweepContractTest, EvaluatorExceptionBecomesPointFailure)
 {
     // An exception escaping worker.evaluate is a *per-point* failure:
     // the worker recovers and keeps its shard; only the throwing point
@@ -367,26 +419,22 @@ TEST_F(DseFaultTest, EvaluatorExceptionBecomesPointFailure)
     LeNetSweep& s = lenet();
     constexpr size_t kBadIndex = 7;
     auto inner = s.factory();
-    SweepOutcome<DesignQor> outcome =
-        ShardedSweep::runResilient<DesignQor>(
-            s.grid,
-            [&]() {
-                ResilientWorker<DesignQor> worker = inner();
-                auto evaluate = worker.evaluate;
-                worker.evaluate =
-                    [evaluate](size_t index,
-                               const std::vector<int64_t>& vals)
-                    -> Result<DesignQor> {
-                    if (index == kBadIndex)
-                        throw std::runtime_error("estimator exploded");
-                    return evaluate(index, vals);
-                };
-                return worker;
-            },
-            2);
+    SweepOutcome<DesignQor> outcome = s.run(
+        GetParam(), 2, SweepLimits(), SweepSchedule(), [&]() {
+            ResilientWorker<DesignQor> worker = inner();
+            auto evaluate = worker.evaluate;
+            worker.evaluate =
+                [evaluate](size_t index, const std::vector<int64_t>& vals)
+                -> Result<DesignQor> {
+                if (index == kBadIndex)
+                    throw std::runtime_error("estimator exploded");
+                return evaluate(index, vals);
+            };
+            return worker;
+        });
 
-    EXPECT_TRUE(outcome.workerFailures.empty());
-    EXPECT_FALSE(outcome.stopped);
+    EXPECT_TRUE(outcome.stats.workerFailures.empty());
+    EXPECT_FALSE(outcome.stats.stopped);
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_EQ(outcome.failures[0].index, kBadIndex);
     EXPECT_EQ(outcome.failures[0].diag.code, ErrorCode::kWorkerFailed);
@@ -403,39 +451,57 @@ TEST_F(DseFaultTest, EvaluatorExceptionBecomesPointFailure)
 // Stop conditions
 //===----------------------------------------------------------------------===//
 
-TEST_F(DseFaultTest, ExpiredDeadlineStopsBetweenPoints)
+TEST_P(SweepContractTest, ExpiredDeadlineStopsBetweenPoints)
 {
     LeNetSweep& s = lenet();
     SweepLimits limits;
     limits.deadlineSeconds = 1e-9;  // expired by the first check
-    SweepOutcome<DesignQor> outcome = s.run(2, limits);
-    EXPECT_TRUE(outcome.stopped);
-    ASSERT_TRUE(outcome.stopReason.has_value());
-    EXPECT_EQ(outcome.stopReason->code, ErrorCode::kDeadlineExceeded);
-    EXPECT_EQ(outcome.evaluated, 0u);
+    SweepOutcome<DesignQor> outcome = s.run(GetParam(), 2, limits);
+    EXPECT_TRUE(outcome.stats.stopped);
+    ASSERT_TRUE(outcome.stats.stopReason.has_value());
+    EXPECT_EQ(outcome.stats.stopReason->code, ErrorCode::kDeadlineExceeded);
+    EXPECT_EQ(outcome.stats.evaluated, 0u);
     EXPECT_FALSE(outcome.allCompleted());
     EXPECT_TRUE(outcome.failures.empty());
 }
 
-TEST_F(DseFaultTest, CancelTokenStopsAllShards)
+TEST_P(SweepContractTest, UnrepresentableDeadlineIsNoDeadline)
+{
+    // Past about 9.2e9 s a deadline overflows the steady clock's int64
+    // nanoseconds. Converting it anyway is undefined behavior that on
+    // x86 lands in the past and stops the sweep before its first point.
+    LeNetSweep& s = lenet();
+    for (double seconds : {1e12, std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(seconds);
+        SweepLimits limits;
+        limits.deadlineSeconds = seconds;
+        SweepOutcome<DesignQor> outcome = s.run(GetParam(), 2, limits);
+        EXPECT_FALSE(outcome.stats.stopped);
+        EXPECT_FALSE(outcome.stats.stopReason.has_value());
+        EXPECT_TRUE(outcome.allCompleted());
+        EXPECT_EQ(outcome.stats.evaluated, s.grid.size());
+    }
+}
+
+TEST_P(SweepContractTest, CancelTokenStopsAllShards)
 {
     LeNetSweep& s = lenet();
     CancelToken cancel;
     cancel.cancel();
     SweepLimits limits;
     limits.cancel = &cancel;
-    SweepOutcome<DesignQor> outcome = s.run(2, limits);
-    EXPECT_TRUE(outcome.stopped);
-    ASSERT_TRUE(outcome.stopReason.has_value());
-    EXPECT_EQ(outcome.stopReason->code, ErrorCode::kCancelled);
-    EXPECT_EQ(outcome.evaluated, 0u);
+    SweepOutcome<DesignQor> outcome = s.run(GetParam(), 2, limits);
+    EXPECT_TRUE(outcome.stats.stopped);
+    ASSERT_TRUE(outcome.stats.stopReason.has_value());
+    EXPECT_EQ(outcome.stats.stopReason->code, ErrorCode::kCancelled);
+    EXPECT_EQ(outcome.stats.evaluated, 0u);
 }
 
 //===----------------------------------------------------------------------===//
 // Checkpoint / resume
 //===----------------------------------------------------------------------===//
 
-TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
+TEST_P(SweepContractTest, InterruptedSweepResumesFromJournalByteExactly)
 {
     LeNetSweep& s = lenet();
     std::string path = tempJournalPath("resume");
@@ -449,11 +515,11 @@ TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
         SweepLimits limits;
         limits.pointBudget = 12;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(1, limits);
-        EXPECT_TRUE(outcome.stopped);
-        ASSERT_TRUE(outcome.stopReason.has_value());
-        EXPECT_EQ(outcome.stopReason->code, ErrorCode::kCancelled);
-        EXPECT_EQ(outcome.evaluated, 12u);
+        SweepOutcome<DesignQor> outcome = s.run(GetParam(), 1, limits);
+        EXPECT_TRUE(outcome.stats.stopped);
+        ASSERT_TRUE(outcome.stats.stopReason.has_value());
+        EXPECT_EQ(outcome.stats.stopReason->code, ErrorCode::kCancelled);
+        EXPECT_EQ(outcome.stats.evaluated, 12u);
         EXPECT_FALSE(outcome.allCompleted());
     }
 
@@ -465,11 +531,11 @@ TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
         EXPECT_EQ(journal.size(), 12u);
         SweepLimits limits;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(4, limits);
+        SweepOutcome<DesignQor> outcome = s.run(GetParam(), 4, limits);
         EXPECT_TRUE(outcome.allCompleted());
-        EXPECT_FALSE(outcome.stopped);
-        EXPECT_EQ(outcome.restored, 12u);
-        EXPECT_EQ(outcome.evaluated, s.grid.size() - 12u);
+        EXPECT_FALSE(outcome.stats.stopped);
+        EXPECT_EQ(outcome.stats.restored, 12u);
+        EXPECT_EQ(outcome.stats.evaluated, s.grid.size() - 12u);
         // The resumed run's merged results are the clean run's results —
         // restored points byte-exactly, re-evaluated points by the
         // engine's determinism. This is the output_sha256 guarantee.
@@ -480,7 +546,7 @@ TEST_F(DseFaultTest, InterruptedSweepResumesFromJournalByteExactly)
     std::remove(path.c_str());
 }
 
-TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
+TEST_P(SweepContractTest, GrayStealingResumeIsByteExactToo)
 {
     // The journal contract is order- and scheduler-agnostic: a sweep
     // interrupted under {gray, stealing, 2 threads} — where *which* 12
@@ -500,10 +566,11 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
         SweepLimits limits;
         limits.pointBudget = 12;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(2, limits, schedule);
-        EXPECT_TRUE(outcome.stopped);
+        SweepOutcome<DesignQor> outcome =
+            s.run(GetParam(), 2, limits, schedule);
+        EXPECT_TRUE(outcome.stats.stopped);
         // The budget is exact even with workers racing for points.
-        EXPECT_EQ(outcome.evaluated, 12u);
+        EXPECT_EQ(outcome.stats.evaluated, 12u);
         EXPECT_FALSE(outcome.allCompleted());
     }
     {
@@ -513,11 +580,12 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
         EXPECT_EQ(journal.size(), 12u);
         SweepLimits limits;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(4, limits, schedule);
+        SweepOutcome<DesignQor> outcome =
+            s.run(GetParam(), 4, limits, schedule);
         EXPECT_TRUE(outcome.allCompleted());
-        EXPECT_FALSE(outcome.stopped);
-        EXPECT_EQ(outcome.restored, 12u);
-        EXPECT_EQ(outcome.evaluated, s.grid.size() - 12u);
+        EXPECT_FALSE(outcome.stats.stopped);
+        EXPECT_EQ(outcome.stats.restored, 12u);
+        EXPECT_EQ(outcome.stats.evaluated, s.grid.size() - 12u);
         for (size_t i = 0; i < s.grid.size(); ++i)
             EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i]))
                 << "point " << i;
@@ -525,7 +593,7 @@ TEST_F(DseFaultTest, GrayStealingResumeIsByteExactToo)
     std::remove(path.c_str());
 }
 
-TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
+TEST_P(SweepContractTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
 {
     LeNetSweep& s = lenet();
     std::string path = tempJournalPath("corrupt");
@@ -537,7 +605,7 @@ TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
         SweepLimits limits;
         limits.pointBudget = 12;
         limits.journal = &journal;
-        s.run(1, limits);
+        s.run(GetParam(), 1, limits);
     }
 
     // Chop off the last 5 bytes — a crash mid-append.
@@ -566,12 +634,61 @@ TEST_F(DseFaultTest, CorruptedJournalTailIsDroppedAndResumeStillMatches)
 
         SweepLimits limits;
         limits.journal = &journal;
-        SweepOutcome<DesignQor> outcome = s.run(2, limits);
+        SweepOutcome<DesignQor> outcome = s.run(GetParam(), 2, limits);
         EXPECT_TRUE(outcome.allCompleted());
-        EXPECT_EQ(outcome.restored, 11u);
+        EXPECT_EQ(outcome.stats.restored, 11u);
         for (size_t i = 0; i < s.grid.size(); ++i)
             EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i]))
                 << "point " << i;
+    }
+    std::remove(path.c_str());
+}
+
+TEST_F(DseFaultTest, ResumedEvolveSearchRetracesTheUninterruptedRun)
+{
+    // Journal-restored points must reach the strategy exactly like
+    // evaluated ones: otherwise the resumed search learns less than the
+    // uninterrupted one and proposes different later batches.
+    LeNetSweep& s = lenet();
+    StrategyOptions options;
+    options.kind = StrategyKind::kEvolve;
+    options.seed = 9;
+    options.budget = 24;
+    options.costLimit = 1.05;
+    SweepOutcome<DesignQor> uninterrupted =
+        s.runStrategy(options, 2, SweepLimits());
+    ASSERT_EQ(uninterrupted.stats.evaluated, 24u);
+
+    std::string path = tempJournalPath("evolve_resume");
+    {
+        SweepJournal journal;
+        ASSERT_FALSE(journal.open(path, s.grid.contentHash(),
+                                  sizeof(DesignQor)));
+        SweepLimits limits;
+        limits.pointBudget = 12;
+        limits.journal = &journal;
+        SweepOutcome<DesignQor> cut = s.runStrategy(options, 1, limits);
+        EXPECT_TRUE(cut.stats.stopped);
+        EXPECT_EQ(cut.stats.evaluated, 12u);
+    }
+    {
+        SweepJournal journal;
+        ASSERT_FALSE(journal.open(path, s.grid.contentHash(),
+                                  sizeof(DesignQor)));
+        SweepLimits limits;
+        limits.journal = &journal;
+        SweepOutcome<DesignQor> resumed = s.runStrategy(options, 2, limits);
+        EXPECT_FALSE(resumed.stats.stopped);
+        EXPECT_EQ(resumed.stats.restored, 12u);
+        EXPECT_EQ(resumed.stats.evaluated, 12u);
+        ASSERT_EQ(resumed.completed, uninterrupted.completed);
+        for (size_t i = 0; i < s.grid.size(); ++i) {
+            if (uninterrupted.completed[i]) {
+                EXPECT_TRUE(
+                    qorEq(resumed.results[i], uninterrupted.results[i]))
+                    << "point " << i;
+            }
+        }
     }
     std::remove(path.c_str());
 }

@@ -4,11 +4,12 @@
  * engine (src/dse/).
  *
  *  - Grid mechanics: deterministic row-major enumeration and decode.
- *  - Sharded-vs-serial equivalence: a LeNet factor sweep run serially
- *    and with 2/4/8 workers must produce *identical* per-point QoR
- *    vectors (latency, interval, every resource column) and identical
- *    Pareto fronts — the invariant behind the benches' stable
- *    output_sha256 at any HIDA_BENCH_THREADS.
+ *  - Sharded-vs-serial equivalence: a LeNet factor sweep through
+ *    runResilient at 1/2/4/8 workers must produce per-point QoR vectors
+ *    (latency, interval, every resource column) and Pareto fronts
+ *    *identical* to a plain serial evaluateChecked loop — the invariant
+ *    behind the benches' stable output_sha256 at any
+ *    HIDA_BENCH_THREADS.
  *  - Interner / type-uniquer hammers: N threads interning overlapping
  *    key sets and building overlapping types, then cross-thread
  *    agreement checks (same string -> same id, same structure -> same
@@ -75,10 +76,12 @@ TEST(GridTest, ShardBoundsCoverEveryPointOnce)
             std::vector<Diagnostic> failures = ShardedSweep::runShards(
                 seen.size(),
                 [&]() {
-                    return [&](size_t begin, size_t end) {
+                    WorkerFns fns;
+                    fns.run = [&](size_t begin, size_t end) {
                         for (size_t i = begin; i < end; ++i)
                             seen[i].fetch_add(1);
                     };
+                    return fns;
                 },
                 threads, scheduler);
             EXPECT_TRUE(failures.empty());
@@ -232,47 +235,59 @@ TEST(ShardedSweepTest, ThreadCountNeverChangesResults)
     grid.addDirectiveAxis("cpf3", {1, 16}, 3, "cpf_loop");
     ASSERT_EQ(grid.size(), 48u);
 
+    // The reference: a plain serial evaluateChecked loop in grid order,
+    // no sweep engine in it.
+    std::vector<DesignQor> serial;
+    {
+        CloneSweepWorker worker(prototype.get(),
+                                createArrayPartitionPass(partition_options),
+                                device);
+        std::vector<int64_t> vals;
+        for (size_t i = 0; i < grid.size(); ++i) {
+            grid.decode(i, vals);
+            serial.push_back(worker.evaluateChecked(grid, vals).value());
+        }
+    }
+
+    // The same CloneSweepWorker recipe the fig1 bench runs.
     auto sweep = [&](unsigned threads, const SweepSchedule& schedule) {
-        // The same CloneSweepWorker recipe the fig1 bench runs.
-        return ShardedSweep::run<DesignQor>(
+        return ShardedSweep::runResilient<DesignQor>(
             grid,
             [&]() {
                 auto w = std::make_shared<CloneSweepWorker>(
                     prototype.get(),
                     createArrayPartitionPass(partition_options), device);
-                return [w, &grid](size_t, const std::vector<int64_t>& vals) {
-                    return w->evaluate(grid, vals);
+                ResilientWorker<DesignQor> worker;
+                worker.evaluate = [w, &grid](size_t,
+                                             const std::vector<int64_t>& vals)
+                    -> Result<DesignQor> {
+                    return w->evaluateChecked(grid, vals);
                 };
+                return worker;
             },
-            threads, schedule);
+            threads, SweepLimits(), schedule);
     };
 
-    // The reference: serial, row-major, static — byte-for-byte the
-    // pre-scheduler engine. Every {order} x {scheduler} x {threads}
-    // combination must reproduce it exactly: results merge by grid
-    // index, so neither the visit order nor which worker lands on a
-    // point may leak into the output.
-    SweepSchedule reference_schedule;
-    reference_schedule.order = PointOrder::kRowMajor;
-    reference_schedule.scheduler = SweepScheduler::kStatic;
-    std::vector<DesignQor> serial = sweep(1, reference_schedule);
-    ASSERT_EQ(serial.size(), grid.size());
+    // Every {order} x {scheduler} x {threads} combination must reproduce
+    // it exactly: results merge by grid index, so neither the visit
+    // order nor which worker lands on a point may leak into the output.
     for (PointOrder order : {PointOrder::kRowMajor, PointOrder::kGrayCode}) {
         for (SweepScheduler scheduler :
              {SweepScheduler::kStatic, SweepScheduler::kStealing}) {
-            for (unsigned threads : {2u, 4u, 8u}) {
+            for (unsigned threads : {1u, 2u, 4u, 8u}) {
                 SweepSchedule schedule;
                 schedule.order = order;
                 schedule.scheduler = scheduler;
-                std::vector<DesignQor> sharded = sweep(threads, schedule);
-                ASSERT_EQ(sharded.size(), serial.size());
+                SweepOutcome<DesignQor> sharded = sweep(threads, schedule);
+                ASSERT_TRUE(sharded.allCompleted());
+                ASSERT_EQ(sharded.results.size(), serial.size());
                 for (size_t i = 0; i < serial.size(); ++i)
-                    EXPECT_TRUE(qorEq(serial[i], sharded[i]))
+                    EXPECT_TRUE(qorEq(serial[i], sharded.results[i]))
                         << "point " << i << " diverged at threads=" << threads
                         << " order=" << pointOrderName(order)
                         << " scheduler=" << sweepSchedulerName(scheduler);
                 EXPECT_EQ(paretoFront(serial, device),
-                          paretoFront(sharded, device))
+                          paretoFront(sharded.results, device))
                     << "Pareto front diverged at threads=" << threads;
             }
         }
@@ -289,29 +304,39 @@ TEST(ShardedSweepTest, IndependentCompilesPerWorker)
     grid.addAxis("pf", {1, 16});
     grid.addAxis("tile", {4, 32});
 
-    auto sweep = [&](unsigned threads) {
-        return ShardedSweep::run<CompileResult>(
-            grid,
-            [&]() {
-                return [&device](size_t, const std::vector<int64_t>& vals) {
-                    OwnedModule module = buildDnnModel("ResNet-18", nullptr);
-                    FlowOptions options = optionsFor(Flow::kHida);
-                    options.maxParallelFactor = vals[0];
-                    options.tileSize = vals[1];
-                    return compile(module.get(), options, device);
-                };
-            },
-            threads);
+    auto compile_point = [&device](const std::vector<int64_t>& vals) {
+        OwnedModule module = buildDnnModel("ResNet-18", nullptr);
+        FlowOptions options = optionsFor(Flow::kHida);
+        options.maxParallelFactor = vals[0];
+        options.tileSize = vals[1];
+        return compile(module.get(), options, device);
     };
 
-    std::vector<CompileResult> serial = sweep(1);
-    std::vector<CompileResult> sharded = sweep(4);
-    ASSERT_EQ(serial.size(), sharded.size());
+    // The reference: a plain serial loop of compiles.
+    std::vector<CompileResult> serial;
+    std::vector<int64_t> vals;
+    for (size_t i = 0; i < grid.size(); ++i) {
+        grid.decode(i, vals);
+        serial.push_back(compile_point(vals));
+    }
+
+    SweepOutcome<CompileResult> sharded =
+        ShardedSweep::runResilient<CompileResult>(
+            grid,
+            [&]() {
+                ResilientWorker<CompileResult> worker;
+                worker.evaluate = [&](size_t, const std::vector<int64_t>& v)
+                    -> Result<CompileResult> { return compile_point(v); };
+                return worker;
+            },
+            4);
+    ASSERT_TRUE(sharded.allCompleted());
+    ASSERT_EQ(serial.size(), sharded.results.size());
     for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_TRUE(qorEq(serial[i].qor, sharded[i].qor)) << "point " << i;
-        EXPECT_EQ(serial[i].overload, sharded[i].overload) << "point " << i;
-        EXPECT_EQ(serial[i].effectiveThroughput,
-                  sharded[i].effectiveThroughput)
+        const CompileResult& result = sharded.results[i];
+        EXPECT_TRUE(qorEq(serial[i].qor, result.qor)) << "point " << i;
+        EXPECT_EQ(serial[i].overload, result.overload) << "point " << i;
+        EXPECT_EQ(serial[i].effectiveThroughput, result.effectiveThroughput)
             << "point " << i;
     }
 }

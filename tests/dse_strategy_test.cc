@@ -12,9 +12,10 @@
  *    workers (randomness is keyed on (seed, iteration, counter), never
  *    a thread id or completion order).
  *  - Exhaustive equivalence: the exhaustive strategy through
- *    runStrategySweep produces the same per-point results as
- *    ShardedSweep::runResilient — the invariant behind the benches'
- *    stable output_sha256.
+ *    runStrategySweep produces the same per-point results and counters
+ *    as ShardedSweep::runResilient — the invariant behind the benches'
+ *    stable output_sha256 — and runResilient runs the same cache and
+ *    retire hooks, each worker's on its own thread.
  *  - StrategyWorkerPool: a round below two fan-out grains runs on the
  *    calling thread alone, larger rounds wake lazily spawned helpers,
  *    and a worker whose init throws becomes one kWorkerFailed
@@ -279,7 +280,7 @@ struct PoolProbe {
     std::vector<int> hits;  ///< Per position of the current round.
     std::function<bool(std::thread::id)> initThrows;
 
-    StrategyWorkerPool::WorkerInit
+    WorkerInit
     init()
     {
         return [this]() {
@@ -290,7 +291,7 @@ struct PoolProbe {
             }
             if (initThrows && initThrows(self))
                 throw std::runtime_error("worker init failed");
-            StrategyWorkerPool::WorkerFns fns;
+            WorkerFns fns;
             fns.run = [this](size_t begin, size_t end) {
                 std::lock_guard<std::mutex> lock(mutex);
                 runThreads.insert(std::this_thread::get_id());
@@ -518,7 +519,7 @@ struct LeNetStrategySweep {
         };
     }
 
-    StrategyOutcome<DesignQor>
+    SweepOutcome<DesignQor>
     run(StrategyKind kind, unsigned threads, uint64_t seed = 42,
         size_t budget = 0)
     {
@@ -549,7 +550,7 @@ lenet()
 
 /** The evaluated-point fingerprint a determinism check compares. */
 std::vector<std::pair<size_t, double>>
-completedLatencies(const StrategyOutcome<DesignQor>& outcome)
+completedLatencies(const SweepOutcome<DesignQor>& outcome)
 {
     std::vector<std::pair<size_t, double>> out;
     for (size_t i = 0; i < outcome.results.size(); ++i)
@@ -560,11 +561,11 @@ completedLatencies(const StrategyOutcome<DesignQor>& outcome)
 
 TEST(StrategySweepTest, EvolveSeedDeterministicAcrossThreadCounts)
 {
-    StrategyOutcome<DesignQor> t1 =
+    SweepOutcome<DesignQor> t1 =
         lenet().run(StrategyKind::kEvolve, 1, 7, 20);
-    StrategyOutcome<DesignQor> t2 =
+    SweepOutcome<DesignQor> t2 =
         lenet().run(StrategyKind::kEvolve, 2, 7, 20);
-    StrategyOutcome<DesignQor> t4 =
+    SweepOutcome<DesignQor> t4 =
         lenet().run(StrategyKind::kEvolve, 4, 7, 20);
 
     EXPECT_EQ(t1.stats.proposed, 20u);
@@ -576,17 +577,27 @@ TEST(StrategySweepTest, EvolveSeedDeterministicAcrossThreadCounts)
     EXPECT_EQ(t1.completed, t4.completed);
 
     // A different seed explores a different trajectory.
-    StrategyOutcome<DesignQor> other =
+    SweepOutcome<DesignQor> other =
         lenet().run(StrategyKind::kEvolve, 2, 8, 20);
     EXPECT_NE(completedLatencies(t1), completedLatencies(other));
 }
 
 TEST(StrategySweepTest, ExhaustiveMatchesRunResilient)
 {
-    StrategyOutcome<DesignQor> strategic =
+    SweepOutcome<DesignQor> strategic =
         lenet().run(StrategyKind::kExhaustive, 3);
     SweepOutcome<DesignQor> direct = ShardedSweep::runResilient<DesignQor>(
         lenet().grid, lenet().factory(), 3);
+
+    // One pipeline, one set of counters: a whole-grid sweep is one batch
+    // of every point either way, and runResilient sums its workers'
+    // estimator counters too.
+    EXPECT_EQ(direct.stats.batches, 1u);
+    EXPECT_EQ(strategic.stats.batches, direct.stats.batches);
+    EXPECT_EQ(strategic.stats.proposed, direct.stats.proposed);
+    EXPECT_EQ(strategic.stats.evaluated, direct.stats.evaluated);
+    EXPECT_EQ(direct.stats.evaluated, lenet().grid.size());
+    EXPECT_GT(direct.stats.cache.hits + direct.stats.cache.misses, 0u);
 
     ASSERT_EQ(strategic.results.size(), direct.results.size());
     ASSERT_EQ(strategic.completed, direct.completed);
@@ -601,6 +612,44 @@ TEST(StrategySweepTest, ExhaustiveMatchesRunResilient)
     }
     EXPECT_EQ(strategic.stats.proposed, lenet().grid.size());
     EXPECT_TRUE(strategic.failures.empty());
+}
+
+TEST(StrategySweepTest, RunResilientRetiresEachWorkerOnItsOwnThread)
+{
+    // runShards runs every worker's finish hook on the worker's thread:
+    // the retire hook the service uses to pool warm clones must see the
+    // thread that created the worker, once per worker.
+    std::mutex mutex;
+    std::vector<std::thread::id> created;
+    std::vector<std::pair<std::thread::id, std::thread::id>> retired;
+    auto inner = lenet().factory();
+    std::function<ResilientWorker<DesignQor>()> factory = [&]() {
+        ResilientWorker<DesignQor> worker = inner();
+        const std::thread::id self = std::this_thread::get_id();
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            created.push_back(self);
+        }
+        worker.retire = [&, self]() {
+            std::lock_guard<std::mutex> lock(mutex);
+            retired.emplace_back(self, std::this_thread::get_id());
+        };
+        return worker;
+    };
+    SweepOutcome<DesignQor> outcome =
+        ShardedSweep::runResilient<DesignQor>(lenet().grid, factory, 3);
+    EXPECT_TRUE(outcome.allCompleted());
+
+    ASSERT_EQ(created.size(), 3u);
+    EXPECT_EQ(std::set<std::thread::id>(created.begin(), created.end()).size(),
+              3u);
+    ASSERT_EQ(retired.size(), created.size());
+    std::set<std::thread::id> retired_workers;
+    for (const auto& [creator, retirer] : retired) {
+        EXPECT_EQ(creator, retirer);
+        retired_workers.insert(creator);
+    }
+    EXPECT_EQ(retired_workers.size(), created.size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -660,7 +709,7 @@ struct FullLenetGrid {
                             q.throughput(device)};
     }
 
-    StrategyOutcome<DesignQor>
+    SweepOutcome<DesignQor>
     run(const StrategyOptions& options, unsigned threads,
         SweepScheduler scheduler,
         const std::function<ResilientWorker<DesignQor>()>& worker_factory)
@@ -687,7 +736,7 @@ fullLenet()
 /** One full-grid sweep, plus how many workers it created and how many
  * of them evaluated a point. */
 struct CountedSweep {
-    StrategyOutcome<DesignQor> outcome;
+    SweepOutcome<DesignQor> outcome;
     size_t created = 0;
     size_t evaluating = 0;
 };
@@ -739,7 +788,7 @@ TEST(StrategySweepTest, FullGridBitIdenticalAcrossThreadsAndSchedulers)
         options.kind = kind;
         options.budget = 1024;  // Ignored by exhaustive.
         const size_t points = kind == StrategyKind::kExhaustive ? 2400 : 1024;
-        std::optional<StrategyOutcome<DesignQor>> serial;
+        std::optional<SweepOutcome<DesignQor>> serial;
         for (unsigned threads : {1u, 2u, 4u}) {
             for (SweepScheduler scheduler :
                  {SweepScheduler::kStatic, SweepScheduler::kStealing}) {
@@ -810,7 +859,7 @@ TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
         // *counters* would not be stable.
         return lenet.run(so, 4, SweepScheduler::kStatic, lenet.factory());
     };
-    StrategyOutcome<DesignQor> evolve = sample(StrategyKind::kEvolve);
+    SweepOutcome<DesignQor> evolve = sample(StrategyKind::kEvolve);
 
     // <= 10% of the grid spent.
     EXPECT_LE(evolve.stats.proposed, grid.size() / 10);
@@ -835,7 +884,7 @@ TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
     // memo caches more often than uniform random sampling of the same
     // budget (both runs are deterministic, so strict inequality is
     // stable).
-    StrategyOutcome<DesignQor> random = sample(StrategyKind::kRandom);
+    SweepOutcome<DesignQor> random = sample(StrategyKind::kRandom);
     EXPECT_EQ(random.stats.proposed, evolve.stats.proposed);
     EXPECT_GT(evolve.stats.cache.memoHitRate(),
               random.stats.cache.memoHitRate());
@@ -866,8 +915,8 @@ TEST(OrderingTest, GrayCodeOrderingCutsRehashTrafficOverRowMajor)
         so.order = order;
         return lenet.run(so, 1, SweepScheduler::kStatic, lenet.factory());
     };
-    StrategyOutcome<DesignQor> gray = sweep(PointOrder::kGrayCode);
-    StrategyOutcome<DesignQor> row = sweep(PointOrder::kRowMajor);
+    SweepOutcome<DesignQor> gray = sweep(PointOrder::kGrayCode);
+    SweepOutcome<DesignQor> row = sweep(PointOrder::kRowMajor);
 
     // The ordering never changes the output: every point completed and
     // bit-identical QoR per grid index.

@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -414,6 +415,26 @@ TEST_F(ServiceTest, DeadlineExhaustedWhileQueuedAnswersPartial)
     EXPECT_EQ(response.status, RequestStatus::kPartial);
     EXPECT_EQ(response.diag.code, ErrorCode::kDeadlineExceeded);
     EXPECT_TRUE(response.results.empty());
+}
+
+TEST_F(ServiceTest, UnrepresentableDeadlineIsNoDeadline)
+{
+    // Admission takes any non-negative deadline; one too far out for the
+    // steady clock (1e12 s, +inf) must run the sweep to completion, not
+    // expire before its first point.
+    ServiceOptions options;
+    DseService service(options);
+    for (double seconds : {1e12, std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(seconds);
+        ServiceRequest request = smallRequest();
+        request.deadlineSeconds = seconds;
+        ServiceResponse response = service.wait(service.submit(request));
+        EXPECT_EQ(response.status, RequestStatus::kCompleted)
+            << response.diag.message;
+        ASSERT_EQ(response.completed.size(), 8u);
+        for (uint8_t done : response.completed)
+            EXPECT_EQ(done, 1);
+    }
 }
 
 // ---------------------------------------------------------------------------
