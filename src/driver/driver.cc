@@ -85,11 +85,9 @@ topFunc(ModuleOp module)
     return func;
 }
 
-CompileResult
-compile(ModuleOp module, const FlowOptions& options, const TargetDevice& device)
+void
+addPrefixPasses(PassManager& pm, const FlowOptions& options)
 {
-    registerAllDialects();
-    PassManager pm(/*verify_each=*/true);
     if (options.enableDataflow)
         pm.addPass(createFuncDataflowConstructPass());
     if (options.enableTaskFusion)
@@ -101,23 +99,36 @@ compile(ModuleOp module, const FlowOptions& options, const TargetDevice& device)
         pm.addPass(createMultiProducerElimPass());
     if (options.enableBalancing)
         pm.addPass(createBalanceDataPathsPass(options));
+    // Adds the port, bundle and pack ops and reads no directive, so it
+    // runs here: the suffix then only writes attributes.
+    pm.addPass(createCreateInterfacesPass());
+}
+
+void
+addSuffixPasses(PassManager& pm, const FlowOptions& options,
+                QorEstimator* search)
+{
     if (options.enableParallelization)
-        pm.addPass(createParallelizePass(options));
+        pm.addPass(createParallelizePass(options, search));
     pm.addPass(createArrayPartitionPass(options));
     pm.addPass(createPipelineDirectivesPass());
-    pm.addPass(createCreateInterfacesPass());
-    pm.run(module);
+}
 
-    CompileResult result;
-    result.compileSeconds = pm.totalSeconds();
+namespace {
 
+/** Estimate @p module's top function on the estimator's device: QoR,
+ * feasibility, overload and degraded throughput. */
+CompileResult
+scoreDesign(ModuleOp module, QorEstimator& estimator)
+{
     // A function-less module is bad *input*, not a compiler bug: exit
     // through the fatal (user-error) path, never SIGABRT.
     FuncOp func = topFunc(module);
     if (!func)
         HIDA_FATAL("module has no function to estimate");
 
-    QorEstimator estimator(device);
+    const TargetDevice& device = estimator.device();
+    CompileResult result;
     result.qor = estimator.estimateFunc(func);
     result.feasible = result.qor.res.fits(device);
     double overload = 0.0;
@@ -140,6 +151,23 @@ compile(ModuleOp module, const FlowOptions& options, const TargetDevice& device)
     return result;
 }
 
+} // namespace
+
+CompileResult
+compile(ModuleOp module, const FlowOptions& options, const TargetDevice& device)
+{
+    registerAllDialects();
+    PassManager pm(/*verify_each=*/true);
+    addPrefixPasses(pm, options);
+    addSuffixPasses(pm, options);
+    pm.run(module);
+
+    QorEstimator estimator(device);
+    CompileResult result = scoreDesign(module, estimator);
+    result.compileSeconds = pm.totalSeconds();
+    return result;
+}
+
 CompileResult
 compile(ModuleOp module, Flow flow, const TargetDevice& device)
 {
@@ -151,16 +179,40 @@ compileAutoTuned(const std::function<OwnedModule()>& rebuild,
                  const FlowOptions& base_options, const TargetDevice& device,
                  int64_t max_pf)
 {
+    if (max_pf < 1)
+        HIDA_FATAL("compileAutoTuned: max_pf must be at least 1, got ",
+                   max_pf);
+    registerAllDialects();
+    OwnedModule owned = rebuild();
+    ModuleOp module = owned.get();
+    PassManager prefix(/*verify_each=*/true);
+    addPrefixPasses(prefix, base_options);
+    prefix.run(module);
+    double total_compile = prefix.totalSeconds();
+    const uint64_t prefix_hash = module.op()->subtreeHash();
+
+    // Trials only write directive attributes through setAttr/removeAttr,
+    // so the structure epoch never moves and both estimators' memos and
+    // plans stay valid from trial to trial, as in a DSE sweep.
+    QorEstimator search(parallelizeSearchDevice());
+    QorEstimator scorer(device);
     CompileResult best;
-    double total_compile = 0.0;
     bool have_best = false;
     int regressions = 0;
-    for (int64_t pf = 1; pf <= max_pf; pf *= 2) {
+    for (int64_t pf = 1;; pf *= 2) {
+        if (pf > 1) {
+            stripSuffixDirectives(module);
+            HIDA_ASSERT(module.op()->subtreeHash() == prefix_hash,
+                        "the strip before the trial at factor ", pf,
+                        " left a suffix directive behind");
+        }
         FlowOptions options = base_options;
         options.maxParallelFactor = pf;
-        OwnedModule module = rebuild();
-        CompileResult result = compile(module.get(), options, device);
-        total_compile += result.compileSeconds;
+        PassManager suffix(/*verify_each=*/true);
+        addSuffixPasses(suffix, options, &search);
+        suffix.run(module);
+        total_compile += suffix.totalSeconds();
+        CompileResult result = scoreDesign(module, scorer);
         // Rank by overload-degraded throughput: over-subscribed designs
         // only win if the extra parallelism outruns the degradation.
         if (!have_best ||
@@ -171,6 +223,8 @@ compileAutoTuned(const std::function<OwnedModule()>& rebuild,
         } else if (++regressions >= 3) {
             break;  // saturated: three factor doublings without progress
         }
+        if (pf > max_pf / 2)
+            break;  // the next doubling would pass max_pf
     }
     best.compileSeconds = total_compile;
     return best;

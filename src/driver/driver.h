@@ -56,7 +56,30 @@ struct CompileResult {
 FuncOp topFunc(ModuleOp module);
 
 /**
- * Run the @p options pipeline on @p module in place and estimate QoR on
+ * The compile pipeline, split at the parallel factor. A pass that has a
+ * FlowOptions switch is added only when it is on.
+ *
+ * The prefix never reads maxParallelFactor: func-dataflow-construct,
+ * task-fusion, lower-nn-to-affine, lower-to-structural,
+ * multi-producer-elim, balance-data-paths, create-interfaces. It builds
+ * every op the design has.
+ */
+void addPrefixPasses(PassManager& pm, const FlowOptions& options);
+
+/**
+ * The suffix: parallelize (the only pass that reads maxParallelFactor),
+ * array-partition, pipeline-directives. It adds no ops; it writes only
+ * the directive attributes stripSuffixDirectives() removes, so a module
+ * can be stripped and run through it again in place.
+ * @param search estimator for parallelize's per-node search (see
+ *     createParallelizePass); null builds a cold one per run.
+ */
+void addSuffixPasses(PassManager& pm, const FlowOptions& options,
+                     QorEstimator* search = nullptr);
+
+/**
+ * Run the @p options pipeline on @p module in place — the prefix, then
+ * the suffix, with the verifier after every pass — and estimate QoR on
  * @p device. The module must contain one top-level function.
  *
  * Thread-safe for concurrent calls on *disjoint* modules: all process-
@@ -88,8 +111,17 @@ bool scaleHlsSupports(ModuleOp module);
  * infeasible design wins when its extra parallelism outruns its
  * degradation. A trial replaces the best only if it is more than 2%
  * better, and the search stops after three doublings in a row that are
- * not. The result's compileSeconds sums every trial.
- * @param rebuild builds a fresh copy of the input module per trial.
+ * not.
+ *
+ * Compiles once, tunes many: @p rebuild is called once and the prefix
+ * runs once on its module. Each trial then strips the previous trial's
+ * directives in place (stripSuffixDirectives; the root's subtree hash
+ * must come back to its post-prefix value, or the call panics), runs
+ * the suffix and scores the result. One estimator serves parallelize's
+ * search in every trial and a second scores every trial, so both stay
+ * warm. Every trial equals a fresh compile() with the same options. The
+ * result's compileSeconds sums the prefix once and every trial's
+ * suffix. A @p max_pf below 1 is a fatal input error.
  */
 CompileResult
 compileAutoTuned(const std::function<OwnedModule()>& rebuild,

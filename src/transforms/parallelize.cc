@@ -16,6 +16,7 @@
  */
 
 #include <algorithm>
+#include <optional>
 
 #include "src/analysis/connection.h"
 #include "src/analysis/dataflow_graph.h"
@@ -336,18 +337,18 @@ class Parallelizer {
 
 class ParallelizePass : public Pass {
   public:
-    explicit ParallelizePass(FlowOptions options)
-        : Pass("parallelize"), options_(options) {}
+    ParallelizePass(FlowOptions options, QorEstimator* estimator)
+        : Pass("parallelize"), options_(options), estimator_(estimator) {}
 
     void
     runOnModule(ModuleOp module) override
     {
         if (!options_.enableParallelization)
             return;
-        // The estimator's device only matters for external-interface
-        // constants during DSE; use the largest profile.
-        QorEstimator estimator(TargetDevice::vu9pSlr());
-        Parallelizer parallelizer(options_, estimator);
+        std::optional<QorEstimator> cold;
+        if (estimator_ == nullptr)
+            cold.emplace(parallelizeSearchDevice());
+        Parallelizer parallelizer(options_, cold ? *cold : *estimator_);
         // Top-down: outer schedules assign per-node budgets before the
         // nested schedules distribute them.
         std::vector<Operation*> schedules;
@@ -369,14 +370,23 @@ class ParallelizePass : public Pass {
 
   private:
     FlowOptions options_;
+    QorEstimator* estimator_;
 };
 
 } // namespace
 
 std::unique_ptr<Pass>
-createParallelizePass(FlowOptions options)
+createParallelizePass(FlowOptions options, QorEstimator* estimator)
 {
-    return std::make_unique<ParallelizePass>(options);
+    return std::make_unique<ParallelizePass>(options, estimator);
+}
+
+TargetDevice
+parallelizeSearchDevice()
+{
+    // The device only sets the external-interface constants of the
+    // search's estimates; use the largest profile.
+    return TargetDevice::vu9pSlr();
 }
 
 } // namespace hida

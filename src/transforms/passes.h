@@ -15,6 +15,9 @@
 
 namespace hida {
 
+class QorEstimator;
+struct TargetDevice;
+
 /** Parallelization strategy for the Fig. 11 ablation. */
 struct ParallelStrategy {
     bool intensityAware = true;   ///< IA: factors proportional to intensity.
@@ -64,8 +67,18 @@ std::unique_ptr<Pass> createMultiProducerElimPass();
 /** Section 6.4.2: balance data paths (buffer stages / soft FIFO + tokens). */
 std::unique_ptr<Pass> createBalanceDataPathsPass(FlowOptions options);
 
-/** Section 6.5 / Algorithm 4: IA+CA dataflow parallelization. */
-std::unique_ptr<Pass> createParallelizePass(FlowOptions options);
+/**
+ * Section 6.5 / Algorithm 4: IA+CA dataflow parallelization.
+ * @param estimator scores the per-node search and must estimate on
+ *     parallelizeSearchDevice(); null builds a cold one per run. One
+ *     estimator may serve several runs on the same module
+ *     (compileAutoTuned's trials), and stays warm across them.
+ */
+std::unique_ptr<Pass> createParallelizePass(FlowOptions options,
+                                            QorEstimator* estimator = nullptr);
+
+/** The device parallelize's per-node search estimates on. */
+TargetDevice parallelizeSearchDevice();
 
 /** Derive array partitions from unroll factors (Table 6). */
 std::unique_ptr<Pass> createArrayPartitionPass(FlowOptions options);
@@ -75,6 +88,23 @@ std::unique_ptr<Pass> createPipelineDirectivesPass();
 
 /** Create port/bundle/pack module interfaces (Table 3, "Module Interface"). */
 std::unique_ptr<Pass> createCreateInterfacesPass();
+
+/**
+ * Remove every attribute the parallelize, array-partition and
+ * pipeline-directives passes write, and the "ii" the estimator writes
+ * back while scoring them:
+ *  - affine.for: "unroll", "pipeline", "ii";
+ *  - hida.node: "parallel_factor", "parallelized";
+ *  - hida.buffer: "partition_fashions", "partition_factors",
+ *    "vector_factor".
+ * On a module those three passes ran on, this restores the IR they
+ * started from, so compileAutoTuned can run its next trial in place. A
+ * pass among them that starts writing another attribute must add it
+ * here. The strip test in tests/transforms_test.cc catches any
+ * omission; compileAutoTuned's hash check catches a hashed key left
+ * behind.
+ */
+void stripSuffixDirectives(ModuleOp module);
 
 } // namespace hida
 

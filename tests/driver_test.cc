@@ -1,0 +1,196 @@
+/**
+ * @file
+ * Driver tests: compileAutoTuned runs the prefix once and every
+ * parallel-factor trial in place on one module, with warm estimators.
+ * Each search must end on exactly the result the plain search reaches
+ * by rebuilding the model and calling compile() for every trial.
+ */
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <future>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "src/driver/driver.h"
+#include "src/models/dnn_models.h"
+#include "src/models/polybench.h"
+#include "src/support/diagnostics.h"
+
+namespace hida {
+namespace {
+
+/** One model on its benchmark's device, with its base options. */
+struct Design {
+    std::string name;
+    std::function<OwnedModule()> rebuild;
+    TargetDevice device;
+    bool untiled = false;
+};
+
+/**
+ * The trials of the plain factor search: each one rebuilds the model
+ * and compiles it fresh. A trial is compiled on first use, so searches
+ * with different bounds share the trials they have in common.
+ */
+class FreshTrials {
+  public:
+    FreshTrials(const Design& design, const FlowOptions& options)
+        : design_(design), options_(options) {}
+
+    const CompileResult&
+    at(int64_t pf)
+    {
+        auto [it, inserted] = results_.try_emplace(pf);
+        if (inserted) {
+            FlowOptions options = options_;
+            options.maxParallelFactor = pf;
+            OwnedModule module = design_.rebuild();
+            it->second = compile(module.get(), options, design_.device);
+        }
+        return it->second;
+    }
+
+  private:
+    const Design& design_;
+    FlowOptions options_;
+    std::map<int64_t, CompileResult> results_;
+};
+
+/** compileAutoTuned's search rule over fresh trials. */
+CompileResult
+referenceAutoTuned(FreshTrials& trials, int64_t max_pf)
+{
+    CompileResult best;
+    bool have_best = false;
+    int regressions = 0;
+    for (int64_t pf = 1;; pf *= 2) {
+        const CompileResult& result = trials.at(pf);
+        if (!have_best ||
+            result.effectiveThroughput > best.effectiveThroughput * 1.02) {
+            best = result;
+            have_best = true;
+            regressions = 0;
+        } else if (++regressions >= 3) {
+            break;
+        }
+        if (pf > max_pf / 2)
+            break;
+    }
+    return best;
+}
+
+uint64_t
+bits(double value)
+{
+    return std::bit_cast<uint64_t>(value);
+}
+
+/** Every CompileResult field but compileSeconds; doubles as raw bits. */
+auto
+fields(const CompileResult& r)
+{
+    const Resources& res = r.qor.res;
+    return std::make_tuple(r.qor.latencyCycles, bits(r.qor.intervalCycles),
+                           res.lut, res.ff, res.dsp, res.bram18k, r.feasible,
+                           bits(r.overload), bits(r.effectiveThroughput));
+}
+
+std::vector<Design>
+designs()
+{
+    std::vector<Design> result;
+    for (const std::string& name : dnnModelNames()) {
+        auto build = [name] { return buildDnnModel(name); };
+        result.push_back({name, build, TargetDevice::vu9pSlr()});
+    }
+    // Table 2 of Figure 1: LeNet at batch 10, untiled.
+    auto lenet = [] { return buildLeNet(10); };
+    result.push_back({"LeNet-b10", lenet, TargetDevice::pynqZ2(), true});
+    for (const std::string& name : {"2mm", "3mm"}) {
+        auto build = [name] { return buildPolybenchKernel(name); };
+        result.push_back({name, build, TargetDevice::zu3eg()});
+    }
+    return result;
+}
+
+TEST(CompileAutoTunedTest, InPlaceTrialsEqualFreshCompiles)
+{
+    struct Case {
+        std::string name;
+        Design design;
+        FlowOptions options;
+    };
+    std::vector<Case> cases;
+    for (const Design& design : designs()) {
+        for (Flow flow : {Flow::kHida, Flow::kScaleHls}) {
+            if (flow == Flow::kScaleHls &&
+                !scaleHlsSupports(design.rebuild().get()))
+                continue;
+            FlowOptions options = optionsFor(flow);
+            if (design.untiled)
+                options.enableTiling = false;
+            std::string name = design.name + " " + flowName(flow);
+            cases.push_back({name, design, options});
+        }
+    }
+    // 512 is the default; 8 cuts every search short.
+    const int64_t bounds[] = {512, 8};
+    // The fresh compiles run on a second thread while this one runs the
+    // in-place searches: both are thread-safe on disjoint modules.
+    auto run_references = [&] {
+        std::vector<CompileResult> results;
+        for (const Case& c : cases) {
+            FreshTrials fresh(c.design, c.options);
+            for (int64_t bound : bounds)
+                results.push_back(referenceAutoTuned(fresh, bound));
+        }
+        return results;
+    };
+    auto references = std::async(std::launch::async, run_references);
+    std::vector<CompileResult> in_place;
+    for (const Case& c : cases) {
+        for (int64_t bound : bounds)
+            in_place.push_back(compileAutoTuned(c.design.rebuild, c.options,
+                                                c.design.device, bound));
+    }
+    const std::vector<CompileResult> expected = references.get();
+    const size_t per_case = std::size(bounds);
+    for (size_t i = 0; i < in_place.size(); ++i) {
+        std::string what = cases[i / per_case].name + " max_pf=";
+        what += std::to_string(bounds[i % per_case]);
+        EXPECT_EQ(fields(in_place[i]), fields(expected[i])) << what;
+    }
+}
+
+TEST(CompileAutoTunedTest, UnboundedFactorStopsOnRegressions)
+{
+    // Doubling towards INT64_MAX must neither overflow nor run forever:
+    // three trials without progress end the search.
+    auto build = [] { return buildPolybenchKernel("2mm"); };
+    const Design design{"2mm", build, TargetDevice::zu3eg()};
+    const FlowOptions options = optionsFor(Flow::kHida);
+    const int64_t max_pf = std::numeric_limits<int64_t>::max();
+    CompileResult result =
+        compileAutoTuned(build, options, design.device, max_pf);
+    EXPECT_GT(result.effectiveThroughput, 0.0);
+    FreshTrials fresh(design, options);
+    EXPECT_EQ(fields(result), fields(referenceAutoTuned(fresh, max_pf)));
+}
+
+TEST(CompileAutoTunedDeathTest, FactorBelowOneIsFatal)
+{
+    auto build = [] { return buildPolybenchKernel("2mm"); };
+    const FlowOptions options = optionsFor(Flow::kHida);
+    EXPECT_EXIT(compileAutoTuned(build, options, TargetDevice::zu3eg(), 0),
+                ::testing::ExitedWithCode(kFatalExitCode), "max_pf");
+}
+
+} // namespace
+} // namespace hida

@@ -225,6 +225,26 @@ TEST(GoldenQorTest, DnnTable8NumbersPinned)
     compareWithGolden("qor_table8_dnn.golden", actual);
 }
 
+TEST(GoldenQorTest, AutoTunedZooNumbersPinned)
+{
+    // The design compileAutoTuned picks for each Table 8 model, under
+    // HIDA and, where it applies, ScaleHLS: a change to the factor
+    // search or to how its trials run cannot move this QoR unnoticed.
+    const TargetDevice device = TargetDevice::vu9pSlr();
+    std::string actual;
+    for (const std::string& name : dnnModelNames()) {
+        auto rebuild = [&]() { return buildDnnModel(name); };
+        for (Flow flow : {Flow::kHida, Flow::kScaleHls}) {
+            if (flow == Flow::kScaleHls && !scaleHlsSupports(rebuild().get()))
+                continue;
+            CompileResult result =
+                compileAutoTuned(rebuild, optionsFor(flow), device);
+            actual += formatQorLine(name + " " + flowName(flow), result.qor);
+        }
+    }
+    compareWithGolden("qor_autotuned_zoo.golden", actual);
+}
+
 /** Listing 1 (Tables 4/6): two producer nests and one strided consumer. */
 OwnedModule
 buildListing1Kernel()

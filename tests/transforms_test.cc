@@ -2,8 +2,9 @@
  * @file
  * Per-pass transform tests: Algorithm 1 (construction), Algorithm 2
  * (fusion), Algorithm 3 (multi-producer elimination, both cases),
- * data-path balancing, and structural lowering invariants — plus
- * parameterized property sweeps over workload families.
+ * data-path balancing, structural lowering invariants and the
+ * directive strip between parallel-factor trials — plus parameterized
+ * property sweeps over workload families.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "src/driver/driver.h"
 #include "src/frontend/loop_builder.h"
 #include "src/frontend/torch_builder.h"
+#include "src/ir/printer.h"
 #include "src/ir/verifier.h"
 #include "src/models/dnn_models.h"
 #include "src/models/polybench.h"
@@ -259,6 +261,45 @@ TEST_P(PartitionProperty, FactorsBoundedByShape)
 
 INSTANTIATE_TEST_SUITE_P(Budgets, PartitionProperty,
                          ::testing::Values(1, 2, 8, 32, 128));
+
+/**
+ * stripSuffixDirectives undoes a suffix run exactly: after each trial's
+ * suffix and estimate, the strip must bring the printed IR back to the
+ * post-prefix print. A printed comparison cannot collide the way
+ * compileAutoTuned's hash check can.
+ */
+void
+expectStripRestoresPrefix(OwnedModule module, Flow flow,
+                          const TargetDevice& device)
+{
+    FlowOptions options = optionsFor(flow);
+    PassManager prefix;
+    addPrefixPasses(prefix, options);
+    prefix.run(module.get());
+    const std::string after_prefix = toString(module.get().op());
+    for (int64_t pf : {1, 16, 512}) {
+        SCOPED_TRACE(flowName(flow) + " pf=" + std::to_string(pf));
+        options.maxParallelFactor = pf;
+        PassManager suffix;
+        addSuffixPasses(suffix, options);
+        suffix.run(module.get());
+        QorEstimator(device).estimateFunc(topFunc(module.get()));
+        // Compare without printing: a mismatch would dump the whole IR.
+        EXPECT_FALSE(toString(module.get().op()) == after_prefix)
+            << "the suffix wrote nothing";
+        stripSuffixDirectives(module.get());
+        EXPECT_TRUE(toString(module.get().op()) == after_prefix)
+            << "the strip left a suffix directive behind";
+    }
+}
+
+TEST(StripSuffixTest, RestoresPostPrefixIr)
+{
+    expectStripRestoresPrefix(buildDnnModel("ResNet-18"), Flow::kHida,
+                              TargetDevice::vu9pSlr());
+    expectStripRestoresPrefix(buildPolybenchKernel("2mm"), Flow::kScaleHls,
+                              TargetDevice::zu3eg());
+}
 
 /** Full-flow property: every flow on every kernel verifies and yields a
  * positive throughput. */
