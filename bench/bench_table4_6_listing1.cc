@@ -15,41 +15,12 @@
 #include "src/analysis/dataflow_graph.h"
 #include "src/dialect/hida/hida_ops.h"
 #include "src/driver/driver.h"
-#include "src/frontend/loop_builder.h"
+#include "src/models/polybench.h"
 #include "src/support/utils.h"
 
 using namespace hida;
 
 namespace {
-
-/** Listing 1: two producer nests and one strided consumer nest. */
-OwnedModule
-buildListing1()
-{
-    KernelBuilder kb("listing1");
-    // Locals (not function args) so the arrays become hida.buffer ops whose
-    // partitions Table 6 reports.
-    Value* a = kb.local({32, 16}, "A");
-    Value* bm = kb.local({16, 16}, "B");
-    Value* c = kb.local({16, 16}, "C");
-
-    // NODE0: load array A.
-    kb.nest({32, 16}, [&](OpBuilder& b, const std::vector<Value*>& iv) {
-        kb.store(b, kb.constant(b, kb.element(), 1.0), a, {iv[0], iv[1]});
-    });
-    // NODE1: load array B.
-    kb.nest({16, 16}, [&](OpBuilder& b, const std::vector<Value*>& iv) {
-        kb.store(b, kb.constant(b, kb.element(), 2.0), bm, {iv[0], iv[1]});
-    });
-    // NODE2: C[i][j] = A[i*2][k] * B[k][j].
-    kb.nest({16, 16, 16}, [&](OpBuilder& b, const std::vector<Value*>& iv) {
-        Value* strided = kb.apply(b, {iv[0]}, {2});
-        Value* x = kb.load(b, a, {strided, iv[2]});
-        Value* y = kb.load(b, bm, {iv[2], iv[1]});
-        kb.store(b, kb.mul(b, x, y), c, {iv[0], iv[1]});
-    });
-    return kb.takeModule();
-}
 
 FlowOptions
 strategyOptions(bool ia, bool ca)

@@ -4,13 +4,14 @@
 #   bench_fig1_lenet_dse   - the 24k-point LeNet DSE sweep (Figure 1 /
 #                            Table 2); its wall time is the headline
 #                            compiler-performance metric.
-#   bench_compile_time     - google-benchmark pipeline microbenchmarks
-#                            (Tables 7/8 compile-time columns).
+#   bench_service_traffic  - seeded mixed traffic through one DseService.
 #
 # Emits BENCH_dse.json (points/sec of the DSE sweep, the raw output
 # hash so result drift is detectable, and the active search strategy's
-# proposed/evaluated/coverage stats) and BENCH_compile_time.json (the
-# google-benchmark JSON report). Run from anywhere inside the repo.
+# proposed/evaluated/coverage stats) and BENCH_service.json (requests/sec,
+# latency and totality counters). Per-model compile time is measured by
+# the compile-zoo workload of benchmark/run.sh. Run from anywhere inside
+# the repo.
 #
 # HIDA_DSE_STRATEGY selects the sweep's search strategy (exhaustive,
 # the default, is the regression-gated trajectory; random/lhs/evolve
@@ -85,7 +86,7 @@ fi
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-    --target bench_fig1_lenet_dse bench_compile_time bench_service_traffic
+    --target bench_fig1_lenet_dse bench_service_traffic
 
 # ---- DSE sweep: wall time over the fixed 24,000-point grid ----------------
 # Two timed runs: serial (HIDA_BENCH_THREADS=1, the machine-comparable
@@ -176,17 +177,3 @@ cat > "$REPO_ROOT/BENCH_service.json.tmp" <<EOF
 EOF
 mv "$REPO_ROOT/BENCH_service.json.tmp" "$REPO_ROOT/BENCH_service.json"
 echo "Wrote BENCH_service.json"
-
-# ---- Pipeline compile-time microbenchmarks --------------------------------
-STAGED_TMPS+=("$REPO_ROOT/BENCH_compile_time.json.tmp")
-"$BUILD_DIR/bench_compile_time" \
-    --benchmark_format=json \
-    --benchmark_out="$REPO_ROOT/BENCH_compile_time.json.tmp" \
-    --benchmark_out_format=json > /dev/null
-# Record the run's thread configuration here too (the microbenchmarks are
-# single-threaded, but consumers diffing the two files should see one
-# consistent machine description).
-sed -i "0,/{/s//{\n  \"threads\": $THREADS,\n  \"hardware_concurrency\": $HW_CONCURRENCY,/" \
-    "$REPO_ROOT/BENCH_compile_time.json.tmp"
-mv "$REPO_ROOT/BENCH_compile_time.json.tmp" "$REPO_ROOT/BENCH_compile_time.json"
-echo "Wrote BENCH_dse.json and BENCH_compile_time.json"

@@ -106,7 +106,7 @@ addPrefixPasses(PassManager& pm, const FlowOptions& options)
 
 void
 addSuffixPasses(PassManager& pm, const FlowOptions& options,
-                QorEstimator* search)
+                ParallelizeSearch* search)
 {
     if (options.enableParallelization)
         pm.addPass(createParallelizePass(options, search));
@@ -192,9 +192,10 @@ compileAutoTuned(const std::function<OwnedModule()>& rebuild,
     const uint64_t prefix_hash = module.op()->subtreeHash();
 
     // Trials only write directive attributes through setAttr/removeAttr,
-    // so the structure epoch never moves and both estimators' memos and
-    // plans stay valid from trial to trial, as in a DSE sweep.
-    QorEstimator search(parallelizeSearchDevice());
+    // so the structure epoch never moves, and the memos and plans of the
+    // search and of the scorer stay valid from trial to trial, as in a
+    // DSE sweep.
+    ParallelizeSearch search;
     QorEstimator scorer(device);
     CompileResult best;
     bool have_best = false;

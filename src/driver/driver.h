@@ -71,11 +71,11 @@ void addPrefixPasses(PassManager& pm, const FlowOptions& options);
  * array-partition, pipeline-directives. It adds no ops; it writes only
  * the directive attributes stripSuffixDirectives() removes, so a module
  * can be stripped and run through it again in place.
- * @param search estimator for parallelize's per-node search (see
- *     createParallelizePass); null builds a cold one per run.
+ * @param search parallelize's search estimator and schedule plans (see
+ *     ParallelizeSearch); null builds a cold one per run.
  */
 void addSuffixPasses(PassManager& pm, const FlowOptions& options,
-                     QorEstimator* search = nullptr);
+                     ParallelizeSearch* search = nullptr);
 
 /**
  * Run the @p options pipeline on @p module in place — the prefix, then
@@ -117,11 +117,14 @@ bool scaleHlsSupports(ModuleOp module);
  * runs once on its module. Each trial then strips the previous trial's
  * directives in place (stripSuffixDirectives; the root's subtree hash
  * must come back to its post-prefix value, or the call panics), runs
- * the suffix and scores the result. One estimator serves parallelize's
- * search in every trial and a second scores every trial, so both stay
- * warm. Every trial equals a fresh compile() with the same options. The
- * result's compileSeconds sums the prefix once and every trial's
- * suffix. A @p max_pf below 1 is a fatal input error.
+ * the suffix and scores the result. One ParallelizeSearch serves every
+ * trial's parallelize and one estimator scores every trial, so both stay
+ * warm: each schedule's plan is built once per call, and a search
+ * candidate that an earlier trial estimated is a memo hit (the plan and
+ * bookkeeping rules in passes.h). Every trial equals a fresh compile()
+ * with the same options. The result's compileSeconds sums the prefix
+ * once and every trial's suffix. A @p max_pf below 1 is a fatal input
+ * error.
  */
 CompileResult
 compileAutoTuned(const std::function<OwnedModule()>& rebuild,

@@ -634,11 +634,11 @@ class EvolveStrategy : public SampledStrategy {
         auto upFn = [this](size_t p, std::vector<size_t>& o) {
             expandUpSingles(p, o);
         };
-        expandTier(front, order, cap, tier1Size(), expandedUp_, upFn,
+        expandTier(front, order, cap, upStepSize(), expandedUp_, upFn,
                    out);
         if (!out.empty())
             return;  // Expand the fresh front next generation.
-        expandTier(twins, torder, cap, tier1Size(), expandedUp_, upFn,
+        expandTier(twins, torder, cap, upStepSize(), expandedUp_, upFn,
                    out);
         if (!out.empty())
             return;
@@ -664,11 +664,11 @@ class EvolveStrategy : public SampledStrategy {
         auto diagFn = [this](size_t p, std::vector<size_t>& o) {
             expandUpDiag(p, o);
         };
-        expandTier(front, order, cap, tier2Size(), expandedDiag_,
+        expandTier(front, order, cap, diagonalSize(), expandedDiag_,
                    diagFn, out);
         if (!out.empty())
             return;
-        expandTier(twins, torder, cap, tier2Size(), expandedDiag_,
+        expandTier(twins, torder, cap, diagonalSize(), expandedDiag_,
                    diagFn, out);
         if (!out.empty())
             return;
@@ -677,11 +677,11 @@ class EvolveStrategy : public SampledStrategy {
         auto swapFn = [this](size_t p, std::vector<size_t>& o) {
             expandSwap(p, o);
         };
-        expandTier(front, order, cap, tier4Size(), expandedSwap_,
+        expandTier(front, order, cap, swapSize(), expandedSwap_,
                    swapFn, out);
         if (!out.empty())
             return;
-        expandTier(twins, torder, cap, tier4Size(), expandedSwap_,
+        expandTier(twins, torder, cap, swapSize(), expandedSwap_,
                    swapFn, out);
         if (!out.empty())
             return;
@@ -708,22 +708,15 @@ class EvolveStrategy : public SampledStrategy {
         }
     }
 
-    /** Worst-case probe count per single-axis expansion (tiers 1-2). */
+    /** Worst-case tier-1 probe count per expansion (+1 single-axis
+     * up-steps). */
     size_t
-    tier1Size() const
+    upStepSize() const
     {
         return mutableAxes_.size();
     }
 
-    /** Worst-case tier-4 probe count per expansion ((+1,+1) pairs). */
-    size_t
-    tier2Size() const
-    {
-        size_t m = mutableAxes_.size();
-        return m * (m - 1) / 2;
-    }
-
-    /** Worst-case tier-3 probe count per expansion (line scans). */
+    /** Worst-case tier-2 probe count per expansion (line scans). */
     size_t
     lineScanSize() const
     {
@@ -733,10 +726,19 @@ class EvolveStrategy : public SampledStrategy {
         return total;
     }
 
-    /** Worst-case tier-4 probe count per expansion (ordered (-1,+1)
+    /** Worst-case tier-3 probe count per expansion ((+1,+1) diagonal
      * pairs). */
     size_t
-    tier4Size() const
+    diagonalSize() const
+    {
+        size_t m = mutableAxes_.size();
+        return m * (m - 1) / 2;
+    }
+
+    /** Worst-case tier-4 probe count per expansion (ordered (-1,+1) swap
+     * pairs). */
+    size_t
+    swapSize() const
     {
         size_t m = mutableAxes_.size();
         return m * (m - 1);

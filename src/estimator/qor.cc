@@ -644,6 +644,13 @@ QorEstimator::recordIi(Operation* loop, int64_t ii)
         recorder->emplace_back(loop, ii);
 }
 
+void
+QorEstimator::replayIi(const MemoEntry& entry)
+{
+    for (const auto& [loop, ii] : entry.iiWrites)
+        recordIi(loop, ii);
+}
+
 int64_t
 QorEstimator::tileFramesOf(NodeOp node, uint64_t fp)
 {
@@ -659,10 +666,7 @@ QorEstimator::estimateNodeWithFp(NodeOp node, uint64_t fp)
 {
     if (auto it = memo_.find(fp); it != memo_.end()) {
         ++cacheStats_.hits;
-        // Re-apply the ii annotations this estimate produced (also logs
-        // them into any enclosing in-flight memo entry).
-        for (const auto& [loop, ii] : it->second.iiWrites)
-            recordIi(loop, ii);
+        replayIi(it->second);
         return it->second.qor;
     }
     ++cacheStats_.misses;
@@ -694,8 +698,7 @@ QorEstimator::estimateLoop(ForOp loop)
     uint64_t fp = directiveFingerprint(loop.op());
     if (auto it = memo_.find(fp); it != memo_.end()) {
         ++cacheStats_.hits;
-        for (const auto& [nest_loop, ii] : it->second.iiWrites)
-            recordIi(nest_loop, ii);
+        replayIi(it->second);
         return it->second.qor;
     }
     ++cacheStats_.misses;
@@ -837,6 +840,12 @@ QorEstimator::estimateSchedule(ScheduleOp schedule)
             entry.nodeFps[i] = fp;
             entry.nodeQors[i] = estimateNodeWithFp(node, fp);
             entry.tiles[i] = tileFramesOf(node, fp);
+        } else if (!iiRecorders_.empty()) {
+            // An enclosing estimate is recording: log this node's ii
+            // writes too, so replaying that entry restores all of them,
+            // even after something removed them (stripSuffixDirectives).
+            if (auto it = memo_.find(fp); it != memo_.end())
+                replayIi(it->second);
         }
         qor.res += entry.nodeQors[i].res;
         frames = std::max(frames, entry.tiles[i]);

@@ -323,7 +323,10 @@ class QorEstimator {
      * A memoized estimate plus the "ii" attributes the estimation wrote
      * (the emitter reads them as pipeline pragmas). A cache hit replays
      * the writes so the IR annotation matches the returned estimate even
-     * when another directive point was estimated in between.
+     * when another directive point was estimated in between. The writes
+     * include those of nested nodes a schedule skeleton reused without
+     * re-estimating them: estimateSchedule logs their memo entries' writes
+     * into every open entry.
      */
     struct MemoEntry {
         DesignQor qor;
@@ -332,6 +335,9 @@ class QorEstimator {
 
     /** Set a loop's "ii" attr and log it into every open memo entry. */
     void recordIi(Operation* loop, int64_t ii);
+    /** recordIi every write of @p entry: the annotation of a memo hit,
+     * also logged into any enclosing in-flight entry. */
+    void replayIi(const MemoEntry& entry);
 
     TargetDevice device_;
     std::unordered_map<uint64_t, MemoEntry> memo_;

@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "src/ir/printer.h"
 #include "src/support/diagnostics.h"
 
 namespace hida {
@@ -554,14 +553,6 @@ ParseResult
 parseModule(const std::string& text)
 {
     return Parser(text).run();
-}
-
-std::string
-reprint(Operation* op)
-{
-    ParseResult parsed = parseModule(toString(op));
-    HIDA_ASSERT(parsed, "round-trip parse failed: ", *parsed.error);
-    return toString(parsed.module.get().op());
 }
 
 } // namespace hida

@@ -31,9 +31,6 @@ struct ParseResult {
 /** Parse the printed form of a module (as produced by toString()). */
 ParseResult parseModule(const std::string& text);
 
-/** Round-trip helper for tests: print, re-parse, and re-print. */
-std::string reprint(Operation* op);
-
 } // namespace hida
 
 #endif // HIDA_IR_PARSER_H

@@ -388,4 +388,32 @@ buildPolybenchKernel(const std::string& name, int64_t size)
     HIDA_FATAL("unknown PolyBench kernel: ", name);
 }
 
+OwnedModule
+buildListing1()
+{
+    KernelBuilder kb("listing1");
+    // Locals (not function args) so the arrays become hida.buffer ops whose
+    // partitions Table 6 reports.
+    Value* a = kb.local({32, 16}, "A");
+    Value* bm = kb.local({16, 16}, "B");
+    Value* c = kb.local({16, 16}, "C");
+
+    // NODE0: load array A.
+    kb.nest({32, 16}, [&](OpBuilder& b, const Ivs& iv) {
+        kb.store(b, kb.constant(b, kb.element(), 1.0), a, {iv[0], iv[1]});
+    });
+    // NODE1: load array B.
+    kb.nest({16, 16}, [&](OpBuilder& b, const Ivs& iv) {
+        kb.store(b, kb.constant(b, kb.element(), 2.0), bm, {iv[0], iv[1]});
+    });
+    // NODE2: C[i][j] = A[i*2][k] * B[k][j].
+    kb.nest({16, 16, 16}, [&](OpBuilder& b, const Ivs& iv) {
+        Value* strided = kb.apply(b, {iv[0]}, {2});
+        Value* x = kb.load(b, a, {strided, iv[2]});
+        Value* y = kb.load(b, bm, {iv[2], iv[1]});
+        kb.store(b, kb.mul(b, x, y), c, {iv[0], iv[1]});
+    });
+    return kb.takeModule();
+}
+
 } // namespace hida

@@ -29,6 +29,14 @@ std::vector<std::string> polybenchKernelNames();
  */
 OwnedModule buildPolybenchKernel(const std::string& name, int64_t size = 64);
 
+/**
+ * The paper's Listing 1 micro-kernel (Tables 4-6): two producer nests
+ * writing the local arrays A[32][16] and B[16][16], then the strided
+ * consumer C[i][j] = A[2i][k] * B[k][j]. The arrays are locals, so they
+ * lower to hida.buffer ops.
+ */
+OwnedModule buildListing1();
+
 } // namespace hida
 
 #endif // HIDA_MODELS_POLYBENCH_H

@@ -13,10 +13,14 @@
  *
  * The IA/CA toggles and the uniform (ScaleHLS-style) mode implement the
  * Fig. 11 ablation arms.
+ *
+ * Steps (1) and (2), and each node's nests, form a schedule's plan, which
+ * a ParallelizeSearch keeps across runs on one module (see passes.h).
  */
 
 #include <algorithm>
 #include <optional>
+#include <unordered_map>
 
 #include "src/analysis/connection.h"
 #include "src/analysis/dataflow_graph.h"
@@ -29,28 +33,227 @@ namespace hida {
 
 namespace {
 
-/** Unroll factors currently applied to a node's band. */
-std::vector<int64_t>
-bandFactors(NodeOp node)
+/** The device the search estimates on. It only sets the external-interface
+ * constants of the search's estimates; use the largest profile. */
+TargetDevice
+searchDevice()
 {
-    std::vector<int64_t> factors;
-    for (ForOp loop : nodeBand(node))
-        factors.push_back(loop.unrollFactor());
-    return factors;
+    return TargetDevice::vu9pSlr();
 }
+
+Identifier
+parallelFactorId()
+{
+    static const Identifier id = Identifier::get("parallel_factor");
+    return id;
+}
+
+Identifier
+parallelizedId()
+{
+    static const Identifier id = Identifier::get("parallelized");
+    return id;
+}
+
+/** A loop band the search unrolls, with the ascending divisors of each
+ * level's trip count. */
+struct SearchBand {
+    std::vector<ForOp> loops;
+    std::vector<std::vector<int64_t>> divisors;
+
+    explicit SearchBand(std::vector<ForOp> band) : loops(std::move(band))
+    {
+        divisors.reserve(loops.size());
+        for (ForOp loop : loops)
+            divisors.push_back(divisorsOf(loop.tripCount()));
+    }
+
+    size_t size() const { return loops.size(); }
+    bool empty() const { return loops.empty(); }
+
+    /** Smallest divisor of level @p i's trip count above @p current, or 0. */
+    int64_t
+    nextDivisor(size_t i, int64_t current) const
+    {
+        auto it = std::upper_bound(divisors[i].begin(), divisors[i].end(),
+                                   current);
+        return it == divisors[i].end() ? 0 : *it;
+    }
+
+    /** Unroll factors currently applied. */
+    std::vector<int64_t>
+    factors() const
+    {
+        std::vector<int64_t> result;
+        result.reserve(loops.size());
+        for (ForOp loop : loops)
+            result.push_back(loop.unrollFactor());
+        return result;
+    }
+
+    void
+    apply(const std::vector<int64_t>& factors) const
+    {
+        for (size_t i = 0; i < loops.size(); ++i) {
+            ForOp loop = loops[i];
+            loop.setUnrollFactor(factors[i]);
+        }
+    }
+};
+
+/** A connection seen from one of its endpoints. */
+struct NodeLink {
+    size_t connection;  ///< Index into SchedulePlan::connections.
+    size_t other;       ///< Index of the other endpoint in the visit order.
+    bool isTarget;      ///< The node reads the connection's buffer.
+};
+
+/** What the search needs of one node. */
+struct NodePlan {
+    NodeOp node;
+    int64_t intensity;
+    /** The main band (nodeBand); empty for a hierarchical node. */
+    SearchBand band;
+    /** Nests searched after the band under the same budget. */
+    std::vector<SearchBand> secondaries;
+    /** The node's connections, in connection order. */
+    std::vector<NodeLink> links;
+};
+
+/** Everything parallelize derives under a schedule before it writes
+ * there (see ParallelizeSearch). */
+struct SchedulePlan {
+    uint64_t epoch = 0;
+    uint64_t hash = 0;
+    uint64_t builds = 0;
+    int64_t maxIntensity = 1;
+    std::vector<Connection> connections;
+    /** Step (2): connection count descending, intensity as tie-breaker. */
+    std::vector<NodePlan> nodes;
+};
+
+/** Steps (1) and (2), and each node's nests. */
+void
+buildPlan(ScheduleOp schedule, SchedulePlan& plan)
+{
+    DataflowGraph graph(schedule);
+    plan.connections = analyzeConnections(graph);
+    std::vector<NodeOp> nodes = graph.nodes();
+
+    // Step (1): intensity map.
+    std::unordered_map<Operation*, int64_t> intensity;
+    plan.maxIntensity = 1;
+    for (NodeOp node : nodes) {
+        intensity[node.op()] = nodeIntensity(node);
+        plan.maxIntensity =
+            std::max(plan.maxIntensity, intensity[node.op()]);
+    }
+
+    // Step (2): sort by connections desc, intensity as tie-breaker.
+    std::stable_sort(nodes.begin(), nodes.end(),
+                     [&](NodeOp a, NodeOp b) {
+                         int64_t ca = graph.connectionCount(a);
+                         int64_t cb = graph.connectionCount(b);
+                         if (ca != cb)
+                             return ca > cb;
+                         return intensity[a.op()] > intensity[b.op()];
+                     });
+
+    plan.nodes.clear();
+    std::unordered_map<Operation*, size_t> position;
+    for (NodeOp node : nodes) {
+        position[node.op()] = plan.nodes.size();
+        NodePlan& entry = plan.nodes.emplace_back(
+            NodePlan{node, intensity[node.op()], SearchBand(nodeBand(node)),
+                     {}, {}});
+        // Secondary nests (e.g. the init nest of a fused init+update
+        // pair, or a pooling nest fused behind a convolution). For a node
+        // with a main band the last nest *is* the band; hierarchical
+        // nodes treat every loose nest as secondary.
+        std::vector<ForOp> top = topLevelLoops(node.body());
+        size_t secondary_count =
+            entry.band.empty() ? top.size()
+                               : (top.empty() ? 0 : top.size() - 1);
+        for (size_t li = 0; li < secondary_count; ++li) {
+            std::vector<ForOp> secondary;
+            for (ForOp loop : perfectNest(top[li]))
+                if (!loop.op()->hasAttr(ForOp::tileLoopId()))
+                    secondary.push_back(loop);
+            if (!secondary.empty())
+                entry.secondaries.emplace_back(std::move(secondary));
+        }
+    }
+    for (size_t c = 0; c < plan.connections.size(); ++c) {
+        size_t source = position.at(plan.connections[c].source.op());
+        size_t target = position.at(plan.connections[c].target.op());
+        plan.nodes[target].links.push_back({c, source, true});
+        if (source != target)
+            plan.nodes[source].links.push_back({c, target, false});
+    }
+}
+
+} // namespace
+
+struct ParallelizeSearch::State {
+    QorEstimator estimator{searchDevice()};
+    std::unordered_map<const Operation*, SchedulePlan> plans;
+    uint64_t planBuilds = 0;
+
+    /** @p schedule's plan, rebuilt unless the epoch and the schedule's
+     * subtree hash both match the ones it was built under. */
+    const SchedulePlan&
+    planFor(ScheduleOp schedule)
+    {
+        SchedulePlan& plan = plans[schedule.op()];
+        const uint64_t epoch = schedule.op()->structureEpoch();
+        const uint64_t hash = schedule.op()->subtreeHash();
+        if (plan.builds == 0 || plan.epoch != epoch || plan.hash != hash) {
+            buildPlan(schedule, plan);
+            plan.epoch = epoch;
+            plan.hash = hash;
+            ++plan.builds;
+            ++planBuilds;
+        }
+        return plan;
+    }
+};
+
+ParallelizeSearch::ParallelizeSearch() : state_(std::make_unique<State>()) {}
+
+ParallelizeSearch::~ParallelizeSearch() = default;
+
+QorCacheStats
+ParallelizeSearch::cacheStats() const
+{
+    return state_->estimator.cacheStats();
+}
+
+uint64_t
+ParallelizeSearch::planBuilds() const
+{
+    return state_->planBuilds;
+}
+
+uint64_t
+ParallelizeSearch::planBuilds(const Operation* schedule) const
+{
+    auto it = state_->plans.find(schedule);
+    return it == state_->plans.end() ? 0 : it->second.builds;
+}
+
+namespace {
 
 class Parallelizer {
   public:
-    Parallelizer(FlowOptions options, QorEstimator& estimator)
-        : options_(options), estimator_(estimator) {}
+    Parallelizer(FlowOptions options, ParallelizeSearch::State& search)
+        : options_(options), search_(search) {}
 
     void
     runOnSchedule(ScheduleOp schedule)
     {
-        DataflowGraph graph(schedule);
-        std::vector<Connection> connections = analyzeConnections(graph);
-        std::vector<NodeOp> nodes = graph.nodes();
-        if (nodes.empty())
+        // The plan is read before the first write under the schedule.
+        const SchedulePlan& plan = search_.planFor(schedule);
+        if (plan.nodes.empty())
             return;
 
         // Hierarchical budget: a nested schedule inherits the parallel
@@ -58,77 +261,39 @@ class Parallelizer {
         // level by level (the hierarchical optimization of Section 6).
         int64_t budget = options_.maxParallelFactor;
         if (Operation* parent = schedule.op()->parentOfName(NodeOp::kOpName))
-            budget = parent->intAttrOr("parallel_factor", budget);
-
-        // Step (1): intensity map.
-        std::map<Operation*, int64_t> intensity;
-        int64_t max_intensity = 1;
-        for (NodeOp node : nodes) {
-            intensity[node.op()] = nodeIntensity(node);
-            max_intensity = std::max(max_intensity, intensity[node.op()]);
-        }
-
-        // Step (2): sort by connections desc, intensity as tie-breaker.
-        std::stable_sort(nodes.begin(), nodes.end(),
-                         [&](NodeOp a, NodeOp b) {
-                             int64_t ca = graph.connectionCount(a);
-                             int64_t cb = graph.connectionCount(b);
-                             if (ca != cb)
-                                 return ca > cb;
-                             return intensity[a.op()] > intensity[b.op()];
-                         });
+            budget = parent->intAttrOr(parallelFactorId(), budget);
 
         // Step (4) in order; step (3) factor computed per node.
-        for (NodeOp node : nodes) {
+        QorEstimator& est = search_.estimator;
+        for (const NodePlan& entry : plan.nodes) {
             int64_t pf = budget;
             if (options_.strategy.intensityAware &&
                 !options_.uniformParallelization) {
-                double share = static_cast<double>(intensity[node.op()]) /
-                               static_cast<double>(max_intensity);
+                double share = static_cast<double>(entry.intensity) /
+                               static_cast<double>(plan.maxIntensity);
                 pf = std::max<int64_t>(
                     1, static_cast<int64_t>(std::llround(budget * share)));
             }
-            node.op()->setIntAttr("parallel_factor", pf);
 
-            QorEstimator& est = estimator_;
-            std::vector<ForOp> band = nodeBand(node);
-            if (!band.empty()) {
+            NodeOp node = entry.node;
+            auto oracle = [&est, node]() { return est.estimateNode(node); };
+            if (!entry.band.empty()) {
                 std::vector<std::vector<int64_t>> constraints;
                 if (options_.strategy.connectionAware &&
                     !options_.uniformParallelization)
-                    constraints = gatherConstraints(node, band, connections);
-                std::vector<int64_t> factors = exploreBand(
-                    band, pf, constraints,
-                    [&est, node]() { return est.estimateNode(node); });
-                for (size_t i = 0; i < band.size(); ++i)
-                    band[i].setUnrollFactor(factors[i]);
+                    constraints = gatherConstraints(plan, entry);
+                exploreBand(entry.band, pf, constraints, oracle);
             }
             // A hierarchical node's nested schedule consumes the budget
-            // when it is visited (top-down walk).
+            // when it is visited (top-down walk). Secondary nests get an
+            // unconstrained DSE under the same node budget.
+            for (const SearchBand& secondary : entry.secondaries)
+                exploreBand(secondary, pf, {}, oracle);
 
-            // Secondary nests (e.g. the init nest of a fused init+update
-            // pair, or a pooling nest fused behind a convolution) get an
-            // unconstrained DSE under the same node budget. For a node
-            // with a main band the last nest *is* the band; hierarchical
-            // nodes treat every loose nest as secondary.
-            std::vector<ForOp> top = topLevelLoops(node.body());
-            size_t secondary_count =
-                band.empty() ? top.size()
-                             : (top.empty() ? 0 : top.size() - 1);
-            for (size_t li = 0; li < secondary_count; ++li) {
-                std::vector<ForOp> secondary;
-                for (ForOp loop : perfectNest(top[li]))
-                    if (!loop.op()->hasAttr("tile_loop"))
-                        secondary.push_back(loop);
-                if (secondary.empty())
-                    continue;
-                std::vector<int64_t> sec_factors = exploreBand(
-                    secondary, pf, {},
-                    [&est, node]() { return est.estimateNode(node); });
-                for (size_t i = 0; i < secondary.size(); ++i)
-                    secondary[i].setUnrollFactor(sec_factors[i]);
-            }
-            node.op()->setAttr("parallelized", Attribute::unit());
+            // Written only now, so no candidate's memo key carries the
+            // budget (the bookkeeping rule in passes.h).
+            node.op()->setIntAttr(parallelFactorId(), pf);
+            node.op()->setAttr(parallelizedId(), Attribute::unit());
         }
     }
 
@@ -136,19 +301,17 @@ class Parallelizer {
     void
     runOnStandaloneLoops(FuncOp func)
     {
-        QorEstimator& est = estimator_;
+        QorEstimator& est = search_.estimator;
         for (ForOp top : topLevelLoops(func.body())) {
             std::vector<ForOp> band;
             for (ForOp loop : perfectNest(top))
-                if (!loop.op()->hasAttr("tile_loop"))
+                if (!loop.op()->hasAttr(ForOp::tileLoopId()))
                     band.push_back(loop);
             if (band.empty())
                 continue;
-            std::vector<int64_t> factors =
-                exploreBand(band, options_.maxParallelFactor, {},
-                            [&est, top]() { return est.estimateLoop(top); });
-            for (size_t i = 0; i < band.size(); ++i)
-                band[i].setUnrollFactor(factors[i]);
+            exploreBand(SearchBand(std::move(band)),
+                        options_.maxParallelFactor, {},
+                        [&est, top]() { return est.estimateLoop(top); });
         }
     }
 
@@ -156,21 +319,17 @@ class Parallelizer {
     /** Alg. 4 lines 1-8: permute+scale neighbours' factors into this
      * node's band indexing. A zero entry means "unconstrained". */
     std::vector<std::vector<int64_t>>
-    gatherConstraints(NodeOp node, const std::vector<ForOp>& band,
-                      const std::vector<Connection>& connections)
+    gatherConstraints(const SchedulePlan& plan, const NodePlan& entry)
     {
         std::vector<std::vector<int64_t>> result;
-        for (const Connection& conn : connections) {
-            bool node_is_target = conn.target.op() == node.op();
-            bool node_is_source = conn.source.op() == node.op();
-            if (!node_is_target && !node_is_source)
+        for (const NodeLink& link : entry.links) {
+            const NodePlan& other = plan.nodes[link.other];
+            if (!other.node.op()->hasAttr(parallelizedId()))
                 continue;
-            NodeOp other = node_is_target ? conn.source : conn.target;
-            if (!other.op()->hasAttr("parallelized"))
-                continue;
-            std::vector<int64_t> other_factors = bandFactors(other);
-            std::vector<int64_t> constraint(band.size(), 0);
-            if (node_is_target) {
+            const Connection& conn = plan.connections[link.connection];
+            std::vector<int64_t> other_factors = other.band.factors();
+            std::vector<int64_t> constraint(entry.band.size(), 0);
+            if (link.isTarget) {
                 // constraint[t] = factors_src[perm] * scaleSToT[perm].
                 for (size_t t = 0; t < conn.permSToT.size() &&
                                    t < constraint.size(); ++t) {
@@ -219,18 +378,15 @@ class Parallelizer {
     /** Alg. 4 lines 10-24: bounded greedy hill-climbing DSE. Each round
      * proposes one refinement per band level (multiplying its factor up to
      * the next divisor of the trip count); the QoR @p oracle evaluates and
-     * the Pareto-best (latency, then DSP) survivor evolves the search. */
-    std::vector<int64_t>
-    exploreBand(const std::vector<ForOp>& band, int64_t pf,
+     * the Pareto-best (latency, then DSP) survivor evolves the search. The
+     * best factors are left applied. */
+    void
+    exploreBand(const SearchBand& band, int64_t pf,
                 const std::vector<std::vector<int64_t>>& constraints,
                 const std::function<DesignQor()>& oracle)
     {
-        auto apply = [&](const std::vector<int64_t>& factors) {
-            for (size_t i = 0; i < band.size(); ++i)
-                const_cast<ForOp&>(band[i]).setUnrollFactor(factors[i]);
-        };
         auto evaluate = [&](const std::vector<int64_t>& factors) {
-            apply(factors);
+            band.apply(factors);
             return oracle();
         };
         auto better = [](const DesignQor& a, const DesignQor& b) {
@@ -241,13 +397,6 @@ class Parallelizer {
             return a.res.bram18k < b.res.bram18k;
         };
 
-        auto next_divisor = [&](size_t i, int64_t current) -> int64_t {
-            for (int64_t d : divisorsOf(band[i].tripCount()))
-                if (d > current)
-                    return d;
-            return 0;
-        };
-
         // Hill-climbing refinement from a seed (Alg. 4's evolve loop).
         auto climb = [&](std::vector<int64_t> seed) {
             DesignQor seed_qor = evaluate(seed);
@@ -255,7 +404,7 @@ class Parallelizer {
             for (int round = 0; round < kMaxRounds; ++round) {
                 bool improved = false;
                 for (size_t i = 0; i < band.size(); ++i) {
-                    int64_t next = next_divisor(i, seed[i]);
+                    int64_t next = band.nextDivisor(i, seed[i]);
                     if (next == 0)
                         continue;
                     std::vector<int64_t> candidate = seed;
@@ -286,15 +435,16 @@ class Parallelizer {
                 int best_dim = -1;
                 double best_gain = 0.0;
                 for (size_t i = 0; i < band.size(); ++i) {
-                    int64_t next = next_divisor(i, greedy[i]);
+                    int64_t next = band.nextDivisor(i, greedy[i]);
                     if (next == 0)
                         continue;
                     std::vector<int64_t> candidate = greedy;
                     candidate[i] = next;
                     if (!isValid(candidate, pf, constraints))
                         continue;
-                    double gain = static_cast<double>(band[i].tripCount()) /
-                                  static_cast<double>(greedy[i]);
+                    double gain =
+                        static_cast<double>(band.loops[i].tripCount()) /
+                        static_cast<double>(greedy[i]);
                     if (gain > best_gain) {
                         best_gain = gain;
                         best_dim = static_cast<int>(i);
@@ -302,9 +452,8 @@ class Parallelizer {
                 }
                 if (best_dim < 0)
                     break;
-                greedy[best_dim] =
-                    next_divisor(static_cast<size_t>(best_dim),
-                                 greedy[best_dim]);
+                greedy[best_dim] = band.nextDivisor(
+                    static_cast<size_t>(best_dim), greedy[best_dim]);
             }
             seeds.push_back(std::move(greedy));
         }
@@ -312,7 +461,7 @@ class Parallelizer {
             std::vector<int64_t> seed(band.size(), 1);
             for (size_t i = 0; i < seed.size(); ++i)
                 if (constraint[i] != 0)
-                    seed[i] = largestDivisorUpTo(band[i].tripCount(),
+                    seed[i] = largestDivisorUpTo(band.loops[i].tripCount(),
                                                  constraint[i]);
             if (isValid(seed, pf, constraints))
                 seeds.push_back(std::move(seed));
@@ -327,28 +476,29 @@ class Parallelizer {
                 best_qor = qor;
             }
         }
-        apply(best);
-        return best;
+        band.apply(best);
     }
 
     FlowOptions options_;
-    QorEstimator& estimator_;
+    ParallelizeSearch::State& search_;
 };
+
+} // namespace
 
 class ParallelizePass : public Pass {
   public:
-    ParallelizePass(FlowOptions options, QorEstimator* estimator)
-        : Pass("parallelize"), options_(options), estimator_(estimator) {}
+    ParallelizePass(FlowOptions options, ParallelizeSearch* search)
+        : Pass("parallelize"), options_(options), search_(search) {}
 
     void
     runOnModule(ModuleOp module) override
     {
         if (!options_.enableParallelization)
             return;
-        std::optional<QorEstimator> cold;
-        if (estimator_ == nullptr)
-            cold.emplace(parallelizeSearchDevice());
-        Parallelizer parallelizer(options_, cold ? *cold : *estimator_);
+        std::optional<ParallelizeSearch> cold;
+        ParallelizeSearch& search =
+            search_ != nullptr ? *search_ : cold.emplace();
+        Parallelizer parallelizer(options_, *search.state_);
         // Top-down: outer schedules assign per-node budgets before the
         // nested schedules distribute them.
         std::vector<Operation*> schedules;
@@ -370,23 +520,13 @@ class ParallelizePass : public Pass {
 
   private:
     FlowOptions options_;
-    QorEstimator* estimator_;
+    ParallelizeSearch* search_;
 };
 
-} // namespace
-
 std::unique_ptr<Pass>
-createParallelizePass(FlowOptions options, QorEstimator* estimator)
+createParallelizePass(FlowOptions options, ParallelizeSearch* search)
 {
-    return std::make_unique<ParallelizePass>(options, estimator);
-}
-
-TargetDevice
-parallelizeSearchDevice()
-{
-    // The device only sets the external-interface constants of the
-    // search's estimates; use the largest profile.
-    return TargetDevice::vu9pSlr();
+    return std::make_unique<ParallelizePass>(options, search);
 }
 
 } // namespace hida

@@ -15,8 +15,7 @@
 
 namespace hida {
 
-class QorEstimator;
-struct TargetDevice;
+struct QorCacheStats;
 
 /** Parallelization strategy for the Fig. 11 ablation. */
 struct ParallelStrategy {
@@ -68,17 +67,55 @@ std::unique_ptr<Pass> createMultiProducerElimPass();
 std::unique_ptr<Pass> createBalanceDataPathsPass(FlowOptions options);
 
 /**
+ * What parallelize keeps from one run to the next on one module: the
+ * estimator its per-node search scores candidates with, and one plan per
+ * schedule. A plan holds everything parallelize derives under a schedule
+ * before it first writes there: the nodes in visit order (connection
+ * count, then intensity), each node's intensity, its band and secondary
+ * nests with the divisors of their trip counts, and the schedule's
+ * connections (Table 4).
+ *
+ * Plan rule: a plan reads only IR under its schedule, and is reused while
+ * the structure epoch and the schedule's subtree hash at visit time both
+ * match the values it was built under. Parallelize writes nothing under a
+ * schedule before it visits it, so once stripSuffixDirectives() has
+ * undone a run, the next run reuses every plan.
+ *
+ * Bookkeeping rule: parallelize writes no hashed key on a node before
+ * that node's search ends; "parallel_factor" and "parallelized" land
+ * together after it. A candidate's memo key therefore does not depend on
+ * the run's maxParallelFactor, and later runs hit the estimates of
+ * earlier ones.
+ */
+class ParallelizeSearch {
+  public:
+    ParallelizeSearch();
+    ~ParallelizeSearch();
+    ParallelizeSearch(const ParallelizeSearch&) = delete;
+    ParallelizeSearch& operator=(const ParallelizeSearch&) = delete;
+
+    /** The search estimator's counters (QorEstimator::cacheStats). */
+    QorCacheStats cacheStats() const;
+    /** Plans built since construction, over all schedules. */
+    uint64_t planBuilds() const;
+    /** Plans built since construction for @p schedule. */
+    uint64_t planBuilds(const Operation* schedule) const;
+
+    struct State;
+
+  private:
+    friend class ParallelizePass;
+    std::unique_ptr<State> state_;
+};
+
+/**
  * Section 6.5 / Algorithm 4: IA+CA dataflow parallelization.
- * @param estimator scores the per-node search and must estimate on
- *     parallelizeSearchDevice(); null builds a cold one per run. One
- *     estimator may serve several runs on the same module
- *     (compileAutoTuned's trials), and stays warm across them.
+ * @param search the search estimator and schedule plans to run on; one
+ *     may serve several runs on the same module (compileAutoTuned's
+ *     trials) and stays warm across them. Null builds a cold one per run.
  */
 std::unique_ptr<Pass> createParallelizePass(FlowOptions options,
-                                            QorEstimator* estimator = nullptr);
-
-/** The device parallelize's per-node search estimates on. */
-TargetDevice parallelizeSearchDevice();
+                                            ParallelizeSearch* search = nullptr);
 
 /** Derive array partitions from unroll factors (Table 6). */
 std::unique_ptr<Pass> createArrayPartitionPass(FlowOptions options);

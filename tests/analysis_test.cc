@@ -11,34 +11,11 @@
 #include "src/analysis/dataflow_graph.h"
 #include "src/analysis/memory_effects.h"
 #include "src/driver/driver.h"
-#include "src/frontend/loop_builder.h"
 #include "src/ir/verifier.h"
+#include "src/models/polybench.h"
 
 namespace hida {
 namespace {
-
-/** The paper's Listing 1 (two loads + strided matmul-like consumer). */
-OwnedModule
-buildListing1()
-{
-    KernelBuilder kb("listing1");
-    Value* a = kb.local({32, 16}, "A");
-    Value* bm = kb.local({16, 16}, "B");
-    Value* c = kb.local({16, 16}, "C");
-    kb.nest({32, 16}, [&](OpBuilder& b, const std::vector<Value*>& iv) {
-        kb.store(b, kb.constant(b, kb.element(), 1.0), a, {iv[0], iv[1]});
-    });
-    kb.nest({16, 16}, [&](OpBuilder& b, const std::vector<Value*>& iv) {
-        kb.store(b, kb.constant(b, kb.element(), 2.0), bm, {iv[0], iv[1]});
-    });
-    kb.nest({16, 16, 16}, [&](OpBuilder& b, const std::vector<Value*>& iv) {
-        Value* strided = kb.apply(b, {iv[0]}, {2});
-        Value* x = kb.load(b, a, {strided, iv[2]});
-        Value* y = kb.load(b, bm, {iv[2], iv[1]});
-        kb.store(b, kb.mul(b, x, y), c, {iv[0], iv[1]});
-    });
-    return kb.takeModule();
-}
 
 /** Lower Listing 1 to Structural dataflow without parallelizing. */
 OwnedModule

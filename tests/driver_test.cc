@@ -3,11 +3,14 @@
  * Driver tests: compileAutoTuned runs the prefix once and every
  * parallel-factor trial in place on one module, with warm estimators.
  * Each search must end on exactly the result the plain search reaches
- * by rebuilding the model and calling compile() for every trial.
+ * by rebuilding the model and calling compile() for every trial. The
+ * trial loop, mirrored through the public pieces, pins how often
+ * parallelize's search misses the memo and builds a schedule plan.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <future>
@@ -182,6 +185,97 @@ TEST(CompileAutoTunedTest, UnboundedFactorStopsOnRegressions)
     EXPECT_GT(result.effectiveThroughput, 0.0);
     FreshTrials fresh(design, options);
     EXPECT_EQ(fields(result), fields(referenceAutoTuned(fresh, max_pf)));
+}
+
+/** The driver's score: throughput degraded by the worst overload. */
+double
+effectiveThroughput(const DesignQor& qor, const TargetDevice& device)
+{
+    double overload = 0.0;
+    if (device.dsp > 0)
+        overload = std::max(overload, static_cast<double>(qor.res.dsp) /
+                                          device.dsp);
+    if (device.bram18k > 0)
+        overload = std::max(overload, static_cast<double>(qor.res.bram18k) /
+                                          device.bram18k);
+    if (device.lut > 0)
+        overload = std::max(overload, static_cast<double>(qor.res.lut) /
+                                          device.lut);
+    double throughput = qor.throughput(device);
+    return overload > 1.0 ? throughput / overload : throughput;
+}
+
+TEST(ParallelizeSearchTest, TrialLoopCountsPinned)
+{
+    // compileAutoTuned's trial loop through the public pieces, on the
+    // compile-zoo configuration. One ParallelizeSearch serves every
+    // trial: each schedule's plan is built once per call, and a
+    // candidate's memo key carries no budget, so the misses left are
+    // about the distinct (band, factors) candidates. With a fresh search
+    // estimator per call and the budget in every key, a round of the six
+    // models missed 7304 times and ran about 920 graph and connection
+    // analyses.
+    struct Expected {
+        std::string model;
+        uint64_t misses;
+        uint64_t plans;
+    };
+    const Expected expected[] = {
+        {"ResNet-18", 749, 22}, {"MobileNet", 851, 29}, {"ZFNet", 342, 9},
+        {"VGG-16", 572, 17},    {"YOLO", 369, 10},      {"MLP", 108, 5},
+    };
+    const TargetDevice device = TargetDevice::vu9pSlr();
+    const FlowOptions base = optionsFor(Flow::kHida);
+    const int64_t max_pf = 512;
+    for (const Expected& e : expected) {
+        SCOPED_TRACE(e.model);
+        OwnedModule owned = buildDnnModel(e.model);
+        ModuleOp module = owned.get();
+        PassManager prefix(/*verify_each=*/true);
+        addPrefixPasses(prefix, base);
+        prefix.run(module);
+        const uint64_t prefix_hash = module.op()->subtreeHash();
+
+        ParallelizeSearch search;
+        QorEstimator scorer(device);
+        DesignQor best;
+        double best_throughput = 0.0;
+        int regressions = 0;
+        int trials = 0;
+        for (int64_t pf = 1;; pf *= 2) {
+            if (pf > 1) {
+                stripSuffixDirectives(module);
+                ASSERT_EQ(module.op()->subtreeHash(), prefix_hash);
+            }
+            FlowOptions options = base;
+            options.maxParallelFactor = pf;
+            PassManager suffix(/*verify_each=*/true);
+            addSuffixPasses(suffix, options, &search);
+            suffix.run(module);
+            ++trials;
+            DesignQor qor = scorer.estimateFunc(topFunc(module));
+            double throughput = effectiveThroughput(qor, device);
+            if (trials == 1 || throughput > best_throughput * 1.02) {
+                best = qor;
+                best_throughput = throughput;
+                regressions = 0;
+            } else if (++regressions >= 3) {
+                break;
+            }
+            if (pf > max_pf / 2)
+                break;
+        }
+        EXPECT_EQ(trials, 10);
+        EXPECT_EQ(search.cacheStats().misses, e.misses);
+        EXPECT_EQ(search.planBuilds(), e.plans);
+
+        // The mirror ends where compileAutoTuned ends.
+        auto rebuild = [&e] { return buildDnnModel(e.model); };
+        CompileResult tuned = compileAutoTuned(rebuild, base, device, max_pf);
+        EXPECT_EQ(best.latencyCycles, tuned.qor.latencyCycles);
+        EXPECT_EQ(bits(best.intervalCycles), bits(tuned.qor.intervalCycles));
+        EXPECT_EQ(bits(best_throughput), bits(tuned.effectiveThroughput));
+    }
 }
 
 TEST(CompileAutoTunedDeathTest, FactorBelowOneIsFatal)

@@ -16,7 +16,6 @@
 #include "src/dialect/nn/nn_ops.h"
 #include "src/driver/driver.h"
 #include "src/emitter/hls_emitter.h"
-#include "src/frontend/loop_builder.h"
 #include "src/frontend/torch_builder.h"
 #include "src/ir/verifier.h"
 #include "src/models/dnn_models.h"
@@ -245,29 +244,6 @@ TEST(GoldenQorTest, AutoTunedZooNumbersPinned)
     compareWithGolden("qor_autotuned_zoo.golden", actual);
 }
 
-/** Listing 1 (Tables 4/6): two producer nests and one strided consumer. */
-OwnedModule
-buildListing1Kernel()
-{
-    KernelBuilder kb("listing1");
-    Value* a = kb.local({32, 16}, "A");
-    Value* bm = kb.local({16, 16}, "B");
-    Value* c = kb.local({16, 16}, "C");
-    kb.nest({32, 16}, [&](OpBuilder& b, const std::vector<Value*>& iv) {
-        kb.store(b, kb.constant(b, kb.element(), 1.0), a, {iv[0], iv[1]});
-    });
-    kb.nest({16, 16}, [&](OpBuilder& b, const std::vector<Value*>& iv) {
-        kb.store(b, kb.constant(b, kb.element(), 2.0), bm, {iv[0], iv[1]});
-    });
-    kb.nest({16, 16, 16}, [&](OpBuilder& b, const std::vector<Value*>& iv) {
-        Value* strided = kb.apply(b, {iv[0]}, {2});
-        Value* x = kb.load(b, a, {strided, iv[2]});
-        Value* y = kb.load(b, bm, {iv[2], iv[1]});
-        kb.store(b, kb.mul(b, x, y), c, {iv[0], iv[1]});
-    });
-    return kb.takeModule();
-}
-
 TEST(GoldenQorTest, Listing1Table4NumbersPinned)
 {
     // Pins both flows on the Listing 1 micro-kernel (each array has a
@@ -276,7 +252,7 @@ TEST(GoldenQorTest, Listing1Table4NumbersPinned)
     // idempotent on resources.
     std::string actual;
     for (Flow flow : {Flow::kHida, Flow::kScaleHls}) {
-        OwnedModule module = buildListing1Kernel();
+        OwnedModule module = buildListing1();
         FlowOptions options = optionsFor(flow);
         options.enableTiling = false;
         options.enableParallelization = false;
