@@ -13,7 +13,9 @@
 #   Phase C  a restarted process on the same store serves the identical
 #            workload warm: the store hit rate must exceed 50% (phase A
 #            already paid for every point, so a healthy store serves
-#            nearly everything from disk).
+#            nearly everything from disk), and it must load the store
+#            without a `store-corrupt` diagnostic (a graceful drain
+#            leaves no torn append behind).
 #   Phase D  determinism: the same workload is replayed at request
 #            concurrency 1, 2 and 4 — clean and under fault injection —
 #            and the bench's response_digest (an order-independent fold
@@ -90,7 +92,14 @@ fi
 # ---- Phase C: restart, warm store -----------------------------------------
 echo "== phase C: restarted process, warm store =="
 HIDA_QOR_STORE="$STORE" HIDA_SERVICE_REQUESTS="$REQUESTS" \
-    HIDA_SERVICE_STATS="$WORK/c.json" "$BENCH"
+    HIDA_SERVICE_STATS="$WORK/c.json" "$BENCH" 2> "$WORK/c.err" ||
+    { cat "$WORK/c.err" >&2; exit 1; }
+cat "$WORK/c.err" >&2
+if grep -q 'store-corrupt' "$WORK/c.err"; then
+    echo "FAIL: the restarted process found a corrupt store after the" \
+         "graceful drain" >&2
+    exit 1
+fi
 
 # The acceptance bar: a restart on the surviving store must warm-start
 # with a hit rate above 0.5.

@@ -1,203 +1,67 @@
 #include "src/dse/journal.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <cstring>
-
-#include "src/support/utils.h"
+#include <vector>
 
 namespace hida {
 
 namespace {
 
-/** Format: magic+version pin the record layout; bump on any change. */
-constexpr char kMagic[8] = {'H', 'I', 'D', 'A', 'J', 'R', 'N', '1'};
-constexpr uint32_t kVersion = 1;
-
-struct Header {
-    char magic[8];
-    uint32_t version;
-    uint32_t payloadSize;
-    uint64_t gridHash;
-};
-static_assert(sizeof(Header) == 24, "journal header layout drifted");
-
-/** Checksum over one record's (index, fingerprint, payload bytes). */
-uint64_t
-recordChecksum(uint64_t index, uint64_t fingerprint, const uint8_t* payload,
-               size_t payload_size)
-{
-    uint64_t h = hashCombine(hashMix(index), fingerprint);
-    for (size_t i = 0; i < payload_size; ++i)
-        h = hashCombine(h, payload[i]);
-    return h;
-}
+/** Version 2 moved the fingerprint into the checksummed payload; a
+ * version 1 journal reads as a mismatch. */
+constexpr RecordLog::Format kFormat = {"sweep journal", "HIDAJRN1", 2};
 
 } // namespace
 
 std::optional<Diagnostic>
-SweepJournal::open(std::string path, uint64_t grid_hash, size_t payload_size,
-                   size_t batch_records)
+SweepJournal::open(std::string path, uint64_t grid_hash, size_t payload_size)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    path_ = std::move(path);
-    gridHash_ = grid_hash;
     payloadSize_ = payload_size;
-    batchRecords_ = batch_records == 0 ? 1 : batch_records;
-    dirtySinceFlush_ = 0;
-    loadStats_ = LoadStats();
-    records_.clear();
-
-    // Hygiene: a crash between the snapshot write and the rename leaves
-    // a stale "<path>.tmp" behind forever — <path> itself is always the
-    // trusted complete journal (rename is atomic), so the orphan is
-    // either a torn partial or a duplicate. Drop it on open so crashed
-    // runs do not accumulate junk next to the journal.
-    std::remove((path_ + ".tmp").c_str());
-
-    std::FILE* file = std::fopen(path_.c_str(), "rb");
-    if (file == nullptr)
-        return std::nullopt;  // fresh journal
-
-    Header header;
-    bool header_ok =
-        std::fread(&header, sizeof(header), 1, file) == 1 &&
-        std::memcmp(header.magic, kMagic, sizeof(kMagic)) == 0 &&
-        header.version == kVersion &&
-        header.payloadSize == static_cast<uint32_t>(payloadSize_) &&
-        header.gridHash == gridHash_;
-    if (!header_ok) {
-        std::fclose(file);
-        loadStats_.headerMismatch = true;
+    const size_t record_payload = sizeof(uint64_t) + payload_size;
+    const RecordLog::LoadStats& stats =
+        log_.open(std::move(path), kFormat, record_payload, grid_hash);
+    if (stats.headerMismatch)
         return Diagnostic(
             ErrorCode::kJournalMismatch,
-            strCat("journal '", path_,
-                   "' belongs to a different sweep (or is not a journal); "
-                   "starting fresh"),
+            strCat("journal '", log_.path(),
+                   "' belongs to a different sweep or journal version (or "
+                   "is not a journal); starting fresh"),
             "sweep journal");
-    }
-
-    // Adopt intact records; stop at the first checksum/short-read
-    // failure (truncate-to-last-good: a crash mid-append or bit rot
-    // costs only the tail, never the run).
-    std::vector<uint8_t> payload(payloadSize_);
-    for (;;) {
-        uint64_t fields[2];  // index, fingerprint
-        if (std::fread(fields, sizeof(fields), 1, file) != 1) {
-            // Clean EOF only if no partial bytes remained.
-            break;
-        }
-        uint64_t checksum = 0;
-        if (std::fread(payload.data(), 1, payloadSize_, file) !=
-                payloadSize_ ||
-            std::fread(&checksum, sizeof(checksum), 1, file) != 1) {
-            ++loadStats_.droppedCorrupt;
-            break;
-        }
-        if (recordChecksum(fields[0], fields[1], payload.data(),
-                           payloadSize_) != checksum) {
-            ++loadStats_.droppedCorrupt;
-            break;
-        }
-        Record& rec = records_[fields[0]];
-        rec.fingerprint = fields[1];
-        rec.payload = payload;
-        ++loadStats_.restored;
-    }
-    std::fclose(file);
-
-    if (loadStats_.droppedCorrupt > 0)
+    if (stats.droppedCorrupt > 0)
         return Diagnostic(
             ErrorCode::kJournalCorrupt,
-            strCat("journal '", path_, "' has a corrupt tail; kept ",
-                   loadStats_.restored,
-                   " intact records and dropped the rest"),
+            strCat("journal '", log_.path(), "' has a corrupt tail; kept ",
+                   stats.restored, " intact records and dropped the rest"),
             "sweep journal");
     return std::nullopt;
-}
-
-size_t
-SweepJournal::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_.size();
 }
 
 bool
 SweepJournal::restore(size_t index, uint64_t expected_fp, void* out) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = records_.find(index);
-    if (it == records_.end() || it->second.fingerprint != expected_fp)
-        return false;
-    std::memcpy(out, it->second.payload.data(), payloadSize_);
-    return true;
+    return log_.read(index, [&](const uint8_t* record) {
+        if (record == nullptr)
+            return false;
+        uint64_t fingerprint = 0;
+        std::memcpy(&fingerprint, record, sizeof(fingerprint));
+        if (fingerprint != expected_fp)
+            return false;
+        std::memcpy(out, record + sizeof(fingerprint), payloadSize_);
+        return true;
+    });
 }
 
 void
 SweepJournal::record(size_t index, uint64_t fingerprint, const void* payload)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Record& rec = records_[index];
-    rec.fingerprint = fingerprint;
-    rec.payload.assign(static_cast<const uint8_t*>(payload),
-                       static_cast<const uint8_t*>(payload) + payloadSize_);
-    if (++dirtySinceFlush_ >= batchRecords_)
-        flushLocked();
-}
-
-void
-SweepJournal::flush()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (dirtySinceFlush_ > 0)
-        flushLocked();
-}
-
-void
-SweepJournal::flushLocked()
-{
-    if (path_.empty())
-        return;
-    // Whole-file snapshot to a temp path, then an atomic rename: a
-    // crash at any instant leaves either the old or the new complete
-    // journal, never a torn one. Records are written in index order so
-    // identical sweeps produce identical files.
-    std::string tmp = path_ + ".tmp";
-    std::FILE* file = std::fopen(tmp.c_str(), "wb");
-    if (file == nullptr) {
-        warn(strCat("sweep journal: cannot write '", tmp, "'"));
-        return;
-    }
-    Header header;
-    std::memcpy(header.magic, kMagic, sizeof(kMagic));
-    header.version = kVersion;
-    header.payloadSize = static_cast<uint32_t>(payloadSize_);
-    header.gridHash = gridHash_;
-    bool ok = std::fwrite(&header, sizeof(header), 1, file) == 1;
-
-    std::vector<uint64_t> indices;
-    indices.reserve(records_.size());
-    for (const auto& [index, rec] : records_)
-        indices.push_back(index);
-    std::sort(indices.begin(), indices.end());
-    for (uint64_t index : indices) {
-        const Record& rec = records_[index];
-        uint64_t fields[2] = {index, rec.fingerprint};
-        uint64_t checksum = recordChecksum(index, rec.fingerprint,
-                                           rec.payload.data(), payloadSize_);
-        ok = ok && std::fwrite(fields, sizeof(fields), 1, file) == 1 &&
-             std::fwrite(rec.payload.data(), 1, payloadSize_, file) ==
-                 payloadSize_ &&
-             std::fwrite(&checksum, sizeof(checksum), 1, file) == 1;
-    }
-    ok = std::fclose(file) == 0 && ok;
-    if (!ok || std::rename(tmp.c_str(), path_.c_str()) != 0) {
-        warn(strCat("sweep journal: flush to '", path_, "' failed"));
-        std::remove(tmp.c_str());
-        return;
-    }
-    dirtySinceFlush_ = 0;
+    std::vector<uint8_t> bytes(sizeof(fingerprint) + payloadSize_);
+    std::memcpy(bytes.data(), &fingerprint, sizeof(fingerprint));
+    std::memcpy(bytes.data() + sizeof(fingerprint), payload, payloadSize_);
+    // Append at each multiple of the batch, so after a failed write the
+    // next attempt waits for another full batch.
+    const size_t queued = log_.put(index, bytes.data());
+    if (queued != 0 && queued % RecordLog::kBatchRecords == 0)
+        log_.flush();
 }
 
 } // namespace hida

@@ -6,81 +6,53 @@
  * Crash-safe sweep checkpoint journal: workers append completed
  * (point index, directive fingerprint, QoR payload) records; a
  * restarted sweep loads the journal and skips every journaled point,
- * so interrupted work resumes instead of restarting. The first
- * stepping stone toward the ROADMAP's persistent fingerprint-keyed
- * QoR store.
+ * so interrupted work resumes instead of restarting.
  *
- * Durability model:
- *  - Flushes are whole-file snapshots written to "<path>.tmp" and
- *    renamed over <path> — a crash mid-flush leaves the previous
- *    complete journal intact (rename is atomic on POSIX).
- *  - The versioned header pins the record layout, the payload size and
- *    the grid's content hash, so a journal can never be resumed
- *    against a different sweep shape.
- *  - Every record carries a checksum over its bytes. A corrupt or
- *    short tail is tolerated by truncating to the last good record
- *    (the dropped points are simply re-evaluated); corruption is
- *    reported, never fatal.
+ * The file is a RecordLog (src/dse/record_log.h) keyed by point index,
+ * whose header pins the grid's content hash and the payload size, so a
+ * journal can never be resumed against a different sweep shape. A
+ * record's payload is the point fingerprint (8 bytes) followed by the
+ * QoR payload. Every RecordLog::kBatchRecords-th queued record appends
+ * the batch; a corrupt or short tail is dropped (those points are
+ * simply re-evaluated) and reported, never fatal.
  *
- * Thread safety: record()/restore()/flush()/size() are serialized by
- * one internal mutex — sweep workers share a journal by design (the
- * one deliberate exception to the ROADMAP's strictly-per-worker rule,
- * like the failure-merge lock). open() is NOT serialized: bind and
- * load on the driver thread before any worker touches the journal.
- * payloadSize() and loadStats() are written only by open(), so they
- * are safe to read concurrently afterwards. Restored payloads are
+ * Thread safety: record()/restore()/flush()/size() may be called from
+ * any sweep worker — workers share a journal by design (the one
+ * deliberate exception to the ROADMAP's strictly-per-worker rule, like
+ * the failure-merge lock). open() is driver-thread only: bind and load
+ * before any worker touches the journal. Restored payloads are
  * byte-exact copies of what the dead run computed, which is what lets
  * a resumed sweep reproduce a clean run's output hash.
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
+#include "src/dse/record_log.h"
 #include "src/support/diagnostics.h"
 
 namespace hida {
 
 class SweepJournal {
   public:
-    /** What load() found in a pre-existing journal file. */
-    struct LoadStats {
-        size_t restored = 0;        ///< Intact records adopted.
-        size_t droppedCorrupt = 0;  ///< Checksum/short-read tail records.
-        bool headerMismatch = false;  ///< Wrong magic/version/grid/payload.
-    };
-
-    SweepJournal() = default;
-    SweepJournal(const SweepJournal&) = delete;
-    SweepJournal& operator=(const SweepJournal&) = delete;
-
     /**
      * Bind the journal to @p path for a sweep with @p grid_hash
      * (DesignPointGrid::contentHash) and @p payload_size bytes per
      * record, then load whatever a previous run left there. Returns a
      * *recoverable* kJournalMismatch/kJournalCorrupt Diagnostic when
      * the existing file was rejected or had a corrupt tail — the
-     * journal is usable either way (mismatched files are ignored and
-     * overwritten by the next flush). A stale "<path>.tmp" orphaned by
-     * a crash mid-flush is removed — <path> is always the trusted copy.
-     * Appends are batched: every @p batch_records completions trigger a
-     * snapshot flush.
-     *
-     * Driver-thread only — open() takes no lock; workers may share the
-     * journal (record/restore/flush) only after it returns.
+     * journal is usable either way (a mismatched file, including one
+     * of an older record version, is rewritten by the next flush).
      */
     std::optional<Diagnostic> open(std::string path, uint64_t grid_hash,
-                                   size_t payload_size,
-                                   size_t batch_records = 64);
+                                   size_t payload_size);
 
     size_t payloadSize() const { return payloadSize_; }
-    const LoadStats& loadStats() const { return loadStats_; }
+    const RecordLog::LoadStats& loadStats() const { return log_.loadStats(); }
     /** Number of records currently held (loaded + appended). */
-    size_t size() const;
+    size_t size() const { return log_.size(); }
 
     /**
      * Copy the journaled payload of @p index into @p out (payloadSize
@@ -91,28 +63,15 @@ class SweepJournal {
      */
     bool restore(size_t index, uint64_t expected_fp, void* out) const;
 
-    /** Append one completed point; flushes every batch_records. */
+    /** Hold one completed point; appends every kBatchRecords. */
     void record(size_t index, uint64_t fingerprint, const void* payload);
 
-    /** Snapshot all records to disk (write temp + rename). */
-    void flush();
+    /** Append every record not yet on disk. */
+    void flush() { log_.flush(); }
 
   private:
-    struct Record {
-        uint64_t fingerprint = 0;
-        std::vector<uint8_t> payload;
-    };
-
-    void flushLocked();
-
-    mutable std::mutex mutex_;
-    std::string path_;
-    uint64_t gridHash_ = 0;
     size_t payloadSize_ = 0;
-    size_t batchRecords_ = 64;
-    size_t dirtySinceFlush_ = 0;
-    LoadStats loadStats_;
-    std::unordered_map<uint64_t, Record> records_;
+    RecordLog log_;
 };
 
 } // namespace hida

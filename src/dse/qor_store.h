@@ -13,19 +13,13 @@
  * previous process computed. Bind via HIDA_QOR_STORE (see
  * docs/service.md).
  *
- * Durability model (the journal's proven discipline, see
- * src/dse/journal.h):
- *  - Whole-file snapshots to "<path>.tmp" + atomic rename; a stale
- *    .tmp orphaned by a crash is removed on open.
- *  - Versioned header pins magic/version/payload size/content tag; the
- *    content tag is a caller-chosen process-independent hash of the
- *    payload *meaning* (schema + estimator semantics version), so a
- *    store can never poison a reader that interprets payloads
- *    differently.
- *  - Every record carries a checksum. Corrupt or foreign bytes are
- *    degraded to misses (reported as recoverable kStoreCorrupt
- *    Diagnostics) and never trusted — the worst a damaged store can do
- *    is force recomputation.
+ * The file is a RecordLog (src/dse/record_log.h) keyed by fingerprint.
+ * Its header's tag is a caller-chosen process-independent hash of the
+ * payload *meaning* (schema + estimator semantics version), so a store
+ * can never poison a reader that interprets payloads differently.
+ * Corrupt or foreign bytes are degraded to misses (reported as
+ * recoverable kStoreCorrupt Diagnostics) and never trusted — the worst
+ * a damaged store can do is force recomputation.
  *
  * Fault injection: lookup() is a FaultSite::kStore site — under
  * HIDA_FAULT_INJECT=store:seed:rate a deterministic subset of lookups
@@ -35,25 +29,18 @@
  *
  * Thread safety: all methods after open() are safe to call from any
  * thread — service worker pools and concurrent requests share a store
- * by design. The record map is serialized by one internal mutex;
- * flush() snapshots the records under that mutex but performs the file
- * I/O *outside* it (a second flush mutex serializes writers), so
- * lookups and inserts from request threads never stall behind disk.
- * insert() itself never flushes: it only accrues the dirty count, and
- * the owner drains it off the hot path — the DSE service's
- * housekeeping thread calls maybeFlush() on its tick, so batched
- * snapshots happen off the request threads entirely. open() itself is
- * driver-thread only, like SweepJournal::open().
+ * by design. insert() never performs I/O; the owner drains the queue
+ * off the hot path — the DSE service's housekeeping thread flushes
+ * when needsFlush() on its tick. open() itself is driver-thread only,
+ * like SweepJournal::open().
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
+#include "src/dse/record_log.h"
 #include "src/support/diagnostics.h"
 
 namespace hida {
@@ -70,34 +57,26 @@ class QorStore {
         size_t injectedMisses = 0;  ///< Misses forced by FaultSite::kStore.
     };
 
-    QorStore() = default;
-    QorStore(const QorStore&) = delete;
-    QorStore& operator=(const QorStore&) = delete;
-
     /**
      * Bind to @p path with @p content_tag (process-independent payload
      * schema hash) and @p payload_size bytes per record, then adopt
      * whatever a previous process left there. Returns a *recoverable*
      * kStoreCorrupt Diagnostic when the file was foreign or had corrupt
      * records — the store is usable either way (bad bytes become
-     * misses; the next flush rewrites a clean snapshot). @p
-     * batch_records is the flush batching grain: needsFlush() turns
-     * true once that many records accumulated since the last snapshot.
-     * An empty @p path leaves the store disk-less (pure in-memory
-     * memo; every method still works).
+     * misses). An empty @p path leaves the store disk-less (pure
+     * in-memory memo; every method still works).
      *
      * Driver-thread only, before workers share the store.
      */
     std::optional<Diagnostic> open(std::string path, uint64_t content_tag,
-                                   size_t payload_size,
-                                   size_t batch_records = 64);
+                                   size_t payload_size);
 
-    size_t payloadSize() const { return payloadSize_; }
+    size_t payloadSize() const { return log_.payloadSize(); }
 
     /** Number of records currently held (adopted + inserted). */
-    size_t size() const;
+    size_t size() const { return log_.size(); }
 
-    /** Counter snapshot (copied under the lock). */
+    /** Counter snapshot (copied under the lookup lock). */
     Stats stats() const;
 
     /**
@@ -107,35 +86,24 @@ class QorStore {
      */
     bool lookup(uint64_t key, void* out);
 
-    /** Memoize one computed payload. Never performs I/O — the dirty
-     * count accrues until some thread drains it via maybeFlush() /
-     * flush(), so request threads pay a map insert and nothing else. */
-    void insert(uint64_t key, const void* payload);
+    /** Memoize one computed payload; never performs I/O. */
+    void insert(uint64_t key, const void* payload) { log_.put(key, payload); }
 
-    /** True once batch_records inserts accumulated since the last
-     * snapshot — the housekeeping thread's cheap flush poll. */
-    bool needsFlush() const;
+    /** True once a batch of inserts is queued for disk — the
+     * housekeeping thread's cheap flush poll. */
+    bool
+    needsFlush() const
+    {
+        return log_.queued() >= RecordLog::kBatchRecords;
+    }
 
-    /** flush() iff needsFlush(). */
-    void maybeFlush();
-
-    /** Snapshot all records to disk (write temp + rename). The records
-     * map is only locked while copying the snapshot; the file write
-     * happens outside it, serialized against other flushers. */
-    void flush();
+    /** Append every record not yet on disk. */
+    void flush() { log_.flush(); }
 
   private:
-    mutable std::mutex mutex_;
-    /** Serializes snapshot writers; never held together with mutex_
-     * except briefly inside flush() (flushMutex_ -> mutex_ order). */
-    std::mutex flushMutex_;
-    std::string path_;
-    uint64_t contentTag_ = 0;
-    size_t payloadSize_ = 0;
-    size_t batchRecords_ = 64;
-    size_t dirtySinceFlush_ = 0;
-    Stats stats_;
-    std::unordered_map<uint64_t, std::vector<uint8_t>> records_;
+    RecordLog log_;
+    /** hits/misses/injectedMisses, guarded by log_'s lookup lock. */
+    Stats counts_;
 };
 
 } // namespace hida

@@ -157,10 +157,11 @@ class Parser {
   public:
     explicit Parser(const std::string& text) : lexer_(text) {}
 
-    ParseResult
+    /** Parse the whole text; the lexer and parser throw on the first
+     * error, which becomes the returned Diagnostic. */
+    Result<OwnedModule>
     run()
     {
-        ParseResult result;
         try {
             Operation* op = parseOperation();
             if (op == nullptr || op->name() != ModuleOp::kOpName) {
@@ -171,15 +172,16 @@ class Parser {
             }
             // Transfer into the OwnedModule: move the parsed module's
             // content into the owned one.
+            OwnedModule module;
             ModuleOp parsed(op);
-            OpBuilder builder(result.module.get().body());
             for (Operation* child : parsed.body()->ops())
-                child->moveToEnd(result.module.get().body());
+                child->moveToEnd(module.get().body());
             Operation::destroyDetached(op);
+            return module;
         } catch (const std::runtime_error& error) {
-            result.error = error.what();
+            return Diagnostic(ErrorCode::kParseFailed, error.what(),
+                              "textual IR");
         }
-        return result;
     }
 
   private:
@@ -549,7 +551,7 @@ class Parser {
 
 } // namespace
 
-ParseResult
+Result<OwnedModule>
 parseModule(const std::string& text)
 {
     return Parser(text).run();

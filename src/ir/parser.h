@@ -13,23 +13,17 @@
  * read back identically through Attribute::asFloat().
  */
 
-#include <optional>
 #include <string>
 
 #include "src/ir/builtin_ops.h"
+#include "src/support/diagnostics.h"
 
 namespace hida {
 
-/** Result of a parse: the module, or an error message with a position. */
-struct ParseResult {
-    OwnedModule module;
-    std::optional<std::string> error;
-
-    explicit operator bool() const { return !error.has_value(); }
-};
-
-/** Parse the printed form of a module (as produced by toString()). */
-ParseResult parseModule(const std::string& text);
+/** Parse the printed form of a module (as produced by toString()).
+ * Malformed text yields a kParseFailed Diagnostic whose message gives
+ * the offset and the token it stopped at. */
+Result<OwnedModule> parseModule(const std::string& text);
 
 } // namespace hida
 

@@ -524,10 +524,10 @@ DseService::housekeepingMain()
         if (promoteDueLocked(std::chrono::steady_clock::now()))
             queueCv_.notify_all();
         if (store_.needsFlush()) {
-            // Snapshot I/O outside the scheduler lock: submits and
-            // executors proceed while records hit disk.
+            // Append I/O outside the scheduler lock: submits and
+            // executors proceed while the queued records hit disk.
             lock.unlock();
-            store_.maybeFlush();
+            store_.flush();
             lock.lock();
         }
     }

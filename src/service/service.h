@@ -54,8 +54,8 @@
  * without cross-request sharing). A batch below two fan-out grains
  * (StrategyWorkerPool::kFanOutGrain) runs on the lane alone, so small
  * requests spawn no thread and claim one clone. A
- * housekeeping thread promotes elapsed backoff requeues and batches
- * QoR-store snapshots to disk off the request threads. Results are
+ * housekeeping thread promotes elapsed backoff requeues and appends
+ * batched QoR-store records to disk off the request threads. Results are
  * bit-identical at any concurrency x sweepThreads combination: every
  * retry/fault/backoff decision keys on (point or request, attempt),
  * never on timing or executor placement.

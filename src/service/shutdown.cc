@@ -24,9 +24,9 @@ shutdownHandler(int sig)
 {
     int expected = 0;
     if (!g_shutdown_signal.compare_exchange_strong(expected, sig)) {
-        // Second signal: the graceful path is presumed stuck. The
-        // snapshot-then-rename flush discipline means no on-disk file
-        // can be torn, so an immediate exit is safe.
+        // Second signal: the graceful path is presumed stuck. A torn
+        // append costs only its own records (the next load drops the
+        // short tail), so an immediate exit is safe.
         std::_Exit(shutdownExitCode(sig));
     }
     // Lock-free atomic store: async-signal-safe. Cooperative loops

@@ -16,8 +16,8 @@
  *    else (draining, flushing, exiting 128+sig) happens on normal
  *    threads that poll the token.
  *  - Second signal: the process is presumed stuck; _exit(128+sig)
- *    immediately (the journal/store snapshot discipline makes that
- *    safe: on-disk files are never torn).
+ *    immediately (safe: a journal or store append torn by the exit
+ *    costs only its own records, which the next load drops).
  */
 
 #include "src/dse/sweep.h"

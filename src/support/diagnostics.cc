@@ -131,6 +131,8 @@ errorCodeName(ErrorCode code)
         return "shutdown";
       case ErrorCode::kInvalidRequest:
         return "invalid-request";
+      case ErrorCode::kParseFailed:
+        return "parse-failed";
     }
     return "unknown";
 }

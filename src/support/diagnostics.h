@@ -120,6 +120,7 @@ enum class ErrorCode : uint16_t {
     kStoreCorrupt = 13,      ///< QoR store record failed validation.
     kShutdown = 14,          ///< Service is shutting down; request not run.
     kInvalidRequest = 15,    ///< Malformed service request (tenant error).
+    kParseFailed = 16,       ///< Textual IR could not be parsed.
 };
 
 /** Stable name of @p code (e.g. "verify-failed"). */

@@ -122,6 +122,7 @@ TEST(DiagnosticsTest, ErrorCodeNamesAreStable)
     EXPECT_STREQ(errorCodeName(ErrorCode::kShutdown), "shutdown");
     EXPECT_STREQ(errorCodeName(ErrorCode::kInvalidRequest),
                  "invalid-request");
+    EXPECT_STREQ(errorCodeName(ErrorCode::kParseFailed), "parse-failed");
 }
 
 //===----------------------------------------------------------------------===//

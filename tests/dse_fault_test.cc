@@ -699,9 +699,11 @@ TEST_F(DseFaultTest, ResumedEvolveSearchRetracesTheUninterruptedRun)
 
 TEST(SweepJournalTest, GridHashesArePinnedForJournalCompatibility)
 {
-    // Journals and the persistent QoR store key on these values, so a
-    // change to how they are computed must never change the numbers:
-    // a journal written by an older build has to stay resumable.
+    // The persistent QoR store keys its records on point fingerprints
+    // and journals pin the grid hash in their header, so a change to how
+    // these are computed must never change the numbers: a store written
+    // by an older build has to keep hitting. (A journal from before
+    // record version 2 reads as a mismatch and is rewritten.)
     DesignPointGrid grid;
     grid.addDirectiveAxis("kpf1", {1, 2, 3, 6}, 1, "kpf_loop");
     grid.addDirectiveAxis("cpf1", {1}, 1, "cpf_loop");
@@ -754,20 +756,19 @@ TEST(SweepJournalTest, BatchingFlushesEveryNRecords)
     std::remove(path.c_str());
 
     SweepJournal writer;
-    ASSERT_FALSE(writer.open(path, 1, sizeof(uint64_t),
-                             /*batch_records=*/4));
-    for (uint64_t i = 0; i < 10; ++i) {
+    ASSERT_FALSE(writer.open(path, 1, sizeof(uint64_t)));
+    for (uint64_t i = 0; i < 150; ++i) {
         uint64_t payload = i;
         writer.record(i, i, &payload);
     }
-    // No explicit flush: 8 records (two full batches) must already be
-    // durable; the last partial batch is only in memory.
+    // No explicit flush: 128 records (two full batches of 64) must
+    // already be durable; the last partial batch is only in memory.
     SweepJournal reader;
     ASSERT_FALSE(reader.open(path, 1, sizeof(uint64_t)));
-    EXPECT_EQ(reader.loadStats().restored, 8u);
+    EXPECT_EQ(reader.loadStats().restored, 128u);
     writer.flush();
     ASSERT_FALSE(reader.open(path, 1, sizeof(uint64_t)));
-    EXPECT_EQ(reader.loadStats().restored, 10u);
+    EXPECT_EQ(reader.loadStats().restored, 150u);
     std::remove(path.c_str());
 }
 

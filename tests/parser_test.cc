@@ -21,10 +21,10 @@ void
 expectRoundTrip(ModuleOp module)
 {
     std::string once = toString(module.op());
-    ParseResult parsed = parseModule(once);
-    ASSERT_TRUE(parsed) << *parsed.error;
-    EXPECT_FALSE(verify(parsed.module.get().op()).has_value());
-    std::string twice = toString(parsed.module.get().op());
+    Result<OwnedModule> parsed = parseModule(once);
+    ASSERT_TRUE(parsed) << parsed.diag().str();
+    EXPECT_FALSE(verify(parsed.value().get().op()).has_value());
+    std::string twice = toString(parsed.value().get().op());
     EXPECT_EQ(once, twice);
 }
 
@@ -74,9 +74,9 @@ TEST(ParserTest, ParsesTypes)
         "    %s = hida.stream() : stream<token, 3>\n"
         "  }\n"
         "}\n";
-    ParseResult parsed = parseModule(text);
-    ASSERT_TRUE(parsed) << *parsed.error;
-    FuncOp func = parsed.module.get().lookupFunc("t");
+    Result<OwnedModule> parsed = parseModule(text);
+    ASSERT_TRUE(parsed) << parsed.diag().str();
+    FuncOp func = parsed.value().get().lookupFunc("t");
     ASSERT_TRUE(func);
     auto ops = func.body()->ops();
     ASSERT_EQ(ops.size(), 2u);
@@ -87,19 +87,24 @@ TEST(ParserTest, ParsesTypes)
 
 TEST(ParserTest, ReportsUndefinedValues)
 {
-    ParseResult parsed = parseModule(
+    Result<OwnedModule> parsed = parseModule(
         "builtin.module() {\n  func.func() {sym_name = \"t\"} {\n"
         "    arith.add(%missing : i8, %missing : i8)\n  }\n}\n");
     ASSERT_FALSE(parsed);
-    EXPECT_NE(parsed.error->find("undefined value"), std::string::npos);
+    EXPECT_EQ(parsed.diag().code, ErrorCode::kParseFailed);
+    EXPECT_NE(parsed.diag().message.find("undefined value"),
+              std::string::npos);
 }
 
 TEST(ParserTest, ReportsSyntaxErrors)
 {
-    EXPECT_FALSE(parseModule("builtin.module( {"));
-    EXPECT_FALSE(parseModule("not_a_module()"));
-    EXPECT_FALSE(parseModule(""));
-    EXPECT_FALSE(parseModule("builtin.module() { func.func( }"));
+    const char* const inputs[] = {"builtin.module( {", "not_a_module()", "",
+                                  "builtin.module() { func.func( }"};
+    for (const char* text : inputs) {
+        Result<OwnedModule> parsed = parseModule(text);
+        ASSERT_FALSE(parsed) << "'" << text << "'";
+        EXPECT_EQ(parsed.diag().code, ErrorCode::kParseFailed);
+    }
 }
 
 TEST(ParserTest, ParsesAttributes)
@@ -108,9 +113,9 @@ TEST(ParserTest, ParsesAttributes)
         "builtin.module() {\n"
         "  func.func() {factors = [1, 2, 3], name = \"x\", pi = 3.5, "
         "flag = unit, neg = -7} {\n  }\n}\n";
-    ParseResult parsed = parseModule(text);
-    ASSERT_TRUE(parsed) << *parsed.error;
-    Operation* func = parsed.module.get().body()->ops()[0];
+    Result<OwnedModule> parsed = parseModule(text);
+    ASSERT_TRUE(parsed) << parsed.diag().str();
+    Operation* func = parsed.value().get().body()->ops()[0];
     EXPECT_EQ(func->attr("factors").asI64Array(),
               (std::vector<int64_t>{1, 2, 3}));
     EXPECT_EQ(func->attr("name").asString(), "x");
