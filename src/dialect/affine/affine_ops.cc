@@ -198,8 +198,18 @@ registerAffineDialect()
                 return "affine.for requires a single induction variable";
             if (!op->body()->argument(0)->type().isIndex())
                 return "affine.for induction variable must be index-typed";
-            ForOp loop(op);
-            if (loop.upperBound() < loop.lowerBound())
+            const Attribute* lb = op->findAttr(ForOp::lbId());
+            const Attribute* ub = op->findAttr(ForOp::ubId());
+            const Attribute* step = op->findAttr(ForOp::stepId());
+            if (lb != nullptr && !lb->is(AttrKind::kInt))
+                return "affine.for 'lb' must be an integer";
+            if (ub != nullptr && !ub->is(AttrKind::kInt))
+                return "affine.for 'ub' must be an integer";
+            if (step != nullptr && !step->is(AttrKind::kInt))
+                return "affine.for 'step' must be an integer";
+            // Absent bounds read as ForOp's defaults (0).
+            if ((ub != nullptr ? ub->asInt() : 0) <
+                (lb != nullptr ? lb->asInt() : 0))
                 return "affine.for has negative trip count";
             return std::nullopt;
         }});
@@ -207,19 +217,17 @@ registerAffineDialect()
         ApplyOp::kOpName,
         OpInfo{.verify = [](Operation* op) -> std::optional<std::string> {
             const Attribute* coeffs = op->findAttr(ApplyOp::coeffsId());
-            if (coeffs == nullptr || !*coeffs ||
-                coeffs->kind() != AttrKind::kArray)
+            if (coeffs == nullptr || !coeffs->is(AttrKind::kArray))
                 return "affine.apply requires an integer array 'coeffs'";
             for (const Attribute& coeff : coeffs->asArray())
-                if (!coeff || coeff.kind() != AttrKind::kInt)
+                if (!coeff.is(AttrKind::kInt))
                     return "affine.apply 'coeffs' must hold integers";
             if (coeffs->asArray().size() != op->numOperands())
                 return strCat("affine.apply has ", op->numOperands(),
                               " operands but ", coeffs->asArray().size(),
                               " coeffs");
             const Attribute* offset = op->findAttr(ApplyOp::offsetId());
-            if (offset != nullptr &&
-                (!*offset || offset->kind() != AttrKind::kInt))
+            if (offset != nullptr && !offset->is(AttrKind::kInt))
                 return "affine.apply 'offset' must be an integer";
             return std::nullopt;
         }});
@@ -233,6 +241,9 @@ registerAffineDialect()
                 return "affine.load index count mismatch";
             return std::nullopt;
         }});
+    // No hook: only the generic checks apply. Registered so that a tree
+    // holding padded loads can keep a structural verdict (see verify()).
+    registry.registerOp(paddedLoadNameId().str(), OpInfo{});
     registry.registerOp(
         StoreOp::kOpName,
         OpInfo{.verify = [](Operation* op) -> std::optional<std::string> {

@@ -311,18 +311,38 @@ PackOp::create(OpBuilder& builder, Value* memref, Value* port)
 // Registration
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/** True when @p attr is present and an array of integers. */
+bool
+isIntArray(const Attribute* attr)
+{
+    if (attr == nullptr || !attr->is(AttrKind::kArray))
+        return false;
+    for (const Attribute& element : attr->asArray())
+        if (!element.is(AttrKind::kInt))
+            return false;
+    return true;
+}
+
+} // namespace
+
 void
 registerHidaDialect()
 {
     auto& registry = OpRegistry::instance();
 
-    registry.registerOp(YieldOp::kOpName, OpInfo{.isTerminator = true});
+    registry.registerOp(YieldOp::kOpName,
+                        OpInfo{.isolatedFromAbove = false,
+                               .isTerminator = true,
+                               .verify = nullptr});
     registry.registerOp(DispatchOp::kOpName, OpInfo{});
     registry.registerOp(TaskOp::kOpName, OpInfo{});
 
     registry.registerOp(
         ScheduleOp::kOpName,
         OpInfo{.isolatedFromAbove = true,
+               .isTerminator = false,
                .verify = [](Operation* op) -> std::optional<std::string> {
                    if (!op->hasBody() ||
                        op->body()->numArguments() != op->numOperands())
@@ -332,26 +352,51 @@ registerHidaDialect()
     registry.registerOp(
         NodeOp::kOpName,
         OpInfo{.isolatedFromAbove = true,
+               .isTerminator = false,
                .verify = [](Operation* op) -> std::optional<std::string> {
                    if (!op->hasBody() ||
                        op->body()->numArguments() != op->numOperands())
                        return "hida.node args must mirror operands";
-                   if (!op->hasAttr(NodeOp::effectsId()) ||
-                       op->attr(NodeOp::effectsId()).asI64Array().size() !=
-                           op->numOperands())
+                   const Attribute* effects =
+                       op->findAttr(NodeOp::effectsId());
+                   if (effects == nullptr)
+                       return "hida.node requires one effect per operand";
+                   if (!isIntArray(effects))
+                       return "hida.node 'effects' must be an integer array";
+                   if (effects->asArray().size() != op->numOperands())
                        return "hida.node requires one effect per operand";
                    return std::nullopt;
                }});
     registry.registerOp(
         BufferOp::kOpName,
         OpInfo{.verify = [](Operation* op) -> std::optional<std::string> {
-            BufferOp buffer(op);
-            if (buffer.stages() < 1)
+            const Attribute* stages = op->findAttr(BufferOp::stagesId());
+            if (stages != nullptr && !stages->is(AttrKind::kInt))
+                return "hida.buffer 'stages' must be an integer";
+            // An absent stages attribute reads as BufferOp's default (1).
+            if (stages != nullptr && stages->asInt() < 1)
                 return "hida.buffer requires stages >= 1";
-            auto factors = buffer.partitionFactors();
-            const auto& shape = buffer.type().shape();
-            for (size_t i = 0; i < factors.size(); ++i)
-                if (factors[i] < 1 || factors[i] > shape[i])
+            if (op->numResults() == 0)
+                return "hida.buffer requires a result";
+            const auto& shape = op->result(0)->type().shape();
+            const Attribute* factors =
+                op->findAttr(BufferOp::partitionFactorsId());
+            if (factors == nullptr) {
+                // Unpartitioned: every dimension's factor is 1.
+                for (int64_t dim : shape)
+                    if (dim < 1)
+                        return "hida.buffer partition factor out of range";
+                return std::nullopt;
+            }
+            if (!isIntArray(factors))
+                return "hida.buffer 'partition_factors' must be an integer "
+                       "array";
+            const std::vector<Attribute>& list = factors->asArray();
+            if (list.size() > shape.size())
+                return strCat("hida.buffer has ", list.size(),
+                              " partition factors for rank ", shape.size());
+            for (size_t i = 0; i < list.size(); ++i)
+                if (list[i].asInt() < 1 || list[i].asInt() > shape[i])
                     return "hida.buffer partition factor out of range";
             return std::nullopt;
         }});

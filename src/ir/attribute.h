@@ -90,6 +90,8 @@ class Attribute {
     bool operator!=(const Attribute& other) const { return !(*this == other); }
 
     AttrKind kind() const;
+    /** Non-null and of @p k: the check before an asserting accessor. */
+    bool is(AttrKind k) const { return impl_ != nullptr && impl_->kind == k; }
     int64_t asInt() const;
     double asFloat() const;
     const std::string& asString() const;

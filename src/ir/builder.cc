@@ -59,6 +59,7 @@ OpBuilder::insert(Operation* op)
     auto inserted = block_->ops_.insert(it_, std::unique_ptr<Operation>(op));
     op->block_ = block_;
     op->selfIt_ = inserted;
+    block_->orderValid_ = false;
     // The inserted op's own cache starts dirty; the enclosing chain gained
     // a child and must re-hash.
     Operation::dirtyAncestors(block_);

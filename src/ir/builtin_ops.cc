@@ -65,7 +65,7 @@ FuncOp::create(OpBuilder& builder, const std::string& sym_name,
                const std::vector<Type>& arg_types)
 {
     Operation* op = builder.create(kOpName, {}, {}, 1);
-    op->setAttr("sym_name", Attribute::string(sym_name));
+    op->setAttr(symNameId(), Attribute::string(sym_name));
     Block* body = op->body();
     for (unsigned i = 0; i < arg_types.size(); ++i)
         body->addArgument(arg_types[i], strCat("arg", i));
@@ -82,16 +82,23 @@ void
 registerBuiltinDialect()
 {
     auto& registry = OpRegistry::instance();
-    registry.registerOp(ModuleOp::kOpName, OpInfo{.isolatedFromAbove = true});
+    registry.registerOp(ModuleOp::kOpName,
+                        OpInfo{.isolatedFromAbove = true,
+                               .isTerminator = false,
+                               .verify = nullptr});
     registry.registerOp(
         FuncOp::kOpName,
         OpInfo{.isolatedFromAbove = true,
+               .isTerminator = false,
                .verify = [](Operation* op) -> std::optional<std::string> {
-                   if (!op->hasAttr("sym_name"))
+                   if (op->findAttr(FuncOp::symNameId()) == nullptr)
                        return "func.func requires a sym_name attr";
                    return std::nullopt;
                }});
-    registry.registerOp(ReturnOp::kOpName, OpInfo{.isTerminator = true});
+    registry.registerOp(ReturnOp::kOpName,
+                        OpInfo{.isolatedFromAbove = false,
+                               .isTerminator = true,
+                               .verify = nullptr});
 }
 
 } // namespace hida

@@ -70,7 +70,12 @@ class FuncOp : public OpWrapper {
     static FuncOp create(OpBuilder& builder, const std::string& sym_name,
                          const std::vector<Type>& arg_types);
 
-    std::string symName() const { return op_->attr("sym_name").asString(); }
+    std::string symName() const { return op_->attr(symNameId()).asString(); }
+    static Identifier symNameId()
+    {
+        static const Identifier id = Identifier::get("sym_name");
+        return id;
+    }
     Block* body() const { return op_->body(); }
     unsigned numArguments() const { return op_->body()->numArguments(); }
     Value* argument(unsigned i) const { return op_->body()->argument(i); }

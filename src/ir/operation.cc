@@ -262,6 +262,15 @@ Block::eraseArgument(unsigned i)
     }
 }
 
+void
+Block::renumberOps() const
+{
+    uint32_t index = 0;
+    for (const auto& op : ops_)
+        op->orderIndex_ = index++;
+    orderValid_ = true;
+}
+
 std::vector<Operation*>
 Block::ops() const
 {
@@ -535,7 +544,10 @@ Operation::structureEpoch() const
 void
 Operation::bumpStructureEpoch()
 {
-    rootOp()->rootEpoch_ = nextStructureEpoch();
+    Operation* root = rootOp();
+    root->rootEpoch_ = nextStructureEpoch();
+    // The recorded verdict holds for the epoch it was recorded at only.
+    root->structureVerified_ = false;
 }
 
 void
@@ -583,13 +595,6 @@ Operation::attr(Identifier key) const
 {
     const Attribute* value = findAttr(key);
     return value != nullptr ? *value : Attribute();
-}
-
-const Attribute*
-Operation::findAttr(Identifier key) const
-{
-    auto it = attrLowerBound(attrs_, key);
-    return it != attrs_.end() && it->first == key ? &it->second : nullptr;
 }
 
 int64_t
@@ -683,13 +688,10 @@ Operation::isBeforeInBlock(const Operation* other) const
 {
     HIDA_ASSERT(block_ != nullptr && block_ == other->block_,
                 "ops must share a block");
-    for (const auto& op : block_->ops_) {
-        if (op.get() == this)
-            return true;
-        if (op.get() == other)
-            return false;
-    }
-    HIDA_PANIC("ops not found in their own block");
+    if (!block_->orderValid_)
+        block_->renumberOps();
+    // Indices are unique within a block, so only this == other ties.
+    return orderIndex_ <= other->orderIndex_;
 }
 
 Operation*
@@ -720,6 +722,7 @@ Operation::moveBefore(Operation* other)
     dirtyAncestors(block_);
     bumpStructureEpoch(block_);
     dest->ops_.splice(other->selfIt_, block_->ops_, selfIt_);
+    dest->orderValid_ = false;
     block_ = dest;
     dirtyAncestors(dest);
     bumpStructureEpoch(dest);
@@ -734,6 +737,7 @@ Operation::moveAfter(Operation* other)
     dirtyAncestors(block_);
     bumpStructureEpoch(block_);
     dest->ops_.splice(std::next(other->selfIt_), block_->ops_, selfIt_);
+    dest->orderValid_ = false;
     block_ = dest;
     dirtyAncestors(dest);
     bumpStructureEpoch(dest);
@@ -746,6 +750,7 @@ Operation::moveToEnd(Block* block)
     dirtyAncestors(block_);
     bumpStructureEpoch(block_);
     block->ops_.splice(block->ops_.end(), block_->ops_, selfIt_);
+    block->orderValid_ = false;
     block_ = block;
     dirtyAncestors(block);
     bumpStructureEpoch(block);
@@ -758,6 +763,7 @@ Operation::moveToFront(Block* block)
     dirtyAncestors(block_);
     bumpStructureEpoch(block_);
     block->ops_.splice(block->ops_.begin(), block_->ops_, selfIt_);
+    block->orderValid_ = false;
     block_ = block;
     dirtyAncestors(block);
     bumpStructureEpoch(block);

@@ -11,10 +11,12 @@
  * clone) stay constant-bookkeeping.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -168,7 +170,11 @@ class Block {
     size_t size() const { return ops_.size(); }
     Operation* front() const { return ops_.front().get(); }
     Operation* back() const { return ops_.back().get(); }
-    /** Snapshot of the current operations (safe to mutate while visiting). */
+    /**
+     * Snapshot of the current operations (safe to mutate while visiting).
+     * Allocates one vector per call: read-only traversals should iterate
+     * the block in place instead (begin()/end() below).
+     */
     std::vector<Operation*> ops() const;
 
     /** In-place iterator over Operation* (no snapshot allocation). */
@@ -195,9 +201,18 @@ class Block {
     friend class Operation;
     friend class OpBuilder;
 
+    /** Give every op its position as order index; marks the order valid. */
+    void renumberOps() const;
+
     Region* parentRegion_;
     std::vector<std::unique_ptr<Value>> args_;
     OpList ops_;
+    /**
+     * The ops' order indices are strictly increasing along ops_. Cleared
+     * by every insertion and splice into this block; erasing an op keeps
+     * the remaining indices increasing, so erase leaves it set.
+     */
+    mutable bool orderValid_ = false;
 };
 
 /** Walk order for Operation::walk. */
@@ -281,10 +296,19 @@ class Operation {
     Attribute attr(Identifier key) const;
     /**
      * The attribute stored under @p key, or nullptr: a handle-free read
-     * for hot paths that compare in place. Valid until this op's next
-     * attribute write.
+     * for hot paths that compare in place (the verifier's hooks read
+     * through it). Valid until this op's next attribute write.
      */
-    const Attribute* findAttr(Identifier key) const;
+    const Attribute*
+    findAttr(Identifier key) const
+    {
+        auto it = std::lower_bound(
+            attrs_.begin(), attrs_.end(), key,
+            [](const AttrEntry& entry, Identifier k) {
+                return entry.first < k;
+            });
+        return it != attrs_.end() && it->first == key ? &it->second : nullptr;
+    }
     int64_t intAttrOr(Identifier key, int64_t def) const;
     void setAttr(Identifier key, Attribute value);
     /** setAttr of an integer; an unchanged value is compared in place. */
@@ -341,7 +365,14 @@ class Operation {
         return parentOfName(Identifier::get(name));
     }
     bool isAncestorOf(const Operation* other) const;
-    /** True if this op appears before @p other in the same block. */
+    /**
+     * True if this op appears before @p other in the same block (or is
+     * @p other). O(1): each op caches an order index, and a block
+     * renumbers its ops in one pass at the first query after an op was
+     * inserted into it or moved into or within it. The renumbering is a
+     * lazy write to the tree, like subtreeHash(): only the thread that
+     * owns the tree may call this.
+     */
     bool isBeforeInBlock(const Operation* other) const;
     Operation* prevInBlock() const;
     Operation* nextInBlock() const;
@@ -426,6 +457,15 @@ class Operation {
      */
     uint64_t structureEpoch() const;
 
+    /**
+     * True when a clean full verify() of this detached root ran at the
+     * current structure epoch: every epoch bump clears it, and clone()
+     * never copies it. verify() then skips the structural checks, which
+     * read only what the epoch covers. Lazily written tree state, like
+     * subtreeHash(); meaningful on roots only.
+     */
+    bool structureVerified() const { return structureVerified_; }
+
     /** Root of the tree this op lives in (itself when detached). */
     Operation* rootOp();
     const Operation* rootOp() const;
@@ -462,6 +502,7 @@ class Operation {
     friend class OpBuilder;
     friend class Region;
     friend class Value;
+    friend std::optional<std::string> verify(Operation* root);
 
     explicit Operation(Identifier name) : nameId_(name) {}
 
@@ -476,6 +517,8 @@ class Operation {
     static void bumpStructureEpoch(Block* block);
 
     Identifier nameId_;
+    /** Position in block_; meaningful while block_->orderValid_ holds. */
+    mutable uint32_t orderIndex_ = 0;
     std::vector<Value*> operands_;
     std::vector<std::unique_ptr<Value>> results_;
     AttrList attrs_;
@@ -487,6 +530,8 @@ class Operation {
     /** Cached subtree hash; valid only while subtreeHashValid_ holds. */
     mutable uint64_t subtreeHash_ = 0;
     mutable bool subtreeHashValid_ = false;
+    /** See structureVerified(); meaningful on root ops only. */
+    bool structureVerified_ = false;
     /** Structure epoch of this tree; meaningful on root ops only. */
     uint64_t rootEpoch_ = 0;
 };

@@ -1,6 +1,6 @@
 #include "src/ir/registry.h"
 
-#include <mutex>
+#include "src/support/diagnostics.h"
 
 namespace hida {
 
@@ -12,22 +12,24 @@ OpRegistry::instance()
 }
 
 void
-OpRegistry::registerOp(const std::string& name, OpInfo info)
+OpRegistry::registerOp(std::string_view name, OpInfo info)
 {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    // First registration wins: re-registering must not mutate an entry in
-    // place, because lookup() hands out raw OpInfo pointers that clients
-    // dereference after dropping the shared lock — the append-only map is
-    // what keeps those pointers valid.
-    ops_.try_emplace(name, std::move(info));
-}
-
-const OpInfo*
-OpRegistry::lookup(const std::string& name) const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = ops_.find(name);
-    return it == ops_.end() ? nullptr : &it->second;
+    const uint32_t id = Identifier::get(name).raw();
+    HIDA_ASSERT(id / kChunkSize < kMaxChunks, "op registry full");
+    std::lock_guard<std::mutex> lock(mutex_);
+    Slot* chunk = chunks_[id / kChunkSize].load(std::memory_order_relaxed);
+    const bool fresh_chunk = chunk == nullptr;
+    if (fresh_chunk)
+        chunk = new Slot[kChunkSize]();
+    Slot& slot = chunk[id % kChunkSize];
+    // First registration wins: an entry is never replaced, because
+    // lookup() hands out raw pointers without a lock.
+    if (slot.load(std::memory_order_relaxed) != nullptr)
+        return;
+    slot.store(new OpInfo(info), std::memory_order_release);
+    // A fresh chunk is published after its first entry is written.
+    if (fresh_chunk)
+        chunks_[id / kChunkSize].store(chunk, std::memory_order_release);
 }
 
 } // namespace hida

@@ -7,11 +7,14 @@
  * their operations at library init time through registerAllDialects().
  */
 
-#include <functional>
+#include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+
+#include "src/ir/identifier.h"
 
 namespace hida {
 
@@ -19,35 +22,59 @@ class Operation;
 
 /** Per-op metadata registered by dialects. */
 struct OpInfo {
+    /** Error message of a failed check, or std::nullopt. */
+    using VerifyFn = std::optional<std::string> (*)(Operation*);
+
     /** Region values may not reference values defined outside the op. */
     bool isolatedFromAbove = false;
     /** Op must be the last operation in its block. */
     bool isTerminator = false;
     /**
-     * Structural verifier; returns an error message or std::nullopt.
-     * Invoked by verify() after generic structural checks.
+     * Per-op check, invoked by verify() after the generic structural
+     * checks, and on every verify, even when those are skipped. It must
+     * return a message, never abort, for any attribute of any kind, and
+     * must not mutate the op.
      */
-    std::function<std::optional<std::string>(Operation*)> verify;
+    VerifyFn verify = nullptr;
 };
 
 /**
  * Process-wide op registry (compiler metadata, not program state).
- * Thread-safe: registration takes an exclusive lock, lookups a shared
- * one. Returned OpInfo pointers stay valid because entries are never
- * erased (the map is append-only and node-based).
+ * Registration takes a mutex; lookup() is lock-free. Entries sit in a
+ * table indexed by the op name's Identifier::raw(), in fixed-size chunks
+ * that are allocated once and never moved or freed (the interner's
+ * chunk-table idiom, src/ir/identifier.cc): an entry and its chunk are
+ * release-published after they are fully built, so a returned OpInfo
+ * pointer stays valid for the process lifetime.
  */
 class OpRegistry {
   public:
     static OpRegistry& instance();
 
-    void registerOp(const std::string& name, OpInfo info);
-    /** Lookup; returns nullptr for unregistered op names. */
-    const OpInfo* lookup(const std::string& name) const;
+    /** Register @p name's info. The first registration of a name wins. */
+    void registerOp(std::string_view name, OpInfo info);
+    /** Lock-free lookup; nullptr for unregistered op names. */
+    const OpInfo*
+    lookup(Identifier name) const
+    {
+        const uint32_t id = name.raw();
+        if (id / kChunkSize >= kMaxChunks)
+            return nullptr;
+        const Slot* chunk =
+            chunks_[id / kChunkSize].load(std::memory_order_acquire);
+        return chunk == nullptr
+                   ? nullptr
+                   : chunk[id % kChunkSize].load(std::memory_order_acquire);
+    }
 
   private:
+    static constexpr uint32_t kChunkSize = 1024;
+    static constexpr uint32_t kMaxChunks = 4096;
+    using Slot = std::atomic<const OpInfo*>;
+
     OpRegistry() = default;
-    mutable std::shared_mutex mutex_;
-    std::unordered_map<std::string, OpInfo> ops_;
+    std::mutex mutex_;
+    std::atomic<Slot*> chunks_[kMaxChunks] = {};
 };
 
 /** Register every dialect shipped with HIDA. Idempotent. */

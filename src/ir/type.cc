@@ -177,12 +177,6 @@ Type::operator==(const Type& other) const
     return storageEq(impl_.get(), other.impl_.get());
 }
 
-TypeKind
-Type::kind() const
-{
-    return impl_ ? impl_->kind : TypeKind::kNone;
-}
-
 unsigned
 Type::bitWidth() const
 {

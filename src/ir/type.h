@@ -88,7 +88,7 @@ class Type {
     bool operator==(const Type& other) const;
     bool operator!=(const Type& other) const { return !(*this == other); }
 
-    TypeKind kind() const;
+    TypeKind kind() const { return impl_ ? impl_->kind : TypeKind::kNone; }
     bool isIndex() const { return kind() == TypeKind::kIndex; }
     bool isInteger() const { return kind() == TypeKind::kInteger; }
     bool isFloat() const { return kind() == TypeKind::kFloat; }

@@ -1,7 +1,9 @@
 #include "src/ir/verifier.h"
 
+#include <utility>
+#include <vector>
+
 #include "src/ir/operation.h"
-#include "src/ir/printer.h"
 #include "src/ir/registry.h"
 #include "src/support/diagnostics.h"
 #include "src/support/fault_inject.h"
@@ -32,12 +34,15 @@ dominates(Value* value, Operation* user)
     return false;
 }
 
+/**
+ * The checks a structural verdict covers: null operands, dominance,
+ * isolation and terminator placement. They read only operands, op
+ * order, block arguments, op names and registered traits.
+ */
 std::optional<std::string>
-verifyOp(Operation* op, Operation* enclosing_isolated)
+verifyStructure(Operation* op, const OpInfo* info,
+                Operation* enclosing_isolated)
 {
-    const OpInfo* info = OpRegistry::instance().lookup(op->name());
-
-    // Operand sanity + dominance.
     for (unsigned i = 0; i < op->numOperands(); ++i) {
         Value* operand = op->operand(i);
         if (operand == nullptr)
@@ -59,47 +64,110 @@ verifyOp(Operation* op, Operation* enclosing_isolated)
                               enclosing_isolated->name(), "'");
         }
     }
-
-    // Terminator placement.
     if (info != nullptr && info->isTerminator && op->block() != nullptr &&
         op->block()->back() != op)
         return strCat("terminator '", op->name(), "' is not last in its block");
-
-    // Per-op hook.
-    if (info != nullptr && info->verify) {
-        if (auto error = info->verify(op))
-            return error;
-    }
-
-    // Recurse; this op becomes the isolation scope if it is isolated.
-    Operation* scope = enclosing_isolated;
-    if (info != nullptr && info->isolatedFromAbove)
-        scope = op;
-    for (unsigned r = 0; r < op->numRegions(); ++r) {
-        for (const auto& block : op->region(r).blocks()) {
-            for (Operation* nested : block->ops()) {
-                if (auto error = verifyOp(nested, scope))
-                    return error;
-            }
-        }
-    }
     return std::nullopt;
 }
+
+using HookList = std::vector<std::pair<Operation*, OpInfo::VerifyFn>>;
+
+/**
+ * The hooks of the last tree this thread verified clean, in pre-order,
+ * keyed on its detached root and that root's structure epoch. While the
+ * root's verdict holds at that epoch, a verify runs them from this flat
+ * list instead of walking the tree: the epoch covers every op insert,
+ * move and erase, and a verdict requires every op to be registered (the
+ * first registration of a name wins), so the list still names every
+ * op's hook in order. Epoch values never repeat, except 0 on a root that
+ * never changed structurally; such a root keeps no list.
+ */
+struct HookPlan {
+    const Operation* root = nullptr;
+    uint64_t epoch = 0;
+    HookList hooks;
+};
+
+thread_local HookPlan t_hook_plan;
+
+/** One pre-order pass over a tree; the first error wins. */
+struct Verifier {
+    const OpRegistry& registry = OpRegistry::instance();
+    /** Run the structural checks; unset, only the per-op hooks run. */
+    bool structural = true;
+    /** Cleared when an op without registered info is met. */
+    bool allRegistered = true;
+    /** When set, every op's hook is appended here in visit order. */
+    HookList* hooks = nullptr;
+
+    std::optional<std::string>
+    visit(Operation* op, Operation* enclosing_isolated)
+    {
+        const OpInfo* info = registry.lookup(op->nameId());
+        if (info == nullptr)
+            allRegistered = false;
+        if (structural) {
+            if (auto error = verifyStructure(op, info, enclosing_isolated))
+                return error;
+        }
+        if (info != nullptr && info->verify != nullptr) {
+            if (hooks != nullptr)
+                hooks->emplace_back(op, info->verify);
+            if (auto error = info->verify(op))
+                return error;
+        }
+
+        // Recurse; this op becomes the isolation scope if it is isolated.
+        Operation* scope = enclosing_isolated;
+        if (info != nullptr && info->isolatedFromAbove)
+            scope = op;
+        for (unsigned r = 0; r < op->numRegions(); ++r) {
+            for (const auto& block : op->region(r).blocks()) {
+                for (Operation* nested : *block) {
+                    if (auto error = visit(nested, scope))
+                        return error;
+                }
+            }
+        }
+        return std::nullopt;
+    }
+};
 
 } // namespace
 
 std::optional<std::string>
 verify(Operation* root)
 {
-    return verifyOp(root, nullptr);
-}
-
-void
-verifyOrDie(Operation* root)
-{
-    if (auto error = verify(root)) {
-        HIDA_PANIC("IR verification failed: ", *error, "\n", toString(root));
+    // Only a detached root carries a verdict: every mutation in its tree
+    // bumps the epoch on it, which clears the verdict.
+    const bool detached = root->block() == nullptr;
+    const bool warm = detached && root->structureVerified_;
+    HookPlan& plan = t_hook_plan;
+    if (warm && plan.root == root && plan.epoch == root->rootEpoch_) {
+        for (const auto& [op, hook] : plan.hooks)
+            if (auto error = hook(op))
+                return error;
+        return std::nullopt;
     }
+    Verifier verifier;
+    verifier.structural = !warm;
+    if (detached) {
+        plan.root = nullptr;
+        plan.hooks.clear();
+        verifier.hooks = &plan.hooks;
+    }
+    std::optional<std::string> error = verifier.visit(root, nullptr);
+    // Registration is the one input of the structural checks no epoch
+    // covers; the first registration of a name wins, so only a tree with
+    // an unregistered op can see its verdict change without a bump.
+    if (!error && detached && verifier.allRegistered) {
+        root->structureVerified_ = true;
+        if (root->rootEpoch_ != 0) {
+            plan.root = root;
+            plan.epoch = root->rootEpoch_;
+        }
+    }
+    return error;
 }
 
 std::optional<Diagnostic>

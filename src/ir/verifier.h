@@ -5,6 +5,22 @@
  * @file
  * Structural IR verifier: SSA dominance, isolation (IsolatedFromAbove),
  * terminator placement, plus per-op hooks from the OpRegistry.
+ *
+ * Cost: one pre-order pass over the tree, iterating blocks in place. A
+ * dominance check is O(depth) (Operation::isBeforeInBlock is O(1)), and
+ * the op info comes from the registry's lock-free id-indexed table.
+ *
+ * Structural verdicts: a clean verify of a detached root records a
+ * verdict on the root, and every structural mutation in the tree (the
+ * ones that bump Operation::structureEpoch) clears it. While it holds,
+ * verify() skips the structural checks, which read only operands, op
+ * order, block arguments and op names, and runs every op's hook in the
+ * same pre-order, so it returns the same first error. The hooks of the
+ * last tree a thread verified clean are kept in a flat pre-order list
+ * keyed on the root and its epoch, so such a verify does not walk the
+ * tree either. A verify of an op inside a tree always runs in full and
+ * records nothing. The verdict is lazily written tree state: only the
+ * thread that owns the tree may verify it.
  */
 
 #include <optional>
@@ -18,12 +34,10 @@ class Operation;
 
 /**
  * Verify @p root and everything nested inside it.
- * @return first error found, or std::nullopt when the IR is valid.
+ * @return the first error in pre-order, or std::nullopt when the IR is
+ * valid.
  */
 std::optional<std::string> verify(Operation* root);
-
-/** Verify and panic with the error message on failure (for tests/passes). */
-void verifyOrDie(Operation* root);
 
 /**
  * Recoverable verification: returns a kVerifyFailed Diagnostic instead

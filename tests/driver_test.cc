@@ -116,7 +116,7 @@ designs()
     // Table 2 of Figure 1: LeNet at batch 10, untiled.
     auto lenet = [] { return buildLeNet(10); };
     result.push_back({"LeNet-b10", lenet, TargetDevice::pynqZ2(), true});
-    for (const std::string& name : {"2mm", "3mm"}) {
+    for (const char* name : {"2mm", "3mm"}) {
         auto build = [name] { return buildPolybenchKernel(name); };
         result.push_back({name, build, TargetDevice::zu3eg()});
     }

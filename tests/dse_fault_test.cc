@@ -227,8 +227,9 @@ TEST_P(SweepContractTest, InjectedFailuresIdenticalAtAnyThreadCount)
         std::vector<size_t> failed;
         for (size_t f = 0; f < outcome.failures.size(); ++f) {
             const PointFailure& failure = outcome.failures[f];
-            if (f > 0)
+            if (f > 0) {
                 EXPECT_LT(outcome.failures[f - 1].index, failure.index);
+            }
             EXPECT_EQ(failure.diag.code, ErrorCode::kFaultInjected);
             EXPECT_FALSE(outcome.completed[failure.index]);
             failed.push_back(failure.index);
@@ -273,10 +274,12 @@ TEST_P(SweepContractTest, WorkerRecoversAfterMidPipelineFault)
     ASSERT_FALSE(outcome.failures.empty());
     for (const PointFailure& failure : outcome.failures)
         EXPECT_EQ(failure.diag.code, ErrorCode::kFaultInjected);
-    for (size_t i = 0; i < s.grid.size(); ++i)
-        if (outcome.completed[i])
+    for (size_t i = 0; i < s.grid.size(); ++i) {
+        if (outcome.completed[i]) {
             EXPECT_TRUE(qorEq(outcome.results[i], s.clean[i]))
                 << "point " << i << " after a recovery";
+        }
+    }
 }
 
 TEST_F(DseFaultTest, PrototypeVerifierFaultSurfacesBeforeTheSweep)

@@ -36,6 +36,8 @@
 #include "src/dse/grid.h"
 #include "src/dse/sweep.h"
 #include "src/estimator/qor.h"
+#include "src/ir/registry.h"
+#include "src/ir/verifier.h"
 #include "src/models/dnn_models.h"
 #include "src/transforms/passes.h"
 
@@ -378,6 +380,55 @@ TEST(ConcurrencyHammerTest, InternerAgreesAcrossThreads)
             EXPECT_EQ(ids[t][k].str(), key);
             EXPECT_EQ(ids[t][k].dialect(),
                       Identifier::get("hammer" + std::to_string(t % 4)));
+        }
+    }
+}
+
+TEST(ConcurrencyHammerTest, RegistryLookupsRaceRegistration)
+{
+    // Lookups are lock-free reads of a chunk table that registration
+    // grows under a mutex. Threads register disjoint op names (enough to
+    // publish fresh chunks) while they look up each other's names and
+    // verify their own modules: a lookup sees nothing or a complete entry.
+    registerAllDialects();
+    constexpr int kThreads = 8;
+    constexpr int kNames = 300;
+    auto name = [](int t, int i) {
+        return "regham" + std::to_string(t) + ".op" + std::to_string(i);
+    };
+    std::atomic<int> torn{0};
+    std::vector<int> verify_errors(kThreads, 0);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([t, &name, &torn, &verify_errors]() {
+            OpRegistry& registry = OpRegistry::instance();
+            OwnedModule module = buildLeNet(1);
+            for (int i = 0; i < kNames; ++i) {
+                registry.registerOp(name(t, i),
+                                    OpInfo{.isolatedFromAbove = false,
+                                           .isTerminator = i % 2 == 1,
+                                           .verify = nullptr});
+                const int other = (t + 1 + i) % kThreads;
+                const OpInfo* info =
+                    registry.lookup(Identifier::get(name(other, i)));
+                if (info != nullptr && info->isTerminator != (i % 2 == 1))
+                    ++torn;
+                if (i % 100 == 0 && verify(module.get().op()))
+                    ++verify_errors[t];
+            }
+        });
+    }
+    for (std::thread& t : pool)
+        t.join();
+
+    EXPECT_EQ(torn.load(), 0);
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(verify_errors[t], 0) << "thread " << t;
+        for (int i = 0; i < kNames; ++i) {
+            const OpInfo* info =
+                OpRegistry::instance().lookup(Identifier::get(name(t, i)));
+            ASSERT_NE(info, nullptr) << name(t, i);
+            EXPECT_EQ(info->isTerminator, i % 2 == 1) << name(t, i);
         }
     }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/dialect/affine/affine_ops.h"
 #include "src/dialect/arith/arith_ops.h"
 #include "src/dialect/memref/memref_ops.h"
@@ -330,6 +332,109 @@ TEST_F(IrCoreTest, MoveOperationsBetweenBlocks)
     EXPECT_TRUE(loop.op()->isBeforeInBlock(c.op()));
     EXPECT_EQ(c.op()->prevInBlock(), loop.op());
     EXPECT_EQ(loop.op()->nextInBlock(), c.op());
+}
+
+TEST_F(IrCoreTest, IsBeforeInBlockTracksEveryReorder)
+{
+    // isBeforeInBlock answers from cached order indices that a block
+    // renumbers lazily. Random builder inserts (front, middle, end), the
+    // four moves within and across blocks, and erases must each leave it
+    // agreeing with positions taken by a linear walk.
+    OwnedModule module;
+    OpBuilder builder(module.get().body());
+    FuncOp func = FuncOp::create(builder, "kernel", {});
+    builder.setInsertionPointToEnd(func.body());
+    ForOp outer = ForOp::create(builder, 0, 4);
+    builder.setInsertionPointToEnd(outer.body());
+    ForOp inner = ForOp::create(builder, 0, 4);
+    const std::vector<Block*> blocks = {func.body(), outer.body(),
+                                        inner.body()};
+    // Constants are leaves: any of them may move anywhere or be erased.
+    std::vector<Operation*> leaves;
+    for (Block* block : blocks) {
+        builder.setInsertionPointToEnd(block);
+        for (int i = 0; i < 4; ++i)
+            leaves.push_back(ConstantOp::createIndex(builder, i).op());
+    }
+
+    uint64_t state = 0x0DDC0FFEEULL;  // xorshift64*, fixed seed
+    auto below = [&state](size_t n) -> size_t {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        return n == 0 ? 0 : (state * 0x2545F4914F6CDD1DULL) % n;
+    };
+    auto nth = [](Block* block, size_t n) {
+        for (Operation* op : *block)
+            if (n-- == 0)
+                return op;
+        return static_cast<Operation*>(nullptr);
+    };
+
+    std::vector<std::string> trace;
+    for (int step = 0; step < 3000 && !HasFailure(); ++step) {
+        Block* block = blocks[below(blocks.size())];
+        Operation* leaf = leaves[below(leaves.size())];
+        Operation* other = block->empty() ? nullptr
+                                          : nth(block, below(block->size()));
+        const size_t action = below(8);
+        trace.push_back(strCat("step ", step, ": action ", action,
+                               " block ", block->size(), " ops"));
+        switch (action) {
+        case 0: {  // builder insert at the front, the middle or the end
+            OpBuilder at;
+            const size_t where = below(3);
+            if (where == 0 || other == nullptr)
+                at.setInsertionPointToStart(block);
+            else if (where == 1)
+                at.setInsertionPointBefore(other);
+            else
+                at.setInsertionPointToEnd(block);
+            leaves.push_back(ConstantOp::createIndex(at, step).op());
+            break;
+        }
+        case 1:
+            if (other != nullptr && other != leaf)
+                leaf->moveBefore(other);
+            break;
+        case 2:
+            if (other != nullptr && other != leaf)
+                leaf->moveAfter(other);
+            break;
+        case 3:
+            leaf->moveToEnd(block);
+            break;
+        case 4:
+            leaf->moveToFront(block);
+            break;
+        case 5:
+            if (leaves.size() > 4) {
+                leaves.erase(std::find(leaves.begin(), leaves.end(), leaf));
+                leaf->erase();
+            }
+            break;
+        default:  // a query-only step
+            break;
+        }
+        for (Block* b : blocks) {
+            const std::vector<Operation*> order = b->ops();
+            const size_t n = order.size();
+            auto check = [&](size_t i, size_t j) {
+                EXPECT_EQ(order[i]->isBeforeInBlock(order[j]), i <= j)
+                    << "positions " << i << " and " << j << " of " << n
+                    << " after\n  " << trace.back();
+            };
+            if (n <= 12) {
+                for (size_t i = 0; i < n; ++i)
+                    for (size_t j = 0; j < n; ++j)
+                        check(i, j);
+            } else {
+                for (int k = 0; k < 32; ++k)
+                    check(below(n), below(n));
+            }
+        }
+    }
+    EXPECT_FALSE(verify(module.get().op()).has_value());
 }
 
 } // namespace

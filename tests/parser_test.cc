@@ -10,6 +10,7 @@
 #include "src/driver/driver.h"
 #include "src/ir/parser.h"
 #include "src/ir/printer.h"
+#include "src/ir/registry.h"
 #include "src/ir/verifier.h"
 #include "src/models/dnn_models.h"
 #include "src/models/polybench.h"
@@ -122,6 +123,75 @@ TEST(ParserTest, ParsesAttributes)
     EXPECT_DOUBLE_EQ(func->attr("pi").asFloat(), 3.5);
     EXPECT_EQ(func->attr("flag").kind(), AttrKind::kUnit);
     EXPECT_EQ(func->attr("neg").asInt(), -7);
+}
+
+/**
+ * Parse @p body as the body of func "t" and expect the verifier to reject
+ * it with a kVerifyFailed diagnostic naming @p needle. Every input below
+ * once aborted inside a verifier hook (an asserting attribute accessor or
+ * an out-of-bounds shape read); a hook must return a message instead.
+ */
+void
+expectVerifyFailed(const std::string& body, const std::string& needle)
+{
+    registerAllDialects();
+    const std::string text = "builtin.module() {\n"
+                             "  func.func() {sym_name = \"t\"} {\n" +
+                             body + "  }\n}\n";
+    Result<OwnedModule> parsed = parseModule(text);
+    ASSERT_TRUE(parsed) << parsed.diag().str();
+    std::optional<Diagnostic> diag =
+        verifyToDiagnostic(parsed.value().get().op());
+    ASSERT_TRUE(diag.has_value()) << text;
+    EXPECT_EQ(diag->code, ErrorCode::kVerifyFailed);
+    EXPECT_NE(diag->message.find(needle), std::string::npos)
+        << diag->message;
+}
+
+TEST(ParserVerifyTest, BufferStagesArrayIsADiagnostic)
+{
+    expectVerifyFailed("    %b = hida.buffer() {stages = [2]} : "
+                       "memref<4x8xi8, on_chip>\n",
+                       "'stages' must be an integer");
+}
+
+TEST(ParserVerifyTest, BufferStagesStringIsADiagnostic)
+{
+    expectVerifyFailed("    %b = hida.buffer() {stages = \"x\"} : "
+                       "memref<4x8xi8, on_chip>\n",
+                       "'stages' must be an integer");
+}
+
+TEST(ParserVerifyTest, BufferScalarPartitionFactorsIsADiagnostic)
+{
+    expectVerifyFailed("    %b = hida.buffer() {partition_factors = 3} : "
+                       "memref<4x8xi8, on_chip>\n",
+                       "'partition_factors' must be an integer array");
+}
+
+TEST(ParserVerifyTest, BufferFactorsBeyondRankAreADiagnostic)
+{
+    expectVerifyFailed("    %b = hida.buffer() {partition_factors = "
+                       "[1, 1, 1]} : memref<4x8xi8, on_chip>\n",
+                       "3 partition factors for rank 2");
+}
+
+TEST(ParserVerifyTest, NodeScalarEffectsIsADiagnostic)
+{
+    expectVerifyFailed("    ^bb(%a : memref<4xi8, on_chip>):\n"
+                       "    hida.node(%a : memref<4xi8, on_chip>) "
+                       "{effects = 3} {\n"
+                       "      ^bb(%x : memref<4xi8, on_chip>):\n"
+                       "    }\n",
+                       "'effects' must be an integer array");
+}
+
+TEST(ParserVerifyTest, ForStringBoundIsADiagnostic)
+{
+    expectVerifyFailed("    affine.for() {lb = 0, step = 1, ub = \"x\"} {\n"
+                       "      ^bb(%i : index):\n"
+                       "    }\n",
+                       "affine.for 'ub' must be an integer");
 }
 
 } // namespace
