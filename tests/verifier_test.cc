@@ -6,10 +6,9 @@
  * (Operation::isBeforeInBlock), the registry's id-indexed op info, a
  * structural verdict on the root that lets a verify at an unchanged
  * structure epoch run only the per-op hooks, and the flat list of those
- * hooks. A stale entry in any of them
- * is silent: verify() accepts broken IR or rejects good IR. Seeded
- * xorshift campaigns attack that on compiled modules. Each step applies
- * one random edit:
+ * hooks. A stale entry in any of them is silent: verify() accepts broken
+ * IR or rejects good IR. Seeded xorshift campaigns attack that on
+ * compiled modules. Each step applies one random edit:
  *  - an attribute write that keeps or breaks a hook: buffer stages and
  *    partition factors, loop bounds, node effects, affine index maps, or
  *    the function's sym_name;
@@ -622,7 +621,7 @@ TEST(VerifierDifferentialTest, Resnet18AfterPrefixMatchesReference)
     addPrefixPasses(prefix, optionsFor(Flow::kHida));
     prefix.run(module.get());
     constexpr int kSteps = 600;
-    VerifierCampaign campaign(module.get(), /*seed=*/0xB16B00B5);
+    VerifierCampaign campaign(module.get(), /*seed=*/0x2E5E7018);
     expectCoverage(campaign.run(kSteps), kSteps);
 }
 
