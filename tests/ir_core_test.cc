@@ -371,15 +371,14 @@ TEST_F(IrCoreTest, IsBeforeInBlockTracksEveryReorder)
         return static_cast<Operation*>(nullptr);
     };
 
-    std::vector<std::string> trace;
     for (int step = 0; step < 3000 && !HasFailure(); ++step) {
         Block* block = blocks[below(blocks.size())];
         Operation* leaf = leaves[below(leaves.size())];
         Operation* other = block->empty() ? nullptr
                                           : nth(block, below(block->size()));
         const size_t action = below(8);
-        trace.push_back(strCat("step ", step, ": action ", action,
-                               " block ", block->size(), " ops"));
+        const std::string what = strCat("step ", step, ": action ", action,
+                                        " on a block of ", block->size());
         switch (action) {
         case 0: {  // builder insert at the front, the middle or the end
             OpBuilder at;
@@ -422,7 +421,7 @@ TEST_F(IrCoreTest, IsBeforeInBlockTracksEveryReorder)
             auto check = [&](size_t i, size_t j) {
                 EXPECT_EQ(order[i]->isBeforeInBlock(order[j]), i <= j)
                     << "positions " << i << " and " << j << " of " << n
-                    << " after\n  " << trace.back();
+                    << " after " << what;
             };
             if (n <= 12) {
                 for (size_t i = 0; i < n; ++i)
