@@ -207,6 +207,9 @@ registerAffineDialect()
                 return "affine.for 'ub' must be an integer";
             if (step != nullptr && !step->is(AttrKind::kInt))
                 return "affine.for 'step' must be an integer";
+            // tripCount() divides by the step.
+            if (step != nullptr && step->asInt() < 1)
+                return "affine.for requires a positive step";
             // Absent bounds read as ForOp's defaults (0).
             if ((ub != nullptr ? ub->asInt() : 0) <
                 (lb != nullptr ? lb->asInt() : 0))

@@ -544,10 +544,7 @@ Operation::structureEpoch() const
 void
 Operation::bumpStructureEpoch()
 {
-    Operation* root = rootOp();
-    root->rootEpoch_ = nextStructureEpoch();
-    // The recorded verdict holds for the epoch it was recorded at only.
-    root->structureVerified_ = false;
+    rootOp()->rootEpoch_ = nextStructureEpoch();
 }
 
 void
@@ -568,21 +565,6 @@ Operation::resetSubtreeHashStats()
 {
     t_subtree_hash_stats = SubtreeHashStats();
 }
-
-namespace {
-
-/** lower_bound over the id-sorted attribute list. */
-inline Operation::AttrList::const_iterator
-attrLowerBound(const Operation::AttrList& attrs, Identifier key)
-{
-    return std::lower_bound(
-        attrs.begin(), attrs.end(), key,
-        [](const Operation::AttrEntry& entry, Identifier k) {
-            return entry.first < k;
-        });
-}
-
-} // namespace
 
 bool
 Operation::hasAttr(Identifier key) const
@@ -607,7 +589,7 @@ Operation::intAttrOr(Identifier key, int64_t def) const
 void
 Operation::setAttr(Identifier key, Attribute value)
 {
-    auto it = attrLowerBound(attrs_, key);
+    auto it = attrLowerBound(key);
     if (it != attrs_.end() && it->first == key) {
         // Overwrite in place. Keep the existing storage on equal values so
         // repeated directive re-application (the DSE loop) preserves
@@ -640,7 +622,7 @@ Operation::setIntAttr(Identifier key, int64_t v)
 void
 Operation::removeAttr(Identifier key)
 {
-    auto it = attrLowerBound(attrs_, key);
+    auto it = attrLowerBound(key);
     if (it == attrs_.end() || it->first != key)
         return;
     attrs_.erase(attrs_.begin() + (it - attrs_.begin()));

@@ -16,7 +16,6 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -302,11 +301,7 @@ class Operation {
     const Attribute*
     findAttr(Identifier key) const
     {
-        auto it = std::lower_bound(
-            attrs_.begin(), attrs_.end(), key,
-            [](const AttrEntry& entry, Identifier k) {
-                return entry.first < k;
-            });
+        auto it = attrLowerBound(key);
         return it != attrs_.end() && it->first == key ? &it->second : nullptr;
     }
     int64_t intAttrOr(Identifier key, int64_t def) const;
@@ -457,15 +452,6 @@ class Operation {
      */
     uint64_t structureEpoch() const;
 
-    /**
-     * True when a clean full verify() of this detached root ran at the
-     * current structure epoch: every epoch bump clears it, and clone()
-     * never copies it. verify() then skips the structural checks, which
-     * read only what the epoch covers. Lazily written tree state, like
-     * subtreeHash(); meaningful on roots only.
-     */
-    bool structureVerified() const { return structureVerified_; }
-
     /** Root of the tree this op lives in (itself when detached). */
     Operation* rootOp();
     const Operation* rootOp() const;
@@ -502,9 +488,18 @@ class Operation {
     friend class OpBuilder;
     friend class Region;
     friend class Value;
-    friend std::optional<std::string> verify(Operation* root);
 
     explicit Operation(Identifier name) : nameId_(name) {}
+
+    /** lower_bound of @p key over the id-sorted attribute list. */
+    AttrList::const_iterator
+    attrLowerBound(Identifier key) const
+    {
+        return std::lower_bound(attrs_.begin(), attrs_.end(), key,
+                                [](const AttrEntry& entry, Identifier k) {
+                                    return entry.first < k;
+                                });
+    }
 
     void addUse(Value* value, unsigned operand_index);
     void removeUse(Value* value, unsigned operand_index);
@@ -530,8 +525,6 @@ class Operation {
     /** Cached subtree hash; valid only while subtreeHashValid_ holds. */
     mutable uint64_t subtreeHash_ = 0;
     mutable bool subtreeHashValid_ = false;
-    /** See structureVerified(); meaningful on root ops only. */
-    bool structureVerified_ = false;
     /** Structure epoch of this tree; meaningful on root ops only. */
     uint64_t rootEpoch_ = 0;
 };

@@ -73,28 +73,29 @@ verifyStructure(Operation* op, const OpInfo* info,
 using HookList = std::vector<std::pair<Operation*, OpInfo::VerifyFn>>;
 
 /**
- * The hooks of the last tree this thread verified clean, in pre-order,
- * keyed on its detached root and that root's structure epoch. While the
- * root's verdict holds at that epoch, a verify runs them from this flat
- * list instead of walking the tree: the epoch covers every op insert,
- * move and erase, and a verdict requires every op to be registered (the
- * first registration of a name wins), so the list still names every
- * op's hook in order. Epoch values never repeat, except 0 on a root that
- * never changed structurally; such a root keeps no list.
+ * The structural verdict of the last tree this thread verified clean:
+ * its detached root, that root's structure epoch, and its ops' hooks in
+ * pre-order. While the root is still at that epoch, a verify runs the
+ * hooks from this list and neither walks the tree nor repeats the
+ * structural checks: the epoch covers every input of those checks and
+ * every op insert, move and erase, and a verdict requires every op to be
+ * registered (the first registration of a name wins), so the checks
+ * still pass and the list still names every op's hook in order. Epoch
+ * values never repeat, except 0 on a root that never changed
+ * structurally; such a root records no verdict, so a recycled root
+ * address cannot match.
  */
-struct HookPlan {
+struct Verdict {
     const Operation* root = nullptr;
     uint64_t epoch = 0;
     HookList hooks;
 };
 
-thread_local HookPlan t_hook_plan;
+thread_local Verdict t_verdict;
 
 /** One pre-order pass over a tree; the first error wins. */
 struct Verifier {
     const OpRegistry& registry = OpRegistry::instance();
-    /** Run the structural checks; unset, only the per-op hooks run. */
-    bool structural = true;
     /** Cleared when an op without registered info is met. */
     bool allRegistered = true;
     /** When set, every op's hook is appended here in visit order. */
@@ -106,10 +107,8 @@ struct Verifier {
         const OpInfo* info = registry.lookup(op->nameId());
         if (info == nullptr)
             allRegistered = false;
-        if (structural) {
-            if (auto error = verifyStructure(op, info, enclosing_isolated))
-                return error;
-        }
+        if (auto error = verifyStructure(op, info, enclosing_isolated))
+            return error;
         if (info != nullptr && info->verify != nullptr) {
             if (hooks != nullptr)
                 hooks->emplace_back(op, info->verify);
@@ -138,34 +137,31 @@ struct Verifier {
 std::optional<std::string>
 verify(Operation* root)
 {
-    // Only a detached root carries a verdict: every mutation in its tree
-    // bumps the epoch on it, which clears the verdict.
+    // Only a detached root carries a verdict: every structural mutation
+    // in its tree moves the epoch on it.
     const bool detached = root->block() == nullptr;
-    const bool warm = detached && root->structureVerified_;
-    HookPlan& plan = t_hook_plan;
-    if (warm && plan.root == root && plan.epoch == root->rootEpoch_) {
-        for (const auto& [op, hook] : plan.hooks)
+    Verdict& verdict = t_verdict;
+    if (detached && verdict.root == root &&
+        verdict.epoch == root->structureEpoch()) {
+        for (const auto& [op, hook] : verdict.hooks)
             if (auto error = hook(op))
                 return error;
         return std::nullopt;
     }
     Verifier verifier;
-    verifier.structural = !warm;
     if (detached) {
-        plan.root = nullptr;
-        plan.hooks.clear();
-        verifier.hooks = &plan.hooks;
+        verdict.root = nullptr;
+        verdict.hooks.clear();
+        verifier.hooks = &verdict.hooks;
     }
     std::optional<std::string> error = verifier.visit(root, nullptr);
     // Registration is the one input of the structural checks no epoch
     // covers; the first registration of a name wins, so only a tree with
     // an unregistered op can see its verdict change without a bump.
-    if (!error && detached && verifier.allRegistered) {
-        root->structureVerified_ = true;
-        if (root->rootEpoch_ != 0) {
-            plan.root = root;
-            plan.epoch = root->rootEpoch_;
-        }
+    if (!error && detached && verifier.allRegistered &&
+        root->structureEpoch() != 0) {
+        verdict.root = root;
+        verdict.epoch = root->structureEpoch();
     }
     return error;
 }

@@ -10,17 +10,18 @@
  * dominance check is O(depth) (Operation::isBeforeInBlock is O(1)), and
  * the op info comes from the registry's lock-free id-indexed table.
  *
- * Structural verdicts: a clean verify of a detached root records a
- * verdict on the root, and every structural mutation in the tree (the
- * ones that bump Operation::structureEpoch) clears it. While it holds,
- * verify() skips the structural checks, which read only operands, op
- * order, block arguments and op names, and runs every op's hook in the
- * same pre-order, so it returns the same first error. The hooks of the
- * last tree a thread verified clean are kept in a flat pre-order list
- * keyed on the root and its epoch, so such a verify does not walk the
- * tree either. A verify of an op inside a tree always runs in full and
- * records nothing. The verdict is lazily written tree state: only the
- * thread that owns the tree may verify it.
+ * Structural verdicts: a clean verify of a detached root records, per
+ * thread, a verdict keyed on the root and its structure epoch (see
+ * Operation::structureEpoch), holding the tree's hooks in pre-order. A
+ * later verify of that root at the same epoch skips the walk and the
+ * structural checks, which read only operands, op order, block
+ * arguments and op names, and runs every hook from that list in the
+ * same order, so it returns the same first error. Each thread keeps one
+ * verdict, for the last root it verified in full if that verify passed;
+ * any structural mutation moves the epoch and so retires it. A verify
+ * of an op inside a tree always runs in full and records nothing. The
+ * order indices it reads are lazily written tree state: only the thread
+ * that owns the tree may verify it.
  */
 
 #include <optional>

@@ -128,8 +128,9 @@ TEST(ParserTest, ParsesAttributes)
 /**
  * Parse @p body as the body of func "t" and expect the verifier to reject
  * it with a kVerifyFailed diagnostic naming @p needle. Every input below
- * once aborted inside a verifier hook (an asserting attribute accessor or
- * an out-of-bounds shape read); a hook must return a message instead.
+ * once aborted: inside a verifier hook (an asserting attribute accessor or
+ * an out-of-bounds shape read), or, for a zero step, at the first trip
+ * count after a clean verify. A hook must return a message instead.
  */
 void
 expectVerifyFailed(const std::string& body, const std::string& needle)
@@ -192,6 +193,14 @@ TEST(ParserVerifyTest, ForStringBoundIsADiagnostic)
                        "      ^bb(%i : index):\n"
                        "    }\n",
                        "affine.for 'ub' must be an integer");
+}
+
+TEST(ParserVerifyTest, ForZeroStepIsADiagnostic)
+{
+    expectVerifyFailed("    affine.for() {lb = 0, step = 0, ub = 4} {\n"
+                       "      ^bb(%i : index):\n"
+                       "    }\n",
+                       "affine.for requires a positive step");
 }
 
 } // namespace

@@ -2,12 +2,12 @@
  * @file
  * Differential tests of the IR verifier (src/ir/verifier.cc).
  *
- * verify() leans on four caches: each block's lazily renumbered op order
- * (Operation::isBeforeInBlock), the registry's id-indexed op info, a
- * structural verdict on the root that lets a verify at an unchanged
- * structure epoch run only the per-op hooks, and the flat list of those
- * hooks. A stale entry in any of them is silent: verify() accepts broken
- * IR or rejects good IR. Seeded xorshift campaigns attack that on
+ * verify() leans on three caches: each block's lazily renumbered op
+ * order (Operation::isBeforeInBlock), the registry's id-indexed op info,
+ * and a per-thread structural verdict keyed on the root and its structure
+ * epoch, which lets a verify at an unchanged epoch run only the per-op
+ * hooks, from a flat list. A stale entry in any of them is silent:
+ * verify() accepts broken IR or rejects good IR. Seeded xorshift campaigns attack that on
  * compiled modules. Each step applies one random edit:
  *  - an attribute write that keeps or breaks a hook: buffer stages and
  *    partition factors, loop bounds, node effects, affine index maps, or
@@ -18,8 +18,8 @@
  * After every step verify() must return exactly what a test-local copy of
  * the uncached verifier returns: a linear order scan, a lookup by name
  * string, every check on every call. Now and then another tree is
- * verified first, so the flat hook list verify() keeps for the last tree
- * it passed is both used and rebuilt. Edits that break the IR are then
+ * verified first, so the verdict verify() keeps for the last tree it
+ * passed is both used and rebuilt. Edits that break the IR are then
  * undone so the campaign goes on; the seed, the step and the edit trace
  * print on the first divergence.
  */
@@ -159,7 +159,7 @@ struct XorShift {
 
 /** What a campaign exercised, so a vacuous pass cannot hide. */
 struct CampaignStats {
-    int warmVerifies = 0;      ///< Root verifies with a recorded verdict.
+    int warmVerifies = 0;      ///< Root verifies the verdict may answer.
     int structuralErrors = 0;  ///< Dominance, isolation, terminator.
     int hookErrors = 0;        ///< Per-op hook messages.
     int validEdits = 0;        ///< Edits kept because the IR stayed valid.
@@ -228,23 +228,30 @@ class VerifierCampaign {
     check(const std::string& what)
     {
         trace_.push_back(what);
-        // Now and then verify another tree first: the flat hook list
-        // verify() keeps per thread then belongs to that tree.
-        if (rng_.below(16) == 0) {
+        // Now and then verify another tree first: the verdict verify()
+        // keeps per thread then belongs to that tree.
+        const bool other_first = rng_.below(16) == 0;
+        if (other_first) {
             EXPECT_FALSE(verify(other_.get().op()).has_value());
         }
         Operation* root = module_.op();
-        if (root->structureVerified())
+        // The verdict answers when the root's last full verify passed at
+        // this epoch and no other tree was verified since; a hook error
+        // under the verdict leaves it in place.
+        const uint64_t epoch = root->structureEpoch();
+        const bool warm =
+            !other_first && epoch != 0 && epoch == verdictEpoch_;
+        if (warm)
             ++stats_.warmVerifies;
         const std::optional<std::string> expected = refVerifyOp(root, nullptr);
         compare(root, expected, "root");
+        if (!warm)
+            verdictEpoch_ = expected ? 0 : epoch;
         if (rng_.below(8) == 0) {
             Operation* subject = nested_[rng_.below(nested_.size())];
             ++stats_.nestedVerifies;
             compare(subject, refVerifyOp(subject, nullptr),
                     "'" + subject->name() + "'");
-            EXPECT_FALSE(subject->structureVerified())
-                << "a verify of an op inside the tree recorded a verdict";
         }
         if (expected) {
             if (isStructuralError(*expected))
@@ -579,6 +586,8 @@ class VerifierCampaign {
     uint64_t seed_;
     XorShift rng_;
     int step_ = 0;
+    /** The epoch of the root's verdict, or 0 while it has none. */
+    uint64_t verdictEpoch_ = 0;
     Operation* func_ = nullptr;
     std::vector<Operation*> loops_;
     std::vector<Operation*> buffers_;
