@@ -298,8 +298,7 @@ class Operation {
      * for hot paths that compare in place (the verifier's hooks read
      * through it). Valid until this op's next attribute write.
      */
-    const Attribute*
-    findAttr(Identifier key) const
+    const Attribute* findAttr(Identifier key) const
     {
         auto it = attrLowerBound(key);
         return it != attrs_.end() && it->first == key ? &it->second : nullptr;
@@ -492,8 +491,7 @@ class Operation {
     explicit Operation(Identifier name) : nameId_(name) {}
 
     /** lower_bound of @p key over the id-sorted attribute list. */
-    AttrList::const_iterator
-    attrLowerBound(Identifier key) const
+    AttrList::const_iterator attrLowerBound(Identifier key) const
     {
         return std::lower_bound(attrs_.begin(), attrs_.end(), key,
                                 [](const AttrEntry& entry, Identifier k) {

@@ -54,8 +54,7 @@ class OpRegistry {
     /** Register @p name's info. The first registration of a name wins. */
     void registerOp(std::string_view name, OpInfo info);
     /** Lock-free lookup; nullptr for unregistered op names. */
-    const OpInfo*
-    lookup(Identifier name) const
+    const OpInfo* lookup(Identifier name) const
     {
         const uint32_t id = name.raw();
         if (id / kChunkSize >= kMaxChunks)

@@ -7,8 +7,9 @@
  * and a per-thread structural verdict keyed on the root and its structure
  * epoch, which lets a verify at an unchanged epoch run only the per-op
  * hooks, from a flat list. A stale entry in any of them is silent:
- * verify() accepts broken IR or rejects good IR. Seeded xorshift campaigns attack that on
- * compiled modules. Each step applies one random edit:
+ * verify() accepts broken IR or rejects good IR. Seeded xorshift
+ * campaigns attack that on compiled modules. Each step applies one
+ * random edit:
  *  - an attribute write that keeps or breaks a hook: buffer stages and
  *    partition factors, loop bounds, node effects, affine index maps, or
  *    the function's sym_name;
