@@ -669,7 +669,9 @@ TEST_F(ServiceTest, ConcurrentRequestsShareTheLanes)
         ServiceRequest request = smallRequest();
         request.grid = bigGrid();
         request.strategy.kind = StrategyKind::kRandom;
-        request.strategy.budget = 64;
+        // Enough points that a request outlasts a loaded host's delay
+        // in starting a second lane.
+        request.strategy.budget = 512;
         request.strategy.seed = 7;
         ids.push_back(service.submit(request));
     }
