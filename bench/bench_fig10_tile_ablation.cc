@@ -7,18 +7,20 @@
  * tiles inflate DSP via address generation; throughput correlates
  * positively with tile size at large parallel factors.
  *
- * Each point is an independent full compile, so the sweep runs on
- * ShardedSweep::runResilient: every worker builds and compiles its own
- * modules on its own thread (a one-round sweep spreads its 25 points
- * over HIDA_BENCH_THREADS workers), and results are printed in grid
- * order — identical output at any HIDA_BENCH_THREADS. A lost point or
- * worker is fatal: the figure is printed whole or not at all.
+ * Each point is an independent full compile, so the sweep is the
+ * exhaustive strategy through runStrategySweep at fan-out grain 1: its
+ * one 25-point round gets one worker per point up to
+ * HIDA_BENCH_THREADS (the default grain of 64 would run it inline on one
+ * thread), and every worker builds and compiles its own modules on its
+ * own thread. Results are printed in grid order — identical output at
+ * any HIDA_BENCH_THREADS. A lost point or worker is fatal: the figure is
+ * printed whole or not at all.
  */
 
 #include <cstdio>
 
 #include "src/driver/driver.h"
-#include "src/dse/sweep.h"
+#include "src/dse/strategy.h"
 #include "src/models/dnn_models.h"
 #include "src/support/diagnostics.h"
 
@@ -32,23 +34,26 @@ main()
     grid.addAxis("pf", {1, 4, 16, 64, 256});
     grid.addAxis("tile", {2, 4, 8, 16, 32});
 
-    SweepOutcome<CompileResult> outcome =
-        ShardedSweep::runResilient<CompileResult>(
-            grid,
-            [&]() {
-                ResilientWorker<CompileResult> worker;
-                worker.evaluate = [&device](size_t,
-                                            const std::vector<int64_t>& vals)
-                    -> Result<CompileResult> {
-                    OwnedModule module = buildDnnModel("ResNet-18", nullptr);
-                    FlowOptions options = optionsFor(Flow::kHida);
-                    options.maxParallelFactor = vals[0];
-                    options.tileSize = vals[1];
-                    return compile(module.get(), options, device);
-                };
-                return worker;
-            },
-            dseThreadCount(), SweepLimits(), sweepScheduleFromEnv());
+    std::unique_ptr<SearchStrategy> exhaustive =
+        makeStrategy(grid, StrategyOptions());
+    SweepSchedule schedule;
+    schedule.grain = 1;
+    SweepOutcome<CompileResult> outcome = runStrategySweep<CompileResult>(
+        grid, *exhaustive,
+        [&]() {
+            ResilientWorker<CompileResult> worker;
+            worker.evaluate = [&device](size_t,
+                                        const std::vector<int64_t>& vals)
+                -> Result<CompileResult> {
+                OwnedModule module = buildDnnModel("ResNet-18", nullptr);
+                FlowOptions options = optionsFor(Flow::kHida);
+                options.maxParallelFactor = vals[0];
+                options.tileSize = vals[1];
+                return compile(module.get(), options, device);
+            };
+            return worker;
+        },
+        nullptr, dseThreadCount(), SweepLimits(), schedule);
     if (!outcome.allCompleted() || !outcome.stats.workerFailures.empty())
         HIDA_FATAL("Figure 10 sweep lost ", outcome.failures.size(),
                    " point(s) and ", outcome.stats.workerFailures.size(),

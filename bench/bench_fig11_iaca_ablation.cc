@@ -7,18 +7,20 @@
  * to flawed (over-subscribed, misaligned) designs; where all arms work,
  * IA+CA spends several-fold less DSP/BRAM for the same throughput.
  *
- * Points are independent full compiles; the sweep runs on
- * ShardedSweep::runResilient over the (arm, PF) grid (its 20 points
- * spread over HIDA_BENCH_THREADS workers) and prints in grid order, so
- * the output is identical at any HIDA_BENCH_THREADS. A lost point or
- * worker is fatal: the figure is printed whole or not at all.
+ * Points are independent full compiles; the sweep is the exhaustive
+ * strategy over the (arm, PF) grid through runStrategySweep at fan-out
+ * grain 1 (its 20 points get one worker each up to HIDA_BENCH_THREADS;
+ * the default grain of 64 would run them inline on one thread) and
+ * prints in grid order, so the output is identical at any
+ * HIDA_BENCH_THREADS. A lost point or worker is fatal: the figure is
+ * printed whole or not at all.
  */
 
 #include <cstdio>
 #include <iterator>
 
 #include "src/driver/driver.h"
-#include "src/dse/sweep.h"
+#include "src/dse/strategy.h"
 #include "src/models/dnn_models.h"
 #include "src/support/diagnostics.h"
 
@@ -43,25 +45,27 @@ main()
     HIDA_ASSERT(grid.axis(0).values.size() == std::size(arms),
                 "arm axis and arms[] diverged");
 
-    SweepOutcome<CompileResult> outcome =
-        ShardedSweep::runResilient<CompileResult>(
-            grid,
-            [&]() {
-                ResilientWorker<CompileResult> worker;
-                worker.evaluate = [&device, &arms](
-                                      size_t,
-                                      const std::vector<int64_t>& vals)
-                    -> Result<CompileResult> {
-                    OwnedModule module = buildDnnModel("ResNet-18", nullptr);
-                    FlowOptions options = optionsFor(Flow::kHida);
-                    options.maxParallelFactor = vals[1];
-                    const Arm& arm = arms[vals[0]];
-                    options.strategy = {arm.ia, arm.ca};
-                    return compile(module.get(), options, device);
-                };
-                return worker;
-            },
-            dseThreadCount(), SweepLimits(), sweepScheduleFromEnv());
+    std::unique_ptr<SearchStrategy> exhaustive =
+        makeStrategy(grid, StrategyOptions());
+    SweepSchedule schedule;
+    schedule.grain = 1;
+    SweepOutcome<CompileResult> outcome = runStrategySweep<CompileResult>(
+        grid, *exhaustive,
+        [&]() {
+            ResilientWorker<CompileResult> worker;
+            worker.evaluate = [&device, &arms](
+                                  size_t, const std::vector<int64_t>& vals)
+                -> Result<CompileResult> {
+                OwnedModule module = buildDnnModel("ResNet-18", nullptr);
+                FlowOptions options = optionsFor(Flow::kHida);
+                options.maxParallelFactor = vals[1];
+                const Arm& arm = arms[vals[0]];
+                options.strategy = {arm.ia, arm.ca};
+                return compile(module.get(), options, device);
+            };
+            return worker;
+        },
+        nullptr, dseThreadCount(), SweepLimits(), schedule);
     if (!outcome.allCompleted() || !outcome.stats.workerFailures.empty())
         HIDA_FATAL("Figure 11 sweep lost ", outcome.failures.size(),
                    " point(s) and ", outcome.stats.workerFailures.size(),

@@ -33,11 +33,6 @@
  *                                 (default exhaustive — byte-identical
  *                                 stdout to the pre-strategy bench);
  *   HIDA_DSE_SEED=<n>             root of every sampling decision;
- *   HIDA_DSE_ORDER=gray|row-major evaluation order (gray: consecutive
- *                                 points mutate one directive — max
- *                                 estimator memo reuse);
- *   HIDA_DSE_SCHED=steal|static   worker scheduling (steal: dry workers
- *                                 adopt straggler slices);
  *   HIDA_DSE_BUDGET=<n>           points per (mode, batch) sweep a
  *                                 sampling strategy may propose
  *                                 (default 10% of the grid);
@@ -46,9 +41,11 @@
  *                                 vs the exhaustive reference, cache
  *                                 hit rate) for bench.sh to fold into
  *                                 BENCH_dse.json.
- * A sampling run additionally sweeps the exhaustive reference front per
- * (mode, batch) to report *true* Pareto coverage — the acceptance
- * metric (evolve: >= 95% coverage at <= 10% of the points).
+ * The exhaustive strategy walks the grid in Gray-code order, so
+ * consecutive points mutate one directive (maximal estimator memo
+ * reuse). A sampling run additionally sweeps the exhaustive reference
+ * front per (mode, batch) to report *true* Pareto coverage — the
+ * acceptance metric (evolve: >= 95% coverage at <= 10% of the points).
  */
 
 #include <algorithm>
@@ -157,10 +154,6 @@ main()
     const std::vector<int64_t> batches = {1, 5, 10, 15, 20};
     const DesignPointGrid grid = factorGrid();
     const unsigned threads = dseThreadCount();
-    // HIDA_DSE_ORDER / HIDA_DSE_SCHED: evaluation order and worker
-    // scheduling. Output-invariant by construction (results merge by
-    // grid index); the defaults (gray, steal) are the fast path.
-    const SweepSchedule schedule = sweepScheduleFromEnv();
 
     // Strategy selection: HIDA_DSE_STRATEGY/SEED/BUDGET (an unknown
     // strategy is a user error — exit kFatalExitCode, never a silent
@@ -250,7 +243,7 @@ main()
                 [](size_t index, const Point& p) {
                     return ParetoSample{index, p.util, p.throughput};
                 },
-                threads, limits, schedule);
+                threads, limits);
 
             total_failures += outcome.failures.size();
             total_restored += outcome.stats.restored;
@@ -290,11 +283,10 @@ main()
             // exhaustive reference front of this (mode, batch) config
             // and count how much of it the sample dominates-or-equals.
             if (sampled) {
-                SweepOutcome<Point> reference =
-                    ShardedSweep::runResilient<Point>(grid, factory,
-                                                      threads,
-                                                      SweepLimits(),
-                                                      schedule);
+                std::unique_ptr<SearchStrategy> exhaustive =
+                    makeStrategy(grid, StrategyOptions());
+                SweepOutcome<Point> reference = runStrategySweep<Point>(
+                    grid, *exhaustive, factory, nullptr, threads);
                 std::vector<ParetoSample> feasible;
                 for (size_t i = 0; i < reference.results.size(); ++i) {
                     if (!reference.completed[i])

@@ -37,31 +37,8 @@ case "$DSE_STRATEGY" in
         ;;
 esac
 
-# Same early validation for the sweep-schedule knobs: ordering (which
-# enumeration order workers walk) and scheduler (fixed shards vs work
-# stealing). Neither may change output_sha256 — the serial/sharded hash
-# comparison below re-proves that on every run.
-DSE_ORDER="${HIDA_DSE_ORDER:-gray}"
-case "$DSE_ORDER" in
-    gray|row-major) ;;
-    *)
-        echo "FAIL: unknown HIDA_DSE_ORDER '$DSE_ORDER'" \
-             "(expected gray|row-major)" >&2
-        exit 65
-        ;;
-esac
-DSE_SCHED="${HIDA_DSE_SCHED:-steal}"
-case "$DSE_SCHED" in
-    steal|static) ;;
-    *)
-        echo "FAIL: unknown HIDA_DSE_SCHED '$DSE_SCHED'" \
-             "(expected steal|static)" >&2
-        exit 65
-        ;;
-esac
 echo "DSE strategy: $DSE_STRATEGY (seed ${HIDA_DSE_SEED:-42}," \
-     "budget ${HIDA_DSE_BUDGET:-10% of grid}," \
-     "order $DSE_ORDER, scheduler $DSE_SCHED)"
+     "budget ${HIDA_DSE_BUDGET:-10% of grid})"
 
 # Fail loudly, never partially: every BENCH json is staged to a .tmp and
 # only renamed into place after its producer succeeded, and the ERR trap
@@ -100,8 +77,7 @@ HW_CONCURRENCY=$(nproc)
 THREADS="${HIDA_BENCH_THREADS:-$HW_CONCURRENCY}"
 
 start_ns=$(date +%s%N)
-HIDA_BENCH_THREADS=1 HIDA_DSE_ORDER="$DSE_ORDER" HIDA_DSE_SCHED="$DSE_SCHED" \
-    "$BUILD_DIR/bench_fig1_lenet_dse" > "$DSE_OUT.serial"
+HIDA_BENCH_THREADS=1 "$BUILD_DIR/bench_fig1_lenet_dse" > "$DSE_OUT.serial"
 end_ns=$(date +%s%N)
 serial_wall_s=$(awk "BEGIN { printf \"%.3f\", ($end_ns - $start_ns) / 1e9 }")
 serial_pps=$(awk "BEGIN { printf \"%.1f\", $DSE_POINTS / $serial_wall_s }")
@@ -114,7 +90,6 @@ DSE_STATS="$BUILD_DIR/bench_fig1_lenet_dse.stats.json"
 rm -f "$DSE_STATS"
 start_ns=$(date +%s%N)
 HIDA_BENCH_THREADS="$THREADS" HIDA_DSE_STATS="$DSE_STATS" \
-    HIDA_DSE_ORDER="$DSE_ORDER" HIDA_DSE_SCHED="$DSE_SCHED" \
     "$BUILD_DIR/bench_fig1_lenet_dse" > "$DSE_OUT"
 end_ns=$(date +%s%N)
 wall_s=$(awk "BEGIN { printf \"%.3f\", ($end_ns - $start_ns) / 1e9 }")
@@ -138,8 +113,6 @@ cat > "$REPO_ROOT/BENCH_dse.json.tmp" <<EOF
   "points_per_sec_serial": $serial_pps,
   "threads": $THREADS,
   "hardware_concurrency": $HW_CONCURRENCY,
-  "order": "$DSE_ORDER",
-  "scheduler": "$DSE_SCHED",
   "output_sha256": "$out_sha",
   "strategy": $(cat "$DSE_STATS"),
   "date": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",

@@ -3,9 +3,10 @@
 #
 #   1. Every relative Markdown link in README.md and docs/*.md resolves
 #      to a file or directory in the repo.
-#   2. Every HIDA_* environment variable the compiler (src/), the
-#      benches (bench/) or the scripts (scripts/) read appears in the
-#      README knob table.
+#   2. The README knob table and the HIDA_* environment variables the
+#      compiler (src/), the benches (bench/), the tests (tests/) and the
+#      scripts (scripts/) read name the same set: every variable read has
+#      a row, and every HIDA_* row names a variable something reads.
 #
 # Exit non-zero with one line per problem; print OK otherwise. Callable
 # locally from anywhere inside the repo.
@@ -39,24 +40,33 @@ for doc in "${doc_files[@]}"; do
     done < <(grep -oE '\]\([^)]+\)' "$doc" | sed 's/^](//; s/)$//')
 done
 
-# ---- 2. Knob-table completeness -------------------------------------------
-# Every HIDA_* var read from the environment — getenv()/envUint()/
-# envDouble() in C++, ${HIDA_*} expansion in shell — must have a row
-# (backtick-quoted) in the README knob table. HIDA_ASSERT/PANIC/FATAL
-# are macros, not knobs; *_H are include guards.
+# ---- 2. Knob table == variables read --------------------------------------
+# A HIDA_* var is read when getenv()/envUint()/envDouble() in C++ or a
+# ${HIDA_*} expansion in shell names it. HIDA_ASSERT/PANIC/FATAL are
+# macros, not knobs; *_H are include guards. A knob row is a table line
+# whose first cell is a backtick-quoted HIDA_* name.
 vars=$(
     {
         grep -rhoE '(getenv|envUint|envDouble)\("HIDA_[A-Z_0-9]+"' \
-            src/ bench/ 2>/dev/null | grep -oE 'HIDA_[A-Z_0-9]+'
+            src/ bench/ tests/ 2>/dev/null | grep -oE 'HIDA_[A-Z_0-9]+'
         grep -rhoE '\$\{HIDA_[A-Z_0-9]+' scripts/*.sh 2>/dev/null |
             grep -oE 'HIDA_[A-Z_0-9]+'
     } | sort -u
 )
+rows=$(grep -oE '^\| `HIDA_[A-Z_0-9]+`' README.md | grep -oE 'HIDA_[A-Z_0-9]+' |
+    sort -u)
 
 for var in $vars; do
-    if ! grep -q "\`$var\`" README.md; then
+    if ! grep -qx "$var" <<< "$rows"; then
         echo "FAIL: env var $var is read but missing from the README" \
              "knob table" >&2
+        status=1
+    fi
+done
+for row in $rows; do
+    if ! grep -qx "$row" <<< "$vars"; then
+        echo "FAIL: the README knob table has a row for $row, which" \
+             "nothing in src/, bench/, tests/ or scripts/ reads" >&2
         status=1
     fi
 done

@@ -234,19 +234,19 @@ registerAffineDialect()
                 return "affine.apply 'offset' must be an integer";
             return std::nullopt;
         }});
-    registry.registerOp(
-        LoadOp::kOpName,
-        OpInfo{.verify = [](Operation* op) -> std::optional<std::string> {
+    // Both load forms share LoadOp's operand layout, so one hook checks
+    // either; its messages name the op it found.
+    const OpInfo load_info{
+        .verify = [](Operation* op) -> std::optional<std::string> {
             if (op->numOperands() < 1 || !op->operand(0)->type().isMemRef())
-                return "affine.load requires a memref operand";
+                return strCat(op->name(), " requires a memref operand");
             LoadOp load(op);
             if (load.numIndices() != load.memref()->type().shape().size())
-                return "affine.load index count mismatch";
+                return strCat(op->name(), " index count mismatch");
             return std::nullopt;
-        }});
-    // No hook: only the generic checks apply. Registered so that a tree
-    // holding padded loads can keep a structural verdict (see verify()).
-    registry.registerOp(paddedLoadNameId().str(), OpInfo{});
+        }};
+    registry.registerOp(LoadOp::kOpName, load_info);
+    registry.registerOp(paddedLoadNameId().str(), load_info);
     registry.registerOp(
         StoreOp::kOpName,
         OpInfo{.verify = [](Operation* op) -> std::optional<std::string> {

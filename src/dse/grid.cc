@@ -100,28 +100,6 @@ DesignPointGrid::encode(const std::vector<size_t>& value_indices) const
     return index;
 }
 
-std::optional<PointOrder>
-parsePointOrder(std::string_view name)
-{
-    if (name == "row-major")
-        return PointOrder::kRowMajor;
-    if (name == "gray")
-        return PointOrder::kGrayCode;
-    return std::nullopt;
-}
-
-std::string_view
-pointOrderName(PointOrder order)
-{
-    switch (order) {
-      case PointOrder::kRowMajor:
-        return "row-major";
-      case PointOrder::kGrayCode:
-        return "gray";
-    }
-    return "unknown";
-}
-
 size_t
 DesignPointGrid::orderedIndex(size_t pos, PointOrder order) const
 {

@@ -72,12 +72,6 @@ struct GridAxis {
  */
 enum class PointOrder : uint8_t { kRowMajor, kGrayCode };
 
-/** Parse "row-major"|"gray" (nullopt on anything else). */
-std::optional<PointOrder> parsePointOrder(std::string_view name);
-
-/** Stable name of @p order (the HIDA_DSE_ORDER spelling). */
-std::string_view pointOrderName(PointOrder order);
-
 /**
  * Cartesian grid over named axes. Points are enumerated row-major with
  * axis 0 slowest (the nesting order of the serial loops the grid

@@ -18,13 +18,13 @@ namespace hida {
 //===----------------------------------------------------------------------===//
 
 StrategyWorkerPool::StrategyWorkerPool(unsigned workers, WorkerInit init,
-                                       SweepScheduler scheduler)
+                                       SweepScheduler scheduler, size_t grain)
     : workers_(std::max(1u, workers)), init_(std::move(init)),
-      scheduler_(scheduler)
+      scheduler_(scheduler), grain_(grain)
 {
+    HIDA_ASSERT(grain > 0, "fan-out grain must be at least 1");
     // Dialect registration mutates the process-wide OpRegistry; do it
-    // once up front so helpers never race a first-compile registration
-    // (the runShards rule).
+    // once up front so helpers never race a first-compile registration.
     registerAllDialects();
 }
 
@@ -33,7 +33,7 @@ StrategyWorkerPool::~StrategyWorkerPool() { shutdown(); }
 unsigned
 StrategyWorkerPool::participants(size_t count) const
 {
-    size_t p = std::clamp<size_t>(count / kFanOutGrain, 1, workers_);
+    size_t p = std::clamp<size_t>(count / grain_, 1, workers_);
     // A dead driver evaluates nothing: hand slot 0 to a helper pool that
     // can steal it.
     if (driverDead_ && workers_ > 1)
@@ -88,7 +88,7 @@ void
 StrategyWorkerPool::helperMain(unsigned index, uint64_t seen)
 {
     // Tag diagnostic lines with the worker index (emission itself is
-    // serialized), exactly like runShards workers.
+    // serialized).
     setDiagnosticThreadTag(strCat("w", index));
     // Helper-local state (module clone, estimator, passes) is created
     // here, on the helper thread, and lives until shutdown — warm caches
@@ -234,11 +234,9 @@ resolveBudget(const DesignPointGrid& grid, size_t budget)
     return std::min(budget == 0 ? fallback : budget, grid.size());
 }
 
-/** Every point, one batch, proposed in the configured PointOrder (once
- * the batch reaches every pool worker, the executor slices it exactly
- * like ShardedSweep::runResilient). Under kGrayCode consecutive batch
- * positions mutate exactly one directive, so each worker's slice walks
- * single-axis steps. */
+/** Every point, one batch, proposed in the configured PointOrder. Under
+ * kGrayCode consecutive batch positions mutate exactly one directive,
+ * so each worker's slice walks single-axis steps. */
 class ExhaustiveStrategy : public SearchStrategy {
   public:
     ExhaustiveStrategy(const DesignPointGrid& grid, PointOrder order)
@@ -1005,7 +1003,6 @@ strategyOptionsFromEnv()
     // to clamp silently to ULLONG_MAX.
     options.seed = envUint("HIDA_DSE_SEED", options.seed);
     options.budget = envUint("HIDA_DSE_BUDGET", 0);
-    options.order = sweepScheduleFromEnv().order;
     return options;
 }
 

@@ -9,17 +9,17 @@
  * proposes batches of grid indices and consumes (index, objectives)
  * results; runStrategySweep() drives one through a StrategyWorkerPool
  * hosted on the calling thread — small batches run inline on one warm
- * worker, large ones fan out to lazily spawned helpers. Every batch runs
- * through the SweepPipeline of src/dse/sweep.h, the one per-point
- * contract ShardedSweep::runResilient also drives: the same per-worker
- * clone/estimator recipe, fault isolation, journal, deadline, budget
- * and worker hooks, and the same SweepOutcome.
+ * worker, large ones fan out to lazily spawned helpers. It is the one
+ * sweep entry point: every batch runs through the SweepPipeline of
+ * src/dse/sweep.h (per-worker clone/estimator recipe, fault isolation,
+ * journal, deadline, budget and worker hooks), and a whole-grid sweep is
+ * the exhaustive strategy.
  *
  * Four built-in strategies (makeStrategy / HIDA_DSE_STRATEGY):
  *  - exhaustive: every point, one batch, proposed in the configured
- *    PointOrder (HIDA_DSE_ORDER; gray by default, so consecutive
- *    points mutate exactly one directive) — byte-identical output to
- *    the pre-strategy sweeps at any order/scheduler/thread count.
+ *    PointOrder (gray by default, so consecutive points mutate exactly
+ *    one directive) — byte-identical output at any order, scheduler,
+ *    grain and thread count.
  *  - random: seeded uniform sampling without replacement.
  *  - lhs: latin-hypercube sampling over the named axes (every axis
  *    stratified into budget slices, permuted independently).
@@ -45,8 +45,7 @@
  * Thread-safety: a SearchStrategy is confined to the driver thread
  * (strictly per-driver in the ROADMAP sharing rules). StrategyWorkerPool
  * is internally synchronized; each pool worker (the driver as worker 0,
- * helpers on their own threads) owns its ResilientWorker state exactly
- * like a runShards worker.
+ * helpers on their own threads) owns its ResilientWorker state.
  */
 
 #include <condition_variable>
@@ -138,10 +137,10 @@ struct StrategyOptions {
      */
     double costLimit = 0.0;
     /**
-     * Enumeration order of the exhaustive strategy (HIDA_DSE_ORDER).
-     * Gray code proposes single-directive steps for maximal estimator
-     * memo reuse; sampling strategies choose their own batch
-     * compositions and ignore it.
+     * Enumeration order of the exhaustive strategy. Gray code proposes
+     * single-directive steps for maximal estimator memo reuse; row-major
+     * is the grid's index order. Sampling strategies choose their own
+     * batch compositions and ignore it.
      */
     PointOrder order = PointOrder::kGrayCode;
 };
@@ -156,8 +155,8 @@ std::unique_ptr<SearchStrategy> makeStrategy(const DesignPointGrid& grid,
 /**
  * StrategyOptions from the environment: HIDA_DSE_STRATEGY (default
  * exhaustive), HIDA_DSE_SEED (default 42), HIDA_DSE_BUDGET (default 0 =
- * 10% of grid), HIDA_DSE_ORDER (default gray). An unknown strategy
- * name or a malformed/overflowing number is a *user* error:
+ * 10% of grid); the order stays gray. An unknown strategy name or a
+ * malformed/overflowing number is a *user* error:
  * HIDA_FATAL, exit kFatalExitCode (65) — never a silent fallback to
  * exhaustive (and never a silent clamp of an overflowed seed).
  */
@@ -165,20 +164,20 @@ StrategyOptions strategyOptionsFromEnv();
 
 /**
  * A help-while-waiting pool of persistent workers for batch-by-batch
- * sweeps. It runs the same WorkerFns hooks as ShardedSweep::runShards,
- * but where runShards spawns threads per call, the pool keeps each
- * worker — and therefore its module clone and warm estimator caches —
- * alive across batches, which is what lets an evolutionary strategy's
- * neighbor points hit the caches its earlier batches warmed.
+ * sweeps. The pool keeps each worker — and therefore its module clone
+ * and warm estimator caches — alive across batches, which is what lets
+ * an evolutionary strategy's neighbor points hit the caches its earlier
+ * batches warmed.
  *
  * Worker 0 is the driver: the thread that calls runRound() always
  * evaluates, and its hooks are created on it at the first round. A
  * round over @p count positions fans out to participants(count) =
- * clamp(count / kFanOutGrain, 1, W) workers, so a small round runs
- * inline on the driver's one warm worker and a helper is woken only
- * when it gets at least one full chunk. Helper threads (workers 1..W-1)
- * are spawned, and their init run on them, at the first round that
- * fans out to them, never in the constructor.
+ * clamp(count / grain, 1, W) workers. At the default grain
+ * (kFanOutGrain) a small round runs inline on the driver's one warm
+ * worker and a helper is woken only when it gets at least one full
+ * chunk; at grain 1 every position gets a worker, up to W. Helper
+ * threads (workers 1..W-1) are spawned, and their init run on them, at
+ * the first round that fans out to them, never in the constructor.
  *
  * Participant w of a round owns the contiguous slice
  * [count*w/P, count*(w+1)/P) — the WorkQueue math over the round's P
@@ -218,10 +217,13 @@ class StrategyWorkerPool {
     static constexpr size_t kFanOutGrain = WorkQueue::kMaxChunk;
 
     /** A pool of up to @p workers participants (the driver plus
-     * workers - 1 lazily spawned helpers). @p init runs once per
-     * worker, on that worker's thread. No thread is spawned here. */
+     * workers - 1 lazily spawned helpers) whose rounds fan out one
+     * participant per @p grain positions (at least 1). @p init runs
+     * once per worker, on that worker's thread. No thread is spawned
+     * here. */
     StrategyWorkerPool(unsigned workers, WorkerInit init,
-                       SweepScheduler scheduler = SweepScheduler::kStatic);
+                       SweepScheduler scheduler = SweepScheduler::kStatic,
+                       size_t grain = kFanOutGrain);
     /** Joins (runs shutdown()) if the driver has not already. */
     ~StrategyWorkerPool();
 
@@ -263,6 +265,7 @@ class StrategyWorkerPool {
     unsigned workers_ = 1;
     WorkerInit init_;
     SweepScheduler scheduler_ = SweepScheduler::kStatic;
+    size_t grain_ = kFanOutGrain;
     WorkQueue queue_;
     /** The driver's worker (slot 0), created lazily on its thread. */
     WorkerFns driver_;
@@ -290,28 +293,46 @@ template <typename R>
 using StrategyOutcome = SweepOutcome<R>;
 
 /**
+ * How runStrategySweep spreads each batch over its pool. Neither field
+ * can change a sweep's output — only which worker evaluates which point
+ * and the wall clock.
+ */
+struct SweepSchedule {
+    /** The pool's round slicing. */
+    SweepScheduler scheduler = SweepScheduler::kStealing;
+    /**
+     * Batch positions per participant before a round fans out (see
+     * StrategyWorkerPool). The default suits points of a few
+     * microseconds; a sweep whose every point is a full compile (Figures
+     * 10 and 11: 20-25 ResNet-18 compiles of 7-14 ms each) passes 1, so
+     * each point gets a worker up to the thread count.
+     */
+    size_t grain = StrategyWorkerPool::kFanOutGrain;
+};
+
+/**
  * Drive @p strategy over @p grid on a StrategyWorkerPool of up to
  * @p threads workers: the calling thread is worker 0, and a batch of
- * fewer than 2 * StrategyWorkerPool::kFanOutGrain points runs inline on
- * it alone, so its clone and caches stay warm across batches.
+ * fewer than 2 * @p schedule.grain points runs inline on it alone, so
+ * its clone and caches stay warm across batches. A whole-grid sweep is
+ * the exhaustive strategy.
  *
  * Per batch: the strategy proposes indices (driver thread), the pool
- * evaluates them through the SweepPipeline runResilient also uses (so
- * fault isolation, journal restore, deadline / cancel / point budget
- * and the cache and retire hooks behave identically), and the batch's
- * results are fed back in batch order — journal-restored points like
- * evaluated ones.
+ * evaluates them through the SweepPipeline (fault isolation, journal
+ * restore, deadline / cancel / point budget, and the cache and retire
+ * hooks), and the batch's results are fed back in batch order —
+ * journal-restored points like evaluated ones.
  *
  * @p objective maps a completed result to its ParetoSample objectives
- * for strategy feedback (the index field is overwritten).
+ * for strategy feedback (the index field is overwritten). It may be
+ * empty for a strategy that ignores objectives (exhaustive): feedback
+ * then carries only which points completed.
  *
- * @p schedule.scheduler picks the pool's round slicing (static or
- * stealing; output-invariant — results store by grid index). A batch
- * is sliced like runResilient only when it reaches every worker
- * (kFanOutGrain * threads points or more, e.g. an exhaustive batch).
- * @p schedule.order is a *strategy* concern: the exhaustive strategy
- * takes it from StrategyOptions at construction; batches arriving here
- * are evaluated in their proposed order.
+ * @p schedule picks the pool's round slicing and fan-out grain; both
+ * are output-invariant, since results store by grid index. The
+ * evaluation order is a *strategy* concern: the exhaustive strategy
+ * takes it from StrategyOptions at construction, and batches arriving
+ * here are evaluated in their proposed order.
  *
  * Determinism: for a fixed strategy seed the proposed indices, results
  * and failures are bit-identical at any @p threads, because strategy
@@ -342,7 +363,7 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
             return pipeline.workerFns(
                 factory, [&batch](size_t pos) { return batch[pos]; });
         },
-        schedule.scheduler);
+        schedule.scheduler, schedule.grain);
 
     std::vector<uint8_t> proposed_ever(n, 0);
     std::vector<StrategyResult> feedback;
@@ -366,7 +387,7 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
             StrategyResult r;
             r.index = i;
             r.ok = out.completed[i] != 0;
-            if (r.ok) {
+            if (r.ok && objective) {
                 ParetoSample s = objective(i, out.results[i]);
                 r.cost = s.cost;
                 r.value = s.value;
@@ -376,7 +397,7 @@ runStrategySweep(const DesignPointGrid& grid, SearchStrategy& strategy,
         strategy.consume(feedback);
     }
     pool.shutdown();
-    return pipeline.finish("strategy-sweep", pool.workerFailures());
+    return pipeline.finish(pool.workerFailures());
 }
 
 } // namespace hida

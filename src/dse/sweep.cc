@@ -6,56 +6,10 @@
 #include <string>
 #include <thread>
 
-#include "src/ir/registry.h"
 #include "src/ir/verifier.h"
 #include "src/support/env.h"
 
 namespace hida {
-
-std::optional<SweepScheduler>
-parseSweepScheduler(std::string_view name)
-{
-    if (name == "static")
-        return SweepScheduler::kStatic;
-    if (name == "steal")
-        return SweepScheduler::kStealing;
-    return std::nullopt;
-}
-
-std::string_view
-sweepSchedulerName(SweepScheduler scheduler)
-{
-    switch (scheduler) {
-      case SweepScheduler::kStatic:
-        return "static";
-      case SweepScheduler::kStealing:
-        return "steal";
-    }
-    return "unknown";
-}
-
-SweepSchedule
-sweepScheduleFromEnv()
-{
-    SweepSchedule schedule;
-    if (const char* env = std::getenv("HIDA_DSE_ORDER");
-        env != nullptr && *env != '\0') {
-        auto order = parsePointOrder(env);
-        if (!order)
-            HIDA_FATAL("invalid HIDA_DSE_ORDER '", env,
-                       "': expected 'gray' or 'row-major'");
-        schedule.order = *order;
-    }
-    if (const char* env = std::getenv("HIDA_DSE_SCHED");
-        env != nullptr && *env != '\0') {
-        auto scheduler = parseSweepScheduler(env);
-        if (!scheduler)
-            HIDA_FATAL("invalid HIDA_DSE_SCHED '", env,
-                       "': expected 'steal' or 'static'");
-        schedule.scheduler = *scheduler;
-    }
-    return schedule;
-}
 
 void
 WorkQueue::reset(size_t count, size_t workers, SweepScheduler scheduler)
@@ -156,58 +110,6 @@ guardWorker(size_t index, FunctionRef<void()> fn)
                     strCat("worker w", index));
     emitDiagnostic(diag);
     return diag;
-}
-
-std::vector<Diagnostic>
-ShardedSweep::runShards(size_t num_points, const WorkerInit& init,
-                        unsigned threads, SweepScheduler scheduler)
-{
-    std::vector<Diagnostic> worker_failures;
-    if (num_points == 0)
-        return worker_failures;
-    // Dialect registration mutates the process-wide OpRegistry; do it
-    // once up front so workers never race a first-compile registration.
-    registerAllDialects();
-    const size_t workers = std::min<size_t>(std::max(1u, threads), num_points);
-    WorkQueue queue;
-    queue.reset(num_points, workers, scheduler);
-    std::mutex failures_mutex;
-    // Worker w's whole life, on the calling thread: init (so the clones,
-    // estimators and passes it creates are owned by this thread), its
-    // chunks, its finish hook.
-    auto work = [&](size_t w) {
-        std::optional<Diagnostic> diag = guardWorker(w, [&] {
-            WorkerFns fns = init();
-            size_t begin = 0;
-            size_t end = 0;
-            while (queue.take(w, &begin, &end))
-                fns.run(begin, end);
-            if (fns.finish)
-                fns.finish();
-        });
-        if (diag) {
-            std::lock_guard<std::mutex> lock(failures_mutex);
-            worker_failures.push_back(std::move(*diag));
-        }
-    };
-    if (workers == 1) {
-        // Serial fast path: no thread spawn, same worker contract.
-        work(0);
-        return worker_failures;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&work, w]() {
-            // Tag the thread so concurrent diagnostic lines say which
-            // worker emitted them (emission itself is serialized).
-            setDiagnosticThreadTag(strCat("w", w));
-            work(w);
-        });
-    }
-    for (std::thread& t : pool)
-        t.join();
-    return worker_failures;
 }
 
 std::optional<Diagnostic>

@@ -3,9 +3,11 @@
 
 /**
  * @file
- * Sharded sweep executor: evaluates every point of a DesignPointGrid
- * across worker threads and merges the per-point results in grid order,
- * so the output is bit-identical to a serial sweep at any thread count.
+ * The per-point sweep contract and its building blocks: cancellation,
+ * stop limits, the work queue that slices a round over workers, the
+ * canonical clone-the-prototype worker, and SweepPipeline, the one
+ * per-point loop runStrategySweep (src/dse/strategy.h) drives batch by
+ * batch on a StrategyWorkerPool.
  *
  * Sharing rules (see ROADMAP "Threading model"): workers share only the
  * internally synchronized process-wide tables (identifier interner, type
@@ -17,31 +19,28 @@
  * disjoint slots of one preallocated vector indexed by grid order —
  * merging is a no-op and deterministic.
  *
- * Work distribution: every worker owns a contiguous range of
- * *enumeration positions* — neighboring positions differ in few axes
- * (exactly one under PointOrder::kGrayCode), which keeps each worker's
- * directive-fingerprint memo hot exactly like the serial sweep it
- * replaces. Under SweepScheduler::kStatic the ranges are fixed (the
- * PR 5 behavior); under kStealing a worker that drains its own range
- * steals the back half of a straggler's remaining range, so uneven
- * point costs no longer serialize on the slowest shard. Neither the
- * ordering nor the scheduler can change a sweep's output: results are
- * always stored by canonical *grid index* and per-point results are
- * history-independent (warm == cold estimates, pinned by the
- * differential fuzzer), so the merged output is bit-identical across
- * every {order} x {scheduler} x {thread count} combination.
+ * Work distribution: every worker owns a contiguous range of a round's
+ * positions — neighboring positions differ in few axes (exactly one
+ * under PointOrder::kGrayCode), which keeps each worker's
+ * directive-fingerprint memo hot exactly like a serial sweep. Under
+ * SweepScheduler::kStatic the ranges are fixed; under kStealing a
+ * worker that drains its own range steals the back half of a
+ * straggler's remaining range, so uneven point costs no longer
+ * serialize on the slowest worker. Neither the ordering nor the
+ * scheduler can change a sweep's output: results are always stored by
+ * canonical *grid index* and per-point results are history-independent
+ * (warm == cold estimates, pinned by the differential fuzzer), so the
+ * merged output is bit-identical across every {order} x {scheduler} x
+ * {thread count} combination.
  *
- * One per-point contract, two drivers (see ROADMAP "Error handling
- * contract"): SweepPipeline holds the only copy of the per-point loop —
- * a failed point becomes a structured PointFailure in the outcome (grid
+ * The per-point contract (see ROADMAP "Error handling contract"): a
+ * failed point becomes a structured PointFailure in the outcome (grid
  * order; surviving points are bit-identical to a clean run), the worker
  * rebuilds its clone from the prototype after a failure, a cooperative
  * CancelToken, a wall-clock deadline and a point budget stop every
  * worker between points, and an optional SweepJournal checkpoints
  * completed points so an interrupted sweep resumes instead of
- * restarting. ShardedSweep::runResilient drives it over the whole grid
- * in one round of runShards threads; runStrategySweep
- * (src/dse/strategy.h) drives it batch by batch on a StrategyWorkerPool.
+ * restarting.
  */
 
 #include <algorithm>
@@ -56,7 +55,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -109,52 +107,27 @@ struct PointFailure {
 };
 
 /**
- * How enumeration positions are handed to workers.
+ * How a round's positions are handed to workers.
  *
- *  - kStatic: fixed contiguous ranges [w*n/W, (w+1)*n/W) — the PR 5
- *    behavior; a point's evaluation history depends only on its shard.
+ *  - kStatic: fixed contiguous ranges [w*n/W, (w+1)*n/W); a point's
+ *    evaluation history depends only on its range.
  *  - kStealing: same owner ranges, but a worker that drains its own
  *    range steals the back half of a straggler's remaining range.
  *    Locality survives (owners consume from the front, thieves adopt a
  *    contiguous tail) and the output cannot change (results merge by
  *    grid index; per-point results are history-independent), but wall
- *    clock no longer serializes on the slowest shard.
+ *    clock no longer serializes on the slowest worker.
  */
 enum class SweepScheduler : uint8_t { kStatic, kStealing };
 
-/** Parse "static"|"steal" (nullopt on anything else). */
-std::optional<SweepScheduler> parseSweepScheduler(std::string_view name);
-
-/** Stable name of @p scheduler (the HIDA_DSE_SCHED spelling). */
-std::string_view sweepSchedulerName(SweepScheduler scheduler);
-
 /**
- * Evaluation order + scheduler of one sweep. The defaults are the fast
- * path (single-directive steps, no straggler serialization); kRowMajor
- * and kStatic reproduce the PR 5 behavior exactly. Neither field can
- * change a sweep's output — only its evaluation order and wall clock.
- */
-struct SweepSchedule {
-    PointOrder order = PointOrder::kGrayCode;
-    SweepScheduler scheduler = SweepScheduler::kStealing;
-};
-
-/**
- * SweepSchedule from HIDA_DSE_ORDER ("gray"|"row-major") and
- * HIDA_DSE_SCHED ("steal"|"static"). Unset/empty keeps the defaults;
- * anything else is a user error (exits kFatalExitCode).
- */
-SweepSchedule sweepScheduleFromEnv();
-
-/**
- * Chunked work distribution over [0, count) for one pool of workers:
- * the shared core of ShardedSweep::runShards and the strategy worker
- * pool (src/dse/strategy.h). Each worker owns a contiguous slot it
- * consumes from the front in chunks; under kStealing a dry worker
- * steals the back half of a victim's remainder and adopts it. reset()
- * must happen-before the workers' take() calls (the callers' thread
- * create / condvar round handoff provides that); take() is safe to
- * call concurrently from all workers.
+ * Chunked work distribution over [0, count) for one round of the
+ * strategy worker pool (src/dse/strategy.h). Each worker owns a
+ * contiguous slot it consumes from the front in chunks; under kStealing
+ * a dry worker steals the back half of a victim's remainder and adopts
+ * it. reset() must happen-before the workers' take() calls (the pool's
+ * condvar round hand-off provides that); take() is safe to call
+ * concurrently from all workers.
  */
 class WorkQueue {
   public:
@@ -201,9 +174,9 @@ struct SweepLimits {
     SweepJournal* journal = nullptr;
 };
 
-/** Aggregate counters of one sweep, from either driver. */
+/** Aggregate counters of one sweep. */
 struct SweepStats {
-    size_t batches = 0;    ///< Non-empty batches (runResilient: one).
+    size_t batches = 0;    ///< Non-empty batches (exhaustive: one).
     size_t proposed = 0;   ///< Indices proposed across all batches.
     size_t evaluated = 0;  ///< Points newly evaluated (restores are free).
     size_t restored = 0;   ///< Points restored from the journal.
@@ -267,7 +240,7 @@ struct ResilientWorker {
     std::function<void()> retire;
 };
 
-/** Executor-level hooks of one worker (runShards, StrategyWorkerPool). */
+/** Executor-level hooks of one StrategyWorkerPool worker. */
 struct WorkerFns {
     /** Evaluate positions [begin, end) of the current round. */
     std::function<void(size_t begin, size_t end)> run;
@@ -387,8 +360,8 @@ std::optional<std::chrono::steady_clock::time_point>
 sweepDeadline(double seconds);
 
 /**
- * The per-point contract of both sweep drivers (runResilient below,
- * runStrategySweep in src/dse/strategy.h), written once. Per point:
+ * The per-point contract of runStrategySweep (src/dse/strategy.h).
+ * Per point:
  * stop checks (cancel, deadline), journal restore, point budget,
  * FaultScope keyed on the grid index, exception-to-failure, worker
  * recovery; per worker: the failure merge and the retire hooks; per
@@ -451,10 +424,10 @@ class SweepPipeline {
 
     /**
      * Seal the sweep: failures in grid order, the counters, the stop
-     * reason (located at @p where) and the journal flush.
+     * reason and the journal flush.
      */
     SweepOutcome<R>
-    finish(std::string_view where, std::vector<Diagnostic> worker_failures)
+    finish(std::vector<Diagnostic> worker_failures)
     {
         std::sort(outcome_.failures.begin(), outcome_.failures.end(),
                   [](const PointFailure& a, const PointFailure& b) {
@@ -464,7 +437,7 @@ class SweepPipeline {
         stats.evaluated = evaluated_.load();
         stats.restored = restored_.load();
         stats.workerFailures = std::move(worker_failures);
-        const std::string at(where);
+        const char* const at = "strategy-sweep";
         switch (cause_.load()) {
           case kDeadline:
             stats.stopReason = Diagnostic(
@@ -603,75 +576,6 @@ class SweepPipeline {
     std::atomic<int> cause_{kRunning};
     std::atomic<size_t> evaluated_{0};
     std::atomic<size_t> restored_{0};
-};
-
-/**
- * Sweeps whose points are all proposed up front: one round of threads
- * per call. runResilient is the grid-order driver of SweepPipeline; the
- * batch-by-batch driver is runStrategySweep (src/dse/strategy.h).
- */
-class ShardedSweep {
-  public:
-    /**
-     * Distribute [0, num_points) across min(@p threads, num_points)
-     * workers and run them concurrently (inline, spawning no thread,
-     * when one worker suffices). Each worker runs @p init, its run hook
-     * once per claimed chunk and then its finish hook, all on its own
-     * thread. Worker w owns [w*n/T, (w+1)*n/T); under kStatic it
-     * evaluates exactly that range (a point's evaluation history
-     * depends only on its shard, never on timing); under kStealing dry
-     * workers additionally adopt tail halves of straggler ranges.
-     * Panics in a worker still abort the process (compiler-bug
-     * semantics); an exception escaping a hook retires only that worker
-     * (guardWorker) and is returned as its kWorkerFailed Diagnostic.
-     * Spawned workers tag their diagnostic lines "w<index>" (see
-     * setDiagnosticThreadTag).
-     */
-    static std::vector<Diagnostic>
-    runShards(size_t num_points, const WorkerInit& init, unsigned threads,
-              SweepScheduler scheduler = SweepScheduler::kStatic);
-
-    /**
-     * Fault-isolated, deadline-bounded, resumable sweep of every point
-     * of @p grid: SweepPipeline over runShards, positions walking
-     * @p schedule.order, results stored by grid index. Reports one
-     * batch of grid.size() proposed points.
-     *
-     * Contract (pinned by tests/dse_fault_test.cc):
-     *  - A failed point never takes the sweep down: its Diagnostic is
-     *    recorded as a PointFailure (merged in grid order) and the
-     *    worker's recover hook runs before the next point.
-     *  - Surviving points are bit-identical to a clean run at any
-     *    thread count (failures are decided by the deterministic fault
-     *    key = grid index, never by shard/timing).
-     *  - limits.deadlineSeconds / cancel / pointBudget stop all shards
-     *    between points; completed results remain valid.
-     *  - With limits.journal, completed points are checkpointed and a
-     *    restarted sweep restores them byte-exactly instead of
-     *    re-evaluating (same output hash as an uninterrupted run).
-     */
-    template <typename R>
-    static SweepOutcome<R>
-    runResilient(const DesignPointGrid& grid,
-                 const std::function<ResilientWorker<R>()>& factory,
-                 unsigned threads, const SweepLimits& limits = SweepLimits(),
-                 const SweepSchedule& schedule = SweepSchedule())
-    {
-        SweepPipeline<R> pipeline(grid, limits);
-        const PointOrder order = schedule.order;
-        std::vector<Diagnostic> worker_failures = runShards(
-            grid.size(),
-            [&]() {
-                return pipeline.workerFns(
-                    factory, [&grid, order](size_t pos) {
-                        return grid.orderedIndex(pos, order);
-                    });
-            },
-            threads, schedule.scheduler);
-        pipeline.outcome().stats.batches = grid.size() > 0 ? 1 : 0;
-        pipeline.outcome().stats.proposed = grid.size();
-        return pipeline.finish("sweep", std::move(worker_failures));
-    }
 };
 
 /**

@@ -172,7 +172,6 @@ ServiceOptions::fromEnv()
         options.tenantWeights = parseTenantWeights(weights);
     if (const char* store = std::getenv("HIDA_QOR_STORE"))
         options.storePath = store;
-    options.schedule = sweepScheduleFromEnv();
     return options;
 }
 
@@ -795,7 +794,7 @@ DseService::runRequest(Pending pending)
             [](size_t index, const ServicePoint& point) {
                 return ParetoSample{index, point.util, point.throughput};
             },
-            options_.sweepThreads, limits, options_.schedule);
+            options_.sweepThreads, limits);
 
     response.results = std::move(outcome.results);
     response.completed = std::move(outcome.completed);

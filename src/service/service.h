@@ -183,7 +183,6 @@ struct ServiceOptions {
     double retryBackoffMs = 0.0;
     /** QoR store path (HIDA_QOR_STORE; "" = in-memory memo only). */
     std::string storePath;
-    SweepSchedule schedule;
     TargetDevice device = TargetDevice::pynqZ2();
 
     /**

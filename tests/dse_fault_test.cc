@@ -1,12 +1,13 @@
 /**
  * @file
  * Robustness tests for the resilient DSE engine — the SweepPipeline
- * per-point contract behind both sweep drivers (runResilient and
- * runStrategySweep): fault isolation, deterministic fault injection,
- * stop conditions (deadline / cancel / point budget) and the checkpoint
- * journal.
+ * per-point contract behind runStrategySweep: fault isolation,
+ * deterministic fault injection, stop conditions (deadline / cancel /
+ * point budget) and the checkpoint journal.
  *
- * The pinned contracts, each through both drivers:
+ * The pinned contracts, each at two fan-out grains of the exhaustive
+ * sweep: 1, which spreads the 48-point grid over every worker, and the
+ * default, which runs it inline on the calling thread:
  *  - Injected failures land at the exact same grid points at 1, 2 or 4
  *    workers, and surviving points are bit-identical to a clean run —
  *    the fault key is the grid index, never a thread or a clock.
@@ -54,14 +55,12 @@ qorEq(const DesignQor& a, const DesignQor& b)
            a.res.ff == b.res.ff;
 }
 
-/** The two sweep drivers the per-point contract cases run through. */
-enum class Driver { kRunResilient, kExhaustiveStrategy };
-
+/** Name of a SweepContractTest grain: one worker per point, or the
+ * pool's default. */
 std::string
-driverName(const ::testing::TestParamInfo<Driver>& info)
+grainName(const ::testing::TestParamInfo<size_t>& info)
 {
-    return info.param == Driver::kRunResilient ? "RunResilient"
-                                               : "ExhaustiveStrategy";
+    return info.param == 1 ? "WorkerPerPoint" : "DefaultGrain";
 }
 
 using WorkerFactory = std::function<ResilientWorker<DesignQor>()>;
@@ -122,22 +121,19 @@ struct LeNetSweep {
         };
     }
 
-    /** Sweep the grid through @p driver (the exhaustive strategy walks
-     * @p schedule.order); @p worker_factory defaults to factory(). */
+    /** Sweep the whole grid (the exhaustive strategy, gray order) at
+     * fan-out @p grain under @p scheduler; @p worker_factory defaults
+     * to factory(). */
     SweepOutcome<DesignQor>
-    run(Driver driver, unsigned threads,
+    run(size_t grain, unsigned threads,
         const SweepLimits& limits = SweepLimits(),
-        const SweepSchedule& schedule = SweepSchedule(),
+        SweepScheduler scheduler = SweepScheduler::kStealing,
         WorkerFactory worker_factory = nullptr)
     {
-        if (!worker_factory)
-            worker_factory = factory();
-        if (driver == Driver::kRunResilient)
-            return ShardedSweep::runResilient<DesignQor>(
-                grid, worker_factory, threads, limits, schedule);
-        StrategyOptions options;  // Exhaustive.
-        options.order = schedule.order;
-        return runStrategy(options, threads, limits, schedule,
+        SweepSchedule schedule;
+        schedule.scheduler = scheduler;
+        schedule.grain = grain;
+        return runStrategy(StrategyOptions(), threads, limits, schedule,
                            worker_factory);
     }
 
@@ -172,14 +168,14 @@ class DseFaultTest : public ::testing::Test {
     void TearDown() override { setFaultConfig(FaultConfig()); }
 };
 
-/** The per-point contract cases, once per sweep driver. */
+/** The per-point contract cases, once per fan-out grain. */
 class SweepContractTest : public DseFaultTest,
-                          public ::testing::WithParamInterface<Driver> {};
+                          public ::testing::WithParamInterface<size_t> {};
 
-INSTANTIATE_TEST_SUITE_P(BothDrivers, SweepContractTest,
-                         ::testing::Values(Driver::kRunResilient,
-                                           Driver::kExhaustiveStrategy),
-                         driverName);
+INSTANTIATE_TEST_SUITE_P(BothGrains, SweepContractTest,
+                         ::testing::Values(size_t{1},
+                                           StrategyWorkerPool::kFanOutGrain),
+                         grainName);
 
 std::string
 tempJournalPath(const std::string& name)
@@ -308,23 +304,26 @@ TEST_F(DseFaultTest, InvalidDirectiveFailsThePointNotTheSweep)
     grid.addDirectiveAxis("kpf3", {2, 8}, 3, "kpf_loop");
     ASSERT_EQ(grid.size(), 4u);
 
-    SweepOutcome<DesignQor> outcome =
-        ShardedSweep::runResilient<DesignQor>(
-            grid,
-            [&]() {
-                auto w = std::make_shared<CloneSweepWorker>(
-                    s.prototype.get(),
-                    createArrayPartitionPass(s.partitionOptions), s.device);
-                ResilientWorker<DesignQor> worker;
-                worker.evaluate =
-                    [w, &grid](size_t, const std::vector<int64_t>& vals)
-                    -> Result<DesignQor> {
-                    return w->evaluateChecked(grid, vals);
-                };
-                worker.recover = [w]() { w->rebuild(); };
-                return worker;
-            },
-            2);
+    std::unique_ptr<SearchStrategy> exhaustive =
+        makeStrategy(grid, StrategyOptions());
+    SweepSchedule schedule;
+    schedule.grain = 1;  // Both workers get points.
+    SweepOutcome<DesignQor> outcome = runStrategySweep<DesignQor>(
+        grid, *exhaustive,
+        [&]() {
+            auto w = std::make_shared<CloneSweepWorker>(
+                s.prototype.get(),
+                createArrayPartitionPass(s.partitionOptions), s.device);
+            ResilientWorker<DesignQor> worker;
+            worker.evaluate =
+                [w, &grid](size_t, const std::vector<int64_t>& vals)
+                -> Result<DesignQor> {
+                return w->evaluateChecked(grid, vals);
+            };
+            worker.recover = [w]() { w->rebuild(); };
+            return worker;
+        },
+        nullptr, 2, SweepLimits(), schedule);
 
     // Points 0 and 1 carry kpf1 = 0.
     ASSERT_EQ(outcome.failures.size(), 2u);
@@ -345,7 +344,7 @@ TEST_F(DseFaultTest, InvalidDirectiveFailsThePointNotTheSweep)
  * A LeNetSweep factory whose Nth invocation throws — the "worker dies
  * during setup" scenario. Calls are counted process-wide; which OS
  * thread draws the short straw is scheduling-dependent, so tests only
- * assert scheduler-level outcomes, never which shard was lost.
+ * assert scheduler-level outcomes, never which slice was lost.
  */
 WorkerFactory
 throwingFactory(LeNetSweep& s, std::shared_ptr<std::atomic<int>> calls,
@@ -364,15 +363,12 @@ TEST_F(DseFaultTest, WorkerFactoryExceptionBecomesDiagnostic)
     // Static scheduler, two workers, one factory throws: the sweep must
     // survive, report the dead worker as a kWorkerFailed Diagnostic
     // (not a crash, not `stopped`), and leave exactly the dead worker's
-    // fixed shard unevaluated.
+    // fixed slice unevaluated.
     LeNetSweep& s = lenet();
     auto calls = std::make_shared<std::atomic<int>>(0);
-    SweepSchedule schedule;
-    schedule.scheduler = SweepScheduler::kStatic;
     SweepOutcome<DesignQor> outcome =
-        ShardedSweep::runResilient<DesignQor>(
-            s.grid, throwingFactory(s, calls, 2), 2, SweepLimits(),
-            schedule);
+        s.run(1, 2, SweepLimits(), SweepScheduler::kStatic,
+              throwingFactory(s, calls, 2));
 
     ASSERT_EQ(outcome.stats.workerFailures.size(), 1u);
     EXPECT_EQ(outcome.stats.workerFailures[0].code,
@@ -398,12 +394,9 @@ TEST_F(DseFaultTest, StealingRescuesADeadWorkersShard)
     // the failure is reported but costs coverage nothing.
     LeNetSweep& s = lenet();
     auto calls = std::make_shared<std::atomic<int>>(0);
-    SweepSchedule schedule;
-    schedule.scheduler = SweepScheduler::kStealing;
     SweepOutcome<DesignQor> outcome =
-        ShardedSweep::runResilient<DesignQor>(
-            s.grid, throwingFactory(s, calls, 2), 2, SweepLimits(),
-            schedule);
+        s.run(1, 2, SweepLimits(), SweepScheduler::kStealing,
+              throwingFactory(s, calls, 2));
 
     ASSERT_EQ(outcome.stats.workerFailures.size(), 1u);
     EXPECT_EQ(outcome.stats.workerFailures[0].code,
@@ -417,13 +410,13 @@ TEST_F(DseFaultTest, StealingRescuesADeadWorkersShard)
 TEST_P(SweepContractTest, EvaluatorExceptionBecomesPointFailure)
 {
     // An exception escaping worker.evaluate is a *per-point* failure:
-    // the worker recovers and keeps its shard; only the throwing point
+    // the worker recovers and keeps its slice; only the throwing point
     // is lost, as a structured kWorkerFailed record.
     LeNetSweep& s = lenet();
     constexpr size_t kBadIndex = 7;
     auto inner = s.factory();
     SweepOutcome<DesignQor> outcome = s.run(
-        GetParam(), 2, SweepLimits(), SweepSchedule(), [&]() {
+        GetParam(), 2, SweepLimits(), SweepScheduler::kStealing, [&]() {
             ResilientWorker<DesignQor> worker = inner();
             auto evaluate = worker.evaluate;
             worker.evaluate =
@@ -553,14 +546,12 @@ TEST_P(SweepContractTest, GrayStealingResumeIsByteExactToo)
 {
     // The journal contract is order- and scheduler-agnostic: a sweep
     // interrupted under {gray, stealing, 2 threads} — where *which* 12
-    // points got journaled is timing-dependent — still resumes to the
-    // clean run's exact results, because records key on the grid index
-    // and point fingerprint, never on enumeration position.
+    // points got journaled is timing-dependent once both workers run —
+    // still resumes to the clean run's exact results, because records
+    // key on the grid index and point fingerprint, never on enumeration
+    // position.
     LeNetSweep& s = lenet();
     std::string path = tempJournalPath("gray_steal_resume");
-    SweepSchedule schedule;
-    schedule.order = PointOrder::kGrayCode;
-    schedule.scheduler = SweepScheduler::kStealing;
 
     {
         SweepJournal journal;
@@ -570,7 +561,7 @@ TEST_P(SweepContractTest, GrayStealingResumeIsByteExactToo)
         limits.pointBudget = 12;
         limits.journal = &journal;
         SweepOutcome<DesignQor> outcome =
-            s.run(GetParam(), 2, limits, schedule);
+            s.run(GetParam(), 2, limits, SweepScheduler::kStealing);
         EXPECT_TRUE(outcome.stats.stopped);
         // The budget is exact even with workers racing for points.
         EXPECT_EQ(outcome.stats.evaluated, 12u);
@@ -584,7 +575,7 @@ TEST_P(SweepContractTest, GrayStealingResumeIsByteExactToo)
         SweepLimits limits;
         limits.journal = &journal;
         SweepOutcome<DesignQor> outcome =
-            s.run(GetParam(), 4, limits, schedule);
+            s.run(GetParam(), 4, limits, SweepScheduler::kStealing);
         EXPECT_TRUE(outcome.allCompleted());
         EXPECT_FALSE(outcome.stats.stopped);
         EXPECT_EQ(outcome.stats.restored, 12u);

@@ -1,15 +1,16 @@
 /**
  * @file
- * Concurrency tests for the thread-safe IR core and the sharded DSE
+ * Concurrency tests for the thread-safe IR core and the parallel DSE
  * engine (src/dse/).
  *
- *  - Grid mechanics: deterministic row-major enumeration and decode.
- *  - Sharded-vs-serial equivalence: a LeNet factor sweep through
- *    runResilient at 1/2/4/8 workers must produce per-point QoR vectors
- *    (latency, interval, every resource column) and Pareto fronts
- *    *identical* to a plain serial evaluateChecked loop — the invariant
- *    behind the benches' stable output_sha256 at any
- *    HIDA_BENCH_THREADS.
+ *  - Grid mechanics: deterministic row-major enumeration and decode, and
+ *    a pool round that covers every position exactly once.
+ *  - Parallel-vs-serial equivalence: a LeNet factor sweep through the
+ *    exhaustive runStrategySweep at 1/2/4/8 workers, fanned out one
+ *    worker per point, must produce per-point QoR vectors (latency,
+ *    interval, every resource column) and Pareto fronts *identical* to a
+ *    plain serial evaluateChecked loop — the invariant behind the
+ *    benches' stable output_sha256 at any HIDA_BENCH_THREADS.
  *  - Interner / type-uniquer hammers: N threads interning overlapping
  *    key sets and building overlapping types, then cross-thread
  *    agreement checks (same string -> same id, same structure -> same
@@ -34,7 +35,7 @@
 #include "src/dialect/affine/affine_ops.h"
 #include "src/driver/driver.h"
 #include "src/dse/grid.h"
-#include "src/dse/sweep.h"
+#include "src/dse/strategy.h"
 #include "src/estimator/qor.h"
 #include "src/ir/registry.h"
 #include "src/ir/verifier.h"
@@ -67,16 +68,24 @@ TEST(GridTest, RowMajorEnumerationMatchesNestedLoops)
         EXPECT_EQ(grid.point(i), expected[i]) << "point " << i;
 }
 
+/** Trace label of @p scheduler. */
+const char*
+schedulerName(SweepScheduler scheduler)
+{
+    return scheduler == SweepScheduler::kStatic ? "static" : "steal";
+}
+
 TEST(GridTest, ShardBoundsCoverEveryPointOnce)
 {
-    // runShards must partition [0, n) exactly, for any worker count —
-    // under both the static and the work-stealing scheduler.
+    // A pool round fanned out one participant per position must
+    // partition [0, n) exactly, for any worker count — under both the
+    // static and the work-stealing scheduler.
     for (SweepScheduler scheduler :
          {SweepScheduler::kStatic, SweepScheduler::kStealing}) {
         for (unsigned threads : {1u, 2u, 3u, 4u, 8u, 13u}) {
             std::vector<std::atomic<int>> seen(101);
-            std::vector<Diagnostic> failures = ShardedSweep::runShards(
-                seen.size(),
+            StrategyWorkerPool pool(
+                threads,
                 [&]() {
                     WorkerFns fns;
                     fns.run = [&](size_t begin, size_t end) {
@@ -85,12 +94,15 @@ TEST(GridTest, ShardBoundsCoverEveryPointOnce)
                     };
                     return fns;
                 },
-                threads, scheduler);
-            EXPECT_TRUE(failures.empty());
+                scheduler, /*grain=*/1);
+            EXPECT_EQ(pool.participants(seen.size()), threads);
+            pool.runRound(seen.size());
+            pool.shutdown();
+            EXPECT_TRUE(pool.workerFailures().empty());
             for (size_t i = 0; i < seen.size(); ++i)
                 EXPECT_EQ(seen[i].load(), 1)
-                    << "threads=" << threads << " scheduler="
-                    << sweepSchedulerName(scheduler);
+                    << "threads=" << threads
+                    << " scheduler=" << schedulerName(scheduler);
         }
     }
 }
@@ -138,51 +150,8 @@ TEST(GridTest, GrayCodeOrderIsASingleStepBijection)
         EXPECT_TRUE(seen[i]) << "index " << i << " never visited";
 }
 
-TEST(GridTest, OrderAndSchedulerParseRoundTrips)
-{
-    EXPECT_EQ(parsePointOrder("gray"), PointOrder::kGrayCode);
-    EXPECT_EQ(parsePointOrder("row-major"), PointOrder::kRowMajor);
-    EXPECT_EQ(parsePointOrder("zorder"), std::nullopt);
-    EXPECT_EQ(parsePointOrder(""), std::nullopt);
-    EXPECT_EQ(pointOrderName(PointOrder::kGrayCode), "gray");
-    EXPECT_EQ(pointOrderName(PointOrder::kRowMajor), "row-major");
-
-    EXPECT_EQ(parseSweepScheduler("static"), SweepScheduler::kStatic);
-    EXPECT_EQ(parseSweepScheduler("steal"), SweepScheduler::kStealing);
-    EXPECT_EQ(parseSweepScheduler("lifo"), std::nullopt);
-    EXPECT_EQ(sweepSchedulerName(SweepScheduler::kStatic), "static");
-    EXPECT_EQ(sweepSchedulerName(SweepScheduler::kStealing), "steal");
-
-    // Env: unset keeps the fast-path defaults; explicit values stick;
-    // garbage is a fatal user error (exit 65, never a silent default).
-    unsetenv("HIDA_DSE_ORDER");
-    unsetenv("HIDA_DSE_SCHED");
-    SweepSchedule defaults = sweepScheduleFromEnv();
-    EXPECT_EQ(defaults.order, PointOrder::kGrayCode);
-    EXPECT_EQ(defaults.scheduler, SweepScheduler::kStealing);
-
-    setenv("HIDA_DSE_ORDER", "row-major", 1);
-    setenv("HIDA_DSE_SCHED", "static", 1);
-    SweepSchedule explicit_schedule = sweepScheduleFromEnv();
-    EXPECT_EQ(explicit_schedule.order, PointOrder::kRowMajor);
-    EXPECT_EQ(explicit_schedule.scheduler, SweepScheduler::kStatic);
-    unsetenv("HIDA_DSE_ORDER");
-    unsetenv("HIDA_DSE_SCHED");
-
-    setenv("HIDA_DSE_ORDER", "zorder", 1);
-    EXPECT_EXIT(sweepScheduleFromEnv(),
-                ::testing::ExitedWithCode(kFatalExitCode),
-                "invalid HIDA_DSE_ORDER");
-    unsetenv("HIDA_DSE_ORDER");
-    setenv("HIDA_DSE_SCHED", "lifo", 1);
-    EXPECT_EXIT(sweepScheduleFromEnv(),
-                ::testing::ExitedWithCode(kFatalExitCode),
-                "invalid HIDA_DSE_SCHED");
-    unsetenv("HIDA_DSE_SCHED");
-}
-
 //===----------------------------------------------------------------------===//
-// Sharded sweep == serial sweep
+// Parallel sweep == serial sweep
 //===----------------------------------------------------------------------===//
 
 bool
@@ -216,7 +185,7 @@ paretoFront(const std::vector<DesignQor>& qors, const TargetDevice& device)
     return front;
 }
 
-TEST(ShardedSweepTest, ThreadCountNeverChangesResults)
+TEST(ParallelSweepTest, ThreadCountNeverChangesResults)
 {
     TargetDevice device = TargetDevice::pynqZ2();
     OwnedModule prototype = buildLeNet(1);
@@ -251,10 +220,20 @@ TEST(ShardedSweepTest, ThreadCountNeverChangesResults)
         }
     }
 
-    // The same CloneSweepWorker recipe the fig1 bench runs.
-    auto sweep = [&](unsigned threads, const SweepSchedule& schedule) {
-        return ShardedSweep::runResilient<DesignQor>(
-            grid,
+    // The same CloneSweepWorker recipe the fig1 bench runs, through the
+    // exhaustive strategy. Grain 1 fans the 48-point round out to every
+    // worker; the default grain would run it inline on one.
+    auto sweep = [&](unsigned threads, PointOrder order,
+                     SweepScheduler scheduler) {
+        StrategyOptions options;
+        options.order = order;
+        std::unique_ptr<SearchStrategy> exhaustive =
+            makeStrategy(grid, options);
+        SweepSchedule schedule;
+        schedule.scheduler = scheduler;
+        schedule.grain = 1;
+        return runStrategySweep<DesignQor>(
+            grid, *exhaustive,
             [&]() {
                 auto w = std::make_shared<CloneSweepWorker>(
                     prototype.get(),
@@ -267,7 +246,7 @@ TEST(ShardedSweepTest, ThreadCountNeverChangesResults)
                 };
                 return worker;
             },
-            threads, SweepLimits(), schedule);
+            nullptr, threads, SweepLimits(), schedule);
     };
 
     // Every {order} x {scheduler} x {threads} combination must reproduce
@@ -277,29 +256,30 @@ TEST(ShardedSweepTest, ThreadCountNeverChangesResults)
         for (SweepScheduler scheduler :
              {SweepScheduler::kStatic, SweepScheduler::kStealing}) {
             for (unsigned threads : {1u, 2u, 4u, 8u}) {
-                SweepSchedule schedule;
-                schedule.order = order;
-                schedule.scheduler = scheduler;
-                SweepOutcome<DesignQor> sharded = sweep(threads, schedule);
-                ASSERT_TRUE(sharded.allCompleted());
-                ASSERT_EQ(sharded.results.size(), serial.size());
+                SweepOutcome<DesignQor> parallel =
+                    sweep(threads, order, scheduler);
+                ASSERT_TRUE(parallel.allCompleted());
+                ASSERT_EQ(parallel.results.size(), serial.size());
                 for (size_t i = 0; i < serial.size(); ++i)
-                    EXPECT_TRUE(qorEq(serial[i], sharded.results[i]))
+                    EXPECT_TRUE(qorEq(serial[i], parallel.results[i]))
                         << "point " << i << " diverged at threads=" << threads
-                        << " order=" << pointOrderName(order)
-                        << " scheduler=" << sweepSchedulerName(scheduler);
+                        << " order="
+                        << (order == PointOrder::kGrayCode ? "gray"
+                                                           : "row-major")
+                        << " scheduler=" << schedulerName(scheduler);
                 EXPECT_EQ(paretoFront(serial, device),
-                          paretoFront(sharded.results, device))
+                          paretoFront(parallel.results, device))
                     << "Pareto front diverged at threads=" << threads;
             }
         }
     }
 }
 
-TEST(ShardedSweepTest, IndependentCompilesPerWorker)
+TEST(ParallelSweepTest, IndependentCompilesPerWorker)
 {
     // fig10/fig11-style sweep: each point is a full compile on a module
-    // the worker builds itself. Serial and sharded runs must agree on
+    // the worker builds itself, fanned out one worker per point (grain
+    // 1, as those benches pass). Serial and parallel runs must agree on
     // every reported metric.
     TargetDevice device = TargetDevice::vu9pSlr();
     DesignPointGrid grid;
@@ -322,20 +302,23 @@ TEST(ShardedSweepTest, IndependentCompilesPerWorker)
         serial.push_back(compile_point(vals));
     }
 
-    SweepOutcome<CompileResult> sharded =
-        ShardedSweep::runResilient<CompileResult>(
-            grid,
-            [&]() {
-                ResilientWorker<CompileResult> worker;
-                worker.evaluate = [&](size_t, const std::vector<int64_t>& v)
-                    -> Result<CompileResult> { return compile_point(v); };
-                return worker;
-            },
-            4);
-    ASSERT_TRUE(sharded.allCompleted());
-    ASSERT_EQ(serial.size(), sharded.results.size());
+    std::unique_ptr<SearchStrategy> exhaustive =
+        makeStrategy(grid, StrategyOptions());
+    SweepSchedule schedule;
+    schedule.grain = 1;
+    SweepOutcome<CompileResult> parallel = runStrategySweep<CompileResult>(
+        grid, *exhaustive,
+        [&]() {
+            ResilientWorker<CompileResult> worker;
+            worker.evaluate = [&](size_t, const std::vector<int64_t>& v)
+                -> Result<CompileResult> { return compile_point(v); };
+            return worker;
+        },
+        nullptr, 4, SweepLimits(), schedule);
+    ASSERT_TRUE(parallel.allCompleted());
+    ASSERT_EQ(serial.size(), parallel.results.size());
     for (size_t i = 0; i < serial.size(); ++i) {
-        const CompileResult& result = sharded.results[i];
+        const CompileResult& result = parallel.results[i];
         EXPECT_TRUE(qorEq(serial[i].qor, result.qor)) << "point " << i;
         EXPECT_EQ(serial[i].overload, result.overload) << "point " << i;
         EXPECT_EQ(serial[i].effectiveThroughput, result.effectiveThroughput)

@@ -11,18 +11,18 @@
  *    evolve search — same proposals, same results — at 1, 2 and 4
  *    workers (randomness is keyed on (seed, iteration, counter), never
  *    a thread id or completion order).
- *  - Exhaustive equivalence: the exhaustive strategy through
- *    runStrategySweep produces the same per-point results and counters
- *    as ShardedSweep::runResilient — the invariant behind the benches'
- *    stable output_sha256 — and runResilient runs the same cache and
- *    retire hooks, each worker's on its own thread.
+ *  - Exhaustive sweeps: one batch of every point, the workers' cache
+ *    counters summed, and each worker's retire hook run on the thread
+ *    that created it.
  *  - StrategyWorkerPool: a round below two fan-out grains runs on the
- *    calling thread alone, larger rounds wake lazily spawned helpers,
- *    and a worker whose init throws becomes one kWorkerFailed
- *    diagnostic (stealing survivors still finish every point).
+ *    calling thread alone, larger rounds wake lazily spawned helpers (at
+ *    grain 1, one per position), and a worker whose init throws becomes
+ *    one kWorkerFailed diagnostic (stealing survivors still finish every
+ *    point).
  *  - Cross-thread determinism on the full fig1 grid, where rounds are
  *    large enough to fan out: exhaustive and random sweeps at 1/2/4
- *    threads x static/steal are bit-identical.
+ *    threads x static/steal, and the exhaustive sweep in row-major
+ *    order, are bit-identical to the serial gray run.
  *  - Evolve acceptance: on the full fig1 LeNet factor grid (2400
  *    points per mode/batch config), evolve at the default pinned seed
  *    recovers >= 95% of the exhaustive Pareto front spending <= 10% of
@@ -327,6 +327,13 @@ struct PoolProbe {
 
 constexpr size_t kGrain = StrategyWorkerPool::kFanOutGrain;
 
+/** Trace label of @p scheduler. */
+const char*
+schedulerName(SweepScheduler scheduler)
+{
+    return scheduler == SweepScheduler::kStatic ? "static" : "steal";
+}
+
 TEST(StrategyWorkerPoolTest, SmallRoundsRunInlineOnTheCallingThread)
 {
     const std::thread::id self = std::this_thread::get_id();
@@ -386,6 +393,36 @@ TEST(StrategyWorkerPoolTest, LargeRoundsFanOutToEveryWorker)
     pool.shutdown();
     EXPECT_EQ(probe.finishThreads.size(), 4u);
     EXPECT_TRUE(pool.workerFailures().empty());
+}
+
+TEST(StrategyWorkerPoolTest, GrainOneGivesEveryPositionAWorker)
+{
+    // Figures 10 and 11 pass grain 1: each of their points is a full
+    // compile, and their 20-25 points would run inline at the default
+    // grain. A 5-point round on 4 workers then wakes 3 helpers, and
+    // under static slicing every participant evaluates.
+    const std::thread::id self = std::this_thread::get_id();
+    PoolProbe per_point;
+    StrategyWorkerPool fanned(4, per_point.init(), SweepScheduler::kStatic,
+                              /*grain=*/1);
+    EXPECT_EQ(fanned.participants(5), 4u);
+    per_point.round(fanned, 5);
+    EXPECT_EQ(per_point.evaluated(), 5u);
+    EXPECT_EQ(per_point.initThreads.size(), 4u);
+    EXPECT_EQ(per_point.runThreads.size(), 4u);
+    EXPECT_TRUE(per_point.runThreads.count(self));
+    fanned.shutdown();
+    EXPECT_TRUE(fanned.workerFailures().empty());
+
+    // The same round at the default grain runs inline on the caller.
+    PoolProbe grained;
+    StrategyWorkerPool pool(4, grained.init(), SweepScheduler::kStatic);
+    EXPECT_EQ(pool.participants(5), 1u);
+    grained.round(pool, 5);
+    EXPECT_EQ(grained.evaluated(), 5u);
+    EXPECT_EQ(grained.runThreads, std::set<std::thread::id>{self});
+    pool.shutdown();
+    EXPECT_EQ(grained.initThreads, std::vector<std::thread::id>{self});
 }
 
 TEST(StrategyWorkerPoolTest, DriverInitFailureAtOneWorkerIsOneDiagnostic)
@@ -454,7 +491,7 @@ TEST(StrategyWorkerPoolTest, HelperInitFailure)
     const std::thread::id self = std::this_thread::get_id();
     for (SweepScheduler scheduler :
          {SweepScheduler::kStealing, SweepScheduler::kStatic}) {
-        SCOPED_TRACE(sweepSchedulerName(scheduler));
+        SCOPED_TRACE(schedulerName(scheduler));
         PoolProbe probe;
         probe.initThrows = [self](std::thread::id id) { return id != self; };
         StrategyWorkerPool pool(2, probe.init(), scheduler);
@@ -582,43 +619,12 @@ TEST(StrategySweepTest, EvolveSeedDeterministicAcrossThreadCounts)
     EXPECT_NE(completedLatencies(t1), completedLatencies(other));
 }
 
-TEST(StrategySweepTest, ExhaustiveMatchesRunResilient)
+TEST(StrategySweepTest, ExhaustiveRetiresEachWorkerOnItsOwnThread)
 {
-    SweepOutcome<DesignQor> strategic =
-        lenet().run(StrategyKind::kExhaustive, 3);
-    SweepOutcome<DesignQor> direct = ShardedSweep::runResilient<DesignQor>(
-        lenet().grid, lenet().factory(), 3);
-
-    // One pipeline, one set of counters: a whole-grid sweep is one batch
-    // of every point either way, and runResilient sums its workers'
-    // estimator counters too.
-    EXPECT_EQ(direct.stats.batches, 1u);
-    EXPECT_EQ(strategic.stats.batches, direct.stats.batches);
-    EXPECT_EQ(strategic.stats.proposed, direct.stats.proposed);
-    EXPECT_EQ(strategic.stats.evaluated, direct.stats.evaluated);
-    EXPECT_EQ(direct.stats.evaluated, lenet().grid.size());
-    EXPECT_GT(direct.stats.cache.hits + direct.stats.cache.misses, 0u);
-
-    ASSERT_EQ(strategic.results.size(), direct.results.size());
-    ASSERT_EQ(strategic.completed, direct.completed);
-    for (size_t i = 0; i < direct.results.size(); ++i) {
-        if (!direct.completed[i])
-            continue;
-        // Bit-identical QoR per point — the output_sha256 invariant.
-        EXPECT_EQ(std::memcmp(&strategic.results[i], &direct.results[i],
-                              sizeof(DesignQor)),
-                  0)
-            << "point " << i << " diverged";
-    }
-    EXPECT_EQ(strategic.stats.proposed, lenet().grid.size());
-    EXPECT_TRUE(strategic.failures.empty());
-}
-
-TEST(StrategySweepTest, RunResilientRetiresEachWorkerOnItsOwnThread)
-{
-    // runShards runs every worker's finish hook on the worker's thread:
-    // the retire hook the service uses to pool warm clones must see the
-    // thread that created the worker, once per worker.
+    // An exhaustive sweep fanned out one worker per point (grain 1) on 3
+    // threads: the pool runs every worker's finish hook on the worker's
+    // thread, so the retire hook the service uses to pool warm clones
+    // must see the thread that created the worker, once per worker.
     std::mutex mutex;
     std::vector<std::thread::id> created;
     std::vector<std::pair<std::thread::id, std::thread::id>> retired;
@@ -636,9 +642,21 @@ TEST(StrategySweepTest, RunResilientRetiresEachWorkerOnItsOwnThread)
         };
         return worker;
     };
-    SweepOutcome<DesignQor> outcome =
-        ShardedSweep::runResilient<DesignQor>(lenet().grid, factory, 3);
+    std::unique_ptr<SearchStrategy> exhaustive =
+        makeStrategy(lenet().grid, StrategyOptions());
+    SweepSchedule schedule;
+    schedule.grain = 1;
+    SweepOutcome<DesignQor> outcome = runStrategySweep<DesignQor>(
+        lenet().grid, *exhaustive, factory, nullptr, 3, SweepLimits(),
+        schedule);
     EXPECT_TRUE(outcome.allCompleted());
+    EXPECT_TRUE(outcome.failures.empty());
+    // A whole-grid sweep is one batch of every point, and the stats sum
+    // every worker's estimator counters.
+    EXPECT_EQ(outcome.stats.batches, 1u);
+    EXPECT_EQ(outcome.stats.proposed, lenet().grid.size());
+    EXPECT_EQ(outcome.stats.evaluated, lenet().grid.size());
+    EXPECT_GT(outcome.stats.cache.hits + outcome.stats.cache.misses, 0u);
 
     ASSERT_EQ(created.size(), 3u);
     EXPECT_EQ(std::set<std::thread::id>(created.begin(), created.end()).size(),
@@ -777,48 +795,63 @@ TEST(StrategySweepTest, FullGridBitIdenticalAcrossThreadsAndSchedulers)
     // The cross-thread determinism case whose rounds are large enough to
     // reach the helpers: an exhaustive sweep (one 2400-point round) and
     // random at a 1024-point budget (one round of 16 grains), each at
-    // 1/2/4 threads under both schedulers. Every run must match the
-    // serial one bit for bit, and every multi-thread run must really
-    // have reached all its workers.
+    // 1/2/4 threads under both schedulers, then the exhaustive sweep in
+    // row-major order at 4 threads under both. Every run must match the
+    // serial (gray, for exhaustive) one bit for bit, and every
+    // multi-thread run must really have reached all its workers.
     ASSERT_EQ(fullLenet().grid.size(), 2400u);
+    struct Leg {
+        unsigned threads;
+        SweepScheduler scheduler;
+        PointOrder order;
+    };
     for (StrategyKind kind :
          {StrategyKind::kExhaustive, StrategyKind::kRandom}) {
         SCOPED_TRACE(strategyKindName(kind));
-        StrategyOptions options;
-        options.kind = kind;
-        options.budget = 1024;  // Ignored by exhaustive.
+        std::vector<Leg> legs;
+        for (unsigned threads : {1u, 2u, 4u})
+            for (SweepScheduler scheduler :
+                 {SweepScheduler::kStatic, SweepScheduler::kStealing})
+                legs.push_back({threads, scheduler, PointOrder::kGrayCode});
+        if (kind == StrategyKind::kExhaustive)
+            for (SweepScheduler scheduler :
+                 {SweepScheduler::kStatic, SweepScheduler::kStealing})
+                legs.push_back({4, scheduler, PointOrder::kRowMajor});
         const size_t points = kind == StrategyKind::kExhaustive ? 2400 : 1024;
         std::optional<SweepOutcome<DesignQor>> serial;
-        for (unsigned threads : {1u, 2u, 4u}) {
-            for (SweepScheduler scheduler :
-                 {SweepScheduler::kStatic, SweepScheduler::kStealing}) {
-                SCOPED_TRACE(threads);
-                SCOPED_TRACE(sweepSchedulerName(scheduler));
-                CountedSweep run = countedSweep(options, threads, scheduler);
-                EXPECT_TRUE(run.outcome.failures.empty());
-                EXPECT_EQ(run.outcome.stats.evaluated, points);
-                // Every round reaches all workers. Under static each
-                // one evaluates its own slice; under stealing a helper
-                // still cloning may find its slot already drained, so
-                // only its creation is certain.
-                EXPECT_EQ(run.created, threads);
-                if (scheduler == SweepScheduler::kStatic) {
-                    EXPECT_EQ(run.evaluating, threads);
-                }
-                if (!serial) {
-                    serial = std::move(run.outcome);
+        for (const Leg& leg : legs) {
+            SCOPED_TRACE(leg.threads);
+            SCOPED_TRACE(schedulerName(leg.scheduler));
+            SCOPED_TRACE(leg.order == PointOrder::kGrayCode ? "gray"
+                                                            : "row-major");
+            StrategyOptions options;
+            options.kind = kind;
+            options.budget = 1024;      // Ignored by exhaustive.
+            options.order = leg.order;  // Ignored by random.
+            CountedSweep run =
+                countedSweep(options, leg.threads, leg.scheduler);
+            EXPECT_TRUE(run.outcome.failures.empty());
+            EXPECT_EQ(run.outcome.stats.evaluated, points);
+            // Every round reaches all workers. Under static each one
+            // evaluates its own slice; under stealing a helper still
+            // cloning may find its slot already drained, so only its
+            // creation is certain.
+            EXPECT_EQ(run.created, leg.threads);
+            if (leg.scheduler == SweepScheduler::kStatic) {
+                EXPECT_EQ(run.evaluating, leg.threads);
+            }
+            if (!serial) {
+                serial = std::move(run.outcome);
+                continue;
+            }
+            ASSERT_EQ(run.outcome.completed, serial->completed);
+            for (size_t i = 0; i < serial->results.size(); ++i) {
+                if (!serial->completed[i])
                     continue;
-                }
-                ASSERT_EQ(run.outcome.completed, serial->completed);
-                for (size_t i = 0; i < serial->results.size(); ++i) {
-                    if (!serial->completed[i])
-                        continue;
-                    ASSERT_EQ(std::memcmp(&run.outcome.results[i],
-                                          &serial->results[i],
-                                          sizeof(DesignQor)),
-                              0)
-                        << "point " << i << " diverged";
-                }
+                ASSERT_EQ(std::memcmp(&run.outcome.results[i],
+                                      &serial->results[i], sizeof(DesignQor)),
+                          0)
+                    << "point " << i << " diverged";
             }
         }
     }
@@ -835,8 +868,8 @@ TEST(EvolveAcceptanceTest, RecoversLenetParetoFrontAtTenPercentBudget)
     ASSERT_EQ(grid.size(), 2400u);
 
     // Exhaustive reference front (feasible points only).
-    SweepOutcome<DesignQor> reference =
-        ShardedSweep::runResilient<DesignQor>(grid, lenet.factory(), 4);
+    SweepOutcome<DesignQor> reference = lenet.run(
+        StrategyOptions(), 4, SweepScheduler::kStealing, lenet.factory());
     std::vector<ParetoSample> feasible;
     for (size_t i = 0; i < reference.results.size(); ++i) {
         if (!reference.completed[i])
@@ -993,11 +1026,6 @@ TEST(StrategyEnvTest, ParsesKindSeedAndBudget)
     EXPECT_EQ(defaults.seed, 42u);
     EXPECT_EQ(defaults.budget, 0u);
     EXPECT_EQ(defaults.order, PointOrder::kGrayCode);
-
-    // HIDA_DSE_ORDER reaches the exhaustive strategy's options.
-    setenv("HIDA_DSE_ORDER", "row-major", 1);
-    EXPECT_EQ(strategyOptionsFromEnv().order, PointOrder::kRowMajor);
-    unsetenv("HIDA_DSE_ORDER");
 }
 
 TEST(StrategyEnvTest, UnknownStrategyIsFatalUserError)

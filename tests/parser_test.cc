@@ -128,9 +128,10 @@ TEST(ParserTest, ParsesAttributes)
 /**
  * Parse @p body as the body of func "t" and expect the verifier to reject
  * it with a kVerifyFailed diagnostic naming @p needle. Every input below
- * once aborted: inside a verifier hook (an asserting attribute accessor or
- * an out-of-bounds shape read), or, for a zero step, at the first trip
- * count after a clean verify. A hook must return a message instead.
+ * once aborted or verified clean: inside a verifier hook (an asserting
+ * attribute accessor or an out-of-bounds shape read), or, for a zero step
+ * and a padded load without a memref, in a later pass after a clean
+ * verify. A hook must return a message instead.
  */
 void
 expectVerifyFailed(const std::string& body, const std::string& needle)
@@ -201,6 +202,20 @@ TEST(ParserVerifyTest, ForZeroStepIsADiagnostic)
                        "      ^bb(%i : index):\n"
                        "    }\n",
                        "affine.for requires a positive step");
+}
+
+TEST(ParserVerifyTest, PaddedLoadIndexCountIsADiagnostic)
+{
+    expectVerifyFailed("    ^bb(%a : memref<4x8xi8, on_chip>, %i : index):\n"
+                       "    %v = affine.load_padded(%a : memref<4x8xi8, "
+                       "on_chip>, %i : index) : i8\n",
+                       "affine.load_padded index count mismatch");
+}
+
+TEST(ParserVerifyTest, PaddedLoadWithoutMemrefIsADiagnostic)
+{
+    expectVerifyFailed("    %v = affine.load_padded() : i8\n",
+                       "affine.load_padded requires a memref operand");
 }
 
 } // namespace
