@@ -68,14 +68,6 @@ using namespace hida;
 
 namespace {
 
-// Namespace-scope interned tags: interned once at startup, before any
-// worker thread exists. (Function-local statics would also be safe —
-// magic-static init plus the now-internally-locked Identifier::get —
-// this is a warm-up and a scoping choice, not a race fix.)
-const Identifier kLayerSeqId = Identifier::get("layer_seq");
-const Identifier kKpfLoopId = Identifier::get("kpf_loop");
-const Identifier kCpfLoopId = Identifier::get("cpf_loop");
-
 struct Point {
     double util = 0.0;       ///< max(BRAM%, DSP%, LUT%).
     double throughput = 0.0; ///< images/s (batch-adjusted).
@@ -88,12 +80,12 @@ void
 setLayerFactors(ModuleOp module, int64_t seq, int64_t kpf, int64_t cpf)
 {
     module.op()->walk([&](Operation* op) {
-        if (!isa<ForOp>(op) || op->intAttrOr(kLayerSeqId, -1) != seq)
+        if (!isa<ForOp>(op) || op->intAttrOr(ForOp::layerSeqId(), -1) != seq)
             return;
-        if (op->hasAttr(kKpfLoopId))
+        if (op->hasAttr(ForOp::kpfLoopId()))
             ForOp(op).setUnrollFactor(
                 std::min<int64_t>(kpf, ForOp(op).tripCount()));
-        if (op->hasAttr(kCpfLoopId))
+        if (op->hasAttr(ForOp::cpfLoopId()))
             ForOp(op).setUnrollFactor(
                 std::min<int64_t>(cpf, ForOp(op).tripCount()));
     });

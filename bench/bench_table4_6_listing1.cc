@@ -77,8 +77,8 @@ main()
                 std::string text = "[";
                 for (ForOp loop : nodeBand(node))
                     text += std::to_string(loop.unrollFactor()) + " ";
-                text += "] pf=" +
-                        std::to_string(op->intAttrOr("parallel_factor", 1));
+                int64_t pf = op->intAttrOr(NodeOp::parallelFactorId(), 1);
+                text += "] pf=" + std::to_string(pf);
                 factor_strings.push_back(text);
             }
         });

@@ -52,7 +52,7 @@ main()
     module.get().op()->walk([&](Operation* op) {
         if (isa<StreamOp>(op) && StreamOp(op).isToken())
             ++tokens;
-        if (isa<BufferOp>(op) && op->hasAttr("soft_fifo_depth"))
+        if (isa<BufferOp>(op) && op->hasAttr(BufferOp::softFifoDepthId()))
             ++soft_fifos;
     });
     std::printf("\nbalanced design: %d token streams, %d soft FIFOs\n",
@@ -61,7 +61,7 @@ main()
     std::printf("\nper-layer latency (top-level dataflow nodes):\n");
     module.get().op()->walk([&](Operation* op) {
         if (isa<ScheduleOp>(op) &&
-            op->parentOfName(ScheduleOp::kOpName) == nullptr) {
+            op->parentOfName(opNameId<ScheduleOp>()) == nullptr) {
             for (NodeOp node : ScheduleOp(op).nodes()) {
                 DesignQor qor = estimator.estimateNode(node);
                 std::printf("  %-8s %10ld cycles %6ld DSP\n",

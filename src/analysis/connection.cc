@@ -14,7 +14,7 @@ nodeBand(NodeOp node)
 {
     Block* body = node.body();
     // A node lowered into a sub-schedule is parallelized level-by-level.
-    for (Operation* op : body->ops())
+    for (Operation* op : *body)
         if (isa<ScheduleOp>(op))
             return {};
     // The band is the perfect nest rooted at the *last* top-level loop —
@@ -27,7 +27,7 @@ nodeBand(NodeOp node)
     std::vector<ForOp> nest = perfectNest(loops.back());
     std::vector<ForOp> band;
     for (ForOp loop : nest)
-        if (!loop.op()->hasAttr("tile_loop"))
+        if (!loop.op()->hasAttr(ForOp::tileLoopId()))
             band.push_back(loop);
     return band;
 }
@@ -227,7 +227,7 @@ int64_t
 intensityOfBlock(Block* block)
 {
     int64_t total = 0;
-    for (Operation* op : block->ops())
+    for (Operation* op : *block)
         total += intensityOfOp(op);
     return total;
 }

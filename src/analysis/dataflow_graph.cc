@@ -15,7 +15,7 @@ DataflowGraph::DataflowGraph(ScheduleOp schedule) : schedule_(schedule)
     for (Value* arg : schedule.body()->arguments())
         if (arg->type().isMemRef() || arg->type().isStream())
             external_.push_back(arg);
-    for (Operation* op : schedule.body()->ops())
+    for (Operation* op : *schedule.body())
         if (isa<BufferOp>(op) || isa<StreamOp>(op))
             internal_.push_back(op->result(0));
 
@@ -71,13 +71,6 @@ DataflowGraph::consumers(Value* channel) const
     static const std::vector<NodeOp> kEmpty;
     auto it = consumers_.find(channel);
     return it == consumers_.end() ? kEmpty : it->second;
-}
-
-bool
-DataflowGraph::isInternal(Value* channel) const
-{
-    return std::find(internal_.begin(), internal_.end(), channel) !=
-           internal_.end();
 }
 
 std::vector<NodeOp>

@@ -64,7 +64,6 @@ class DataflowGraph {
     std::vector<Value*> internalChannels() const { return internal_; }
     /** Buffers/streams passed in as schedule arguments. */
     std::vector<Value*> externalChannels() const { return external_; }
-    bool isInternal(Value* channel) const;
 
     /** Direct successors/predecessors of @p node over all edges. */
     std::vector<NodeOp> successors(NodeOp node) const;

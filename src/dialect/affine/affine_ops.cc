@@ -12,10 +12,10 @@ ForOp::create(OpBuilder& builder, int64_t lb, int64_t ub, int64_t step,
               const std::string& iv_hint)
 {
     HIDA_ASSERT(step > 0, "affine.for requires a positive step");
-    Operation* op = builder.create(kOpName, {}, {}, 1);
-    op->setIntAttr("lb", lb);
-    op->setIntAttr("ub", ub);
-    op->setIntAttr("step", step);
+    Operation* op = builder.create(opNameId<ForOp>(), {}, {}, 1);
+    op->setIntAttr(lbId(), lb);
+    op->setIntAttr(ubId(), ub);
+    op->setIntAttr(stepId(), step);
     op->body()->addArgument(Type::index(), iv_hint);
     return ForOp(op);
 }
@@ -31,7 +31,8 @@ ApplyOp::create(OpBuilder& builder, std::vector<Value*> ivs,
                 std::vector<int64_t> coeffs, int64_t offset)
 {
     HIDA_ASSERT(ivs.size() == coeffs.size(), "affine.apply arity mismatch");
-    Operation* op = builder.create(kOpName, std::move(ivs), {Type::index()});
+    Operation* op =
+        builder.create(opNameId<ApplyOp>(), std::move(ivs), {Type::index()});
     op->setAttr(coeffsId(), Attribute::i64Array(coeffs));
     op->setIntAttr(offsetId(), offset);
     return ApplyOp(op);
@@ -43,7 +44,7 @@ LoadOp::create(OpBuilder& builder, Value* memref, std::vector<Value*> indices)
     HIDA_ASSERT(memref->type().isMemRef(), "affine.load requires a memref");
     std::vector<Value*> operands = {memref};
     operands.insert(operands.end(), indices.begin(), indices.end());
-    Operation* op = builder.create(kOpName, std::move(operands),
+    Operation* op = builder.create(opNameId<LoadOp>(), std::move(operands),
                                    {memref->type().elementType()});
     return LoadOp(op);
 }
@@ -55,7 +56,7 @@ StoreOp::create(OpBuilder& builder, Value* value, Value* memref,
     HIDA_ASSERT(memref->type().isMemRef(), "affine.store requires a memref");
     std::vector<Value*> operands = {value, memref};
     operands.insert(operands.end(), indices.begin(), indices.end());
-    return StoreOp(builder.create(kOpName, std::move(operands)));
+    return StoreOp(builder.create(opNameId<StoreOp>(), std::move(operands)));
 }
 
 int64_t
@@ -126,7 +127,7 @@ std::vector<ForOp>
 topLevelLoops(Block* block)
 {
     std::vector<ForOp> loops;
-    for (Operation* op : block->ops())
+    for (Operation* op : *block)
         if (auto loop = dynCast<ForOp>(op))
             loops.push_back(loop);
     return loops;

@@ -26,8 +26,11 @@ namespace hida {
  *  - "unroll": complete unroll factor applied to this loop.
  *  - "pipeline": unit attr requesting pipelining of this loop body.
  *  - "ii": achieved initiation interval (filled in by the estimator).
- *  - "parallel": unit attr, loop carries no dependence (parallelizable dim).
- *  - "reduction": unit attr, loop accumulates into a scalar/element.
+ *
+ * Tags the nn lowering writes, which directive grids bind to:
+ *  - "layer_seq": sequence number of the compute layer (also on its task).
+ *  - "kpf_loop" / "cpf_loop": the output-channel / input-channel loop.
+ *  - "tile_loop": tile iteration scaffolding, not a point loop.
  */
 class ForOp : public OpWrapper {
   public:
@@ -53,10 +56,6 @@ class ForOp : public OpWrapper {
     }
     bool isPipelined() const { return op_->hasAttr(pipelineId()); }
     void setPipelined() { op_->setAttr(pipelineId(), Attribute::unit()); }
-    bool isParallel() const { return op_->hasAttr(parallelId()); }
-    void setParallel() { op_->setAttr(parallelId(), Attribute::unit()); }
-    bool isReduction() const { return op_->hasAttr(reductionId()); }
-    void setReduction() { op_->setAttr(reductionId(), Attribute::unit()); }
 
     /** @name Cached interned directive keys (hot on the DSE path). @{ */
     // clang-format off
@@ -65,9 +64,10 @@ class ForOp : public OpWrapper {
     static Identifier stepId() { static const Identifier id = Identifier::get("step"); return id; }
     static Identifier unrollId() { static const Identifier id = Identifier::get("unroll"); return id; }
     static Identifier pipelineId() { static const Identifier id = Identifier::get("pipeline"); return id; }
-    static Identifier parallelId() { static const Identifier id = Identifier::get("parallel"); return id; }
-    static Identifier reductionId() { static const Identifier id = Identifier::get("reduction"); return id; }
     static Identifier iiId() { static const Identifier id = Identifier::get("ii"); return id; }
+    static Identifier layerSeqId() { static const Identifier id = Identifier::get("layer_seq"); return id; }
+    static Identifier kpfLoopId() { static const Identifier id = Identifier::get("kpf_loop"); return id; }
+    static Identifier cpfLoopId() { static const Identifier id = Identifier::get("cpf_loop"); return id; }
     static Identifier tileLoopId() { static const Identifier id = Identifier::get("tile_loop"); return id; }
     // clang-format on
     /** @} */

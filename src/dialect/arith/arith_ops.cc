@@ -32,7 +32,7 @@ binaryIds()
 ConstantOp
 ConstantOp::create(OpBuilder& builder, Type type, double value)
 {
-    Operation* op = builder.create(kOpName, {}, {type});
+    Operation* op = builder.create(opNameId<ConstantOp>(), {}, {type});
     op->setAttr(valueId(), Attribute::real(value));
     op->result(0)->setNameHint("c");
     return ConstantOp(op);
@@ -47,8 +47,8 @@ ConstantOp::createIndex(OpBuilder& builder, int64_t value)
 BinaryOp
 BinaryOp::create(OpBuilder& builder, BinaryKind kind, Value* lhs, Value* rhs)
 {
-    Operation* op =
-        builder.create(nameFor(kind), {lhs, rhs}, {lhs->type()});
+    Operation* op = builder.create(binaryIds().at(static_cast<size_t>(kind)),
+                                   {lhs, rhs}, {lhs->type()});
     return BinaryOp(op);
 }
 
@@ -59,12 +59,6 @@ BinaryOp::matches(const Operation* op)
         if (op->nameId() == id)
             return true;
     return false;
-}
-
-std::string
-BinaryOp::nameFor(BinaryKind kind)
-{
-    return kBinaryNames.at(static_cast<size_t>(kind));
 }
 
 BinaryKind
@@ -80,7 +74,7 @@ BinaryOp::kind() const
 CastOp
 CastOp::create(OpBuilder& builder, Value* input, Type result_type)
 {
-    return CastOp(builder.create(kOpName, {input}, {result_type}));
+    return CastOp(builder.create(opNameId<CastOp>(), {input}, {result_type}));
 }
 
 OpHwCost

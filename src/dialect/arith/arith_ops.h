@@ -8,8 +8,6 @@
  * operand element type.
  */
 
-#include <string>
-
 #include "src/ir/builder.h"
 #include "src/ir/operation.h"
 
@@ -47,7 +45,6 @@ class BinaryOp : public OpWrapper {
                            Value* rhs);
     /** True for any arith binary op name. */
     static bool matches(const Operation* op);
-    static std::string nameFor(BinaryKind kind);
 
     BinaryKind kind() const;
     Value* lhs() const { return op_->operand(0); }

@@ -13,13 +13,13 @@ namespace hida {
 YieldOp
 YieldOp::create(OpBuilder& builder, std::vector<Value*> operands)
 {
-    return YieldOp(builder.create(kOpName, std::move(operands)));
+    return YieldOp(builder.create(opNameId<YieldOp>(), std::move(operands)));
 }
 
 DispatchOp
 DispatchOp::create(OpBuilder& builder, const std::vector<Type>& result_types)
 {
-    Operation* op = builder.create(kOpName, {}, result_types, 1);
+    Operation* op = builder.create(opNameId<DispatchOp>(), {}, result_types, 1);
     op->body();
     return DispatchOp(op);
 }
@@ -28,7 +28,7 @@ std::vector<TaskOp>
 DispatchOp::tasks() const
 {
     std::vector<TaskOp> result;
-    for (Operation* op : body()->ops())
+    for (Operation* op : *body())
         if (auto task = dynCast<TaskOp>(op))
             result.push_back(task);
     return result;
@@ -37,7 +37,7 @@ DispatchOp::tasks() const
 TaskOp
 TaskOp::create(OpBuilder& builder, const std::vector<Type>& result_types)
 {
-    Operation* op = builder.create(kOpName, {}, result_types, 1);
+    Operation* op = builder.create(opNameId<TaskOp>(), {}, result_types, 1);
     op->body();
     return TaskOp(op);
 }
@@ -45,7 +45,7 @@ TaskOp::create(OpBuilder& builder, const std::vector<Type>& result_types)
 DispatchOp
 TaskOp::parentDispatch() const
 {
-    return DispatchOp(op_->parentOfName(DispatchOp::kOpName));
+    return DispatchOp(op_->parentOfName(opNameId<DispatchOp>()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -55,7 +55,7 @@ TaskOp::parentDispatch() const
 ScheduleOp
 ScheduleOp::create(OpBuilder& builder, std::vector<Value*> live_ins)
 {
-    Operation* op = builder.create(kOpName, live_ins, {}, 1);
+    Operation* op = builder.create(opNameId<ScheduleOp>(), live_ins, {}, 1);
     Block* body = op->body();
     for (Value* v : live_ins)
         body->addArgument(v->type(), v->nameHint());
@@ -66,7 +66,7 @@ std::vector<NodeOp>
 ScheduleOp::nodes() const
 {
     std::vector<NodeOp> result;
-    for (Operation* op : body()->ops())
+    for (Operation* op : *body())
         if (auto node = dynCast<NodeOp>(op))
             result.push_back(node);
     return result;
@@ -79,7 +79,7 @@ NodeOp::create(OpBuilder& builder, std::vector<Value*> operands,
 {
     HIDA_ASSERT(operands.size() == effects.size(),
                 "hida.node operand/effect count mismatch");
-    Operation* op = builder.create(kOpName, operands, {}, 1);
+    Operation* op = builder.create(opNameId<NodeOp>(), operands, {}, 1);
     Block* body = op->body();
     std::vector<int64_t> encoded;
     for (unsigned i = 0; i < operands.size(); ++i) {
@@ -96,12 +96,6 @@ NodeOp::label() const
 {
     const Attribute* label = op_->findAttr(labelId());
     return label != nullptr ? label->asString() : "node";
-}
-
-void
-NodeOp::setLabel(const std::string& label)
-{
-    op_->setAttr(labelId(), Attribute::string(label));
 }
 
 MemoryEffect
@@ -189,8 +183,8 @@ BufferOp::create(OpBuilder& builder, Type memref_type, int64_t stages,
                  const std::string& hint)
 {
     HIDA_ASSERT(memref_type.isMemRef(), "hida.buffer requires a memref type");
-    Operation* op = builder.create(kOpName, {}, {memref_type});
-    op->setIntAttr("stages", stages);
+    Operation* op = builder.create(opNameId<BufferOp>(), {}, {memref_type});
+    op->setIntAttr(stagesId(), stages);
     op->result(0)->setNameHint(hint);
     return BufferOp(op);
 }
@@ -260,8 +254,8 @@ StreamOp
 StreamOp::create(OpBuilder& builder, Type element, int64_t depth,
                  const std::string& hint)
 {
-    Operation* op =
-        builder.create(kOpName, {}, {Type::stream(element, depth)});
+    Operation* op = builder.create(opNameId<StreamOp>(), {},
+                                   {Type::stream(element, depth)});
     op->result(0)->setNameHint(hint);
     return StreamOp(op);
 }
@@ -270,7 +264,7 @@ StreamReadOp
 StreamReadOp::create(OpBuilder& builder, Value* stream)
 {
     HIDA_ASSERT(stream->type().isStream(), "stream_read requires a stream");
-    return StreamReadOp(builder.create(kOpName, {stream},
+    return StreamReadOp(builder.create(opNameId<StreamReadOp>(), {stream},
                                        {stream->type().elementType()}));
 }
 
@@ -278,16 +272,17 @@ StreamWriteOp
 StreamWriteOp::create(OpBuilder& builder, Value* value, Value* stream)
 {
     HIDA_ASSERT(stream->type().isStream(), "stream_write requires a stream");
-    return StreamWriteOp(builder.create(kOpName, {value, stream}));
+    return StreamWriteOp(
+        builder.create(opNameId<StreamWriteOp>(), {value, stream}));
 }
 
 PortOp
 PortOp::create(OpBuilder& builder, Type type, const std::string& kind,
                int64_t latency_cycles)
 {
-    Operation* op = builder.create(kOpName, {}, {type});
-    op->setAttr("kind", Attribute::string(kind));
-    op->setIntAttr("latency", latency_cycles);
+    Operation* op = builder.create(opNameId<PortOp>(), {}, {type});
+    op->setAttr(kindId(), Attribute::string(kind));
+    op->setIntAttr(latencyId(), latency_cycles);
     op->result(0)->setNameHint("port");
     return PortOp(op);
 }
@@ -296,15 +291,15 @@ BundleOp
 BundleOp::create(OpBuilder& builder, const std::string& name,
                  std::vector<Value*> ports)
 {
-    Operation* op = builder.create(kOpName, std::move(ports));
-    op->setAttr("bundle_name", Attribute::string(name));
+    Operation* op = builder.create(opNameId<BundleOp>(), std::move(ports));
+    op->setAttr(bundleNameId(), Attribute::string(name));
     return BundleOp(op);
 }
 
 PackOp
 PackOp::create(OpBuilder& builder, Value* memref, Value* port)
 {
-    return PackOp(builder.create(kOpName, {memref, port}));
+    return PackOp(builder.create(opNameId<PackOp>(), {memref, port}));
 }
 
 //===----------------------------------------------------------------------===//

@@ -66,6 +66,13 @@ class TaskOp : public OpWrapper {
 
     Block* body() const { return op_->body(); }
     DispatchOp parentDispatch() const;
+
+    /** Cached interned key of the "role" string the nn lowering writes. */
+    static Identifier roleId()
+    {
+        static const Identifier id = Identifier::get("role");
+        return id;
+    }
 };
 
 //===----------------------------------------------------------------------===//
@@ -109,7 +116,6 @@ class NodeOp : public OpWrapper {
 
     Block* body() const { return op_->body(); }
     std::string label() const;
-    void setLabel(const std::string& label);
 
     MemoryEffect effect(unsigned operand_index) const;
     void setEffect(unsigned operand_index, MemoryEffect effect);
@@ -139,6 +145,12 @@ class NodeOp : public OpWrapper {
         static const Identifier id = Identifier::get("label");
         return id;
     }
+    /** @name Cached keys of parallelize's bookkeeping on a node. @{ */
+    // clang-format off
+    static Identifier parallelFactorId() { static const Identifier id = Identifier::get("parallel_factor"); return id; }
+    static Identifier parallelizedId() { static const Identifier id = Identifier::get("parallelized"); return id; }
+    // clang-format on
+    /** @} */
 
     /** Operand indices of buffers/streams this node writes. */
     std::vector<unsigned> writtenOperandIndices() const;
@@ -155,6 +167,8 @@ class NodeOp : public OpWrapper {
  *  - "tile_factors": per-dim data-layout tiling.
  *  - "vector_factor": elements packed per memory word.
  *  - "mem_kind": implementation hint, e.g. "bram_t2p", "uram", "lutram".
+ *  - "constant": unit attr on a buffer lowered from memref.weight, whose
+ *    contents derive from its "seed" (WeightOp::seedId()).
  */
 class BufferOp : public OpWrapper {
   public:
@@ -210,6 +224,7 @@ class BufferOp : public OpWrapper {
     static Identifier tileFactorsId() { static const Identifier id = Identifier::get("tile_factors"); return id; }
     static Identifier vectorFactorId() { static const Identifier id = Identifier::get("vector_factor"); return id; }
     static Identifier memKindId() { static const Identifier id = Identifier::get("mem_kind"); return id; }
+    static Identifier constantId() { static const Identifier id = Identifier::get("constant"); return id; }
     // clang-format on
     /** @} */
 };
@@ -260,9 +275,20 @@ class PortOp : public OpWrapper {
     static PortOp create(OpBuilder& builder, Type type,
                          const std::string& kind, int64_t latency_cycles);
 
-    std::string kind() const { return op_->attr("kind").asString(); }
+    /** Latency of a port that carries no "latency": an AXI round trip. */
+    static constexpr int64_t kDefaultLatency = 64;
+
+    std::string kind() const { return op_->attr(kindId()).asString(); }
     /** Round-trip latency of the interface in cycles (e.g. AXI ~ tens). */
-    int64_t latency() const { return op_->intAttrOr("latency", 0); }
+    int64_t latency() const
+    {
+        return op_->intAttrOr(latencyId(), kDefaultLatency);
+    }
+
+    // clang-format off
+    static Identifier kindId() { static const Identifier id = Identifier::get("kind"); return id; }
+    static Identifier latencyId() { static const Identifier id = Identifier::get("latency"); return id; }
+    // clang-format on
 };
 
 /** Named group of ports ("hida.bundle"). */
@@ -273,6 +299,13 @@ class BundleOp : public OpWrapper {
 
     static BundleOp create(OpBuilder& builder, const std::string& name,
                            std::vector<Value*> ports);
+
+    /** Cached interned key of "bundle_name", on a bundle and its ports. */
+    static Identifier bundleNameId()
+    {
+        static const Identifier id = Identifier::get("bundle_name");
+        return id;
+    }
 };
 
 /** Packs an external memory block into a port ("hida.pack"). */

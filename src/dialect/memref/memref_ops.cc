@@ -9,7 +9,7 @@ AllocOp
 AllocOp::create(OpBuilder& builder, Type memref_type, const std::string& hint)
 {
     HIDA_ASSERT(memref_type.isMemRef(), "memref.alloc requires a memref type");
-    Operation* op = builder.create(kOpName, {}, {memref_type});
+    Operation* op = builder.create(opNameId<AllocOp>(), {}, {memref_type});
     op->result(0)->setNameHint(hint);
     return AllocOp(op);
 }
@@ -19,8 +19,8 @@ WeightOp::create(OpBuilder& builder, Type memref_type, int64_t seed,
                  const std::string& hint)
 {
     HIDA_ASSERT(memref_type.isMemRef(), "memref.weight requires a memref type");
-    Operation* op = builder.create(kOpName, {}, {memref_type});
-    op->setIntAttr("seed", seed);
+    Operation* op = builder.create(opNameId<WeightOp>(), {}, {memref_type});
+    op->setIntAttr(seedId(), seed);
     op->result(0)->setNameHint(hint);
     return WeightOp(op);
 }
@@ -30,7 +30,7 @@ CopyOp::create(OpBuilder& builder, Value* source, Value* dest)
 {
     HIDA_ASSERT(source->type().isMemRef() && dest->type().isMemRef(),
                 "memref.copy requires memref operands");
-    return CopyOp(builder.create(kOpName, {source, dest}));
+    return CopyOp(builder.create(opNameId<CopyOp>(), {source, dest}));
 }
 
 void

@@ -39,7 +39,15 @@ class WeightOp : public OpWrapper {
     static WeightOp create(OpBuilder& builder, Type memref_type, int64_t seed,
                            const std::string& hint = "w");
 
-    int64_t seed() const { return op_->intAttrOr("seed", 0); }
+    int64_t seed() const { return op_->intAttrOr(seedId(), 0); }
+
+    /** Cached interned key of "seed", also on nn.weight and on the
+     * constant hida.buffer a weight lowers to. */
+    static Identifier seedId()
+    {
+        static const Identifier id = Identifier::get("seed");
+        return id;
+    }
 };
 
 /** Whole-buffer copy ("memref.copy"): operands = source, destination. */

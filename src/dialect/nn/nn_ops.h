@@ -15,12 +15,16 @@
 #include <string>
 #include <vector>
 
+#include "src/dialect/memref/memref_ops.h"
 #include "src/ir/builder.h"
 #include "src/ir/operation.h"
 
 namespace hida {
 
-/** Frozen trained parameter ("nn.weight"): deterministic pseudo-random. */
+/**
+ * Frozen trained parameter ("nn.weight"): deterministic pseudo-random
+ * contents derived from "seed", the key memref.weight carries on.
+ */
 class NnWeightOp : public OpWrapper {
   public:
     static constexpr const char* kOpName = "nn.weight";
@@ -29,11 +33,24 @@ class NnWeightOp : public OpWrapper {
     static NnWeightOp create(OpBuilder& builder, std::vector<int64_t> shape,
                              Type element, int64_t seed);
 
-    int64_t seed() const { return op_->intAttrOr("seed", 0); }
+    int64_t seed() const { return op_->intAttrOr(WeightOp::seedId(), 0); }
+};
+
+/**
+ * Cached keys of the window geometry ("stride", "pad", "kernel"), defined
+ * once for the conv and pool ops that each carry some of them.
+ */
+class NnWindowKeys {
+  public:
+    // clang-format off
+    static Identifier strideId() { static const Identifier id = Identifier::get("stride"); return id; }
+    static Identifier padId() { static const Identifier id = Identifier::get("pad"); return id; }
+    static Identifier kernelId() { static const Identifier id = Identifier::get("kernel"); return id; }
+    // clang-format on
 };
 
 /** 2-D convolution ("nn.conv2d"): operands = input, weight[, bias]. */
-class Conv2dOp : public OpWrapper {
+class Conv2dOp : public OpWrapper, public NnWindowKeys {
   public:
     static constexpr const char* kOpName = "nn.conv2d";
     using OpWrapper::OpWrapper;
@@ -47,12 +64,12 @@ class Conv2dOp : public OpWrapper {
     {
         return op_->numOperands() > 2 ? op_->operand(2) : nullptr;
     }
-    int64_t stride() const { return op_->intAttrOr("stride", 1); }
-    int64_t pad() const { return op_->intAttrOr("pad", 0); }
+    int64_t stride() const { return op_->intAttrOr(strideId(), 1); }
+    int64_t pad() const { return op_->intAttrOr(padId(), 0); }
 };
 
 /** Depthwise 2-D convolution ("nn.dwconv2d"): weight shape = C x 1 x K x K. */
-class DwConv2dOp : public OpWrapper {
+class DwConv2dOp : public OpWrapper, public NnWindowKeys {
   public:
     static constexpr const char* kOpName = "nn.dwconv2d";
     using OpWrapper::OpWrapper;
@@ -62,12 +79,12 @@ class DwConv2dOp : public OpWrapper {
 
     Value* input() const { return op_->operand(0); }
     Value* weight() const { return op_->operand(1); }
-    int64_t stride() const { return op_->intAttrOr("stride", 1); }
-    int64_t pad() const { return op_->intAttrOr("pad", 0); }
+    int64_t stride() const { return op_->intAttrOr(strideId(), 1); }
+    int64_t pad() const { return op_->intAttrOr(padId(), 0); }
 };
 
 /** Max pooling ("nn.maxpool"). */
-class MaxPoolOp : public OpWrapper {
+class MaxPoolOp : public OpWrapper, public NnWindowKeys {
   public:
     static constexpr const char* kOpName = "nn.maxpool";
     using OpWrapper::OpWrapper;
@@ -76,12 +93,12 @@ class MaxPoolOp : public OpWrapper {
                             int64_t stride);
 
     Value* input() const { return op_->operand(0); }
-    int64_t kernel() const { return op_->intAttrOr("kernel", 2); }
-    int64_t stride() const { return op_->intAttrOr("stride", 2); }
+    int64_t kernel() const { return op_->intAttrOr(kernelId(), 2); }
+    int64_t stride() const { return op_->intAttrOr(strideId(), 2); }
 };
 
 /** Average pooling ("nn.avgpool"); kernel == spatial size gives global pool. */
-class AvgPoolOp : public OpWrapper {
+class AvgPoolOp : public OpWrapper, public NnWindowKeys {
   public:
     static constexpr const char* kOpName = "nn.avgpool";
     using OpWrapper::OpWrapper;
@@ -90,8 +107,8 @@ class AvgPoolOp : public OpWrapper {
                             int64_t stride);
 
     Value* input() const { return op_->operand(0); }
-    int64_t kernel() const { return op_->intAttrOr("kernel", 2); }
-    int64_t stride() const { return op_->intAttrOr("stride", 2); }
+    int64_t kernel() const { return op_->intAttrOr(kernelId(), 2); }
+    int64_t stride() const { return op_->intAttrOr(strideId(), 2); }
 };
 
 /** Fully-connected layer ("nn.linear"): operands = input, weight[, bias]. */
@@ -155,7 +172,13 @@ class UpsampleOp : public OpWrapper {
 
     static UpsampleOp create(OpBuilder& builder, Value* input, int64_t scale);
 
-    int64_t scale() const { return op_->intAttrOr("scale", 2); }
+    int64_t scale() const { return op_->intAttrOr(scaleId(), 2); }
+
+    static Identifier scaleId()
+    {
+        static const Identifier id = Identifier::get("scale");
+        return id;
+    }
 };
 
 /** True for any op in the nn dialect. */

@@ -54,10 +54,10 @@ scaleHlsSupports(ModuleOp module)
 {
     bool supported = true;
     module.op()->walk([&](Operation* op) {
-        if (isa<Conv2dOp>(op)) {
-            int64_t kernel = op->operand(1)->type().shape().back();
-            int64_t stride = op->intAttrOr("stride", 1);
-            int64_t pad = op->intAttrOr("pad", 0);
+        if (auto conv = dynCast<Conv2dOp>(op)) {
+            int64_t kernel = conv.weight()->type().shape().back();
+            int64_t stride = conv.stride();
+            int64_t pad = conv.pad();
             // Irregular geometry: a large strided kernel without padding
             // yields odd, non-power-of-two feature maps (ZFNet's 7x7/2 ->
             // 109); ResNet's padded 7x7/2 stays regular.
@@ -157,7 +157,7 @@ CompileResult
 compile(ModuleOp module, const FlowOptions& options, const TargetDevice& device)
 {
     registerAllDialects();
-    PassManager pm(/*verify_each=*/true);
+    PassManager pm;
     addPrefixPasses(pm, options);
     addSuffixPasses(pm, options);
     pm.run(module);
@@ -185,7 +185,7 @@ compileAutoTuned(const std::function<OwnedModule()>& rebuild,
     registerAllDialects();
     OwnedModule owned = rebuild();
     ModuleOp module = owned.get();
-    PassManager prefix(/*verify_each=*/true);
+    PassManager prefix;
     addPrefixPasses(prefix, base_options);
     prefix.run(module);
     double total_compile = prefix.totalSeconds();
@@ -209,7 +209,7 @@ compileAutoTuned(const std::function<OwnedModule()>& rebuild,
         }
         FlowOptions options = base_options;
         options.maxParallelFactor = pf;
-        PassManager suffix(/*verify_each=*/true);
+        PassManager suffix;
         addSuffixPasses(suffix, options, &search);
         suffix.run(module);
         total_compile += suffix.totalSeconds();

@@ -176,14 +176,6 @@ DesignPointGrid::pointFingerprint(size_t index) const
 
 namespace {
 
-/** Interned "layer_seq" key shared by every applyPoint walk. */
-Identifier
-layerSeqId()
-{
-    static const Identifier id = Identifier::get("layer_seq");
-    return id;
-}
-
 /** One write of applyPoint: axis @p axis sets the unroll of @p loop. */
 struct LoopBinding {
     size_t axis;
@@ -248,7 +240,7 @@ applyPoint(ModuleOp module, const DesignPointGrid& grid,
         root->walk([&](Operation* op) {
             if (!isa<ForOp>(op))
                 return;
-            int64_t seq = op->intAttrOr(layerSeqId(), -1);
+            int64_t seq = op->intAttrOr(ForOp::layerSeqId(), -1);
             if (seq < 0)
                 return;
             for (size_t i = 0; i < grid.numAxes(); ++i) {

@@ -77,18 +77,4 @@ paretoFrontOf(std::vector<ParetoSample> samples)
     return front;
 }
 
-double
-paretoCoverage(const std::vector<ParetoSample>& reference,
-               const ParetoArchive& found)
-{
-    if (reference.empty())
-        return 1.0;
-    size_t covered = 0;
-    for (const ParetoSample& r : reference)
-        if (found.covers(r))
-            ++covered;
-    return static_cast<double>(covered) /
-           static_cast<double>(reference.size());
-}
-
 } // namespace hida

@@ -135,8 +135,8 @@ Emitter::emitOp(Operation* op)
         ++depth_;
         if (loop.isPipelined()) {
             indent();
-            os_ << "#pragma HLS pipeline II=" << op->intAttrOr("ii", 1)
-                << "\n";
+            os_ << "#pragma HLS pipeline II="
+                << op->intAttrOr(ForOp::iiId(), 1) << "\n";
         }
         if (loop.unrollFactor() > 1) {
             indent();
@@ -264,27 +264,27 @@ Emitter::emitOp(Operation* op)
         indent();
         os_ << "// port " << nameOf(op->result(0), "port") << ": "
             << port.kind() << " interface, latency " << port.latency();
-        if (op->hasAttr("bundle_name"))
-            os_ << ", bundle " << op->attr("bundle_name").asString();
+        if (op->hasAttr(BundleOp::bundleNameId()))
+            os_ << ", bundle "
+                << op->attr(BundleOp::bundleNameId()).asString();
         os_ << "\n";
         return;
     }
     if (isa<PackOp>(op)) {
         indent();
         os_ << "#pragma HLS interface m_axi port=" << nameOf(op->operand(0));
-        Operation* port_def = op->operand(1)->definingOp();
-        if (port_def != nullptr && port_def->hasAttr("bundle_name"))
-            os_ << " bundle=" << port_def->attr("bundle_name").asString();
-        os_ << " latency=" << (port_def != nullptr
-                                   ? port_def->intAttrOr("latency", 64)
-                                   : 64)
-            << "\n";
+        PortOp port = dynCast<PortOp>(op->operand(1)->definingOp());
+        if (port && port.op()->hasAttr(BundleOp::bundleNameId()))
+            os_ << " bundle="
+                << port.op()->attr(BundleOp::bundleNameId()).asString();
+        os_ << " latency="
+            << (port ? port.latency() : PortOp::kDefaultLatency) << "\n";
         return;
     }
     if (isa<BundleOp>(op)) {
         indent();
-        os_ << "// bundle " << op->attr("bundle_name").asString() << ": "
-            << op->numOperands() << " ports\n";
+        os_ << "// bundle " << op->attr(BundleOp::bundleNameId()).asString()
+            << ": " << op->numOperands() << " ports\n";
         return;
     }
     if (isa<AllocOp>(op) || isa<WeightOp>(op)) {
@@ -304,7 +304,7 @@ Emitter::emitOp(Operation* op)
 void
 Emitter::emitBlock(Block* block)
 {
-    for (Operation* op : block->ops())
+    for (Operation* op : *block)
         emitOp(op);
 }
 
@@ -341,7 +341,7 @@ emitHlsCpp(ModuleOp module, std::ostream& os)
 {
     os << "// Generated by HIDA (hierarchical dataflow compiler for HLS)\n"
        << "#include <ap_int.h>\n#include <hls_stream.h>\n\n";
-    for (Operation* op : module.body()->ops())
+    for (Operation* op : *module.body())
         if (auto func = dynCast<FuncOp>(op))
             Emitter(os).emitFunc(func);
 }

@@ -140,8 +140,8 @@ class NnExecutor {
             bool is_max = isa<MaxPoolOp>(op);
             const auto in_s = op->operand(0)->type().shape();
             const Tensor& in = value(op->operand(0));
-            int64_t k = op->intAttrOr("kernel", 2);
-            int64_t stride = op->intAttrOr("stride", 2);
+            int64_t k = op->intAttrOr(NnWindowKeys::kernelId(), 2);
+            int64_t stride = op->intAttrOr(NnWindowKeys::strideId(), 2);
             for (int64_t n = 0; n < out_shape[0]; ++n)
                 for (int64_t c = 0; c < out_shape[1]; ++c)
                     for (int64_t y = 0; y < out_shape[2]; ++y)
@@ -284,7 +284,7 @@ class LoweredInterpreter {
     void
     executeBlock(Block* block)
     {
-        for (Operation* op : block->ops())
+        for (Operation* op : *block)
             executeOp(op);
     }
 
@@ -309,9 +309,9 @@ class LoweredInterpreter {
         }
         if (auto buffer = dynCast<BufferOp>(op)) {
             int64_t elems = buffer.type().numElements();
-            if (op->hasAttr("constant"))
+            if (op->hasAttr(BufferOp::constantId()))
                 memories_[op->result(0)] =
-                    weightData(elems, op->intAttrOr("seed", 0));
+                    weightData(elems, op->intAttrOr(WeightOp::seedId(), 0));
             else
                 memories_[op->result(0)].assign(elems, 0.0);
             return;
@@ -475,7 +475,7 @@ loweredNetworkOutput(FuncOp func, const std::vector<double>& input,
             continue;
         Operation* def = value->definingOp();
         if (def != nullptr &&
-            (isa<WeightOp>(def) || def->hasAttr("constant")))
+            (isa<WeightOp>(def) || def->hasAttr(BufferOp::constantId())))
             continue;
         auto it = accesses.find(value);
         if (it == accesses.end() || !it->second.writes())

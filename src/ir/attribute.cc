@@ -204,13 +204,6 @@ Attribute::asString() const
     return impl_->stringValue;
 }
 
-Type
-Attribute::asType() const
-{
-    HIDA_ASSERT(impl_ && impl_->kind == AttrKind::kType, "not a type attr");
-    return impl_->typeValue;
-}
-
 const std::vector<Attribute>&
 Attribute::asArray() const
 {

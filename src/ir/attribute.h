@@ -95,7 +95,6 @@ class Attribute {
     int64_t asInt() const;
     double asFloat() const;
     const std::string& asString() const;
-    Type asType() const;
     const std::vector<Attribute>& asArray() const;
     std::vector<int64_t> asI64Array() const;
     const SemiAffineMap& asAffineMap() const;

@@ -35,14 +35,6 @@ OpBuilder::setInsertionPointAfter(Operation* op)
 }
 
 Operation*
-OpBuilder::create(std::string_view name, std::vector<Value*> operands,
-                  const std::vector<Type>& result_types, unsigned num_regions)
-{
-    return create(Identifier::get(name), std::move(operands), result_types,
-                  num_regions);
-}
-
-Operation*
 OpBuilder::create(Identifier name, std::vector<Value*> operands,
                   const std::vector<Type>& result_types, unsigned num_regions)
 {

@@ -8,7 +8,6 @@
  * call into this builder.
  */
 
-#include <string_view>
 #include <vector>
 
 #include "src/ir/operation.h"
@@ -51,17 +50,12 @@ class OpBuilder {
 
     /**
      * Create an operation at the insertion point.
-     * @param name fully-qualified op name, e.g. "affine.for".
+     * @param name interned op name; wrappers pass opNameId<OpT>().
      * @param operands SSA operands.
      * @param result_types result types (one Value per entry).
      * @param num_regions number of (initially empty) regions.
      */
     Operation* create(Identifier name, std::vector<Value*> operands = {},
-                      const std::vector<Type>& result_types = {},
-                      unsigned num_regions = 0);
-    /** String-keyed convenience overload; interns @p name. */
-    Operation* create(std::string_view name,
-                      std::vector<Value*> operands = {},
                       const std::vector<Type>& result_types = {},
                       unsigned num_regions = 0);
 

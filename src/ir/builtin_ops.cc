@@ -8,7 +8,7 @@ namespace hida {
 ModuleOp
 ModuleOp::create()
 {
-    Operation* op = Operation::create(kOpName, {}, {}, 1);
+    Operation* op = Operation::create(opNameId<ModuleOp>(), {}, {}, 1);
     op->body();
     return ModuleOp(op);
 }
@@ -16,7 +16,7 @@ ModuleOp::create()
 FuncOp
 ModuleOp::lookupFunc(const std::string& name) const
 {
-    for (Operation* op : body()->ops()) {
+    for (Operation* op : *body()) {
         if (auto func = dynCast<FuncOp>(op))
             if (func.symName() == name)
                 return func;
@@ -64,7 +64,7 @@ FuncOp
 FuncOp::create(OpBuilder& builder, const std::string& sym_name,
                const std::vector<Type>& arg_types)
 {
-    Operation* op = builder.create(kOpName, {}, {}, 1);
+    Operation* op = builder.create(opNameId<FuncOp>(), {}, {}, 1);
     op->setAttr(symNameId(), Attribute::string(sym_name));
     Block* body = op->body();
     for (unsigned i = 0; i < arg_types.size(); ++i)
@@ -75,7 +75,7 @@ FuncOp::create(OpBuilder& builder, const std::string& sym_name,
 ReturnOp
 ReturnOp::create(OpBuilder& builder, std::vector<Value*> operands)
 {
-    return ReturnOp(builder.create(kOpName, std::move(operands)));
+    return ReturnOp(builder.create(opNameId<ReturnOp>(), std::move(operands)));
 }
 
 void

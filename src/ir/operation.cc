@@ -93,8 +93,8 @@ class AttrKeySet {
 };
 
 /**
- * Keys excluded from subtree hashing. Pre-seeded with "ii": the
- * estimator writes it back as an output.
+ * Keys excluded from subtree hashing: "ii", which the estimator writes
+ * back as an output.
  */
 AttrKeySet&
 hashExemptKeys()
@@ -367,14 +367,6 @@ Operation::eraseOperand(unsigned i)
     bumpStructureEpoch();
 }
 
-void
-Operation::replaceUsesOfWith(Value* from, Value* to)
-{
-    for (unsigned i = 0; i < operands_.size(); ++i)
-        if (operands_[i] == from)
-            setOperand(i, to);
-}
-
 std::vector<Value*>
 Operation::results() const
 {
@@ -414,7 +406,7 @@ Operation::dropAllReferences()
     }
     for (const auto& region : regions_)
         for (const auto& block : region->blocks())
-            for (const auto& op : block->ops())
+            for (const auto& op : block->ops_)
                 op->dropAllReferences();
 }
 
@@ -500,12 +492,6 @@ bool
 Operation::isAttrHashExempt(Identifier key)
 {
     return hashExemptKeys().contains(key.raw());
-}
-
-void
-Operation::addAttrHashExempt(Identifier key)
-{
-    hashExemptKeys().add(key);
 }
 
 bool

@@ -17,7 +17,6 @@
 #include <list>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -151,7 +150,6 @@ class Block {
     explicit Block(Region* parent) : parentRegion_(parent) {}
     ~Block();
 
-    Region* parentRegion() const { return parentRegion_; }
     /** Operation owning the region this block lives in (nullptr at top). */
     Operation* parentOp() const;
 
@@ -170,9 +168,10 @@ class Block {
     Operation* front() const { return ops_.front().get(); }
     Operation* back() const { return ops_.back().get(); }
     /**
-     * Snapshot of the current operations (safe to mutate while visiting).
-     * Allocates one vector per call: read-only traversals should iterate
-     * the block in place instead (begin()/end() below).
+     * Snapshot of the current operations, for a loop that inserts, erases
+     * or moves ops of this block while it walks it. Allocates one vector
+     * per call: any other traversal iterates the block in place
+     * (begin()/end() below).
      */
     std::vector<Operation*> ops() const;
 
@@ -231,15 +230,6 @@ class Operation {
     static Operation* create(Identifier name, std::vector<Value*> operands,
                              const std::vector<Type>& result_types,
                              unsigned num_regions = 0);
-    /** String-keyed convenience overload; interns @p name. */
-    static Operation* create(std::string_view name,
-                             std::vector<Value*> operands,
-                             const std::vector<Type>& result_types,
-                             unsigned num_regions = 0)
-    {
-        return create(Identifier::get(name), std::move(operands),
-                      result_types, num_regions);
-    }
     /** Destroy an operation that was never inserted into a block. */
     static void destroyDetached(Operation* op);
 
@@ -261,8 +251,6 @@ class Operation {
     void setOperand(unsigned i, Value* value);
     void appendOperand(Value* value);
     void eraseOperand(unsigned i);
-    /** Replace every occurrence of @p from in the operand list by @p to. */
-    void replaceUsesOfWith(Value* from, Value* to);
     /** @} */
 
     /** @name Results. @{ */
@@ -283,9 +271,11 @@ class Operation {
 
     /**
      * @name Attributes.
-     * Stored as a flat vector sorted by interned key id: lookups are a
-     * branch-light binary search over a cache-friendly array, and the
-     * string-keyed overloads are thin shims that intern the key first.
+     * Keyed by Identifier only: every key has one cached-id accessor on
+     * the op wrapper that owns it (ForOp::unrollId() and the like), so a
+     * lookup never interns. Stored as a flat vector sorted by interned
+     * key id: lookups are a branch-light binary search over a
+     * cache-friendly array.
      * @{
      */
     using AttrEntry = std::pair<Identifier, Attribute>;
@@ -308,28 +298,6 @@ class Operation {
     /** setAttr of an integer; an unchanged value is compared in place. */
     void setIntAttr(Identifier key, int64_t v);
     void removeAttr(Identifier key);
-
-    bool hasAttr(std::string_view key) const
-    {
-        return hasAttr(Identifier::get(key));
-    }
-    Attribute attr(std::string_view key) const
-    {
-        return attr(Identifier::get(key));
-    }
-    int64_t intAttrOr(std::string_view key, int64_t def) const
-    {
-        return intAttrOr(Identifier::get(key), def);
-    }
-    void setAttr(std::string_view key, Attribute value)
-    {
-        setAttr(Identifier::get(key), std::move(value));
-    }
-    void setIntAttr(std::string_view key, int64_t v)
-    {
-        setIntAttr(Identifier::get(key), v);
-    }
-    void removeAttr(std::string_view key) { removeAttr(Identifier::get(key)); }
 
     /** Attribute entries sorted by interned key id (not lexicographic). */
     const AttrList& attrs() const { return attrs_; }
@@ -354,10 +322,6 @@ class Operation {
     Operation* parentOp() const;
     /** Walk up parentOp links until an op named @p name (or null). */
     Operation* parentOfName(Identifier name) const;
-    Operation* parentOfName(std::string_view name) const
-    {
-        return parentOfName(Identifier::get(name));
-    }
     bool isAncestorOf(const Operation* other) const;
     /**
      * True if this op appears before @p other in the same block (or is
@@ -414,13 +378,11 @@ class Operation {
 
     /**
      * Keys excluded from subtree hashing whose writes do not dirty the
-     * cache. Pre-seeded with "ii", the initiation interval the estimator
-     * itself writes back (an estimation output, not an input — hashing it
-     * would make every estimate invalidate the fingerprints it was keyed
-     * on). Registration is append-only and process-wide.
+     * cache: "ii", the initiation interval the estimator itself writes
+     * back (an estimation output, not an input — hashing it would make
+     * every estimate invalidate the fingerprints it was keyed on).
      */
     static bool isAttrHashExempt(Identifier key);
-    static void addAttrHashExempt(Identifier key);
 
     /**
      * Keys whose writes are structural: a setAttr/removeAttr that changes

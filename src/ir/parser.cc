@@ -164,7 +164,7 @@ class Parser {
     {
         try {
             Operation* op = parseOperation();
-            if (op == nullptr || op->name() != ModuleOp::kOpName) {
+            if (op == nullptr || op->nameId() != opNameId<ModuleOp>()) {
                 if (op != nullptr)
                     Operation::destroyDetached(op);
                 throw std::runtime_error(
@@ -402,7 +402,7 @@ class Parser {
         do {
             Token key = expect(Tok::kIdent, "an attribute name");
             expect(Tok::kEqual, "'='");
-            op->setAttr(key.text, parseAttribute());
+            op->setAttr(Identifier::get(key.text), parseAttribute());
         } while (accept(Tok::kComma));
         expect(Tok::kRBrace, "'}'");
     }
@@ -454,7 +454,8 @@ class Parser {
         }
 
         // Attribute dictionary.
-        Operation* op = Operation::create(name.text, operands, {}, 0);
+        Operation* op =
+            Operation::create(Identifier::get(name.text), operands, {}, 0);
         bool pending_destroy = true;
         struct Cleanup {
             Operation** op;
@@ -482,7 +483,7 @@ class Parser {
         // Rebuild the op with results (results are fixed at creation).
         if (!result_types.empty()) {
             Operation* with_results = Operation::create(
-                op->name(), op->operands(), result_types, 0);
+                op->nameId(), op->operands(), result_types, 0);
             for (const auto& [key, value] : op->attrs())
                 with_results->setAttr(key, value);
             Operation::destroyDetached(op);

@@ -23,29 +23,16 @@ Pass::runChecked(ModuleOp module)
 void
 PassManager::run(ModuleOp module)
 {
-    timings_.clear();
+    totalSeconds_ = 0.0;
     for (const auto& pass : passes_) {
         auto start = std::chrono::steady_clock::now();
         pass->runOnModule(module);
         auto end = std::chrono::steady_clock::now();
-        timings_.emplace_back(
-            pass->name(),
-            std::chrono::duration<double>(end - start).count());
-        if (verifyEach_) {
-            if (auto error = verify(module.op()))
-                HIDA_PANIC("verification failed after pass '", pass->name(),
-                           "': ", *error);
-        }
+        totalSeconds_ += std::chrono::duration<double>(end - start).count();
+        if (auto error = verify(module.op()))
+            HIDA_PANIC("verification failed after pass '", pass->name(),
+                       "': ", *error);
     }
-}
-
-double
-PassManager::totalSeconds() const
-{
-    double total = 0.0;
-    for (const auto& [name, seconds] : timings_)
-        total += seconds;
-    return total;
 }
 
 } // namespace hida

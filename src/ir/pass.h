@@ -4,8 +4,8 @@
 /**
  * @file
  * Pass and PassManager: sequential module-level transformation pipeline
- * with optional verification after each pass and per-pass wall timing
- * (feeding the compile-time columns of Tables 7/8).
+ * with verification after each pass and a summed pass wall time (the
+ * compile-time columns of Tables 7/8).
  */
 
 #include <memory>
@@ -42,12 +42,9 @@ class Pass {
     std::string name_;
 };
 
-/** Runs a pipeline of passes over a module. */
+/** Runs a pipeline of passes over a module, verifying after each. */
 class PassManager {
   public:
-    /** @param verify_each run the IR verifier after every pass. */
-    explicit PassManager(bool verify_each = true) : verifyEach_(verify_each) {}
-
     void addPass(std::unique_ptr<Pass> pass)
     {
         passes_.push_back(std::move(pass));
@@ -63,18 +60,12 @@ class PassManager {
     /** Run every pass in order; panics if verification fails. */
     void run(ModuleOp module);
 
-    /** (pass name, seconds) per executed pass, in order. */
-    const std::vector<std::pair<std::string, double>>& timings() const
-    {
-        return timings_;
-    }
-    /** Total wall-clock seconds across all passes from the last run. */
-    double totalSeconds() const;
+    /** Wall-clock seconds the passes of the last run took, summed. */
+    double totalSeconds() const { return totalSeconds_; }
 
   private:
-    bool verifyEach_;
     std::vector<std::unique_ptr<Pass>> passes_;
-    std::vector<std::pair<std::string, double>> timings_;
+    double totalSeconds_ = 0.0;
 };
 
 } // namespace hida

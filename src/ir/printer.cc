@@ -128,7 +128,7 @@ Printer::print(const Operation* op, int indent)
                 }
                 os_ << "):";
             }
-            for (Operation* nested : block->ops()) {
+            for (Operation* nested : *block) {
                 os_ << "\n";
                 print(nested, indent + 1);
             }

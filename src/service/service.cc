@@ -353,13 +353,6 @@ DseService::queueDepth() const
     return freshQueued_;
 }
 
-uint64_t
-DseService::tenantWeight(const std::string& tenant) const
-{
-    auto it = options_.tenantWeights.find(tenant);
-    return it == options_.tenantWeights.end() ? 1 : it->second;
-}
-
 void
 DseService::respond(ServiceResponse response)
 {

@@ -257,8 +257,6 @@ class DseService {
     /** Resolved executor-lane count (auto already applied). */
     unsigned concurrency() const { return options_.concurrency; }
     QorStore::Stats storeStats() const { return store_.stats(); }
-    /** The service-level cancel token (chained to the process one). */
-    CancelToken& cancelToken() { return cancel_; }
 
   private:
     /** Warm per-session state: one lowered prototype plus the idle
@@ -326,7 +324,6 @@ class DseService {
     /** Move delayed requeues whose backoff elapsed into their tenant's
      * queue front. Returns whether any became runnable. */
     bool promoteDueLocked(std::chrono::steady_clock::time_point now);
-    uint64_t tenantWeight(const std::string& tenant) const;
 
     ServiceOptions options_;
     QorStore store_;

@@ -39,13 +39,6 @@ ceilDiv(int64_t a, int64_t b)
     return (a + b - 1) / b;
 }
 
-/** Round @p a up to the next multiple of @p b. */
-inline int64_t
-roundUp(int64_t a, int64_t b)
-{
-    return ceilDiv(a, b) * b;
-}
-
 /** Product of a factor vector (empty product is 1). */
 inline int64_t
 product(const std::vector<int64_t>& v)

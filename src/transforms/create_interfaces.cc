@@ -26,7 +26,7 @@ class CreateInterfacesPass : public Pass {
     void
     runOnModule(ModuleOp module) override
     {
-        for (Operation* op : module.body()->ops()) {
+        for (Operation* op : *module.body()) {
             if (auto func = dynCast<FuncOp>(op))
                 runOnFunc(func);
         }
@@ -69,9 +69,9 @@ class CreateInterfacesPass : public Pass {
             PortOp port =
                 PortOp::create(builder, memory->type(), "memory", kAxiLatency);
             int channel = static_cast<int>(i) % kMemoryChannels;
-            port.op()->setAttr("bundle_name",
-                               Attribute::string("gmem" +
-                                                 std::to_string(channel)));
+            port.op()->setAttr(
+                BundleOp::bundleNameId(),
+                Attribute::string("gmem" + std::to_string(channel)));
             PackOp::create(builder, memory, port.op()->result(0));
             if (builder.insertionBlock() == func.body())
                 bundles[channel].push_back(port.op()->result(0));
@@ -87,8 +87,8 @@ class CreateInterfacesPass : public Pass {
         // Token streams at the top level get lightweight stream ports.
         func.op()->walk([&](Operation* op) {
             if (auto stream = dynCast<StreamOp>(op)) {
-                if (stream.isToken() && op->parentOfName(
-                                            ScheduleOp::kOpName) == nullptr) {
+                if (stream.isToken() &&
+                    op->parentOfName(opNameId<ScheduleOp>()) == nullptr) {
                     OpBuilder port_builder;
                     port_builder.setInsertionPointAfter(op);
                     PortOp port = PortOp::create(

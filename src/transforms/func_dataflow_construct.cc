@@ -36,7 +36,7 @@ bool
 isDispatchable(Block* block)
 {
     int count = 0;
-    for (Operation* op : block->ops())
+    for (Operation* op : *block)
         if (isIterativeOp(op))
             ++count;
     return count >= 2;
@@ -116,7 +116,7 @@ class FuncDataflowConstructPass : public Pass {
             // Wrap every op of the region in the dispatch except weights
             // and constants, which stay in the transparent context.
             std::vector<Operation*> to_wrap;
-            for (Operation* child : block->ops())
+            for (Operation* child : *block)
                 if (isIterativeOp(child))
                     to_wrap.push_back(child);
             if (to_wrap.size() < 2)

@@ -40,7 +40,7 @@ createPaddedLoad(OpBuilder& builder, Value* memref, std::vector<Value*> indices)
 {
     std::vector<Value*> operands = {memref};
     operands.insert(operands.end(), indices.begin(), indices.end());
-    Operation* op = builder.create("affine.load_padded", std::move(operands),
+    Operation* op = builder.create(paddedLoadNameId(), std::move(operands),
                                    {memref->type().elementType()});
     return op->result(0);
 }
@@ -96,11 +96,11 @@ class NnCodeGen {
     /** Tag the loop owning @p iv so benches can address per-layer factors
      * (KPF = output-channel loop, CPF = input-channel reduction loop). */
     void
-    tagLoop(Value* iv, const char* key)
+    tagLoop(Value* iv, Identifier tag)
     {
         Operation* loop = iv->ownerBlock()->parentOp();
-        loop->setAttr(key, Attribute::unit());
-        loop->setIntAttr("layer_seq", layerSeq_);
+        loop->setAttr(tag, Attribute::unit());
+        loop->setIntAttr(ForOp::layerSeqId(), layerSeq_);
     }
 
     FuncOp func_;
@@ -113,7 +113,7 @@ class NnCodeGen {
 Block*
 NnCodeGen::bufferBlock(Operation* nn_op)
 {
-    if (Operation* dispatch = nn_op->parentOfName(DispatchOp::kOpName))
+    if (Operation* dispatch = nn_op->parentOfName(opNameId<DispatchOp>()))
         return dispatch->body();
     return func_.body();
 }
@@ -185,7 +185,7 @@ NnCodeGen::makeNest(OpBuilder& builder, const std::vector<int64_t>& extents,
     for (int64_t extent : extents) {
         ForOp loop = ForOp::create(builder, 0, extent);
         if (tile_loops)
-            loop.op()->setAttr("tile_loop", Attribute::unit());
+            loop.op()->setAttr(ForOp::tileLoopId(), Attribute::unit());
         ivs.push_back(loop.inductionVar());
         builder.setInsertionPointToEnd(loop.body());
     }
@@ -295,8 +295,8 @@ NnCodeGen::lowerOp(Operation* op)
         auto users = result->users();
         if (users.size() != 1 || !isa<ReluOp>(users[0]))
             return nullptr;
-        if (users[0]->parentOfName(TaskOp::kOpName) !=
-            producer->parentOfName(TaskOp::kOpName))
+        if (users[0]->parentOfName(opNameId<TaskOp>()) !=
+            producer->parentOfName(opNameId<TaskOp>()))
             return nullptr;
         return users[0];
     };
@@ -342,8 +342,8 @@ NnCodeGen::lowerConvLike(Operation* op, bool depthwise, bool fold_relu)
     if (!depthwise && op->numOperands() > 2)
         bias = bufferFor(op->operand(2), op);
     Value* out = bufferFor(op->result(0), op);
-    int64_t stride = op->intAttrOr("stride", 1);
-    int64_t pad = op->intAttrOr("pad", 0);
+    int64_t stride = op->intAttrOr(NnWindowKeys::strideId(), 1);
+    int64_t pad = op->intAttrOr(NnWindowKeys::padId(), 0);
 
     OpBuilder builder;
     builder.setInsertionPointBefore(op);
@@ -367,7 +367,7 @@ NnCodeGen::emitUntiledConv(OpBuilder& builder, Value* in, Value* wt,
     // Point loops over the output.
     auto ivs = makeNest(builder, {os[0], os[1], os[2], os[3]});
     Value *n = ivs[0], *o = ivs[1], *h = ivs[2], *w = ivs[3];
-    tagLoop(o, "kpf_loop");
+    tagLoop(o, ForOp::kpfLoopId());
 
     // Initialize the accumulator with the bias (or zero).
     Value* init;
@@ -383,7 +383,7 @@ NnCodeGen::emitUntiledConv(OpBuilder& builder, Value* in, Value* wt,
     auto red = makeNest(builder, {in_channels, ws[2], ws[3]});
     Value *c = red[0], *kh = red[1], *kw = red[2];
     red.front()->setNameHint("c");
-    tagLoop(c, "cpf_loop");
+    tagLoop(c, ForOp::cpfLoopId());
 
     Value* in_c = depthwise ? o : c;
     Value* row = ApplyOp::create(builder, {h, kh}, {stride, 1}, -pad)
@@ -504,14 +504,14 @@ NnCodeGen::emitTiledConv(OpBuilder& builder, Value* in, Value* wt, Value* bias,
     // --- Sub-task: compute the tile. ---
     {
         TaskOp task = TaskOp::create(db);
-        task.op()->setAttr("role", Attribute::string("compute"));
-        task.op()->setIntAttr("layer_seq", layerSeq_);
+        task.op()->setAttr(TaskOp::roleId(), Attribute::string("compute"));
+        task.op()->setIntAttr(ForOp::layerSeqId(), layerSeq_);
         OpBuilder tb(task.body());
         auto t_ivs = makeNest(tb, tiles, /*tile_loops=*/true);
         Value* ot = t_ivs[2];
         auto ivs = makeNest(tb, {t_o, t_h, os[3]});
         Value *oo = ivs[0], *hh = ivs[1], *ww = ivs[2];
-        tagLoop(oo, "kpf_loop");
+        tagLoop(oo, ForOp::kpfLoopId());
 
         Value* init;
         if (bias != nullptr) {
@@ -525,7 +525,7 @@ NnCodeGen::emitTiledConv(OpBuilder& builder, Value* in, Value* wt, Value* bias,
 
         auto red = makeNest(tb, {red_c, ws[2], ws[3]});
         Value *c = red[0], *kh = red[1], *kw = red[2];
-        tagLoop(c, "cpf_loop");
+        tagLoop(c, ForOp::cpfLoopId());
         Value* in_c = depthwise
                           ? ApplyOp::create(tb, {ot, oo}, {t_o, 1}, 0)
                                 .op()->result(0)
@@ -593,7 +593,7 @@ NnCodeGen::emitUntiledLinear(OpBuilder& builder, Value* in, Value* wt,
 
     auto ivs = makeNest(builder, {os[0], os[1]});
     Value *n = ivs[0], *o = ivs[1];
-    tagLoop(o, "kpf_loop");
+    tagLoop(o, ForOp::kpfLoopId());
     Value* init =
         bias != nullptr
             ? LoadOp::create(builder, bias, {o}).op()->result(0)
@@ -602,7 +602,7 @@ NnCodeGen::emitUntiledLinear(OpBuilder& builder, Value* in, Value* wt,
 
     auto red = makeNest(builder, {ws[1]});
     Value* f = red[0];
-    tagLoop(f, "cpf_loop");
+    tagLoop(f, ForOp::cpfLoopId());
     Value* a = LoadOp::create(builder, in, {n, f}).op()->result(0);
     Value* b = LoadOp::create(builder, wt, {o, f}).op()->result(0);
     Value* m =
@@ -679,14 +679,14 @@ NnCodeGen::emitTiledLinear(OpBuilder& builder, Value* in, Value* wt,
     }
     {   // Compute.
         TaskOp task = TaskOp::create(db);
-        task.op()->setAttr("role", Attribute::string("compute"));
-        task.op()->setIntAttr("layer_seq", layerSeq_);
+        task.op()->setAttr(TaskOp::roleId(), Attribute::string("compute"));
+        task.op()->setIntAttr(ForOp::layerSeqId(), layerSeq_);
         OpBuilder tb(task.body());
         auto t_ivs = makeNest(tb, tiles, true);
         Value* ot = t_ivs[1];
         auto ivs = makeNest(tb, {t_o});
         Value* oo = ivs[0];
-        tagLoop(oo, "kpf_loop");
+        tagLoop(oo, ForOp::kpfLoopId());
         Value* init;
         if (bias != nullptr) {
             Value* ext_o =
@@ -698,7 +698,7 @@ NnCodeGen::emitTiledLinear(OpBuilder& builder, Value* in, Value* wt,
         StoreOp::create(tb, init, out_tile, {oo});
         auto red = makeNest(tb, {ws[1]});
         Value* f = red[0];
-        tagLoop(f, "cpf_loop");
+        tagLoop(f, ForOp::cpfLoopId());
         Value* a = LoadOp::create(tb, in_tile, {f}).op()->result(0);
         Value* b = LoadOp::create(tb, w_tile, {oo, f}).op()->result(0);
         Value* m = BinaryOp::create(tb, BinaryKind::kMul, a, b).op()->result(0);
@@ -730,8 +730,8 @@ NnCodeGen::lowerPool(Operation* op, bool is_max)
 {
     Value* in = bufferFor(op->operand(0), op);
     Value* out = bufferFor(op->result(0), op);
-    int64_t kernel = op->intAttrOr("kernel", 2);
-    int64_t stride = op->intAttrOr("stride", 2);
+    int64_t kernel = op->intAttrOr(NnWindowKeys::kernelId(), 2);
+    int64_t stride = op->intAttrOr(NnWindowKeys::strideId(), 2);
     Type et = out->type().elementType();
     const auto& os = out->type().shape();
 
@@ -871,7 +871,7 @@ class LowerNnToAffinePass : public Pass {
     void
     runOnModule(ModuleOp module) override
     {
-        for (Operation* op : module.body()->ops()) {
+        for (Operation* op : *module.body()) {
             if (auto func = dynCast<FuncOp>(op)) {
                 bool has_nn = false;
                 func.op()->walk([&](Operation* nested) {

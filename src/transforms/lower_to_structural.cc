@@ -64,8 +64,10 @@ class LowerToStructuralPass : public Pass {
             BufferOp buffer = BufferOp::create(
                 builder, type, stages, alloc->result(0)->nameHint());
             if (is_weight) {
-                buffer.op()->setIntAttr("seed", WeightOp(alloc).seed());
-                buffer.op()->setAttr("constant", Attribute::unit());
+                buffer.op()->setIntAttr(WeightOp::seedId(),
+                                        WeightOp(alloc).seed());
+                buffer.op()->setAttr(BufferOp::constantId(),
+                                     Attribute::unit());
             }
             alloc->result(0)->replaceAllUsesWith(buffer.op()->result(0));
             alloc->erase();

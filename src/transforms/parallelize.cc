@@ -41,20 +41,6 @@ searchDevice()
     return TargetDevice::vu9pSlr();
 }
 
-Identifier
-parallelFactorId()
-{
-    static const Identifier id = Identifier::get("parallel_factor");
-    return id;
-}
-
-Identifier
-parallelizedId()
-{
-    static const Identifier id = Identifier::get("parallelized");
-    return id;
-}
-
 /** A loop band the search unrolls, with the ascending divisors of each
  * level's trip count. */
 struct SearchBand {
@@ -260,8 +246,9 @@ class Parallelizer {
         // factor assigned to its parent node, so intensity shares decompose
         // level by level (the hierarchical optimization of Section 6).
         int64_t budget = options_.maxParallelFactor;
-        if (Operation* parent = schedule.op()->parentOfName(NodeOp::kOpName))
-            budget = parent->intAttrOr(parallelFactorId(), budget);
+        if (Operation* parent =
+                schedule.op()->parentOfName(opNameId<NodeOp>()))
+            budget = parent->intAttrOr(NodeOp::parallelFactorId(), budget);
 
         // Step (4) in order; step (3) factor computed per node.
         QorEstimator& est = search_.estimator;
@@ -292,8 +279,8 @@ class Parallelizer {
 
             // Written only now, so no candidate's memo key carries the
             // budget (the bookkeeping rule in passes.h).
-            node.op()->setIntAttr(parallelFactorId(), pf);
-            node.op()->setAttr(parallelizedId(), Attribute::unit());
+            node.op()->setIntAttr(NodeOp::parallelFactorId(), pf);
+            node.op()->setAttr(NodeOp::parallelizedId(), Attribute::unit());
         }
     }
 
@@ -324,7 +311,7 @@ class Parallelizer {
         std::vector<std::vector<int64_t>> result;
         for (const NodeLink& link : entry.links) {
             const NodePlan& other = plan.nodes[link.other];
-            if (!other.node.op()->hasAttr(parallelizedId()))
+            if (!other.node.op()->hasAttr(NodeOp::parallelizedId()))
                 continue;
             const Connection& conn = plan.connections[link.connection];
             std::vector<int64_t> other_factors = other.band.factors();
@@ -512,7 +499,7 @@ class ParallelizePass : public Pass {
         // Kernels without a dataflow opportunity (a single loop nest in the
         // function body) still get the intra-node DSE — both HIDA and
         // ScaleHLS optimize single-kernel designs identically (Section 7.1).
-        for (Operation* op : module.body()->ops()) {
+        for (Operation* op : *module.body()) {
             if (auto func = dynCast<FuncOp>(op))
                 parallelizer.runOnStandaloneLoops(func);
         }

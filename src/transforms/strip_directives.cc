@@ -14,9 +14,6 @@ namespace hida {
 void
 stripSuffixDirectives(ModuleOp module)
 {
-    static const Identifier parallel_factor =
-        Identifier::get("parallel_factor");
-    static const Identifier parallelized = Identifier::get("parallelized");
     // removeAttr leaves an op without the key untouched, so only the ops
     // a trial wrote are dirtied.
     module.op()->walk([](Operation* op) {
@@ -25,8 +22,8 @@ stripSuffixDirectives(ModuleOp module)
             op->removeAttr(ForOp::pipelineId());
             op->removeAttr(ForOp::iiId());
         } else if (isa<NodeOp>(op)) {
-            op->removeAttr(parallel_factor);
-            op->removeAttr(parallelized);
+            op->removeAttr(NodeOp::parallelFactorId());
+            op->removeAttr(NodeOp::parallelizedId());
         } else if (isa<BufferOp>(op)) {
             op->removeAttr(BufferOp::partitionFashionsId());
             op->removeAttr(BufferOp::partitionFactorsId());

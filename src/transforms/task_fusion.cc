@@ -29,7 +29,7 @@ Operation*
 singleNnOp(TaskOp task)
 {
     Operation* found = nullptr;
-    for (Operation* op : task.body()->ops()) {
+    for (Operation* op : *task.body()) {
         if (isNnOp(op) && !isa<NnWeightOp>(op)) {
             if (found != nullptr)
                 return nullptr;
@@ -293,13 +293,13 @@ class TaskFusionPass : public Pass {
     simplifyTask(TaskOp task)
     {
         Block* body = task.body();
-        std::vector<Operation*> ops = body->ops();
         bool single_nested =
-            (ops.size() == 1 && isa<TaskOp>(ops[0])) ||
-            (ops.size() == 2 && isa<TaskOp>(ops[0]) && isa<YieldOp>(ops[1]));
+            (body->size() == 1 ||
+             (body->size() == 2 && isa<YieldOp>(body->back()))) &&
+            isa<TaskOp>(body->front());
         if (!single_nested)
             return;
-        TaskOp inner(ops[0]);
+        TaskOp inner(body->front());
         Operation* inner_yield =
             !inner.body()->empty() && isa<YieldOp>(inner.body()->back())
                 ? inner.body()->back()

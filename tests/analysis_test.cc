@@ -139,7 +139,7 @@ TEST(AnalysisTest, NodeBandSkipsTileLoops)
     std::vector<ForOp> band = nodeBand(node2);
     ASSERT_EQ(band.size(), 3u);
     // Tag the outermost loop as a tile loop: the band must shrink.
-    band[0].op()->setAttr("tile_loop", Attribute::unit());
+    band[0].op()->setAttr(ForOp::tileLoopId(), Attribute::unit());
     EXPECT_EQ(nodeBand(node2).size(), 2u);
 }
 

@@ -231,7 +231,7 @@ TEST(ParallelizeSearchTest, TrialLoopCountsPinned)
         SCOPED_TRACE(e.model);
         OwnedModule owned = buildDnnModel(e.model);
         ModuleOp module = owned.get();
-        PassManager prefix(/*verify_each=*/true);
+        PassManager prefix;
         addPrefixPasses(prefix, base);
         prefix.run(module);
         const uint64_t prefix_hash = module.op()->subtreeHash();
@@ -249,7 +249,7 @@ TEST(ParallelizeSearchTest, TrialLoopCountsPinned)
             }
             FlowOptions options = base;
             options.maxParallelFactor = pf;
-            PassManager suffix(/*verify_each=*/true);
+            PassManager suffix;
             addSuffixPasses(suffix, options, &search);
             suffix.run(module);
             ++trials;

@@ -490,7 +490,7 @@ TEST(StructureEpochTest, ModulesAreIsolated)
     Operation* first = a.get().body()->front();
     OpBuilder builder;
     builder.setInsertionPointBefore(first);
-    builder.create("test.epoch_probe");
+    builder.create(Identifier::get("test.epoch_probe"));
     EXPECT_NE(a.get().op()->structureEpoch(), epoch_a);
     EXPECT_EQ(b.get().op()->structureEpoch(), epoch_b);
 
@@ -499,7 +499,7 @@ TEST(StructureEpochTest, ModulesAreIsolated)
     uint64_t epoch_c = c.get().op()->structureEpoch();
     OpBuilder cb;
     cb.setInsertionPointBefore(c.get().body()->front());
-    cb.create("test.epoch_probe");
+    cb.create(Identifier::get("test.epoch_probe"));
     EXPECT_NE(c.get().op()->structureEpoch(), epoch_c);
     EXPECT_EQ(b.get().op()->structureEpoch(), epoch_b);
 }

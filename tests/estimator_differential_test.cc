@@ -230,7 +230,7 @@ class DifferentialFuzzer {
                 break;
             Operation* loop = loops_[rng_.below(loops_.size())];
             OpBuilder builder(ForOp(loop).body());
-            Operation* nop = builder.create("test.nop");
+            Operation* nop = builder.create(Identifier::get("test.nop"));
             nop->erase();
             desc << "insert+erase nop in loop body";
             break;
@@ -481,7 +481,7 @@ referenceApplyPoint(ModuleOp module, const DesignPointGrid& grid,
     module.op()->walk([&](Operation* op) {
         if (!isa<ForOp>(op))
             return;
-        int64_t seq = op->intAttrOr("layer_seq", -1);
+        int64_t seq = op->intAttrOr(ForOp::layerSeqId(), -1);
         if (seq < 0)
             return;
         for (size_t i = 0; i < grid.numAxes(); ++i) {
@@ -586,10 +586,10 @@ class PerPointFuzzer {
             Operation* loop = pick(loops_);
             int64_t seq = static_cast<int64_t>(rng_.below(5));
             if (seq == 0) {
-                loop->removeAttr("layer_seq");
+                loop->removeAttr(ForOp::layerSeqId());
                 desc << "clear layer_seq";
             } else {
-                loop->setIntAttr("layer_seq", seq);
+                loop->setIntAttr(ForOp::layerSeqId(), seq);
                 desc << "layer_seq=" << seq;
             }
             desc << " on loop " << indexOf(loops_, loop);
@@ -602,7 +602,7 @@ class PerPointFuzzer {
             std::vector<int64_t> coeffs(apply->numOperands());
             for (int64_t& c : coeffs)
                 c = static_cast<int64_t>(rng_.below(7)) - 3;
-            apply->setAttr("coeffs", Attribute::i64Array(coeffs));
+            apply->setAttr(ApplyOp::coeffsId(), Attribute::i64Array(coeffs));
             desc << "coeffs of apply " << indexOf(applies_, apply);
             break;
         }
@@ -668,7 +668,7 @@ class PerPointFuzzer {
         default: {  // structural erase
             if (inserted_.empty()) {
                 OpBuilder builder(ForOp(pick(loops_)).body());
-                builder.create("test.nop")->erase();
+                builder.create(Identifier::get("test.nop"))->erase();
                 desc << "insert+erase nop";
                 break;
             }
@@ -785,8 +785,9 @@ TEST(PerPointDifferentialTest, Polybench2mmSurvives1500Steps)
         if (!isa<ForOp>(op))
             return;
         if (n % 3 != 2) {
-            op->setIntAttr("layer_seq", 1 + static_cast<int64_t>(n / 3 % 2));
-            op->setAttr(n % 3 == 0 ? "kpf_loop" : "cpf_loop",
+            op->setIntAttr(ForOp::layerSeqId(),
+                           1 + static_cast<int64_t>(n / 3 % 2));
+            op->setAttr(n % 3 == 0 ? ForOp::kpfLoopId() : ForOp::cpfLoopId(),
                         Attribute::unit());
         }
         ++n;

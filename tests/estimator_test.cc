@@ -142,7 +142,7 @@ TEST(EstimatorTest, PartitioningRemovesPortConflicts)
         // Unroll the inner loop by 8 but partition by `factor`.
         ForOp outer(nullptr);
         module.get().op()->walk([&](Operation* op) {
-            if (isa<ForOp>(op) && !op->parentOfName("affine.for"))
+            if (isa<ForOp>(op) && !op->parentOfName(opNameId<ForOp>()))
                 outer = ForOp(op);
         });
         perfectNest(outer)[1].setUnrollFactor(8);

@@ -100,8 +100,10 @@ TEST_F(HidaOpsTest, VerifierRejectsBadPartition)
 {
     BufferOp buffer = BufferOp::create(
         builder_, Type::memref({4}, Type::i8(), MemorySpace::kOnChip));
-    buffer.op()->setAttr("partition_fashions", Attribute::i64Array({1}));
-    buffer.op()->setAttr("partition_factors", Attribute::i64Array({9}));
+    buffer.op()->setAttr(BufferOp::partitionFashionsId(),
+                         Attribute::i64Array({1}));
+    buffer.op()->setAttr(BufferOp::partitionFactorsId(),
+                         Attribute::i64Array({9}));
     auto error = verify(module_.get().op());
     ASSERT_TRUE(error.has_value());
     EXPECT_NE(error->find("partition factor"), std::string::npos);

@@ -27,7 +27,7 @@ TEST(InterfacesTest, ExternalBuffersGetPortsAndPacks)
             if (port.kind() == "memory") {
                 ++memory_ports;
                 EXPECT_GT(port.latency(), 0);
-                EXPECT_TRUE(op->hasAttr("bundle_name"));
+                EXPECT_TRUE(op->hasAttr(BundleOp::bundleNameId()));
             }
         }
         if (isa<PackOp>(op))

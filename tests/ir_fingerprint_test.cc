@@ -105,15 +105,15 @@ TEST(FingerprintTest, StructuralKeyWritesBumpTheEpoch)
 
     // "layer_seq" is pre-registered: a changed value or a removal moves
     // the epoch, an unchanged write or a missing key does not.
-    loop->setIntAttr("layer_seq", 1);
+    loop->setIntAttr(ForOp::layerSeqId(), 1);
     EXPECT_NE(root->structureEpoch(), epoch);
     epoch = root->structureEpoch();
-    loop->setIntAttr("layer_seq", 1);
+    loop->setIntAttr(ForOp::layerSeqId(), 1);
     EXPECT_EQ(root->structureEpoch(), epoch);
-    loop->removeAttr("layer_seq");
+    loop->removeAttr(ForOp::layerSeqId());
     EXPECT_NE(root->structureEpoch(), epoch);
     epoch = root->structureEpoch();
-    loop->removeAttr("layer_seq");
+    loop->removeAttr(ForOp::layerSeqId());
     EXPECT_EQ(root->structureEpoch(), epoch);
 
     // A key registered later (a grid's loop tag) behaves the same from
@@ -146,7 +146,7 @@ TEST(FingerprintTest, InsertMoveEraseDirtyAncestorChain)
 
     // Insert: new op in the inner body dirties inner/outer/func/module.
     OpBuilder builder(f.inner.body());
-    Operation* leaf = builder.create("test.leaf");
+    Operation* leaf = builder.create(Identifier::get("test.leaf"));
     EXPECT_FALSE(f.inner.op()->subtreeHashCached());
     EXPECT_FALSE(f.module.get().op()->subtreeHashCached());
     EXPECT_TRUE(f.sibling.op()->subtreeHashCached());

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -86,33 +87,30 @@ TEST_F(IrInternTest, AttrSetOverwriteErase)
     OpBuilder builder(module.get().body());
     FuncOp func = FuncOp::create(builder, "kernel", {});
     Operation* op = func.op();
+    const Identifier alpha = Identifier::get("alpha");
+    const Identifier beta = Identifier::get("beta");
+    const Identifier gamma = Identifier::get("gamma");
 
-    op->setIntAttr("alpha", 1);
-    op->setIntAttr("beta", 2);
-    EXPECT_TRUE(op->hasAttr("alpha"));
-    EXPECT_EQ(op->intAttrOr("alpha", -1), 1);
-    EXPECT_EQ(op->intAttrOr("beta", -1), 2);
-    EXPECT_EQ(op->intAttrOr("gamma", -1), -1);
+    op->setIntAttr(alpha, 1);
+    op->setIntAttr(beta, 2);
+    EXPECT_TRUE(op->hasAttr(alpha));
+    EXPECT_EQ(op->intAttrOr(alpha, -1), 1);
+    EXPECT_EQ(op->intAttrOr(beta, -1), 2);
+    EXPECT_EQ(op->intAttrOr(gamma, -1), -1);
 
     // Overwrite: same key keeps a single entry, new value wins.
     size_t size_before = op->attrs().size();
-    op->setIntAttr("alpha", 42);
+    op->setIntAttr(alpha, 42);
     EXPECT_EQ(op->attrs().size(), size_before);
-    EXPECT_EQ(op->intAttrOr("alpha", -1), 42);
-
-    // Identifier-keyed and string-keyed access agree.
-    Identifier alpha = Identifier::get("alpha");
     EXPECT_EQ(op->intAttrOr(alpha, -1), 42);
-    op->setIntAttr(alpha, 7);
-    EXPECT_EQ(op->intAttrOr("alpha", -1), 7);
 
     // Erase removes exactly the keyed entry.
-    op->removeAttr("alpha");
-    EXPECT_FALSE(op->hasAttr("alpha"));
-    EXPECT_TRUE(op->hasAttr("beta"));
+    op->removeAttr(alpha);
+    EXPECT_FALSE(op->hasAttr(alpha));
+    EXPECT_TRUE(op->hasAttr(beta));
     // Erasing a missing key is a no-op.
-    op->removeAttr("alpha");
-    EXPECT_FALSE(op->hasAttr("alpha"));
+    op->removeAttr(alpha);
+    EXPECT_FALSE(op->hasAttr(alpha));
 }
 
 TEST_F(IrInternTest, AttrStorageSortedByInternId)
@@ -121,22 +119,73 @@ TEST_F(IrInternTest, AttrStorageSortedByInternId)
     OpBuilder builder(module.get().body());
     FuncOp func = FuncOp::create(builder, "kernel", {});
     Operation* op = func.op();
+    const Identifier late = Identifier::get("zz_late");
+    const Identifier early = Identifier::get("aa_early");
+    const Identifier mid = Identifier::get("mm_mid");
 
     // Insert in an order unrelated to intern order; storage must stay
     // sorted by raw id regardless of insertion sequence.
-    op->setIntAttr("zz_late", 1);
-    op->setIntAttr("aa_early", 2);
-    op->setIntAttr("mm_mid", 3);
+    op->setIntAttr(late, 1);
+    op->setIntAttr(early, 2);
+    op->setIntAttr(mid, 3);
     uint32_t prev = 0;
     for (const auto& [key, value] : op->attrs()) {
         EXPECT_GT(key.raw(), prev) << "attr list not sorted by intern id";
         prev = key.raw();
     }
     // Lookups find every entry despite arbitrary insertion order.
-    EXPECT_EQ(op->intAttrOr("zz_late", -1), 1);
-    EXPECT_EQ(op->intAttrOr("aa_early", -1), 2);
-    EXPECT_EQ(op->intAttrOr("mm_mid", -1), 3);
+    EXPECT_EQ(op->intAttrOr(late, -1), 1);
+    EXPECT_EQ(op->intAttrOr(early, -1), 2);
+    EXPECT_EQ(op->intAttrOr(mid, -1), 3);
 }
+
+// One way to name a key or an op: every IR entry point takes an
+// Identifier and none takes a string, so no lookup or create interns.
+// Each concept holds when its entry point accepts a K.
+template <typename K>
+concept HasAttrTakes = requires(const Operation* op, K k) { op->hasAttr(k); };
+template <typename K>
+concept AttrTakes = requires(const Operation* op, K k) { op->attr(k); };
+template <typename K>
+concept IntAttrOrTakes =
+    requires(const Operation* op, K k) { op->intAttrOr(k, 0); };
+template <typename K>
+concept SetAttrTakes =
+    requires(Operation* op, K k) { op->setAttr(k, Attribute::unit()); };
+template <typename K>
+concept SetIntAttrTakes =
+    requires(Operation* op, K k) { op->setIntAttr(k, 0); };
+template <typename K>
+concept RemoveAttrTakes = requires(Operation* op, K k) { op->removeAttr(k); };
+template <typename K>
+concept ParentOfNameTakes =
+    requires(const Operation* op, K k) { op->parentOfName(k); };
+template <typename K>
+concept CreateTakes = requires(K k) { Operation::create(k, {}, {}); };
+template <typename K>
+concept BuilderCreateTakes = requires(OpBuilder& b, K k) { b.create(k); };
+
+using Literal = decltype("affine.for");
+
+static_assert(!HasAttrTakes<Literal> && !HasAttrTakes<std::string_view>);
+static_assert(!AttrTakes<Literal> && !AttrTakes<std::string_view>);
+static_assert(!IntAttrOrTakes<Literal> && !IntAttrOrTakes<std::string_view>);
+static_assert(!SetAttrTakes<Literal> && !SetAttrTakes<std::string_view>);
+static_assert(!SetIntAttrTakes<Literal> &&
+              !SetIntAttrTakes<std::string_view>);
+static_assert(!RemoveAttrTakes<Literal> &&
+              !RemoveAttrTakes<std::string_view>);
+static_assert(!ParentOfNameTakes<Literal> &&
+              !ParentOfNameTakes<std::string_view>);
+static_assert(!CreateTakes<Literal> && !CreateTakes<std::string_view>);
+static_assert(!BuilderCreateTakes<Literal> &&
+              !BuilderCreateTakes<std::string_view>);
+// The Identifier-keyed forms are the one way.
+static_assert(HasAttrTakes<Identifier> && AttrTakes<Identifier> &&
+              IntAttrOrTakes<Identifier> && SetAttrTakes<Identifier> &&
+              SetIntAttrTakes<Identifier> && RemoveAttrTakes<Identifier> &&
+              ParentOfNameTakes<Identifier> && CreateTakes<Identifier> &&
+              BuilderCreateTakes<Identifier>);
 
 TEST_F(IrInternTest, AttributeStructuralHash)
 {

@@ -75,7 +75,8 @@ table5Row(ModuleOp module)
                 text += " ";
             text += std::to_string(loop.unrollFactor());
         }
-        text += "] pf=" + std::to_string(op->intAttrOr("parallel_factor", 1));
+        int64_t pf = op->intAttrOr(NodeOp::parallelFactorId(), 1);
+        text += "] pf=" + std::to_string(pf);
         row.push_back(text);
     });
     return row;
@@ -132,7 +133,7 @@ class PlanFuzzer {
                uint64_t seed)
         : warm_(std::move(module)), rng_(seed), seed_(seed)
     {
-        PassManager prefix(/*verify_each=*/true);
+        PassManager prefix;
         addPrefixPasses(prefix, prefix_options);
         prefix.run(warm_.get());
         reference_ = OwnedModule::clone(warm_.get());
@@ -157,11 +158,11 @@ class PlanFuzzer {
             FlowOptions options = drawOptions();
             std::vector<uint64_t> before = planBuilds();
 
-            PassManager warm(/*verify_each=*/true);
+            PassManager warm;
             addSuffixPasses(warm, options, &search_);
             warm.run(warm_.get());
             OwnedModule cold = OwnedModule::clone(reference_.get());
-            PassManager fresh(/*verify_each=*/true);
+            PassManager fresh;
             addSuffixPasses(fresh, options);
             fresh.run(cold.get());
             if (toString(warm_.get().op()) != toString(cold.get().op())) {

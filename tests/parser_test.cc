@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/driver/driver.h"
 #include "src/ir/parser.h"
 #include "src/ir/printer.h"
@@ -116,13 +120,13 @@ TEST(ParserTest, ParsesAttributes)
         "flag = unit, neg = -7} {\n  }\n}\n";
     Result<OwnedModule> parsed = parseModule(text);
     ASSERT_TRUE(parsed) << parsed.diag().str();
-    Operation* func = parsed.value().get().body()->ops()[0];
-    EXPECT_EQ(func->attr("factors").asI64Array(),
+    Operation* func = parsed.value().get().body()->front();
+    EXPECT_EQ(func->attr(Identifier::get("factors")).asI64Array(),
               (std::vector<int64_t>{1, 2, 3}));
-    EXPECT_EQ(func->attr("name").asString(), "x");
-    EXPECT_DOUBLE_EQ(func->attr("pi").asFloat(), 3.5);
-    EXPECT_EQ(func->attr("flag").kind(), AttrKind::kUnit);
-    EXPECT_EQ(func->attr("neg").asInt(), -7);
+    EXPECT_EQ(func->attr(Identifier::get("name")).asString(), "x");
+    EXPECT_DOUBLE_EQ(func->attr(Identifier::get("pi")).asFloat(), 3.5);
+    EXPECT_EQ(func->attr(Identifier::get("flag")).kind(), AttrKind::kUnit);
+    EXPECT_EQ(func->attr(Identifier::get("neg")).asInt(), -7);
 }
 
 /**
@@ -216,6 +220,93 @@ TEST(ParserVerifyTest, PaddedLoadWithoutMemrefIsADiagnostic)
 {
     expectVerifyFailed("    %v = affine.load_padded() : i8\n",
                        "affine.load_padded requires a memref operand");
+}
+
+/**
+ * Print the tiny CNN, replace the first occurrence of each @p edits
+ * pair, and expect the verifier to reject the result naming @p needle.
+ * Each edited module once verified clean, and compiling it then aborted
+ * (an asserting attribute read, a division by zero, an out-of-range
+ * operand or shape read, a negative trip count after lowering) or went
+ * through silently on a zero stride. The nn hooks check what the
+ * lowering and the interpreter read: operand counts and ranks,
+ * attribute kinds, and the ranges of stride, kernel, scale and pad.
+ */
+void
+expectTinyCnnVerifyFailed(
+    const std::vector<std::pair<std::string, std::string>>& edits,
+    const std::string& needle)
+{
+    registerAllDialects();
+    OwnedModule module = buildTinyCnn();
+    std::string text = toString(module.get().op());
+    for (const auto& [from, to] : edits) {
+        size_t pos = text.find(from);
+        ASSERT_NE(pos, std::string::npos) << from;
+        text.replace(pos, from.size(), to);
+    }
+    Result<OwnedModule> parsed = parseModule(text);
+    ASSERT_TRUE(parsed) << parsed.diag().str();
+    std::optional<Diagnostic> diag =
+        verifyToDiagnostic(parsed.value().get().op());
+    ASSERT_TRUE(diag.has_value()) << text;
+    EXPECT_EQ(diag->code, ErrorCode::kVerifyFailed);
+    EXPECT_NE(diag->message.find(needle), std::string::npos)
+        << diag->message;
+}
+
+TEST(ParserVerifyTest, NnAttributeOfTheWrongKindIsADiagnostic)
+{
+    expectTinyCnnVerifyFailed({{"stride = 1", "stride = \"x\""}},
+                              "nn.conv2d 'stride' must be an integer");
+    expectTinyCnnVerifyFailed({{"kernel = 2", "kernel = \"k\""}},
+                              "nn.maxpool 'kernel' must be an integer");
+    expectTinyCnnVerifyFailed({{"seed = 1", "seed = \"s\""}},
+                              "nn.weight 'seed' must be an integer");
+    expectTinyCnnVerifyFailed({{"pad = 1", "pad = [1]"}},
+                              "nn.conv2d 'pad' must be an integer");
+}
+
+TEST(ParserVerifyTest, NnMaxPoolZeroKernelIsADiagnostic)
+{
+    expectTinyCnnVerifyFailed({{"kernel = 2", "kernel = 0"}},
+                              "nn.maxpool requires kernel >= 1");
+}
+
+TEST(ParserVerifyTest, NnConvNegativeStrideIsADiagnostic)
+{
+    expectTinyCnnVerifyFailed({{"stride = 1", "stride = -1"}},
+                              "nn.conv2d requires stride >= 1");
+}
+
+TEST(ParserVerifyTest, NnConvZeroStrideIsADiagnostic)
+{
+    expectTinyCnnVerifyFailed({{"stride = 1", "stride = 0"}},
+                              "nn.conv2d requires stride >= 1");
+}
+
+TEST(ParserVerifyTest, NnMissingOperandIsADiagnostic)
+{
+    expectTinyCnnVerifyFailed(
+        {{", %w : tensor<4x2x3x3xi8>, %w_1 : tensor<4xi8>)", ")"}},
+        "nn.conv2d requires 2 or 3 operands");
+    expectTinyCnnVerifyFailed({{"nn.maxpool(%1 : tensor<1x4x8x8xi8>)",
+                                "nn.maxpool()"}},
+                              "nn.maxpool requires 1 operand");
+}
+
+TEST(ParserVerifyTest, NnConvWeightRankIsADiagnostic)
+{
+    expectTinyCnnVerifyFailed(
+        {{"{seed = 1} : tensor<4x2x3x3xi8>", "{seed = 1} : tensor<4x18xi8>"}},
+        "nn.conv2d operand #1 must have rank 4");
+}
+
+TEST(ParserVerifyTest, NnLinearWeightRankIsADiagnostic)
+{
+    expectTinyCnnVerifyFailed(
+        {{"{seed = 7} : tensor<10x64xi8>", "{seed = 7} : tensor<640xi8>"}},
+        "nn.linear operand #1 must have rank 2");
 }
 
 } // namespace

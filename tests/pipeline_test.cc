@@ -129,9 +129,9 @@ TEST(PipelineTest, ParallelizationRespectsBudget)
     compile(module.get(), options, TargetDevice::zu3eg());
     module.get().op()->walk([&](Operation* op) {
         if (auto node = dynCast<NodeOp>(op)) {
-            if (!op->hasAttr("parallel_factor"))
+            if (!op->hasAttr(NodeOp::parallelFactorId()))
                 return;
-            int64_t pf = op->intAttrOr("parallel_factor", 1);
+            int64_t pf = op->intAttrOr(NodeOp::parallelFactorId(), 1);
             EXPECT_LE(pf, 16);
             // Every perfect nest in the node respects the node budget.
             for (ForOp top : topLevelLoops(node.body())) {

@@ -64,7 +64,7 @@ TEST(ConstructionTest, NestedLoopDispatch)
     bool dispatch_in_loop = false;
     module.get().op()->walk([&](Operation* op) {
         if (op->name() == "hida.dispatch" &&
-            op->parentOfName("affine.for") != nullptr)
+            op->parentOfName(opNameId<ForOp>()) != nullptr)
             dispatch_in_loop = true;
     });
     EXPECT_TRUE(dispatch_in_loop);
@@ -181,7 +181,7 @@ TEST(BalanceTest, ResidualShortcutsGetTokensOrCopies)
             ++tokens;
         if (op->name() == "memref.copy")
             ++copies;
-        if (op->hasAttr("soft_fifo_depth"))
+        if (op->hasAttr(BufferOp::softFifoDepthId()))
             ++soft_fifos;
     });
     // The shortcut around the two convs needs balancing somewhere.
@@ -229,7 +229,7 @@ TEST(LoweringTest, TiledConvProducesFourSubNodes)
     int inner_schedules_with_four = 0;
     module.get().op()->walk([&](Operation* op) {
         if (isa<ScheduleOp>(op) &&
-            op->parentOfName(ScheduleOp::kOpName) != nullptr) {
+            op->parentOfName(opNameId<ScheduleOp>()) != nullptr) {
             if (ScheduleOp(op).nodes().size() == 4)
                 ++inner_schedules_with_four;
         }

@@ -627,7 +627,7 @@ TEST(VerifierDifferentialTest, Resnet18AfterPrefixMatchesReference)
 {
     registerAllDialects();
     OwnedModule module = buildDnnModel("ResNet-18");
-    PassManager prefix(/*verify_each=*/true);
+    PassManager prefix;
     addPrefixPasses(prefix, optionsFor(Flow::kHida));
     prefix.run(module.get());
     constexpr int kSteps = 600;
