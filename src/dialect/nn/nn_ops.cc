@@ -61,6 +61,7 @@ signatureOf(const Operation* op)
         return {2, 2, {kResultRank, kResultRank}, kAnyRank, {}};
     if (isa<FlattenOp>(op))  // its input rank is checked below
         return {1, 1, {kAnyRank}, 2, {}};
+    // nn.weight, the one op left.
     return {0, 0, {}, kAnyRank,
             {{{WeightOp::seedId(), std::numeric_limits<int64_t>::min()}}}};
 }
