@@ -272,8 +272,8 @@ StreamWriteOp
 StreamWriteOp::create(OpBuilder& builder, Value* value, Value* stream)
 {
     HIDA_ASSERT(stream->type().isStream(), "stream_write requires a stream");
-    return StreamWriteOp(
-        builder.create(opNameId<StreamWriteOp>(), {value, stream}));
+    return StreamWriteOp(builder.create(opNameId<StreamWriteOp>(),
+                                        {value, stream}));
 }
 
 PortOp

@@ -72,12 +72,13 @@ verifyNnOp(Operation* op)
 {
     const NnSignature sig = signatureOf(op);
     const unsigned count = op->numOperands();
-    if (count < sig.minOperands || count > sig.maxOperands)
-        return sig.minOperands == sig.maxOperands
-                   ? strCat(op->name(), " requires ", sig.minOperands,
-                            sig.minOperands == 1 ? " operand" : " operands")
-                   : strCat(op->name(), " requires ", sig.minOperands,
-                            " or ", sig.maxOperands, " operands");
+    if (count < sig.minOperands || count > sig.maxOperands) {
+        if (sig.minOperands == sig.maxOperands)
+            return strCat(op->name(), " requires ", sig.minOperands,
+                          sig.minOperands == 1 ? " operand" : " operands");
+        return strCat(op->name(), " requires ", sig.minOperands, " or ",
+                      sig.maxOperands, " operands");
+    }
     if (op->numResults() != 1 || !op->result(0)->type().isTensor())
         return strCat(op->name(), " requires one tensor result");
     const int result_rank =
@@ -103,8 +104,7 @@ verifyNnOp(Operation* op)
         if (attr == nullptr)
             continue;
         if (!attr->is(AttrKind::kInt))
-            return strCat(op->name(), " '", key.str(),
-                          "' must be an integer");
+            return strCat(op->name(), " '", key.str(), "' must be an integer");
         if (attr->asInt() < least)
             return strCat(op->name(), " requires ", key.str(), " >= ", least);
     }
@@ -218,8 +218,8 @@ LinearOp::create(OpBuilder& builder, Value* input, Value* weight, Value* bias)
 ReluOp
 ReluOp::create(OpBuilder& builder, Value* input)
 {
-    return ReluOp(
-        builder.create(opNameId<ReluOp>(), {input}, {input->type()}));
+    return ReluOp(builder.create(opNameId<ReluOp>(), {input},
+                                 {input->type()}));
 }
 
 NnAddOp
@@ -227,8 +227,8 @@ NnAddOp::create(OpBuilder& builder, Value* lhs, Value* rhs)
 {
     HIDA_ASSERT(lhs->type().shape() == rhs->type().shape(),
                 "nn.add shape mismatch");
-    return NnAddOp(
-        builder.create(opNameId<NnAddOp>(), {lhs, rhs}, {lhs->type()}));
+    return NnAddOp(builder.create(opNameId<NnAddOp>(), {lhs, rhs},
+                                  {lhs->type()}));
 }
 
 FlattenOp

@@ -265,8 +265,7 @@ Emitter::emitOp(Operation* op)
         os_ << "// port " << nameOf(op->result(0), "port") << ": "
             << port.kind() << " interface, latency " << port.latency();
         if (op->hasAttr(BundleOp::bundleNameId()))
-            os_ << ", bundle "
-                << op->attr(BundleOp::bundleNameId()).asString();
+            os_ << ", bundle " << op->attr(BundleOp::bundleNameId()).asString();
         os_ << "\n";
         return;
     }
@@ -277,8 +276,8 @@ Emitter::emitOp(Operation* op)
         if (port && port.op()->hasAttr(BundleOp::bundleNameId()))
             os_ << " bundle="
                 << port.op()->attr(BundleOp::bundleNameId()).asString();
-        os_ << " latency="
-            << (port ? port.latency() : PortOp::kDefaultLatency) << "\n";
+        os_ << " latency=" << (port ? port.latency() : PortOp::kDefaultLatency)
+            << "\n";
         return;
     }
     if (isa<BundleOp>(op)) {

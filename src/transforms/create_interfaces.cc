@@ -69,9 +69,9 @@ class CreateInterfacesPass : public Pass {
             PortOp port =
                 PortOp::create(builder, memory->type(), "memory", kAxiLatency);
             int channel = static_cast<int>(i) % kMemoryChannels;
-            port.op()->setAttr(
-                BundleOp::bundleNameId(),
-                Attribute::string("gmem" + std::to_string(channel)));
+            port.op()->setAttr(BundleOp::bundleNameId(),
+                               Attribute::string("gmem" +
+                                                 std::to_string(channel)));
             PackOp::create(builder, memory, port.op()->result(0));
             if (builder.insertionBlock() == func.body())
                 bundles[channel].push_back(port.op()->result(0));

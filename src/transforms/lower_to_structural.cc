@@ -66,8 +66,7 @@ class LowerToStructuralPass : public Pass {
             if (is_weight) {
                 buffer.op()->setIntAttr(WeightOp::seedId(),
                                         WeightOp(alloc).seed());
-                buffer.op()->setAttr(BufferOp::constantId(),
-                                     Attribute::unit());
+                buffer.op()->setAttr(BufferOp::constantId(), Attribute::unit());
             }
             alloc->result(0)->replaceAllUsesWith(buffer.op()->result(0));
             alloc->erase();
