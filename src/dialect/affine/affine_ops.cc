@@ -136,18 +136,17 @@ topLevelLoops(Block* block)
 std::vector<ForOp>
 innermostLoops(Operation* root)
 {
+    // Post-order visits a loop's descendants right before the loop, so
+    // the loop holds another one exactly when the last loop visited is
+    // inside it.
     std::vector<ForOp> result;
+    Operation* last_loop = nullptr;
     root->walk([&](Operation* op) {
-        auto loop = dynCast<ForOp>(op);
-        if (!loop)
+        if (!isa<ForOp>(op))
             return;
-        bool has_nested_loop = false;
-        op->walk([&](Operation* nested) {
-            if (nested != op && isa<ForOp>(nested))
-                has_nested_loop = true;
-        });
-        if (!has_nested_loop)
-            result.push_back(loop);
+        if (last_loop == nullptr || !op->isAncestorOf(last_loop))
+            result.push_back(ForOp(op));
+        last_loop = op;
     });
     return result;
 }

@@ -186,7 +186,8 @@ std::vector<ForOp> enclosingLoops(Operation* op);
 /** All top-level loops directly inside @p block. */
 std::vector<ForOp> topLevelLoops(Block* block);
 
-/** Innermost loops nested under @p root (loops containing no other loop). */
+/** Innermost loops nested under @p root (loops containing no other loop),
+ * in post-order. One walk of @p root. */
 std::vector<ForOp> innermostLoops(Operation* root);
 
 /** The perfect loop nest rooted at @p outer (outermost first). A nest is

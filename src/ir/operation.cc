@@ -106,13 +106,14 @@ hashExemptKeys()
 /**
  * Keys whose writes bump the structure epoch. Pre-seeded with the
  * attributes structure caches read besides the op tree itself: affine
- * index maps, node effects (the dataflow graph's wiring) and the layer
- * sequence numbers directive grids bind to.
+ * index maps (decomposeIndex reads both "coeffs" and "offset"), node
+ * effects (the dataflow graph's wiring) and the layer sequence numbers
+ * directive grids bind to.
  */
 AttrKeySet&
 structuralKeys()
 {
-    static AttrKeySet keys{"coeffs", "effects", "layer_seq"};
+    static AttrKeySet keys{"coeffs", "offset", "effects", "layer_seq"};
     return keys;
 }
 

@@ -388,8 +388,9 @@ class Operation {
      * Keys whose writes are structural: a setAttr/removeAttr that changes
      * one also bumps the structure epoch, so a cache keyed on
      * structureEpoch() alone may read their values. Pre-seeded with
-     * "coeffs" (affine.apply index maps), "effects" (per-operand node
-     * roles, the dataflow graph's wiring) and "layer_seq";
+     * "coeffs" and "offset" (affine.apply index maps), "effects"
+     * (per-operand node roles, the dataflow graph's wiring) and
+     * "layer_seq";
      * DesignPointGrid::addDirectiveAxis registers its loop tag.
      * Registration is append-only and process-wide; a cache that reads
      * any other attribute must re-read it on every use.

@@ -67,11 +67,10 @@ divisorsOf(int64_t n)
 inline int64_t
 largestDivisorUpTo(int64_t n, int64_t bound)
 {
-    int64_t best = 1;
-    for (int64_t d : divisorsOf(n))
-        if (d <= bound)
-            best = std::max(best, d);
-    return best;
+    for (int64_t d = std::min(bound, n); d > 1; --d)
+        if (n % d == 0)
+            return d;
+    return 1;
 }
 
 /** Geometric mean of positive samples; returns 0 for an empty set. */

@@ -31,10 +31,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/dialect/affine/affine_ops.h"
@@ -44,8 +46,10 @@
 #include "src/dse/grid.h"
 #include "src/estimator/qor.h"
 #include "src/ir/builder.h"
+#include "src/ir/registry.h"
 #include "src/models/dnn_models.h"
 #include "src/models/polybench.h"
+#include "src/support/utils.h"
 #include "src/transforms/passes.h"
 
 namespace hida {
@@ -741,16 +745,24 @@ fig1Grid()
 }
 
 /** A LeNet sweep prototype, lowered as the Figure 1 sweep lowers it. */
-void
-runLenetPerPointCampaign(Flow flow, uint64_t seed, int steps)
+OwnedModule
+lenetPrototype(Flow flow)
 {
-    DesignPointGrid grid = fig1Grid();
     OwnedModule module = buildLeNet(1);
     FlowOptions options = optionsFor(flow);
     options.enableTiling = false;
     options.enableParallelization = false;
     compile(module.get(), options, TargetDevice::pynqZ2());
-    FlowOptions partition = options;
+    return module;
+}
+
+void
+runLenetPerPointCampaign(Flow flow, uint64_t seed, int steps)
+{
+    DesignPointGrid grid = fig1Grid();
+    OwnedModule module = lenetPrototype(flow);
+    FlowOptions partition = optionsFor(flow);
+    partition.enableTiling = false;
     partition.enableParallelization = true;
 
     PerPointFuzzer fuzzer(module.get(), grid, partition, seed);
@@ -798,6 +810,277 @@ TEST(PerPointDifferentialTest, Polybench2mmSurvives1500Steps)
     PerPointFuzzer fuzzer(module.get(), grid, partition,
                           /*seed=*/0x2EEDBEEF);
     fuzzer.run(1500);
+}
+
+/**
+ * An affine.apply "offset" that is not an integer makes decomposeIndex
+ * drop the whole index, so the access terms of every structure cache
+ * depend on it: the key must be structural. Set one to a string on a
+ * warm module: the epoch must move, and the warm ArrayPartition instance
+ * and estimator must agree with a fresh pass and estimator on a clone.
+ */
+TEST(PerPointDifferentialTest, NonIntegerApplyOffsetMovesTheEpoch)
+{
+    const TargetDevice device = TargetDevice::pynqZ2();
+    OwnedModule module = lenetPrototype(Flow::kHida);
+    ModuleOp warm = module.get();
+    // The first on-chip access indexed through an affine.apply; unrolling
+    // its loops makes its terms decide a partition factor.
+    Operation* apply = nullptr;
+    warm.op()->walk([&](Operation* op) {
+        if (apply != nullptr || !(isAffineLoad(op) || isa<StoreOp>(op)))
+            return;
+        const unsigned first = isa<StoreOp>(op) ? 2 : 1;
+        BufferOp buffer = QorEstimator::resolveBuffer(op->operand(first - 1));
+        if (!buffer || buffer.isExternal())
+            return;
+        for (unsigned i = first; i < op->numOperands(); ++i) {
+            Operation* def = op->operand(i)->definingOp();
+            if (def != nullptr && isa<ApplyOp>(def)) {
+                apply = def;
+                break;
+            }
+        }
+    });
+    ASSERT_NE(apply, nullptr) << "the prototype indexes no buffer by apply";
+    for (Value* iv : apply->operands()) {
+        ForOp loop(iv->ownerBlock()->parentOp());
+        loop.setUnrollFactor(std::min<int64_t>(loop.tripCount(), 2));
+    }
+    FlowOptions partition = optionsFor(Flow::kHida);
+    std::unique_ptr<Pass> warm_pass = createArrayPartitionPass(partition);
+    QorEstimator warm_estimator(device);
+    warm_pass->runOnModule(warm);
+    warm_estimator.estimateFunc(topFunc(warm));
+
+    const uint64_t epoch = warm.op()->structureEpoch();
+    apply->setAttr(ApplyOp::offsetId(), Attribute::string("x"));
+    EXPECT_NE(warm.op()->structureEpoch(), epoch);
+
+    OwnedModule cold = OwnedModule::clone(warm);
+    warm_pass->runOnModule(warm);
+    createArrayPartitionPass(partition)->runOnModule(cold.get());
+    EXPECT_EQ(warm.op()->subtreeHash(), cold.get().op()->subtreeHash())
+        << "the warm ArrayPartition plan kept the dropped index terms";
+    DesignQor warm_qor = warm_estimator.estimateFunc(topFunc(warm));
+    DesignQor cold_qor = QorEstimator(device).estimateFunc(topFunc(cold.get()));
+    EXPECT_EQ(warm_qor.latencyCycles, cold_qor.latencyCycles);
+    EXPECT_EQ(warm_qor.intervalCycles, cold_qor.intervalCycles);
+    EXPECT_EQ(warm_qor.res.lut, cold_qor.res.lut);
+    EXPECT_EQ(warm_qor.res.ff, cold_qor.res.ff);
+    EXPECT_EQ(warm_qor.res.dsp, cold_qor.res.dsp);
+    EXPECT_EQ(warm_qor.res.bram18k, cold_qor.res.bram18k);
+}
+
+//===----------------------------------------------------------------------===//
+// Cold-model digest: the estimator's arithmetic on random directive states
+//===----------------------------------------------------------------------===//
+
+/**
+ * Drives a compiled module through random directive states and folds, for
+ * each state, a fresh estimator's estimate and every loop's "ii" into one
+ * 64-bit digest. A fresh estimator has no memo, plan or skeleton, so every
+ * state runs the cold model end to end; the pinned digests fix its
+ * arithmetic, whatever caches serve it.
+ *
+ * A state edits one to three directives: unroll factors that divide the
+ * trip count and ones that do not, partition fashions and factors aligned
+ * with the unrolls or not, vector factors, removed partition attributes
+ * (the predicted-bank path parallelize's search takes), tile_loop tags and
+ * ping-pong stages.
+ */
+class ColdModelDigest {
+  public:
+    ColdModelDigest(ModuleOp module, TargetDevice device, uint64_t seed)
+        : device_(device), rng_(seed)
+    {
+        for (Operation* op : module.body()->ops())
+            if (auto f = dynCast<FuncOp>(op))
+                func_ = f;
+        module.op()->walk([&](Operation* op) {
+            if (isa<ForOp>(op))
+                loops_.push_back(op);
+            else if (isa<BufferOp>(op))
+                buffers_.push_back(op);
+        });
+    }
+
+    /** Digest of @p states random states, the first the compiled one. */
+    uint64_t
+    run(int states)
+    {
+        uint64_t digest = hashMix(0xD16E57);
+        for (int i = 0; i < states; ++i) {
+            if (i > 0)
+                for (uint64_t n = 1 + rng_.below(3); n > 0; --n)
+                    mutate();
+            QorEstimator estimator(device_);
+            Result<DesignQor> qor = estimator.estimateFuncChecked(func_);
+            if (!qor) {
+                digest = hashCombine(digest, ~uint64_t{0});
+                continue;
+            }
+            const DesignQor& q = qor.value();
+            digest = hashCombine(digest, static_cast<uint64_t>(q.latencyCycles));
+            digest = hashCombine(digest, std::bit_cast<uint64_t>(q.intervalCycles));
+            digest = hashCombine(digest, static_cast<uint64_t>(q.res.lut));
+            digest = hashCombine(digest, static_cast<uint64_t>(q.res.ff));
+            digest = hashCombine(digest, static_cast<uint64_t>(q.res.dsp));
+            digest = hashCombine(digest, static_cast<uint64_t>(q.res.bram18k));
+            for (Operation* loop : loops_)
+                digest = hashCombine(
+                    digest,
+                    static_cast<uint64_t>(loop->intAttrOr(ForOp::iiId(), 0)));
+        }
+        return digest;
+    }
+
+    uint64_t rngState() const { return rng_.state; }
+
+  private:
+    template <typename T>
+    T
+    pick(const std::vector<T>& values)
+    {
+        return values[rng_.below(values.size())];
+    }
+
+    void
+    mutate()
+    {
+        if (buffers_.empty() || rng_.below(2) == 0) {
+            mutateLoop();
+            return;
+        }
+        BufferOp buffer(pick(buffers_));
+        const std::vector<int64_t>& shape = buffer.type().shape();
+        switch (rng_.below(5)) {
+        case 0:
+        case 1: {  // fashions and factors, aligned or not
+            std::vector<int64_t> fashions, factors;
+            for (int64_t dim : shape) {
+                int64_t factor =
+                    rng_.below(2) == 0
+                        ? int64_t{1} << rng_.below(4)
+                        : 1 + static_cast<int64_t>(rng_.below(7));
+                factors.push_back(std::clamp<int64_t>(factor, 1, dim));
+                fashions.push_back(static_cast<int64_t>(rng_.below(3)));
+            }
+            if (!shape.empty())
+                buffer.setPartition(fashions, factors);
+            break;
+        }
+        case 2:  // the predicted-bank path
+            buffer.op()->removeAttr(BufferOp::partitionFactorsId());
+            buffer.op()->removeAttr(BufferOp::partitionFashionsId());
+            break;
+        case 3:
+            if (rng_.below(4) == 0)
+                buffer.op()->removeAttr(BufferOp::vectorFactorId());
+            else
+                buffer.op()->setIntAttr(BufferOp::vectorFactorId(),
+                                        int64_t{1} << rng_.below(4));
+            break;
+        default:
+            buffer.setStages(1 + static_cast<int64_t>(rng_.below(3)));
+            break;
+        }
+    }
+
+    void
+    mutateLoop()
+    {
+        ForOp loop(pick(loops_));
+        const int64_t trip = std::max<int64_t>(loop.tripCount(), 1);
+        switch (rng_.below(5)) {
+        case 0:
+            loop.op()->removeAttr(ForOp::unrollId());
+            break;
+        case 1:
+        case 2:  // a divisor of the trip count
+            loop.setUnrollFactor(pick(divisorsOf(trip)));
+            break;
+        case 3:  // any factor, usually not a divisor
+            loop.setUnrollFactor(
+                1 + static_cast<int64_t>(rng_.below(
+                        static_cast<uint64_t>(std::min<int64_t>(trip, 12)))));
+            break;
+        default:
+            if (loop.op()->hasAttr(ForOp::tileLoopId()))
+                loop.op()->removeAttr(ForOp::tileLoopId());
+            else
+                loop.op()->setAttr(ForOp::tileLoopId(), Attribute::unit());
+            break;
+        }
+    }
+
+    TargetDevice device_;
+    XorShift rng_;
+    FuncOp func_{nullptr};
+    std::vector<Operation*> loops_;
+    std::vector<Operation*> buffers_;
+};
+
+/**
+ * One design's digest against its pinned value. The states are a fixed
+ * count, so the run is the same on every machine and build; the budget
+ * keeps the six designs under 30 s with ASan.
+ */
+void
+expectColdDigest(ModuleOp module, const TargetDevice& device, uint64_t seed,
+                 int states, uint64_t expected)
+{
+    ColdModelDigest digest(module, device, seed);
+    const uint64_t actual = digest.run(states);
+    EXPECT_EQ(actual, expected)
+        << std::hex << "seed 0x" << seed << ", " << std::dec << states
+        << " states, final xorshift state 0x" << std::hex
+        << digest.rngState() << ": digest 0x" << actual
+        << " differs from the pinned 0x" << expected;
+}
+
+TEST(EstimatorDigestTest, LenetHidaPrototype)
+{
+    OwnedModule module = lenetPrototype(Flow::kHida);
+    expectColdDigest(module.get(), TargetDevice::pynqZ2(), 0x1E7E7A11, 2000,
+                     0x57be9d4367c5b724);
+}
+
+TEST(EstimatorDigestTest, LenetVitisPrototype)
+{
+    OwnedModule module = lenetPrototype(Flow::kVitis);
+    expectColdDigest(module.get(), TargetDevice::pynqZ2(), 0x1E7E7B22, 2000,
+                     0x7cca98d32ad32b4e);
+}
+
+TEST(EstimatorDigestTest, Resnet18AfterPrefix)
+{
+    registerAllDialects();
+    OwnedModule module = buildDnnModel("ResNet-18");
+    PassManager prefix;
+    addPrefixPasses(prefix, optionsFor(Flow::kHida));
+    prefix.run(module.get());
+    expectColdDigest(module.get(), TargetDevice::vu9pSlr(), 0x2E5E7018, 300,
+                     0x6db78c6065789640);
+}
+
+TEST(EstimatorDigestTest, PolybenchKernels)
+{
+    struct Kernel {
+        const char* name;
+        uint64_t seed;
+        uint64_t digest;
+    };
+    const Kernel kernels[] = {{"2mm", 0x2AA2AA, 0x28db45828dc2e410},
+                              {"3mm", 0x3AA3AA, 0xf5278e7bf78d3a27},
+                              {"jacobi-2d", 0x7AC0B1, 0xdd6cefc7d21cbeb1}};
+    for (const Kernel& kernel : kernels) {
+        SCOPED_TRACE(kernel.name);
+        OwnedModule module = buildPolybenchKernel(kernel.name, 16);
+        compile(module.get(), optionsFor(Flow::kHida), TargetDevice::zu3eg());
+        expectColdDigest(module.get(), TargetDevice::zu3eg(), kernel.seed,
+                         1500, kernel.digest);
+    }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "src/ir/printer.h"
 #include "src/ir/registry.h"
 #include "src/ir/verifier.h"
+#include "src/support/utils.h"
 
 namespace hida {
 namespace {
@@ -434,6 +435,21 @@ TEST_F(IrCoreTest, IsBeforeInBlockTracksEveryReorder)
         }
     }
     EXPECT_FALSE(verify(module.get().op()).has_value());
+}
+
+TEST(UtilsTest, LargestDivisorUpToMatchesTheDivisorList)
+{
+    for (int64_t n = -2; n <= 256; ++n) {
+        const std::vector<int64_t> divisors = divisorsOf(n);
+        for (int64_t bound = -1; bound <= 300; ++bound) {
+            int64_t expected = 1;
+            for (int64_t d : divisors)
+                if (d <= bound)
+                    expected = std::max(expected, d);
+            ASSERT_EQ(largestDivisorUpTo(n, bound), expected)
+                << "n=" << n << " bound=" << bound;
+        }
+    }
 }
 
 } // namespace

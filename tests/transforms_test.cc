@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/dataflow_graph.h"
+#include "src/dialect/affine/affine_ops.h"
 #include "src/dialect/nn/nn_ops.h"
 #include "src/driver/driver.h"
 #include "src/frontend/loop_builder.h"
@@ -326,6 +327,59 @@ INSTANTIATE_TEST_SUITE_P(
                                          "jacobi-2d", "mvt", "seidel-2d",
                                          "symm", "syr2k"),
                        ::testing::Values(0, 1, 2)));
+
+/**
+ * innermostLoops in one walk returns what the per-loop definition did:
+ * each loop whose own subtree walk finds no other loop, in post-order.
+ * The definition is kept here as the reference.
+ */
+std::vector<ForOp>
+referenceInnermostLoops(Operation* root)
+{
+    std::vector<ForOp> result;
+    root->walk([&](Operation* op) {
+        if (!isa<ForOp>(op))
+            return;
+        bool has_nested_loop = false;
+        op->walk([&](Operation* nested) {
+            if (nested != op && isa<ForOp>(nested))
+                has_nested_loop = true;
+        });
+        if (!has_nested_loop)
+            result.push_back(ForOp(op));
+    });
+    return result;
+}
+
+TEST(InnermostLoopsTest, MatchesPerLoopWalkOnZooAfterPrefix)
+{
+    for (const char* name :
+         {"ResNet-18", "MobileNet", "ZFNet", "VGG-16", "YOLO", "MLP"}) {
+        SCOPED_TRACE(name);
+        OwnedModule module = buildDnnModel(name);
+        PassManager prefix;
+        addPrefixPasses(prefix, optionsFor(Flow::kHida));
+        prefix.run(module.get());
+        const std::vector<ForOp> expected =
+            referenceInnermostLoops(module.get().op());
+        const std::vector<ForOp> actual = innermostLoops(module.get().op());
+        ASSERT_FALSE(expected.empty());
+        ASSERT_EQ(actual.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i)
+            EXPECT_EQ(actual[i].op(), expected[i].op()) << "loop #" << i;
+        // Rooted at a loop, the walk visits the root too.
+        for (Operation* p = expected.front().op(); p != nullptr;
+             p = p->parentOp()) {
+            if (!isa<ForOp>(p))
+                continue;
+            const std::vector<ForOp> reference = referenceInnermostLoops(p);
+            const std::vector<ForOp> from_loop = innermostLoops(p);
+            ASSERT_EQ(from_loop.size(), reference.size());
+            for (size_t i = 0; i < reference.size(); ++i)
+                EXPECT_EQ(from_loop[i].op(), reference[i].op());
+        }
+    }
+}
 
 } // namespace
 } // namespace hida
