@@ -112,6 +112,33 @@ decomposeIndex(Value* index)
     return std::nullopt;
 }
 
+AffineAccess
+affineAccessOf(Operation* op)
+{
+    if (isAffineLoad(op))
+        return {op, op->operand(0), 1, op->numOperands() - 1};
+    if (isa<StoreOp>(op))
+        return {op, op->operand(1), 2, op->numOperands() - 2};
+    return {};
+}
+
+void
+forEachLoopTerm(
+    const AffineAccess& access,
+    FunctionRef<void(unsigned dim, Operation* loop, int64_t coeff)> fn)
+{
+    for (unsigned d = 0; d < access.numIndices; ++d) {
+        std::optional<AffineIndexExpr> expr = decomposeIndex(access.index(d));
+        if (!expr)
+            continue;
+        for (const AffineTerm& term : expr->terms) {
+            Operation* loop = term.iv->ownerBlock()->parentOp();
+            if (isa<ForOp>(loop))
+                fn(d, loop, term.coeff);
+        }
+    }
+}
+
 std::vector<ForOp>
 enclosingLoops(Operation* op)
 {

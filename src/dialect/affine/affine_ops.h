@@ -180,6 +180,36 @@ struct AffineIndexExpr {
  */
 std::optional<AffineIndexExpr> decomposeIndex(Value* index);
 
+/**
+ * The memref and index operands of an affine access: either load form or
+ * a store. Converts to false for any other op.
+ */
+struct AffineAccess {
+    Operation* op = nullptr;
+    Value* memref = nullptr;
+    unsigned firstIndex = 0;  ///< Operand number of index 0.
+    unsigned numIndices = 0;
+
+    explicit operator bool() const { return op != nullptr; }
+    Value* index(unsigned dim) const { return op->operand(firstIndex + dim); }
+};
+
+/** @p op's access operands (false for an op that is no affine access). */
+AffineAccess affineAccessOf(Operation* op);
+
+/**
+ * Calls @p fn(dim, loop, coeff) for each term of decomposeIndex(index
+ * dim) whose induction variable belongs to an affine.for, dims ascending
+ * and each dim's terms in decomposition order; an index that does not
+ * decompose adds none. Reads only structure (operands, block arguments,
+ * parent links) and the structural "coeffs" and "offset". The one
+ * extractor of ArrayPartition's access plan and the estimator's
+ * cold-model plans.
+ */
+void forEachLoopTerm(
+    const AffineAccess& access,
+    FunctionRef<void(unsigned dim, Operation* loop, int64_t coeff)> fn);
+
 /** All loops perfectly or imperfectly enclosing @p op, outermost first. */
 std::vector<ForOp> enclosingLoops(Operation* op);
 

@@ -217,10 +217,21 @@ BufferOp::setPartition(const std::vector<int64_t>& fashions,
     op_->setAttr(partitionFactorsId(), Attribute::i64Array(factors));
 }
 
+const std::vector<Attribute>*
+BufferOp::partitionFactorList() const
+{
+    const Attribute* factors = op_->findAttr(partitionFactorsId());
+    return factors != nullptr ? &factors->asArray() : nullptr;
+}
+
 int64_t
 BufferOp::bankCount() const
 {
-    return product(partitionFactors());
+    int64_t banks = 1;
+    if (const std::vector<Attribute>* factors = partitionFactorList())
+        for (const Attribute& factor : *factors)
+            banks *= factor.asInt();
+    return banks;
 }
 
 std::vector<int64_t>

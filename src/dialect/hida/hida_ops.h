@@ -183,6 +183,9 @@ class BufferOp : public OpWrapper {
     void setStages(int64_t stages) { op_->setIntAttr(stagesId(), stages); }
 
     std::vector<int64_t> partitionFactors() const;
+    /** "partition_factors" read in place, or null when absent (every
+     * factor 1). Dims past the list's end have factor 1. */
+    const std::vector<Attribute>* partitionFactorList() const;
     void setPartition(const std::vector<int64_t>& fashions,
                       const std::vector<int64_t>& factors);
     std::vector<int64_t> partitionFashions() const;

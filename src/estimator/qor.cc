@@ -19,20 +19,6 @@ namespace {
 constexpr int64_t kLoopOverhead = 2;     ///< Enter/exit cycles per loop.
 constexpr int64_t kPipelineDepthBase = 4;
 
-/** Product of trips of loops tagged "tile_loop" whose nearest enclosing
- * node is @p node (tile loops of nested sub-nodes belong to those). */
-int64_t
-tileFrames(NodeOp node)
-{
-    int64_t frames = 1;
-    node.op()->walk([&](Operation* op) {
-        if (isa<ForOp>(op) && op->hasAttr(ForOp::tileLoopId()) &&
-            op->parentOfName(opNameId<NodeOp>()) == node.op())
-            frames *= ForOp(op).tripCount();
-    });
-    return std::max<int64_t>(frames, 1);
-}
-
 /** True if the loop body carries a load-accumulate-store recurrence. */
 bool
 hasAccumulation(Block* body)
@@ -201,6 +187,7 @@ operator+=(QorCacheStats& lhs, const QorCacheStats& rhs)
     lhs.scheduleReuses += rhs.scheduleReuses;
     lhs.simRuns += rhs.simRuns;
     lhs.simSkips += rhs.simSkips;
+    lhs.planBuilds += rhs.planBuilds;
     return lhs;
 }
 
@@ -232,222 +219,310 @@ QorEstimator::resolveBuffer(Value* value)
     return BufferOp(nullptr);
 }
 
-int64_t
-QorEstimator::initiationInterval(Block* body,
-                                 const std::vector<ForOp>& enclosing)
+const QorEstimator::NestPlan&
+QorEstimator::nestPlan(ForOp outer)
 {
-    // Collect per-buffer port pressure with alignment awareness.
-    std::map<Value*, double> pressure;
-    std::map<Value*, bool> misaligned;
+    NestPlan& plan = nestPlans_[outer.op()];
+    const uint64_t epoch = outer.op()->structureEpoch();
+    if (plan.epoch == epoch)
+        return plan;
+    ++cacheStats_.planBuilds;
+    plan.epoch = epoch;
+    plan.loops.clear();
+    plan.memrefs.clear();
+    plan.sites.clear();
+    plan.terms.clear();
+    plan.firstDims.clear();
+    plan.banks = 0;
+    for (ForOp level : perfectNest(outer))
+        plan.loops.push_back(level.op());
+    plan.depth = static_cast<uint32_t>(plan.loops.size());
+    Operation* innermost = plan.loops.back();
+    for (ForOp loop : enclosingLoops(innermost))
+        plan.loops.push_back(loop.op());
+    plan.loops.push_back(innermost);
+    plan.deepest = ForOp(innermost).body();
 
-    // First pass: for buffers that have not been partitioned yet, predict
-    // the per-dim factors the ArrayPartition pass will derive from the
-    // current unroll factors (max of unroll * |stride| over this region's
-    // access sites). This lets the DSE anticipate both the banking *and*
-    // the misalignment penalties its factor choices will incur.
-    std::map<Value*, std::vector<int64_t>> predicted;
-    body->parentOp()->walk([&](Operation* op) {
-        Value* memref = nullptr;
-        std::vector<Value*> indices;
+    // The deepest block: pipelined when it holds no loop; a streaming copy
+    // between external memory and a buffer when it holds one load, one
+    // store and no other compute.
+    plan.pipelined = true;
+    plan.scalarBody = true;
+    int64_t loads = 0, stores = 0, others = 0;
+    bool touches_external = false;
+    plan.copyBits = 8;
+    Type stored;
+    for (Operation* op : *plan.deepest) {
+        if (isa<ForOp>(op))
+            plan.pipelined = false;
+        if (isa<ForOp>(op) || isa<ScheduleOp>(op) || isa<BufferOp>(op) ||
+            isa<NodeOp>(op))
+            plan.scalarBody = false;
         if (isAffineLoad(op)) {
-            LoadOp load(op);
-            memref = load.memref();
-            for (unsigned i = 0; i < load.numIndices(); ++i)
-                indices.push_back(load.index(i));
-        } else if (auto store = dynCast<StoreOp>(op)) {
-            memref = store.memref();
-            for (unsigned i = 0; i < store.numIndices(); ++i)
-                indices.push_back(store.index(i));
-        } else {
-            return;
+            ++loads;
+            Type type = op->operand(0)->type();
+            touches_external |= type.memorySpace() == MemorySpace::kExternal;
+            plan.copyBits = type.elementType().bitWidth();
+        } else if (isa<StoreOp>(op)) {
+            ++stores;
+            touches_external |= op->operand(1)->type().memorySpace() ==
+                                MemorySpace::kExternal;
+            stored = StoreOp(op).value()->type();
+        } else if (!isa<ApplyOp>(op) && !isa<ConstantOp>(op)) {
+            ++others;
         }
-        BufferOp buffer = resolveBuffer(memref);
-        if (!buffer || buffer.op()->hasAttr(BufferOp::partitionFactorsId()))
-            return;
-        auto& factors = predicted[memref];
-        factors.resize(memref->type().shape().size(), 1);
-        for (size_t d = 0; d < indices.size(); ++d) {
-            auto expr = decomposeIndex(indices[d]);
-            if (!expr)
-                continue;
-            for (const AffineTerm& term : expr->terms) {
-                Operation* loop_op = term.iv->ownerBlock()->parentOp();
-                if (loop_op == nullptr || !isa<ForOp>(loop_op))
-                    continue;
-                int64_t unroll = ForOp(loop_op).unrollFactor();
-                if (unroll <= 1)
-                    continue;
-                factors[d] = std::max(
-                    factors[d],
-                    std::min(memref->type().shape()[d],
-                             unroll * std::max<int64_t>(
-                                          std::abs(term.coeff), 1)));
-            }
-        }
-    });
+    }
+    plan.streamCopy =
+        loads == 1 && stores == 1 && others == 0 && touches_external;
+    // Scalar ops cost only what their types say.
+    plan.body = plan.scalarBody ? costOfBlock(plan.deepest) : BlockCost();
+    // Loop-carried accumulation recurrence.
+    plan.recurrence = 0;
+    if (plan.pipelined && hasAccumulation(plan.deepest))
+        plan.recurrence = stored && stored.isFloat() ? 5 : 1;
+    if (!plan.pipelined)
+        return plan;
 
-    auto account = [&](Operation* access, Value* memref,
-                       const std::vector<Value*>& indices) {
-        (void)access;
-        BufferOp buffer = resolveBuffer(memref);
-        std::vector<int64_t> factors;
-        if (auto it = predicted.find(memref); it != predicted.end()) {
-            factors = it->second;
-        } else if (buffer) {
-            factors = buffer.partitionFactors();
-            // A vectorized word serves several contiguous accesses.
-            if (!factors.empty())
-                factors.back() *= buffer.vectorFactor();
-        } else {
-            factors.assign(memref->type().shape().size(), 1);
+    // Every access under the innermost loop, grouped by memref value:
+    // its bank terms and, per enclosing loop, the first dim the loop's IV
+    // indexes with a nonzero coefficient (the dim its unroll replicates
+    // the access along).
+    const uint32_t enclosing =
+        static_cast<uint32_t>(plan.loops.size()) - plan.depth;
+    innermost->walk([&](Operation* op) {
+        AffineAccess access = affineAccessOf(op);
+        if (!access)
+            return;
+        uint32_t memref = 0;
+        while (memref < plan.memrefs.size() &&
+               plan.memrefs[memref].memref != access.memref)
+            ++memref;
+        const std::vector<int64_t>& shape = access.memref->type().shape();
+        const auto rank = static_cast<uint32_t>(shape.size());
+        if (memref == plan.memrefs.size()) {
+            plan.memrefs.push_back(
+                {access.memref, resolveBuffer(access.memref).op(), rank,
+                 plan.banks,
+                 access.memref->type().memorySpace() ==
+                     MemorySpace::kExternal});
+            plan.banks += rank;
         }
-        // Which dims does each enclosing unrolled loop index?
-        double conflict = 1.0;
-        for (ForOp loop : enclosing) {
-            int64_t unroll = loop.unrollFactor();
+        const auto site = static_cast<uint32_t>(plan.sites.size());
+        const auto begin = static_cast<uint32_t>(plan.terms.size());
+        plan.firstDims.resize(plan.firstDims.size() + enclosing, -1);
+        forEachLoopTerm(access, [&](unsigned d, Operation* loop,
+                                    int64_t coeff) {
+            if (d >= rank)
+                return;
+            // Only a dim's first term of a loop decides whether that
+            // loop indexes the dim (AffineIndexExpr::coeffOf).
+            bool first = true;
+            for (uint32_t t = begin; t < plan.terms.size(); ++t)
+                if (plan.terms[t].dim == d && plan.terms[t].loop == loop)
+                    first = false;
+            plan.terms.push_back(
+                {loop, shape[d], std::max<int64_t>(std::abs(coeff), 1), d});
+            if (!first || coeff == 0)
+                return;
+            for (uint32_t k = 0; k < enclosing; ++k) {
+                int32_t& dim = plan.firstDims[site * enclosing + k];
+                if (plan.loops[plan.depth + k] == loop && dim < 0)
+                    dim = static_cast<int32_t>(d);
+            }
+        });
+        plan.sites.push_back(
+            {memref, begin, static_cast<uint32_t>(plan.terms.size())});
+    });
+    return plan;
+}
+
+int64_t
+QorEstimator::pipelineIi(const NestPlan& plan)
+{
+    // Banks per memref dim. A buffer the ArrayPartition pass has not
+    // partitioned yet gets the factors that pass will derive from the
+    // current unroll factors (max of unroll * |stride| over this region's
+    // access sites), so the DSE anticipates both the banking *and* the
+    // misalignment penalties its factor choices will incur. A vectorized
+    // word of a partitioned buffer serves several contiguous accesses.
+    banks_.assign(plan.banks, 1);
+    memrefStates_.assign(plan.memrefs.size(), MemrefState());
+    for (size_t m = 0; m < plan.memrefs.size(); ++m) {
+        const NestMemref& memref = plan.memrefs[m];
+        if (memref.buffer == nullptr)
+            continue;
+        BufferOp buffer(memref.buffer);
+        const std::vector<Attribute>* factors = buffer.partitionFactorList();
+        if (factors == nullptr) {
+            memrefStates_[m].predicted = true;
+            continue;
+        }
+        int64_t* banks = banks_.data() + memref.banksBegin;
+        const size_t count = std::min<size_t>(factors->size(), memref.rank);
+        for (size_t d = 0; d < count; ++d)
+            banks[d] = (*factors)[d].asInt();
+        if (!factors->empty() && factors->size() <= memref.rank)
+            banks[factors->size() - 1] *= buffer.vectorFactor();
+    }
+    for (const NestSite& site : plan.sites) {
+        if (!memrefStates_[site.memref].predicted)
+            continue;
+        int64_t* banks = banks_.data() + plan.memrefs[site.memref].banksBegin;
+        for (uint32_t t = site.termsBegin; t < site.termsEnd; ++t) {
+            const BankTerm& term = plan.terms[t];
+            int64_t unroll = ForOp(term.loop).unrollFactor();
             if (unroll <= 1)
                 continue;
-            bool indexes = false;
-            for (size_t d = 0; d < indices.size(); ++d) {
-                auto expr = decomposeIndex(indices[d]);
-                if (!expr)
-                    continue;
-                int64_t coeff = expr->coeffOf(loop.inductionVar());
-                if (coeff == 0)
-                    continue;
-                indexes = true;
-                int64_t banks = d < factors.size() ? factors[d] : 1;
-                if (banks % unroll == 0 || unroll % banks == 0) {
-                    conflict *= std::max<int64_t>(1, ceilDiv(unroll, banks));
-                } else {
-                    // Unaligned unroll/partition: the accesses serialize and
-                    // the compiler emits bank-steering control logic.
-                    conflict *= unroll;
-                    misaligned[memref] = true;
-                }
-                break;
-            }
-            if (!indexes) {
-                // Loop replicates the access but every copy hits the same
-                // address: reads broadcast, a single port suffices.
-                continue;
-            }
+            banks[term.dim] = std::max(
+                banks[term.dim], std::min(term.extent, unroll * term.scale));
         }
-        pressure[memref] += conflict;
-    };
+    }
 
-    body->parentOp()->walk([&](Operation* op) {
-        if (isAffineLoad(op)) {
-            LoadOp load(op);
-            std::vector<Value*> indices;
-            for (unsigned i = 0; i < load.numIndices(); ++i)
-                indices.push_back(load.index(i));
-            account(op, load.memref(), indices);
-        } else if (auto store = dynCast<StoreOp>(op)) {
-            std::vector<Value*> indices;
-            for (unsigned i = 0; i < store.numIndices(); ++i)
-                indices.push_back(store.index(i));
-            account(op, store.memref(), indices);
+    // Port pressure per memref: each enclosing unrolled loop replicates an
+    // access along the first dim it indexes. A loop that indexes none
+    // replicates it onto one address: reads broadcast, one port serves.
+    const size_t enclosing = plan.loops.size() - plan.depth;
+    for (size_t s = 0; s < plan.sites.size(); ++s) {
+        const NestSite& site = plan.sites[s];
+        MemrefState& state = memrefStates_[site.memref];
+        const int64_t* banks =
+            banks_.data() + plan.memrefs[site.memref].banksBegin;
+        double conflict = 1.0;
+        for (size_t k = 0; k < enclosing; ++k) {
+            const int32_t dim = plan.firstDims[s * enclosing + k];
+            if (dim < 0)
+                continue;
+            int64_t unroll = ForOp(plan.loops[plan.depth + k]).unrollFactor();
+            if (unroll <= 1)
+                continue;
+            int64_t bank = banks[dim];
+            if (bank % unroll == 0 || unroll % bank == 0) {
+                conflict *= std::max<int64_t>(1, ceilDiv(unroll, bank));
+            } else {
+                // Unaligned unroll/partition: the accesses serialize and
+                // the compiler emits bank-steering control logic.
+                conflict *= unroll;
+                state.misaligned = true;
+            }
         }
-    });
+        state.pressure += conflict;
+    }
 
     int64_t ii = 1;
-    for (const auto& [memref, p] : pressure) {
-        if (memref->type().memorySpace() == MemorySpace::kExternal)
+    for (size_t m = 0; m < plan.memrefs.size(); ++m) {
+        if (plan.memrefs[m].external)
             continue;  // handled by the bandwidth model
         // True dual-port BRAM: two accesses per bank per cycle.
-        int64_t mem_ii = static_cast<int64_t>(std::ceil(p / 2.0));
-        if (misaligned.count(memref))
+        const MemrefState& state = memrefStates_[m];
+        int64_t mem_ii = static_cast<int64_t>(std::ceil(state.pressure / 2.0));
+        if (state.misaligned)
             mem_ii *= 2;  // bank-steering muxes add a pipeline bubble
         ii = std::max(ii, mem_ii);
     }
-
-    // Loop-carried accumulation recurrence.
-    if (hasAccumulation(body)) {
-        Type elem;
-        for (Operation* op : *body)
-            if (isa<StoreOp>(op))
-                elem = StoreOp(op).value()->type();
-        int64_t dep = elem && elem.isFloat() ? 5 : 1;
-        ii = std::max(ii, dep);
-    }
-    return ii;
+    return std::max(ii, plan.recurrence);
 }
 
 QorEstimator::BlockCost
 QorEstimator::costOfLoopNest(ForOp loop)
 {
-    BlockCost cost;
-    std::vector<ForOp> nest = perfectNest(loop);
-    Block* deepest = nest.back().body();
-
-    bool flat_pipeline = true;
-    for (Operation* op : *deepest) {
-        if (isa<ForOp>(op)) {
-            flat_pipeline = false;
-            break;
-        }
-    }
-
+    const NestPlan& plan = nestPlan(loop);
     // Collect unroll replication for resources along the way.
     int64_t unroll_product = 1;
     int64_t iters = 1;
-    for (ForOp level : nest) {
-        int64_t unroll =
-            std::min<int64_t>(level.unrollFactor(), level.tripCount());
+    for (uint32_t i = 0; i < plan.depth; ++i) {
+        ForOp level(plan.loops[i]);
+        const int64_t trip = level.tripCount();
+        int64_t unroll = std::min<int64_t>(level.unrollFactor(), trip);
         unroll_product *= unroll;
-        iters *= ceilDiv(level.tripCount(), unroll);
+        iters *= ceilDiv(trip, unroll);
     }
 
-    // Resource + per-iteration depth of the deepest block's scalar ops.
-    BlockCost body_cost = costOfBlock(deepest);
+    // Resource + per-iteration depth of the deepest block's ops (which
+    // recurse into sub-nests).
+    BlockCost body_cost =
+        plan.scalarBody ? plan.body : costOfBlock(plan.deepest);
+    BlockCost cost;
     cost.res = body_cost.res.scaled(unroll_product);
-
-    std::vector<ForOp> enclosing = enclosingLoops(deepest->parentOp());
-    enclosing.push_back(ForOp(deepest->parentOp()));
-
-    if (flat_pipeline) {
-        int64_t ii = initiationInterval(deepest, enclosing);
-        // Streaming copies between external memory and on-chip buffers are
-        // implemented as wide data movers: one AXI word (several elements)
-        // per cycle instead of one element per cycle.
-        int64_t ld = 0, st = 0, other = 0;
-        bool touches_external = false;
-        unsigned bits = 8;
-        for (Operation* op : *deepest) {
-            if (isAffineLoad(op)) {
-                ++ld;
-                if (op->operand(0)->type().memorySpace() ==
-                    MemorySpace::kExternal)
-                    touches_external = true;
-                bits = op->operand(0)->type().elementType().bitWidth();
-            } else if (isa<StoreOp>(op)) {
-                ++st;
-                if (op->operand(1)->type().memorySpace() ==
-                    MemorySpace::kExternal)
-                    touches_external = true;
-            } else if (!isa<ApplyOp>(op) && !isa<ConstantOp>(op)) {
-                ++other;
-            }
-        }
-        if (ld == 1 && st == 1 && other == 0 && touches_external) {
-            int64_t epc = std::max<int64_t>(
-                1, device_.axiBytesPerCycle * 8 / std::max<unsigned>(bits, 1));
-            iters = ceilDiv(iters, epc);
-        }
-        int64_t depth = kPipelineDepthBase + body_cost.latency;
-        cost.latency = (iters - 1) * ii + depth + kLoopOverhead;
-        recordIi(nest.back().op(), ii);
-    } else {
-        // Imperfect: iterate the body cost (which recurses into sub-nests).
+    if (!plan.pipelined) {
+        // Imperfect: iterate the body cost.
         cost.latency = iters * body_cost.latency + kLoopOverhead;
+        return cost;
     }
-
+    int64_t ii = pipelineIi(plan);
+    // Streaming copies between external memory and on-chip buffers are
+    // implemented as wide data movers: one AXI word (several elements)
+    // per cycle instead of one element per cycle.
+    if (plan.streamCopy) {
+        int64_t epc = std::max<int64_t>(
+            1, device_.axiBytesPerCycle * 8 /
+                   std::max<unsigned>(plan.copyBits, 1));
+        iters = ceilDiv(iters, epc);
+    }
+    int64_t depth = kPipelineDepthBase + body_cost.latency;
+    cost.latency = (iters - 1) * ii + depth + kLoopOverhead;
+    recordIi(plan.loops[plan.depth - 1], ii);
     return cost;
 }
 
+const QorEstimator::RootPlan&
+QorEstimator::rootPlan(Operation* root)
+{
+    RootPlan& plan = rootPlans_[root];
+    const uint64_t epoch = root->structureEpoch();
+    if (plan.epoch == epoch)
+        return plan;
+    ++cacheStats_.planBuilds;
+    plan.epoch = epoch;
+    plan.sites.clear();
+    plan.terms.clear();
+    plan.extents.clear();
+    plan.loops.clear();
+    plan.bits = 8;
+    ownLoops_.clear();
+    root->walk([&](Operation* op) {
+        if (isa<ForOp>(op) && op->parentOfName(opNameId<NodeOp>()) == root)
+            ownLoops_.push_back(op);
+        AffineAccess access = affineAccessOf(op);
+        if (!access)
+            return;
+        Type type = access.memref->type();
+        if (type.memorySpace() != MemorySpace::kExternal)
+            return;
+        const std::vector<int64_t>& shape = type.shape();
+        RootSite site;
+        site.rank = static_cast<uint32_t>(
+            std::min<size_t>(access.numIndices, shape.size()));
+        site.extentsBegin = static_cast<uint32_t>(plan.extents.size());
+        plan.extents.insert(plan.extents.end(), shape.begin(),
+                            shape.begin() + site.rank);
+        site.termsBegin = static_cast<uint32_t>(plan.terms.size());
+        forEachLoopTerm(access, [&](unsigned d, Operation* loop,
+                                    int64_t coeff) {
+            if (d < site.rank)
+                plan.terms.push_back({loop, std::abs(coeff), d});
+        });
+        site.termsEnd = static_cast<uint32_t>(plan.terms.size());
+        site.reloadBegin = static_cast<uint32_t>(plan.loops.size());
+        for (Operation* p = op->parentOp(); p != nullptr; p = p->parentOp()) {
+            if (!isa<ForOp>(p))
+                continue;
+            bool used = false;
+            for (uint32_t t = site.termsBegin; t < site.termsEnd; ++t)
+                used |= plan.terms[t].loop == p;
+            if (!used)
+                plan.loops.push_back(p);
+        }
+        site.reloadEnd = static_cast<uint32_t>(plan.loops.size());
+        plan.bits = type.elementType().bitWidth();
+        plan.sites.push_back(site);
+    });
+    plan.ownLoopsBegin = static_cast<uint32_t>(plan.loops.size());
+    plan.loops.insert(plan.loops.end(), ownLoops_.begin(), ownLoops_.end());
+    return plan;
+}
+
 QorEstimator::ExtCost
-QorEstimator::externalCost(Operation* root)
+QorEstimator::externalCost(const RootPlan& plan)
 {
     // Streaming-DMA model with line buffering: each external access site
     // moves the distinct footprint it touches (per-dim index spans), times
@@ -456,69 +531,40 @@ QorEstimator::externalCost(Operation* root)
     // shorter than the efficient burst length pay per-burst latency and
     // need extra address-generation logic (the Fig. 10 small-tile effects).
     ExtCost total;
-    root->walk([&](Operation* op) {
-        Value* memref = nullptr;
-        std::vector<Value*> indices;
-        if (isAffineLoad(op)) {
-            LoadOp load(op);
-            memref = load.memref();
-            for (unsigned i = 0; i < load.numIndices(); ++i)
-                indices.push_back(load.index(i));
-        } else if (auto store = dynCast<StoreOp>(op)) {
-            memref = store.memref();
-            for (unsigned i = 0; i < store.numIndices(); ++i)
-                indices.push_back(store.index(i));
-        } else {
-            return;
+    for (const RootSite& site : plan.sites) {
+        const int64_t* extents = plan.extents.data() + site.extentsBegin;
+        spans_.assign(site.rank, 1);
+        for (uint32_t t = site.termsBegin; t < site.termsEnd; ++t) {
+            const SpanTerm& term = plan.terms[t];
+            spans_[term.dim] +=
+                (ForOp(term.loop).tripCount() - 1) * term.coeff;
         }
-        if (memref->type().memorySpace() != MemorySpace::kExternal)
-            return;
-
-        const auto& shape = memref->type().shape();
-        std::vector<Value*> used_ivs;
-        std::vector<int64_t> spans;
         int64_t distinct = 1;
-        for (size_t d = 0; d < indices.size(); ++d) {
-            auto expr = decomposeIndex(indices[d]);
-            int64_t span = 1;
-            if (expr) {
-                for (const AffineTerm& term : expr->terms) {
-                    Operation* loop_op = term.iv->ownerBlock()->parentOp();
-                    if (loop_op != nullptr && isa<ForOp>(loop_op)) {
-                        span += (ForOp(loop_op).tripCount() - 1) *
-                                std::abs(term.coeff);
-                        used_ivs.push_back(term.iv);
-                    }
-                }
-            }
-            span = std::min<int64_t>(span, shape[d]);
-            distinct *= span;
-            spans.push_back(span);
+        for (uint32_t d = 0; d < site.rank; ++d) {
+            spans_[d] = std::min(spans_[d], extents[d]);
+            distinct *= spans_[d];
         }
         // Contiguous run: trailing dims extend the run while they are
         // fully covered (row-major layout).
         int64_t last_span = 1;
-        for (size_t d = spans.size(); d-- > 0;) {
-            last_span *= spans[d];
-            if (spans[d] < shape[d])
+        for (uint32_t d = site.rank; d-- > 0;) {
+            last_span *= spans_[d];
+            if (spans_[d] < extents[d])
                 break;
         }
         int64_t reload = 1;
-        for (ForOp loop : enclosingLoops(op)) {
-            if (!loop.op()->hasAttr(ForOp::tileLoopId()))
-                continue;
-            if (std::find(used_ivs.begin(), used_ivs.end(),
-                          loop.inductionVar()) == used_ivs.end())
-                reload *= loop.tripCount();
-        }
+        for (uint32_t l = site.reloadBegin; l < site.reloadEnd; ++l)
+            if (plan.loops[l]->hasAttr(ForOp::tileLoopId()))
+                reload *= ForOp(plan.loops[l]).tripCount();
         int64_t elements = distinct * reload;
         int64_t run = std::max<int64_t>(last_span, 1);
         total.elements += elements;
         total.bursts += ceilDiv(elements, run);
         total.minRun = std::min(total.minRun, run);
-        total.bits = memref->type().elementType().bitWidth();
         total.sites += 1;
-    });
+    }
+    if (!plan.sites.empty())
+        total.bits = plan.bits;
     return total;
 }
 
@@ -652,13 +698,14 @@ QorEstimator::replayIi(const MemoEntry& entry)
 }
 
 int64_t
-QorEstimator::tileFramesOf(NodeOp node, uint64_t fp)
+QorEstimator::tileFramesOf(NodeOp node)
 {
-    if (auto it = tileMemo_.find(fp); it != tileMemo_.end())
-        return it->second;
-    int64_t frames = tileFrames(node);
-    tileMemo_.emplace(fp, frames);
-    return frames;
+    const RootPlan& plan = rootPlan(node.op());
+    int64_t frames = 1;
+    for (size_t l = plan.ownLoopsBegin; l < plan.loops.size(); ++l)
+        if (plan.loops[l]->hasAttr(ForOp::tileLoopId()))
+            frames *= ForOp(plan.loops[l]).tripCount();
+    return std::max<int64_t>(frames, 1);
 }
 
 DesignQor
@@ -683,8 +730,8 @@ QorEstimator::estimateNodeWithFp(NodeOp node, uint64_t fp)
         if (isa<ScheduleOp>(op))
             has_sub_schedule = true;
     if (!has_sub_schedule)
-        applyExternalCost(externalCost(node.op()), qor.latencyCycles,
-                          qor.res);
+        applyExternalCost(externalCost(rootPlan(node.op())),
+                          qor.latencyCycles, qor.res);
     qor.intervalCycles = static_cast<double>(qor.latencyCycles);
     iiRecorders_.pop_back();
     entry.qor = qor;
@@ -706,7 +753,8 @@ QorEstimator::estimateLoop(ForOp loop)
     iiRecorders_.push_back(&entry.iiWrites);
     DesignQor qor;
     BlockCost cost = costOfLoopNest(loop);
-    applyExternalCost(externalCost(loop.op()), cost.latency, cost.res);
+    applyExternalCost(externalCost(rootPlan(loop.op())), cost.latency,
+                      cost.res);
     qor.latencyCycles = std::max<int64_t>(cost.latency, 1);
     qor.intervalCycles = static_cast<double>(qor.latencyCycles);
     qor.res = cost.res;
@@ -839,7 +887,7 @@ QorEstimator::estimateSchedule(ScheduleOp schedule)
         if (structural || fp != entry.nodeFps[i]) {
             entry.nodeFps[i] = fp;
             entry.nodeQors[i] = estimateNodeWithFp(node, fp);
-            entry.tiles[i] = tileFramesOf(node, fp);
+            entry.tiles[i] = tileFramesOf(node);
         } else if (!iiRecorders_.empty()) {
             // An enclosing estimate is recording: log this node's ii
             // writes too, so replaying that entry restores all of them,

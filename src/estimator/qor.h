@@ -65,6 +65,7 @@ struct QorCacheStats {
     uint64_t scheduleReuses = 0;  ///< Warm passes reusing a cached skeleton.
     uint64_t simRuns = 0;         ///< Dataflow simulations executed.
     uint64_t simSkips = 0;        ///< Simulations skipped (cached SimResult).
+    uint64_t planBuilds = 0;      ///< Cold-model nest/root plans (re)built.
 
     /** Node/loop memo hit fraction (0 when nothing was estimated) —
      * the number the Pareto-guided strategies are tuned on: neighbor
@@ -137,8 +138,9 @@ class QorEstimator {
     void invalidateCache()
     {
         memo_.clear();
-        tileMemo_.clear();
         fpPlans_.clear();
+        nestPlans_.clear();
+        rootPlans_.clear();
         scheduleCache_.clear();
         bufferMemo_.clear();
     }
@@ -192,18 +194,118 @@ class QorEstimator {
         int64_t sites = 0;             ///< Access sites.
     };
 
-    ExtCost externalCost(Operation* root);
     /** Apply the ExtCost bandwidth bound + adapter resources to a cost. */
     void applyExternalCost(const ExtCost& ext, int64_t& latency,
                            Resources& res);
 
     BlockCost costOfBlock(Block* block);
     BlockCost costOfLoopNest(class ForOp loop);
-    /** II of a pipelined innermost body given enclosing unrolled loops. */
-    int64_t initiationInterval(Block* body,
-                               const std::vector<class ForOp>& enclosing);
     /** Resources of one buffer: pure math over its type and attributes. */
     static Resources bufferResources(BufferOp buffer);
+
+    /**
+     * @name Cold-model plans
+     * What the cold model reads of a loop nest or an estimated root
+     * besides directives, gathered once per structure epoch of the tree,
+     * in the FingerprintPlan idiom. Every input is structural: op kinds,
+     * operands, block arguments, parent links, types, and the
+     * structural "coeffs" and "offset" of affine.apply (the
+     * structural-key rule), so the epoch alone revalidates a plan and a
+     * recycled op address cannot match a stale one. Each plan keeps a
+     * few flat arrays with index ranges. A memo miss reads only the
+     * directives re-read below on every estimate — "unroll", trip counts
+     * ("lb", "ub", "step"), "partition_factors" (in place),
+     * "vector_factor" and "tile_loop", which is re-read rather than
+     * registered structural — and then does arithmetic only: it walks
+     * nothing, decomposes no index, and once its plans exist allocates
+     * nothing.
+     * @{
+     */
+    /** Loop @p loop's IV indexes dim @p dim (of size @p extent) of an
+     * access with stride @p scale = max(|coeff|, 1). */
+    struct BankTerm {
+        Operation* loop;
+        int64_t extent;
+        int64_t scale;
+        uint32_t dim;
+    };
+    /** One memref value the accesses of a pipelined nest go through. */
+    struct NestMemref {
+        Value* memref;
+        Operation* buffer;      ///< resolveBuffer(memref), or null.
+        uint32_t rank;
+        uint32_t banksBegin;    ///< Its slice of the bank-factor scratch.
+        bool external;          ///< Its type is in external memory.
+    };
+    /** One load/store under a pipelined nest's innermost loop. */
+    struct NestSite {
+        uint32_t memref;                ///< Index into NestPlan::memrefs.
+        uint32_t termsBegin, termsEnd;  ///< Its NestPlan::terms.
+    };
+    /** Plan of the loop nest rooted at one affine.for. */
+    struct NestPlan {
+        uint64_t epoch = ~uint64_t{0};  ///< structureEpoch at collection.
+        /** [0, depth): the perfect nest, outermost first; [depth, end):
+         * the loops enclosing its deepest block, outermost first, ending
+         * with the nest's innermost loop. */
+        std::vector<Operation*> loops;
+        uint32_t depth = 0;
+        Block* deepest = nullptr;  ///< Body of the innermost nest loop.
+        bool pipelined = false;    ///< The deepest block holds no loop.
+        bool scalarBody = false;   ///< It holds only scalar ops: body is
+                                   ///< its costOfBlock.
+        BlockCost body;
+        /** One load, one store, no other compute, external memory: a
+         * wide data mover of copyBits-wide elements. */
+        bool streamCopy = false;
+        unsigned copyBits = 8;
+        int64_t recurrence = 0;    ///< Accumulation II bound, 0 if none.
+        uint32_t banks = 0;        ///< Sum of the memrefs' ranks.
+        std::vector<NestMemref> memrefs;  ///< Pipelined nests only.
+        std::vector<NestSite> sites;
+        std::vector<BankTerm> terms;
+        /** [site * enclosing + k]: the first index dim of the site that
+         * enclosing loop k indexes, or -1. */
+        std::vector<int32_t> firstDims;
+    };
+    /** Loop @p loop's IV adds (trip - 1) * @p coeff to dim @p dim's span
+     * of an external access (@p coeff is |coeff|). */
+    struct SpanTerm {
+        Operation* loop;
+        int64_t coeff;
+        uint32_t dim;
+    };
+    /** One external load/store under an estimated root. */
+    struct RootSite {
+        uint32_t termsBegin, termsEnd;    ///< Its RootPlan::terms.
+        uint32_t extentsBegin, rank;      ///< Its RootPlan::extents.
+        uint32_t reloadBegin, reloadEnd;  ///< Its RootPlan::loops.
+    };
+    /** Plan of one node or loop passed to externalCost or tileFramesOf. */
+    struct RootPlan {
+        uint64_t epoch = ~uint64_t{0};
+        std::vector<RootSite> sites;
+        std::vector<SpanTerm> terms;
+        std::vector<int64_t> extents;  ///< Each site's memref shape.
+        /** Per site, the enclosing loops its indices do not use (a tagged
+         * tile loop refetches it); from ownLoopsBegin, the loops whose
+         * nearest enclosing node is the root (its tile frames). */
+        std::vector<Operation*> loops;
+        uint32_t ownLoopsBegin = 0;
+        unsigned bits = 8;  ///< Element width of the last external site.
+    };
+
+    /** @p loop's nest plan, rebuilt when the tree's epoch moved. */
+    const NestPlan& nestPlan(class ForOp loop);
+    /** @p root's plan, rebuilt when the tree's epoch moved. */
+    const RootPlan& rootPlan(Operation* root);
+    /** II of a pipelined nest from its plan and the current directives:
+     * memory-port pressure per memref (partition banks x dual ports,
+     * predicted for unpartitioned buffers), misalignment, recurrence. */
+    int64_t pipelineIi(const NestPlan& plan);
+    /** External (AXI) traffic of a root from its plan. */
+    ExtCost externalCost(const RootPlan& plan);
+    /** @} */
 
     /**
      * Directive fingerprint of the subtree rooted at @p root (see class
@@ -272,8 +374,9 @@ class QorEstimator {
 
     /** estimateNode body with the fingerprint already computed. */
     DesignQor estimateNodeWithFp(NodeOp node, uint64_t fp);
-    /** Memoized tile-frame count of a node (same fingerprint key). */
-    int64_t tileFramesOf(NodeOp node, uint64_t fp);
+    /** Product of the trips of the node's own tile_loop-tagged loops
+     * (those of nested sub-nodes belong to them), at least 1. */
+    int64_t tileFramesOf(NodeOp node);
 
     /**
      * Per-schedule estimation skeleton, cached across DSE points. The
@@ -341,9 +444,23 @@ class QorEstimator {
 
     TargetDevice device_;
     std::unordered_map<uint64_t, MemoEntry> memo_;
-    std::unordered_map<uint64_t, int64_t> tileMemo_;
     /** Per-root fingerprint plans (same root-aliasing caveat as memo_). */
     std::unordered_map<Operation*, FingerprintPlan> fpPlans_;
+    /** Cold-model plans, keyed like fpPlans_. */
+    std::unordered_map<Operation*, NestPlan> nestPlans_;
+    std::unordered_map<Operation*, RootPlan> rootPlans_;
+    /** Scratch of pipelineIi and externalCost, kept so that a miss with
+     * its plans in place does not allocate. */
+    struct MemrefState {
+        double pressure = 0.0;
+        bool predicted = false;   ///< Banks predicted from unrolls.
+        bool misaligned = false;  ///< Unroll and banks not aligned.
+    };
+    std::vector<int64_t> banks_;
+    std::vector<MemrefState> memrefStates_;
+    std::vector<int64_t> spans_;
+    /** Scratch of rootPlan: the root's own loops, gathered in the walk. */
+    std::vector<Operation*> ownLoops_;
     /** Per-schedule skeletons (same root-aliasing caveat as memo_). */
     std::unordered_map<Operation*, ScheduleCacheEntry> scheduleCache_;
     /** Per-buffer memo, revalidated by subtree hash (see BufferMemo). */

@@ -83,9 +83,9 @@ class ArrayPartitionPass : public Pass {
     /**
      * Collect every load/store site: the buffer behind its memref and the
      * (dim, loop, stride) terms of its indices. Reads structure only —
-     * op identities, buffer types, and the "coeffs" of affine.apply,
-     * which is a structural key — so the plan stays valid until the
-     * structure epoch moves.
+     * op identities, buffer types, and the "coeffs" and "offset" of
+     * affine.apply, which are structural keys — so the plan stays valid
+     * until the structure epoch moves.
      */
     void
     buildPlan(Operation* root)
@@ -93,22 +93,10 @@ class ArrayPartitionPass : public Pass {
         plan_.clear();
         std::unordered_map<Operation*, size_t> slots;
         root->walk([&](Operation* op) {
-            // Both access forms list their indices after the memref.
-            Value* memref = nullptr;
-            unsigned index_base = 0, count = 0;
-            if (isAffineLoad(op)) {
-                LoadOp load(op);
-                memref = load.memref();
-                index_base = 1;
-                count = load.numIndices();
-            } else if (auto store = dynCast<StoreOp>(op)) {
-                memref = store.memref();
-                index_base = 2;
-                count = store.numIndices();
-            } else {
+            AffineAccess access = affineAccessOf(op);
+            if (!access)
                 return;
-            }
-            BufferOp buffer = QorEstimator::resolveBuffer(memref);
+            BufferOp buffer = QorEstimator::resolveBuffer(access.memref);
             if (!buffer ||
                 buffer.type().memorySpace() == MemorySpace::kExternal ||
                 buffer.type().shape().empty())
@@ -118,21 +106,16 @@ class ArrayPartitionPass : public Pass {
             if (inserted)
                 plan_.push_back({buffer.op(), buffer.type().shape(), {}});
             BufferPlan& entry = plan_[slot->second];
-            for (size_t d = 0; d < count && d < entry.shape.size(); ++d) {
-                auto expr = decomposeIndex(op->operand(index_base + d));
-                if (!expr)
-                    continue;
-                for (const AffineTerm& term : expr->terms) {
-                    Operation* loop = term.iv->ownerBlock()->parentOp();
-                    if (!isa<ForOp>(loop))
-                        continue;
-                    AccessTerm access{
-                        d, loop, std::max<int64_t>(std::abs(term.coeff), 1)};
-                    if (std::find(entry.terms.begin(), entry.terms.end(),
-                                  access) == entry.terms.end())
-                        entry.terms.push_back(access);
-                }
-            }
+            forEachLoopTerm(access, [&](unsigned d, Operation* loop,
+                                        int64_t coeff) {
+                if (d >= entry.shape.size())
+                    return;
+                AccessTerm term{d, loop,
+                                std::max<int64_t>(std::abs(coeff), 1)};
+                if (std::find(entry.terms.begin(), entry.terms.end(),
+                              term) == entry.terms.end())
+                    entry.terms.push_back(term);
+            });
         });
     }
 

@@ -992,6 +992,9 @@ TEST(OrderingTest, GrayCodeOrderingCutsRehashTrafficOverRowMajor)
         EXPECT_EQ(stats->misses, 58u);
         EXPECT_EQ(stats->scheduleBuilds, 0u);
         EXPECT_EQ(stats->simRuns, 0u);
+        // Every point after the first is directive-only: each of the
+        // prototype's nest and root plans is built once, by the first.
+        EXPECT_EQ(stats->planBuilds, 14u);
     }
 }
 

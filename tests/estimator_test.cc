@@ -256,6 +256,8 @@ TEST(ScheduleCacheTest, RepeatEstimateReusesSkeletonAndSimResult)
     EXPECT_EQ(s1.hits, 0u);
     EXPECT_EQ(s1.simRuns, 1u);
     EXPECT_EQ(s1.simSkips, 0u);
+    // One nest plan and one root plan per node.
+    EXPECT_EQ(s1.planBuilds, 6u);
 
     // Unchanged directives: the skeleton, every node estimate AND the
     // cached SimResult are reused — no node memo lookup even happens.
@@ -267,6 +269,7 @@ TEST(ScheduleCacheTest, RepeatEstimateReusesSkeletonAndSimResult)
     EXPECT_EQ(s2.hits, 0u);
     EXPECT_EQ(s2.simRuns, 1u);
     EXPECT_EQ(s2.simSkips, 1u);
+    EXPECT_EQ(s2.planBuilds, 6u);
     expectEqualQor(second, first, "repeat pass");
 }
 
@@ -287,6 +290,8 @@ TEST(ScheduleCacheTest, DirectiveEditReestimatesOnlyTheMutatedNode)
     EXPECT_EQ(s.misses, 4u);
     EXPECT_EQ(s.hits, 0u);
     EXPECT_EQ(s.simRuns, 2u);
+    // A directive-only point builds no plan: the miss reads n2's plans.
+    EXPECT_EQ(s.planBuilds, 6u);
     expectEqualQor(warm, f.cold(), "after unroll");
 
     // Reverting the directive restores the original fingerprint: the
@@ -318,6 +323,9 @@ TEST(ScheduleCacheTest, StructuralEditForcesSkeletonRebuild)
     EXPECT_EQ(s.misses, 3u);
     EXPECT_EQ(s.hits, 3u);
     EXPECT_EQ(s.simRuns, 2u);
+    // The hits read no nest plan; the rebuilt skeleton re-reads each
+    // node's tile frames, whose root plan the epoch invalidated.
+    EXPECT_EQ(s.planBuilds, 9u);
     expectEqualQor(warm, f.cold(), "after structural move");
 }
 
