@@ -1,8 +1,11 @@
 #include "src/dialect/nn/nn_ops.h"
 
+#include <algorithm>
 #include <array>
+#include <initializer_list>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "src/ir/registry.h"
 #include "src/support/diagnostics.h"
@@ -11,11 +14,170 @@ namespace hida {
 
 namespace {
 
+using Shape = std::vector<int64_t>;
+
+/**
+ * The result shape an op's operand shapes and integer attributes give,
+ * or the reason they give none (static text). One derivation per op
+ * kind, shared by its create, which asserts on it, and verifyNnOp, which
+ * reports it. Allocation-free, like the hooks. Ranks are checked before.
+ */
+struct DerivedShape {
+    std::array<int64_t, 4> dims = {};
+    size_t rank = 0;
+    /** Elementwise ops: the result has this operand's shape. */
+    const Shape* like = nullptr;
+    const char* error = nullptr;
+
+    bool
+    matches(const Shape& shape) const
+    {
+        if (like != nullptr)
+            return shape == *like;
+        return shape.size() == rank &&
+               std::equal(shape.begin(), shape.end(), dims.begin());
+    }
+
+    Shape
+    vec() const
+    {
+        return like != nullptr ? *like
+                               : Shape(dims.begin(), dims.begin() + rank);
+    }
+};
+
+DerivedShape
+failed(const char* reason)
+{
+    DerivedShape shape;
+    shape.error = reason;
+    return shape;
+}
+
+DerivedShape
+shapeOf(std::initializer_list<int64_t> dims)
+{
+    DerivedShape shape;
+    std::copy(dims.begin(), dims.end(), shape.dims.begin());
+    shape.rank = dims.size();
+    return shape;
+}
+
 /** Output spatial size of a windowed op. */
 int64_t
 convOut(int64_t in, int64_t kernel, int64_t stride, int64_t pad)
 {
     return (in + 2 * pad - kernel) / stride + 1;
+}
+
+/** Input NCHW, weight OIHW (depthwise: C1HW). */
+DerivedShape
+convShape(const Shape& in, const Shape& wt, int64_t stride, int64_t pad,
+          bool depthwise)
+{
+    if (in[1] != wt[depthwise ? 0 : 1])
+        return failed("weight channels differ from the input's");
+    if (in[2] + 2 * pad < wt[2] || in[3] + 2 * pad < wt[3])
+        return failed("window is larger than the padded input");
+    return shapeOf({in[0], depthwise ? in[1] : wt[0],
+                    convOut(in[2], wt[2], stride, pad),
+                    convOut(in[3], wt[3], stride, pad)});
+}
+
+DerivedShape
+poolShape(const Shape& in, int64_t kernel, int64_t stride)
+{
+    if (in[2] < kernel || in[3] < kernel)
+        return failed("window is larger than the padded input");
+    return shapeOf({in[0], in[1], convOut(in[2], kernel, stride, 0),
+                    convOut(in[3], kernel, stride, 0)});
+}
+
+/** Input NF, weight OF. */
+DerivedShape
+linearShape(const Shape& in, const Shape& wt)
+{
+    if (in[1] != wt[1])
+        return failed("weight features differ from the input's");
+    return shapeOf({in[0], wt[0]});
+}
+
+DerivedShape
+elementwiseShape(const Shape& lhs, const Shape* rhs)
+{
+    if (rhs != nullptr && *rhs != lhs)
+        return failed("operands differ in shape");
+    DerivedShape shape;
+    shape.like = &lhs;
+    return shape;
+}
+
+DerivedShape
+flattenShape(const Shape& in)
+{
+    int64_t features = 1;
+    for (size_t i = 1; i < in.size(); ++i)
+        features *= in[i];
+    return shapeOf({in[0], features});
+}
+
+DerivedShape
+concatShape(const Shape& a, const Shape& b)
+{
+    if (a[2] != b[2] || a[3] != b[3])
+        return failed("operands differ in spatial size");
+    return shapeOf({a[0], a[1] + b[1], a[2], a[3]});
+}
+
+DerivedShape
+upsampleShape(const Shape& in, int64_t scale)
+{
+    return shapeOf({in[0], in[1], in[2] * scale, in[3] * scale});
+}
+
+/** The derivation of @p op, which is no nn.weight. */
+DerivedShape
+derivedShape(Operation* op)
+{
+    const Shape& in = op->operand(0)->type().shape();
+    auto other = [&]() -> const Shape& {
+        return op->operand(1)->type().shape();
+    };
+    if (auto conv = dynCast<Conv2dOp>(op))
+        return convShape(in, other(), conv.stride(), conv.pad(), false);
+    if (auto conv = dynCast<DwConv2dOp>(op))
+        return convShape(in, other(), conv.stride(), conv.pad(), true);
+    if (auto pool = dynCast<MaxPoolOp>(op))
+        return poolShape(in, pool.kernel(), pool.stride());
+    if (auto pool = dynCast<AvgPoolOp>(op))
+        return poolShape(in, pool.kernel(), pool.stride());
+    if (isa<LinearOp>(op))
+        return linearShape(in, other());
+    if (isa<NnAddOp>(op))
+        return elementwiseShape(in, &other());
+    if (isa<FlattenOp>(op))
+        return flattenShape(in);
+    if (isa<ConcatOp>(op))
+        return concatShape(in, other());
+    if (auto upsample = dynCast<UpsampleOp>(op))
+        return upsampleShape(in, upsample.scale());
+    return elementwiseShape(in, nullptr);  // nn.relu
+}
+
+bool
+hasDimBelowOne(const Shape& shape)
+{
+    return std::any_of(shape.begin(), shape.end(),
+                       [](int64_t dim) { return dim < 1; });
+}
+
+int64_t
+elementCount(const Shape& shape)
+{
+    int64_t count = 1;
+    for (int64_t dim : shape)
+        count *= dim;
+    return count;
 }
 
 constexpr int kAnyRank = -1;
@@ -108,7 +270,26 @@ verifyNnOp(Operation* op)
         if (attr->asInt() < least)
             return strCat(op->name(), " requires ", key.str(), " >= ", least);
     }
-    return std::nullopt;
+    // Shapes: no dimension below 1, and the result the operands give.
+    for (unsigned i = 0; i < count; ++i)
+        if (hasDimBelowOne(op->operand(i)->type().shape()))
+            return strCat(op->name(), " operand #", i,
+                          " has a dimension below 1");
+    const Shape& result = op->result(0)->type().shape();
+    if (hasDimBelowOne(result))
+        return strCat(op->name(), " result has a dimension below 1");
+    if (isa<NnWeightOp>(op))
+        return std::nullopt;
+    const DerivedShape derived = derivedShape(op);
+    if (derived.error != nullptr)
+        return strCat(op->name(), " ", derived.error);
+    if (derived.matches(result))
+        return std::nullopt;
+    if (isa<FlattenOp>(op) &&
+        elementCount(result) != elementCount(op->operand(0)->type().shape()))
+        return strCat(op->name(), " changes the element count");
+    return strCat(op->name(), " result shape differs from the one its "
+                              "operands give");
 }
 
 } // namespace
@@ -128,20 +309,17 @@ Conv2dOp
 Conv2dOp::create(OpBuilder& builder, Value* input, Value* weight, Value* bias,
                  int64_t stride, int64_t pad)
 {
-    const auto& in = input->type().shape();   // N, C, H, W
-    const auto& wt = weight->type().shape();  // O, I, KH, KW
+    const auto& in = input->type().shape();
+    const auto& wt = weight->type().shape();
     HIDA_ASSERT(in.size() == 4 && wt.size() == 4, "conv2d rank mismatch");
-    HIDA_ASSERT(in[1] == wt[1], "conv2d channel mismatch: input C=", in[1],
-                " weight I=", wt[1]);
-    std::vector<int64_t> out = {in[0], wt[0],
-                                convOut(in[2], wt[2], stride, pad),
-                                convOut(in[3], wt[3], stride, pad)};
+    const DerivedShape out = convShape(in, wt, stride, pad, false);
+    HIDA_ASSERT(out.error == nullptr, "nn.conv2d ", out.error);
     std::vector<Value*> operands = {input, weight};
     if (bias != nullptr)
         operands.push_back(bias);
     Operation* op =
         builder.create(opNameId<Conv2dOp>(), std::move(operands),
-                       {Type::tensor(out, input->type().elementType())});
+                       {Type::tensor(out.vec(), input->type().elementType())});
     op->setIntAttr(strideId(), stride);
     op->setIntAttr(padId(), pad);
     return Conv2dOp(op);
@@ -151,16 +329,14 @@ DwConv2dOp
 DwConv2dOp::create(OpBuilder& builder, Value* input, Value* weight,
                    int64_t stride, int64_t pad)
 {
-    const auto& in = input->type().shape();   // N, C, H, W
-    const auto& wt = weight->type().shape();  // C, 1, KH, KW
-    HIDA_ASSERT(in.size() == 4 && wt.size() == 4 && in[1] == wt[0],
-                "dwconv2d shape mismatch");
-    std::vector<int64_t> out = {in[0], in[1],
-                                convOut(in[2], wt[2], stride, pad),
-                                convOut(in[3], wt[3], stride, pad)};
+    const auto& in = input->type().shape();
+    const auto& wt = weight->type().shape();
+    HIDA_ASSERT(in.size() == 4 && wt.size() == 4, "dwconv2d rank mismatch");
+    const DerivedShape out = convShape(in, wt, stride, pad, true);
+    HIDA_ASSERT(out.error == nullptr, "nn.dwconv2d ", out.error);
     Operation* op =
         builder.create(opNameId<DwConv2dOp>(), {input, weight},
-                       {Type::tensor(out, input->type().elementType())});
+                       {Type::tensor(out.vec(), input->type().elementType())});
     op->setIntAttr(strideId(), stride);
     op->setIntAttr(padId(), pad);
     return DwConv2dOp(op);
@@ -172,11 +348,11 @@ MaxPoolOp::create(OpBuilder& builder, Value* input, int64_t kernel,
 {
     const auto& in = input->type().shape();
     HIDA_ASSERT(in.size() == 4, "maxpool rank mismatch");
-    std::vector<int64_t> out = {in[0], in[1], convOut(in[2], kernel, stride, 0),
-                                convOut(in[3], kernel, stride, 0)};
+    const DerivedShape out = poolShape(in, kernel, stride);
+    HIDA_ASSERT(out.error == nullptr, "nn.maxpool ", out.error);
     Operation* op =
         builder.create(opNameId<MaxPoolOp>(), {input},
-                       {Type::tensor(out, input->type().elementType())});
+                       {Type::tensor(out.vec(), input->type().elementType())});
     op->setIntAttr(kernelId(), kernel);
     op->setIntAttr(strideId(), stride);
     return MaxPoolOp(op);
@@ -188,11 +364,11 @@ AvgPoolOp::create(OpBuilder& builder, Value* input, int64_t kernel,
 {
     const auto& in = input->type().shape();
     HIDA_ASSERT(in.size() == 4, "avgpool rank mismatch");
-    std::vector<int64_t> out = {in[0], in[1], convOut(in[2], kernel, stride, 0),
-                                convOut(in[3], kernel, stride, 0)};
+    const DerivedShape out = poolShape(in, kernel, stride);
+    HIDA_ASSERT(out.error == nullptr, "nn.avgpool ", out.error);
     Operation* op =
         builder.create(opNameId<AvgPoolOp>(), {input},
-                       {Type::tensor(out, input->type().elementType())});
+                       {Type::tensor(out.vec(), input->type().elementType())});
     op->setIntAttr(kernelId(), kernel);
     op->setIntAttr(strideId(), stride);
     return AvgPoolOp(op);
@@ -201,17 +377,17 @@ AvgPoolOp::create(OpBuilder& builder, Value* input, int64_t kernel,
 LinearOp
 LinearOp::create(OpBuilder& builder, Value* input, Value* weight, Value* bias)
 {
-    const auto& in = input->type().shape();   // N, F
-    const auto& wt = weight->type().shape();  // O, F
-    HIDA_ASSERT(in.size() == 2 && wt.size() == 2 && in[1] == wt[1],
-                "linear shape mismatch: in F=", in.size() == 2 ? in[1] : -1,
-                " weight F=", wt.size() == 2 ? wt[1] : -1);
+    const auto& in = input->type().shape();
+    const auto& wt = weight->type().shape();
+    HIDA_ASSERT(in.size() == 2 && wt.size() == 2, "linear rank mismatch");
+    const DerivedShape out = linearShape(in, wt);
+    HIDA_ASSERT(out.error == nullptr, "nn.linear ", out.error);
     std::vector<Value*> operands = {input, weight};
     if (bias != nullptr)
         operands.push_back(bias);
     Operation* op = builder.create(
         opNameId<LinearOp>(), std::move(operands),
-        {Type::tensor({in[0], wt[0]}, input->type().elementType())});
+        {Type::tensor(out.vec(), input->type().elementType())});
     return LinearOp(op);
 }
 
@@ -225,8 +401,9 @@ ReluOp::create(OpBuilder& builder, Value* input)
 NnAddOp
 NnAddOp::create(OpBuilder& builder, Value* lhs, Value* rhs)
 {
-    HIDA_ASSERT(lhs->type().shape() == rhs->type().shape(),
-                "nn.add shape mismatch");
+    const DerivedShape out =
+        elementwiseShape(lhs->type().shape(), &rhs->type().shape());
+    HIDA_ASSERT(out.error == nullptr, "nn.add ", out.error);
     return NnAddOp(builder.create(opNameId<NnAddOp>(), {lhs, rhs},
                                   {lhs->type()}));
 }
@@ -234,13 +411,10 @@ NnAddOp::create(OpBuilder& builder, Value* lhs, Value* rhs)
 FlattenOp
 FlattenOp::create(OpBuilder& builder, Value* input)
 {
-    const auto& in = input->type().shape();
-    int64_t features = 1;
-    for (size_t i = 1; i < in.size(); ++i)
-        features *= in[i];
     return FlattenOp(builder.create(
         opNameId<FlattenOp>(), {input},
-        {Type::tensor({in[0], features}, input->type().elementType())}));
+        {Type::tensor(flattenShape(input->type().shape()).vec(),
+                      input->type().elementType())}));
 }
 
 ConcatOp
@@ -248,12 +422,12 @@ ConcatOp::create(OpBuilder& builder, Value* lhs, Value* rhs)
 {
     const auto& a = lhs->type().shape();
     const auto& b = rhs->type().shape();
-    HIDA_ASSERT(a.size() == 4 && b.size() == 4 && a[2] == b[2] && a[3] == b[3],
-                "nn.concat shape mismatch");
+    HIDA_ASSERT(a.size() == 4 && b.size() == 4, "nn.concat rank mismatch");
+    const DerivedShape out = concatShape(a, b);
+    HIDA_ASSERT(out.error == nullptr, "nn.concat ", out.error);
     return ConcatOp(builder.create(
         opNameId<ConcatOp>(), {lhs, rhs},
-        {Type::tensor({a[0], a[1] + b[1], a[2], a[3]},
-                      lhs->type().elementType())}));
+        {Type::tensor(out.vec(), lhs->type().elementType())}));
 }
 
 UpsampleOp
@@ -263,7 +437,7 @@ UpsampleOp::create(OpBuilder& builder, Value* input, int64_t scale)
     HIDA_ASSERT(in.size() == 4, "upsample rank mismatch");
     Operation* op = builder.create(
         opNameId<UpsampleOp>(), {input},
-        {Type::tensor({in[0], in[1], in[2] * scale, in[3] * scale},
+        {Type::tensor(upsampleShape(in, scale).vec(),
                       input->type().elementType())});
     op->setIntAttr(scaleId(), scale);
     return UpsampleOp(op);

@@ -230,7 +230,9 @@ TEST(ParserVerifyTest, PaddedLoadWithoutMemrefIsADiagnostic)
  * operand or shape read, a negative trip count after lowering) or went
  * through silently on a zero stride. The nn hooks check what the
  * lowering and the interpreter read: operand counts and ranks,
- * attribute kinds, and the ranges of stride, kernel, scale and pad.
+ * attribute kinds, the ranges of stride, kernel, scale and pad, and
+ * shapes: channels that agree, windows that fit the padded input, no
+ * dimension below 1, and each result the shape its operands give.
  */
 void
 expectTinyCnnVerifyFailed(
@@ -307,6 +309,63 @@ TEST(ParserVerifyTest, NnLinearWeightRankIsADiagnostic)
     expectTinyCnnVerifyFailed(
         {{"{seed = 7} : tensor<10x64xi8>", "{seed = 7} : tensor<640xi8>"}},
         "nn.linear operand #1 must have rank 2");
+}
+
+/*
+ * Shape edits: each of these verified clean before the hooks checked
+ * shapes, and compiling it returned a QoR without a diagnostic.
+ */
+
+TEST(ParserVerifyTest, NnConvWeightChannelsAreADiagnostic)
+{
+    // A 3-channel weight on the 2-channel input.
+    expectTinyCnnVerifyFailed(
+        {{"{seed = 1} : tensor<4x2x3x3xi8>", "{seed = 1} : tensor<4x3x3x3xi8>"},
+         {"%w : tensor<4x2x3x3xi8>", "%w : tensor<4x3x3x3xi8>"}},
+        "nn.conv2d weight channels differ from the input's");
+}
+
+TEST(ParserVerifyTest, NnConvResultShapeIsADiagnostic)
+{
+    // The operands give 1x4x8x8.
+    expectTinyCnnVerifyFailed(
+        {{"stride = 1} : tensor<1x4x8x8xi8>", "stride = 1} : tensor<1x4x9x8xi8>"},
+         {"nn.relu(%0 : tensor<1x4x8x8xi8>)", "nn.relu(%0 : tensor<1x4x9x8xi8>)"}},
+        "nn.conv2d result shape differs from the one its operands give");
+}
+
+TEST(ParserVerifyTest, NnLinearResultShapeIsADiagnostic)
+{
+    // A 10-row weight gives 1x10.
+    expectTinyCnnVerifyFailed({{") : tensor<1x10xi8>", ") : tensor<1x12xi8>"}},
+                              "nn.linear result shape differs from the one "
+                              "its operands give");
+}
+
+TEST(ParserVerifyTest, NnFlattenElementCountIsADiagnostic)
+{
+    // 1x4x4x4 holds 64 elements.
+    expectTinyCnnVerifyFailed(
+        {{"tensor<1x4x4x4xi8>) : tensor<1x64xi8>",
+          "tensor<1x4x4x4xi8>) : tensor<1x60xi8>"},
+         {"nn.linear(%8 : tensor<1x64xi8>", "nn.linear(%8 : tensor<1x60xi8>"}},
+        "nn.flatten changes the element count");
+}
+
+TEST(ParserVerifyTest, NnMaxPoolWindowBeyondInputIsADiagnostic)
+{
+    // A 20-wide window on the 8x8 input.
+    expectTinyCnnVerifyFailed({{"kernel = 2", "kernel = 20"}},
+                              "nn.maxpool window is larger than the padded "
+                              "input");
+}
+
+TEST(ParserVerifyTest, NnConvZeroDimensionIsADiagnostic)
+{
+    expectTinyCnnVerifyFailed(
+        {{"stride = 1} : tensor<1x4x8x8xi8>", "stride = 1} : tensor<1x4x0x8xi8>"},
+         {"nn.relu(%0 : tensor<1x4x8x8xi8>)", "nn.relu(%0 : tensor<1x4x0x8xi8>)"}},
+        "nn.conv2d result has a dimension below 1");
 }
 
 } // namespace
