@@ -104,6 +104,12 @@ QorCacheStats& operator+=(QorCacheStats& lhs, const QorCacheStats& rhs);
  * writes are replayed on cache hits so the IR annotation always matches
  * the returned estimate.
  *
+ * A miss computes the estimate from cold-model plans (see NestPlan and
+ * RootPlan): what the model reads of each loop nest and estimated root
+ * besides directives, gathered once per structure epoch. The miss itself
+ * reads directives and does arithmetic, so a DSE point that only
+ * rewrites directives builds no plan (cacheStats().planBuilds).
+ *
  * Invalidation rule: any IR state that influences an estimate must feed
  * the fingerprint — the cache is never explicitly flushed on directive
  * changes, a changed fingerprint simply misses. The dirty-propagation
