@@ -68,48 +68,78 @@ AffineIndexExpr::coeffOf(Value* iv) const
     return 0;
 }
 
+namespace {
+
+/**
+ * True when @p index is affine: an induction variable, a constant, or an
+ * affine.apply of affine values. Unverified input may carry a malformed
+ * map; it needs one integer coefficient per operand and an integer
+ * offset, if any, or the index is not affine.
+ */
+bool
+isAffineIndex(Value* index)
+{
+    if (index->isBlockArgument())
+        return true;
+    Operation* def = index->definingOp();
+    if (isa<ConstantOp>(def))
+        return true;
+    if (!isa<ApplyOp>(def))
+        return false;
+    const Attribute* coeffs = def->findAttr(ApplyOp::coeffsId());
+    if (coeffs == nullptr || !*coeffs || coeffs->kind() != AttrKind::kArray ||
+        coeffs->asArray().size() != def->numOperands())
+        return false;
+    for (unsigned i = 0; i < def->numOperands(); ++i) {
+        const Attribute& coeff = coeffs->asArray()[i];
+        if (!coeff || coeff.kind() != AttrKind::kInt ||
+            !isAffineIndex(def->operand(i)))
+            return false;
+    }
+    const Attribute* offset = def->findAttr(ApplyOp::offsetId());
+    return offset == nullptr || (*offset && offset->kind() == AttrKind::kInt);
+}
+
+/**
+ * Calls @p fn(iv, coeff) for each term of the affine @p index times
+ * @p scale, operands in order, and returns its offset times @p scale.
+ * Allocation-free: decomposeIndex and forEachLoopTerm both read an index
+ * through it.
+ */
+int64_t
+visitAffineTerms(Value* index, int64_t scale,
+                 FunctionRef<void(Value* iv, int64_t coeff)> fn)
+{
+    if (index->isBlockArgument()) {
+        fn(index, scale);
+        return 0;
+    }
+    Operation* def = index->definingOp();
+    if (auto constant = dynCast<ConstantOp>(def))
+        return constant.intValue() * scale;
+    const std::vector<Attribute>& coeffs =
+        def->findAttr(ApplyOp::coeffsId())->asArray();
+    int64_t offset = 0;
+    for (unsigned i = 0; i < def->numOperands(); ++i)
+        offset += visitAffineTerms(def->operand(i), scale * coeffs[i].asInt(),
+                                   fn);
+    if (const Attribute* own = def->findAttr(ApplyOp::offsetId()))
+        offset += own->asInt() * scale;
+    return offset;
+}
+
+} // namespace
+
 std::optional<AffineIndexExpr>
 decomposeIndex(Value* index)
 {
+    if (!isAffineIndex(index))
+        return std::nullopt;
     AffineIndexExpr expr;
-    if (index->isBlockArgument()) {
-        // Direct induction variable.
-        expr.terms.push_back({index, 1});
-        return expr;
-    }
-    Operation* def = index->definingOp();
-    if (isa<ApplyOp>(def)) {
-        // Unverified input may carry a malformed map: one coefficient
-        // per operand or the index is not affine.
-        const Attribute* coeffs = def->findAttr(ApplyOp::coeffsId());
-        if (coeffs == nullptr || !*coeffs ||
-            coeffs->kind() != AttrKind::kArray ||
-            coeffs->asArray().size() != def->numOperands())
-            return std::nullopt;
-        for (unsigned i = 0; i < def->numOperands(); ++i) {
-            const Attribute& coeff = coeffs->asArray()[i];
-            if (!coeff || coeff.kind() != AttrKind::kInt)
-                return std::nullopt;
-            auto nested = decomposeIndex(def->operand(i));
-            if (!nested)
-                return std::nullopt;
-            for (const AffineTerm& term : nested->terms)
-                expr.terms.push_back({term.iv, term.coeff * coeff.asInt()});
-            expr.offset += nested->offset * coeff.asInt();
-        }
-        const Attribute* offset = def->findAttr(ApplyOp::offsetId());
-        if (offset != nullptr) {
-            if (!*offset || offset->kind() != AttrKind::kInt)
-                return std::nullopt;
-            expr.offset += offset->asInt();
-        }
-        return expr;
-    }
-    if (auto constant = dynCast<ConstantOp>(def)) {
-        expr.offset = constant.intValue();
-        return expr;
-    }
-    return std::nullopt;
+    expr.offset = visitAffineTerms(index, 1, [&](Value* iv, int64_t coeff) {
+        expr.terms.push_back({iv, coeff});
+    });
+    return expr;
 }
 
 AffineAccess
@@ -128,14 +158,13 @@ forEachLoopTerm(
     FunctionRef<void(unsigned dim, Operation* loop, int64_t coeff)> fn)
 {
     for (unsigned d = 0; d < access.numIndices; ++d) {
-        std::optional<AffineIndexExpr> expr = decomposeIndex(access.index(d));
-        if (!expr)
+        if (!isAffineIndex(access.index(d)))
             continue;
-        for (const AffineTerm& term : expr->terms) {
-            Operation* loop = term.iv->ownerBlock()->parentOp();
+        visitAffineTerms(access.index(d), 1, [&](Value* iv, int64_t coeff) {
+            Operation* loop = iv->ownerBlock()->parentOp();
             if (isa<ForOp>(loop))
-                fn(d, loop, term.coeff);
-        }
+                fn(d, loop, coeff);
+        });
     }
 }
 
@@ -182,15 +211,18 @@ std::vector<ForOp>
 perfectNest(ForOp outer)
 {
     std::vector<ForOp> nest = {outer};
-    ForOp current = outer;
     while (true) {
-        Block* body = current.body();
         // Count loops among the body ops; descend only through a sole loop.
-        std::vector<ForOp> child_loops = topLevelLoops(body);
-        if (child_loops.size() != 1)
+        Operation* sole = nullptr;
+        int loops = 0;
+        for (Operation* op : *nest.back().body())
+            if (isa<ForOp>(op)) {
+                sole = op;
+                ++loops;
+            }
+        if (loops != 1)
             break;
-        nest.push_back(child_loops.front());
-        current = child_loops.front();
+        nest.push_back(ForOp(sole));
     }
     return nest;
 }

@@ -202,9 +202,9 @@ AffineAccess affineAccessOf(Operation* op);
  * dim) whose induction variable belongs to an affine.for, dims ascending
  * and each dim's terms in decomposition order; an index that does not
  * decompose adds none. Reads only structure (operands, block arguments,
- * parent links) and the structural "coeffs" and "offset". The one
- * extractor of ArrayPartition's access plan and the estimator's
- * cold-model plans.
+ * parent links) and the structural "coeffs" and "offset", and allocates
+ * nothing. The one extractor of ArrayPartition's access plan and the
+ * estimator's cold-model plans.
  */
 void forEachLoopTerm(
     const AffineAccess& access,
