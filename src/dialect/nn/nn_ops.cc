@@ -260,6 +260,9 @@ verifyNnOp(Operation* op)
                           want);
         if (isa<FlattenOp>(op) && rank != 2 && rank != 4)
             return strCat(op->name(), " operand must have rank 2 or 4");
+        if (hasDimBelowOne(type.shape()))
+            return strCat(op->name(), " operand #", i,
+                          " has a dimension below 1");
     }
     for (const auto& [key, least] : sig.ints) {
         const Attribute* attr = key ? op->findAttr(key) : nullptr;
@@ -270,11 +273,7 @@ verifyNnOp(Operation* op)
         if (attr->asInt() < least)
             return strCat(op->name(), " requires ", key.str(), " >= ", least);
     }
-    // Shapes: no dimension below 1, and the result the operands give.
-    for (unsigned i = 0; i < count; ++i)
-        if (hasDimBelowOne(op->operand(i)->type().shape()))
-            return strCat(op->name(), " operand #", i,
-                          " has a dimension below 1");
+    // The result: no dimension below 1, and the shape the operands give.
     const Shape& result = op->result(0)->type().shape();
     if (hasDimBelowOne(result))
         return strCat(op->name(), " result has a dimension below 1");
