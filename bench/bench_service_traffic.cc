@@ -17,6 +17,9 @@
  *    workload must produce the same digest at any
  *    HIDA_SERVICE_CONCURRENCY, clean or faulted — scripts/
  *    service_soak.sh compares digests across concurrency 1/2/4.
+ *    "result_digest" folds the same payloads without the retry
+ *    counts, so a faulted run whose faults all recovered must match
+ *    the clean run's; the soak checks that too.
  *  - SIGINT/SIGTERM mid-run drains gracefully: in-flight requests
  *    finish early (partial), queued ones are answered kShutdown, the
  *    store is flushed, and the bench exits 128+sig — so a kill/restart
@@ -127,16 +130,19 @@ shapedRequest(size_t seq, double deadline_seconds)
 }
 
 /** Everything timing-independent about one terminal response, folded
- * into one hash: status, degraded flag, retry count, result bytes,
- * completion bitmap and surviving failures. Counters that legitimately
- * vary with scheduling (storeHits, evaluated, latencies) are excluded
- * by construction. */
+ * into one hash: status, degraded flag, retry count (unless
+ * @p with_retries is false), result bytes, completion bitmap and
+ * surviving failures. Counters that legitimately vary with scheduling
+ * (storeHits, evaluated, latencies) are excluded by construction.
+ * Without the retry count it digests the answer alone, which faults
+ * that all recovered leave equal to a clean run's. */
 uint64_t
-responseDigest(const ServiceResponse& response)
+responseDigest(const ServiceResponse& response, bool with_retries)
 {
     uint64_t h = hashMix(static_cast<uint64_t>(response.status));
     h = hashCombine(h, response.degraded ? 1 : 0);
-    h = hashCombine(h, response.requestRetries);
+    if (with_retries)
+        h = hashCombine(h, response.requestRetries);
     for (const ServicePoint& point : response.results) {
         uint64_t bits = 0;
         std::memcpy(&bits, &point.util, sizeof(bits));
@@ -172,6 +178,7 @@ struct Sample {
     double queueSeconds = 0.0;
     double runSeconds = 0.0;
     uint64_t digest = 0;
+    uint64_t resultDigest = 0;
 };
 
 } // namespace
@@ -198,7 +205,7 @@ main()
     std::mutex merge_mutex;
     size_t completed = 0, partial = 0, shed = 0, rejected = 0, failed = 0,
            degraded = 0, answered = 0;
-    size_t store_hits = 0, points_evaluated = 0;
+    size_t store_hits = 0, points_evaluated = 0, point_failures = 0;
     std::vector<Sample> samples(requests);
 
     const auto bench_start = std::chrono::steady_clock::now();
@@ -220,11 +227,13 @@ main()
                         .count();
                 sample.queueSeconds = response.queueSeconds;
                 sample.runSeconds = response.runSeconds;
-                sample.digest = responseDigest(response);
+                sample.digest = responseDigest(response, true);
+                sample.resultDigest = responseDigest(response, false);
                 std::lock_guard<std::mutex> lock(merge_mutex);
                 ++answered;
                 store_hits += response.storeHits;
                 points_evaluated += response.evaluated;
+                point_failures += response.failures.size();
                 if (response.degraded)
                     ++degraded;
                 switch (response.status) {
@@ -269,12 +278,14 @@ main()
     // Sequence-ordered fold over the per-request digests: identical
     // workloads must match at any concurrency x workers combination.
     uint64_t response_digest = hashMix(UINT64_C(0x53564344));  // 'SVCD'
+    uint64_t result_digest = response_digest;
     std::vector<double> latencies, queue_waits, exec_times;
     latencies.reserve(requests);
     for (const Sample& sample : samples) {
         if (!sample.answered)
             continue;
         response_digest = hashCombine(response_digest, sample.digest);
+        result_digest = hashCombine(result_digest, sample.resultDigest);
         latencies.push_back(sample.latencySeconds);
         queue_waits.push_back(sample.queueSeconds);
         exec_times.push_back(sample.runSeconds);
@@ -306,10 +317,11 @@ main()
                 completed, partial, shed, rejected, failed, degraded);
     std::printf("  points: %zu evaluated, %zu store hits "
                 "(hit rate %.1f%%), retries %zu point / %zu request, "
-                "%zu requeues\n",
+                "%zu failed points\n",
                 points_evaluated, store_hits, hit_rate * 100.0,
-                stats.pointRetries, stats.requestRetries, stats.requeues);
+                stats.pointRetries, stats.requestRetries, point_failures);
     std::printf("  response digest: %016" PRIx64 "\n", response_digest);
+    std::printf("  result digest: %016" PRIx64 "\n", result_digest);
 
     if (const char* stats_path = std::getenv("HIDA_SERVICE_STATS")) {
         if (*stats_path != '\0') {
@@ -341,11 +353,12 @@ main()
                 "  \"degraded\": %zu,\n"
                 "  \"point_retries\": %zu,\n"
                 "  \"request_retries\": %zu,\n"
-                "  \"requeues\": %zu,\n"
+                "  \"point_failures\": %zu,\n"
                 "  \"max_in_flight\": %zu,\n"
                 "  \"service_submitted\": %zu,\n"
                 "  \"service_answered\": %zu,\n"
                 "  \"response_digest\": \"%016" PRIx64 "\",\n"
+                "  \"result_digest\": \"%016" PRIx64 "\",\n"
                 "  \"interrupted\": %s\n"
                 "}\n",
                 requests, clients, service.concurrency(), rps, p99,
@@ -353,9 +366,9 @@ main()
                 percentile(exec_times, 0.5), percentile(exec_times, 0.99),
                 shed_rate, hit_rate, store.hits, store.misses, completed,
                 partial, shed, rejected, failed, degraded,
-                stats.pointRetries, stats.requestRetries, stats.requeues,
+                stats.pointRetries, stats.requestRetries, point_failures,
                 stats.maxInFlight, stats.submitted, stats.answered,
-                response_digest,
+                response_digest, result_digest,
                 shutdownSignal() != 0 ? "true" : "false");
             std::fclose(f);
         }

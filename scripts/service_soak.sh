@@ -21,7 +21,14 @@
 #            and the bench's response_digest (an order-independent fold
 #            of every per-request payload) must be bit-identical across
 #            all three. Scheduling may reorder work; it must never
-#            change an answer.
+#            change an answer. The faulted leg must not be vacuous: each
+#            run completes at least one request and spends at least one
+#            point retry (a spec whose setup roll fires fails every
+#            request before any point runs). A faulted run with no
+#            failed request and no failed point must also answer like
+#            the clean run: its result_digest (the response digest
+#            without retry counts) equals the clean leg's, since a
+#            recovered fault leaves no trace in an answer.
 #
 # Phases A-C run at HIDA_SERVICE_CONCURRENCY (default 4 here so the
 # TSan job races the multi-lane scheduler, not just the sweep shards).
@@ -116,9 +123,15 @@ echo "OK: warm-start hit rate $hit_rate"
 # ---- Phase D: determinism across concurrency ------------------------------
 echo "== phase D: response determinism across concurrency 1/2/4 =="
 
+# One field of a stats JSON file (numbers and quoted strings).
+json_field() {
+    sed -n 's/.*"'"$2"'": *"\{0,1\}\([^",}]*\)"\{0,1\}.*/\1/p' "$1" |
+        head -n 1
+}
+
 # Run the bench workload at a given concurrency (fresh store each run so
-# every leg sees identical conditions) and print its response_digest.
-run_digest() {
+# every leg sees identical conditions); print its stats file's path.
+run_leg() {
     local conc="$1" fault="$2" tag="$3"
     local out="$WORK/d_${tag}_c${conc}.json"
     local -a fault_env=(-u HIDA_FAULT_INJECT)
@@ -127,19 +140,21 @@ run_digest() {
         HIDA_QOR_STORE="$WORK/d_${tag}_c${conc}.store.bin" \
         HIDA_SERVICE_REQUESTS="$REQUESTS" \
         HIDA_SERVICE_STATS="$out" "$BENCH" > /dev/null
-    grep -oE '"response_digest": "[0-9a-f]+"' "$out" |
-        grep -oE '[0-9a-f]{16}'
+    printf '%s\n' "$out"
 }
 
-for leg in clean: faulted:any:42:0.05; do
+clean_result=""
+for leg in clean: faulted:any:1:0.05; do
     tag="${leg%%:*}"
     fault="${leg#*:}"
     ref=""
     for conc in 1 2 4; do
-        digest="$(run_digest "$conc" "$fault" "$tag")"
-        if [[ -z "$digest" ]]; then
+        stats="$(run_leg "$conc" "$fault" "$tag")"
+        digest="$(json_field "$stats" response_digest)"
+        result="$(json_field "$stats" result_digest)"
+        if [[ -z "$digest" || -z "$result" ]]; then
             echo "FAIL: $tag run at concurrency $conc emitted no" \
-                 "response_digest" >&2
+                 "response_digest or result_digest" >&2
             exit 1
         fi
         if [[ -z "$ref" ]]; then
@@ -150,6 +165,30 @@ for leg in clean: faulted:any:42:0.05; do
                  "answer" >&2
             exit 1
         fi
+        if [[ -z "$fault" ]]; then
+            clean_result="$result"
+            continue
+        fi
+        completed="$(json_field "$stats" completed)"
+        retries="$(json_field "$stats" point_retries)"
+        failed="$(json_field "$stats" failed)"
+        point_failures="$(json_field "$stats" point_failures)"
+        if (( completed < 1 || retries < 1 )); then
+            echo "FAIL: faulted run at concurrency $conc completed" \
+                 "$completed requests with $retries point retries —" \
+                 "the leg exercised no point retry" >&2
+            exit 1
+        fi
+        if (( failed == 0 && point_failures == 0 )) &&
+            [[ "$result" != "$clean_result" ]]; then
+            echo "FAIL: faulted run at concurrency $conc recovered every" \
+                 "fault but answered differently from the clean run" \
+                 "(result_digest $result vs $clean_result)" >&2
+            exit 1
+        fi
+        echo "OK: faulted run at concurrency $conc: $completed completed," \
+             "$retries point retries, $failed failed requests," \
+             "$point_failures failed points (result digest $result)"
     done
     echo "OK: $tag responses bit-identical at concurrency 1/2/4" \
          "(digest $ref)"

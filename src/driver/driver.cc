@@ -116,6 +116,21 @@ addSuffixPasses(PassManager& pm, const FlowOptions& options,
 
 namespace {
 
+/**
+ * Reject invalid input before the first pass: a module that fails the
+ * verifier is the input's fault, so it exits through the fatal
+ * (user-error) path instead of a panic after the first pass. Plain
+ * verify(), not verifyToDiagnostic(): compile() runs inside sweep
+ * points, and an injected verifier fault there must stay out of the
+ * fatal path.
+ */
+void
+verifyInput(ModuleOp module)
+{
+    if (std::optional<std::string> error = verify(module.op()))
+        HIDA_FATAL("input module failed verification: ", *error);
+}
+
 /** Estimate @p module's top function on the estimator's device: QoR,
  * feasibility, overload and degraded throughput. */
 CompileResult
@@ -157,6 +172,7 @@ CompileResult
 compile(ModuleOp module, const FlowOptions& options, const TargetDevice& device)
 {
     registerAllDialects();
+    verifyInput(module);
     PassManager pm;
     addPrefixPasses(pm, options);
     addSuffixPasses(pm, options);
@@ -185,6 +201,7 @@ compileAutoTuned(const std::function<OwnedModule()>& rebuild,
     registerAllDialects();
     OwnedModule owned = rebuild();
     ModuleOp module = owned.get();
+    verifyInput(module);
     PassManager prefix;
     addPrefixPasses(prefix, base_options);
     prefix.run(module);

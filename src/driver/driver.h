@@ -80,7 +80,9 @@ void addSuffixPasses(PassManager& pm, const FlowOptions& options,
 /**
  * Run the @p options pipeline on @p module in place — the prefix, then
  * the suffix, with the verifier after every pass — and estimate QoR on
- * @p device. The module must contain one top-level function.
+ * @p device. The module must contain one top-level function and pass
+ * the verifier: invalid input is a fatal input error, checked once
+ * before the first pass.
  *
  * Thread-safe for concurrent calls on *disjoint* modules: all process-
  * wide state compile touches (identifier interner, type uniquer, op
@@ -123,8 +125,8 @@ bool scaleHlsSupports(ModuleOp module);
  * candidate that an earlier trial estimated is a memo hit (the plan and
  * bookkeeping rules in passes.h). Every trial equals a fresh compile()
  * with the same options. The result's compileSeconds sums the prefix
- * once and every trial's suffix. A @p max_pf below 1 is a fatal input
- * error.
+ * once and every trial's suffix. A @p max_pf below 1, or a first
+ * rebuilt module that fails the verifier, is a fatal input error.
  */
 CompileResult
 compileAutoTuned(const std::function<OwnedModule()>& rebuild,

@@ -47,27 +47,17 @@ class WeightedFairQueue {
         tenantFor(tenant).weight = weight == 0 ? 1 : weight;
     }
 
-    /** Enqueue at the back of @p tenant's FIFO (new admissions). */
+    /** Enqueue at the back of @p tenant's FIFO. */
     void
     push(const std::string& tenant, T item)
     {
         Tenant& t = tenantFor(tenant);
+        // A newly active tenant joins the ring *behind* the cursor: it
+        // waits for the current rotation to come around, it does not
+        // preempt tenants already waiting in this one.
         if (t.queue.empty())
-            activate(tenant);
+            ring_.push_back(tenant);
         t.queue.push_back(std::move(item));
-        ++size_;
-    }
-
-    /** Enqueue at the front of @p tenant's FIFO — re-admissions (e.g. a
-     * backoff requeue whose delay elapsed) go first; they were admitted
-     * before anything now behind them. */
-    void
-    pushFront(const std::string& tenant, T item)
-    {
-        Tenant& t = tenantFor(tenant);
-        if (t.queue.empty())
-            activate(tenant);
-        t.queue.push_front(std::move(item));
         ++size_;
     }
 
@@ -102,38 +92,6 @@ class WeightedFairQueue {
         return true;
     }
 
-    /**
-     * Remove every queued item for which @p pred returns true and hand
-     * it to @p consume, preserving per-tenant FIFO order (shutdown
-     * drains use this to answer fresh requests while leaving
-     * in-progress requeues in place). Ring membership and deficits are
-     * rebuilt afterwards.
-     */
-    template <typename Pred, typename Consume>
-    void
-    drainIf(Pred pred, Consume consume)
-    {
-        for (auto& [name, t] : tenants_) {
-            std::deque<T> kept;
-            for (T& item : t.queue) {
-                if (pred(item)) {
-                    --size_;
-                    consume(std::move(item));
-                } else {
-                    kept.push_back(std::move(item));
-                }
-            }
-            t.queue = std::move(kept);
-        }
-        ring_.clear();
-        cursor_ = 0;
-        for (auto& [name, t] : tenants_) {
-            t.deficit = 0;
-            if (!t.queue.empty())
-                ring_.push_back(name);
-        }
-    }
-
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
@@ -150,16 +108,7 @@ class WeightedFairQueue {
         return tenants_[tenant];
     }
 
-    void
-    activate(const std::string& tenant)
-    {
-        // Insert *behind* the cursor: a newly active tenant waits for
-        // the current rotation to come around, it does not preempt
-        // tenants already waiting in this one.
-        ring_.push_back(tenant);
-    }
-
-    // std::map: deterministic iteration for drainIf and debuggability.
+    // std::map: deterministic iteration for debuggability.
     std::map<std::string, Tenant> tenants_;
     std::vector<std::string> ring_;  ///< Tenants with non-empty queues.
     size_t cursor_ = 0;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <thread>
+#include <limits>
 
 #include "src/models/dnn_models.h"
 #include "src/service/shutdown.h"
@@ -61,12 +61,15 @@ knownServiceModel(const std::string& model)
     return false;
 }
 
-/** Transient per-point failures worth a deterministic re-roll; every
+/** A transient per-point failure, worth a deterministic re-roll; every
  * other code is a property of the design point itself and would fail
  * identically again. */
 bool
-transientPointFailure(ErrorCode code)
+transientPointFailure(const Result<ServicePoint>& result)
 {
+    if (result.ok())
+        return false;
+    const ErrorCode code = result.diag().code;
     return code == ErrorCode::kFaultInjected ||
            code == ErrorCode::kWorkerFailed;
 }
@@ -77,28 +80,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
-}
-
-/** Exponential backoff before retry @p attempt (1-based): base *
- * 2^(attempt-1) ms. Timing never feeds any retry *decision*. */
-double
-backoffMs(double base_ms, size_t attempt)
-{
-    const unsigned shift = attempt > 16 ? 16 : static_cast<unsigned>(attempt);
-    return base_ms * static_cast<double>(1u << (shift - 1));
-}
-
-/** Point-level backoff: sleeps only the executor lane that owns the
- * retrying request, never a scheduler thread. A zero base keeps tests
- * instant. (Request-level backoff is a timed requeue instead — see
- * runRequest.) */
-void
-backoffSleep(double base_ms, size_t attempt)
-{
-    if (base_ms <= 0.0)
-        return;
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        backoffMs(base_ms, attempt)));
 }
 
 /** Parse HIDA_SERVICE_TENANT_WEIGHTS ("name=w,name=w"). Malformed
@@ -122,13 +103,18 @@ parseTenantWeights(const char* text)
         if (eq == std::string::npos || eq == 0 || eq + 1 >= entry.size())
             HIDA_FATAL("HIDA_SERVICE_TENANT_WEIGHTS entry '", entry,
                        "' is not name=weight");
+        constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
         uint64_t weight = 0;
         for (size_t i = eq + 1; i < entry.size(); ++i) {
             const char c = entry[i];
             if (c < '0' || c > '9')
                 HIDA_FATAL("HIDA_SERVICE_TENANT_WEIGHTS entry '", entry,
                            "' has a non-numeric weight");
-            weight = weight * 10 + static_cast<uint64_t>(c - '0');
+            const uint64_t digit = static_cast<uint64_t>(c - '0');
+            if (weight > (kMax - digit) / 10)
+                HIDA_FATAL("HIDA_SERVICE_TENANT_WEIGHTS entry '", entry,
+                           "' has a weight that does not fit in 64 bits");
+            weight = weight * 10 + digit;
         }
         if (weight == 0)
             HIDA_FATAL("HIDA_SERVICE_TENANT_WEIGHTS entry '", entry,
@@ -162,12 +148,13 @@ ServiceOptions
 ServiceOptions::fromEnv()
 {
     ServiceOptions options;
-    options.concurrency =
-        static_cast<unsigned>(envUint("HIDA_SERVICE_CONCURRENCY", 0));
+    options.concurrency = static_cast<unsigned>(
+        envUint("HIDA_SERVICE_CONCURRENCY", options.concurrency));
     options.sweepThreads = static_cast<unsigned>(
-        envUint("HIDA_SERVICE_WORKERS", dseThreadCount()));
-    options.maxQueueDepth = envUint("HIDA_SERVICE_QUEUE_DEPTH", 64);
-    options.maxRetries = envUint("HIDA_SERVICE_RETRIES", 2);
+        envUint("HIDA_SERVICE_WORKERS", options.sweepThreads));
+    options.maxQueueDepth =
+        envUint("HIDA_SERVICE_QUEUE_DEPTH", options.maxQueueDepth);
+    options.maxRetries = envUint("HIDA_SERVICE_RETRIES", options.maxRetries);
     if (const char* weights = std::getenv("HIDA_SERVICE_TENANT_WEIGHTS"))
         options.tenantWeights = parseTenantWeights(weights);
     if (const char* store = std::getenv("HIDA_QOR_STORE"))
@@ -264,20 +251,20 @@ DseService::submit(ServiceRequest request)
                             ErrorCode::kInvalidRequest,
                             "negative deadline");
 
-    // Admission control on *fresh* (never-started) requests: shed at
+    // Admission control on queued (not yet started) requests: shed at
     // the hard depth bound; optionally degrade (sampled strategy, 1/8
     // budget) from the soft bound up, so an overload burst answers
-    // fast-and-cheap instead of rejecting. Backoff requeues are already
-    // admitted work and never count against the bound.
-    if (options_.maxQueueDepth > 0 && freshQueued_ >= options_.maxQueueDepth)
+    // fast-and-cheap instead of rejecting.
+    if (options_.maxQueueDepth > 0 &&
+        queue_.size() >= options_.maxQueueDepth)
         return answerLocked(
             RequestStatus::kShed, ErrorCode::kOverloaded,
-            strCat("queue depth ", freshQueued_, " at bound ",
+            strCat("queue depth ", queue_.size(), " at bound ",
                    options_.maxQueueDepth, "; request shed"));
     Pending pending;
     pending.id = id;
     if (options_.degradeQueueDepth > 0 &&
-        freshQueued_ >= options_.degradeQueueDepth) {
+        queue_.size() >= options_.degradeQueueDepth) {
         const size_t budget =
             request.strategy.budget != 0
                 ? request.strategy.budget
@@ -290,7 +277,6 @@ DseService::submit(ServiceRequest request)
     pending.enqueued = std::chrono::steady_clock::now();
     const std::string tenant = pending.request.tenant;
     queue_.push(tenant, std::move(pending));
-    ++freshQueued_;
     queueCv_.notify_one();
     return id;
 }
@@ -315,10 +301,9 @@ DseService::beginShutdown()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         shuttingDown_ = true;
-        drainFreshLocked();
+        drainQueueLocked();
     }
     queueCv_.notify_all();
-    houseCv_.notify_all();
 }
 
 void
@@ -350,7 +335,7 @@ size_t
 DseService::queueDepth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return freshQueued_;
+    return queue_.size();
 }
 
 void
@@ -396,62 +381,20 @@ DseService::respondLocked(ServiceResponse response)
 }
 
 void
-DseService::drainFreshLocked()
+DseService::drainQueueLocked()
 {
-    // Only never-started requests are answered with kShutdown; backoff
-    // requeues stay — they already ran, so the executors finish their
-    // remaining retry schedule inline (pickRequeuedLocked).
-    queue_.drainIf(
-        [](const Pending& pending) { return pending.requestAttempt == 0; },
-        [&](Pending pending) {
-            --freshQueued_;
-            ServiceResponse response;
-            response.id = pending.id;
-            response.degraded = pending.degraded;
-            response.status = RequestStatus::kRejected;
-            response.diag = Diagnostic(
-                ErrorCode::kShutdown,
-                "service shutting down; request not run", "service");
-            response.queueSeconds = secondsSince(pending.enqueued);
-            respondLocked(std::move(response));
-        });
-}
-
-bool
-DseService::pickRequeuedLocked(Pending* out)
-{
-    // Shutdown path: whatever drainFreshLocked left in the fair queue
-    // is a promoted requeue; the delayed list is taken eagerly,
-    // ignoring notBefore — skipped backoff shapes timing, never any
-    // retry decision.
-    if (queue_.pop(out))
-        return true;
-    if (delayed_.empty())
-        return false;
-    *out = std::move(delayed_.back());
-    delayed_.pop_back();
-    return true;
-}
-
-bool
-DseService::promoteDueLocked(std::chrono::steady_clock::time_point now)
-{
-    bool any = false;
-    for (size_t i = 0; i < delayed_.size();) {
-        if (delayed_[i].notBefore > now) {
-            ++i;
-            continue;
-        }
-        Pending pending = std::move(delayed_[i]);
-        delayed_[i] = std::move(delayed_.back());
-        delayed_.pop_back();
-        const std::string tenant = pending.request.tenant;
-        // Front, not back: the requeue was admitted before anything now
-        // queued behind it.
-        queue_.pushFront(tenant, std::move(pending));
-        any = true;
+    Pending pending;
+    while (queue_.pop(&pending)) {
+        ServiceResponse response;
+        response.id = pending.id;
+        response.degraded = pending.degraded;
+        response.status = RequestStatus::kRejected;
+        response.diag =
+            Diagnostic(ErrorCode::kShutdown,
+                       "service shutting down; request not run", "service");
+        response.queueSeconds = secondsSince(pending.enqueued);
+        respondLocked(std::move(response));
     }
-    return any;
 }
 
 void
@@ -460,7 +403,6 @@ DseService::executorMain(unsigned lane)
     setDiagnosticThreadTag(strCat("svc", lane));
     for (;;) {
         Pending pending;
-        bool have = false;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             // wait_for, not wait: a signal handler cannot notify a
@@ -472,23 +414,14 @@ DseService::executorMain(unsigned lane)
             if (cancel_.cancelled())
                 shuttingDown_ = true;
             if (shuttingDown_ || stop_) {
-                drainFreshLocked();
-                if (!pickRequeuedLocked(&pending))
-                    break;
-                have = true;
-            } else if (queue_.pop(&pending)) {
-                have = true;
-                if (pending.requestAttempt == 0)
-                    --freshQueued_;
+                drainQueueLocked();
+                break;
             }
-            if (have) {
-                ++inFlight_;
-                stats_.maxInFlight =
-                    std::max(stats_.maxInFlight, inFlight_);
-            }
+            if (!queue_.pop(&pending))
+                continue;
+            ++inFlight_;
+            stats_.maxInFlight = std::max(stats_.maxInFlight, inFlight_);
         }
-        if (!have)
-            continue;
         runRequest(std::move(pending));
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -504,17 +437,11 @@ DseService::housekeepingMain()
     setDiagnosticThreadTag("svchk");
     std::unique_lock<std::mutex> lock(mutex_);
     while (!stop_) {
-        // Wake at the earliest pending backoff deadline, or on the
-        // 50ms store-flush tick.
-        auto wake =
-            std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-        for (const Pending& pending : delayed_)
-            wake = std::min(wake, pending.notBefore);
-        houseCv_.wait_until(lock, wake, [&] { return stop_; });
+        // The 50ms store-flush tick.
+        houseCv_.wait_for(lock, std::chrono::milliseconds(50),
+                          [&] { return stop_; });
         if (stop_)
             break;
-        if (promoteDueLocked(std::chrono::steady_clock::now()))
-            queueCv_.notify_all();
         if (store_.needsFlush()) {
             // Append I/O outside the scheduler lock: submits and
             // executors proceed while the queued records hit disk.
@@ -644,23 +571,16 @@ DseService::runRequest(Pending pending)
     ServiceResponse response;
     response.id = pending.id;
     response.degraded = pending.degraded;
-    // Queue wait is measured once, at first dispatch; a backoff requeue
-    // keeps the original figure (its delay is run time the request
-    // earned itself, not scheduler backlog).
-    if (pending.queueSeconds < 0.0)
-        pending.queueSeconds = secondsSince(pending.enqueued);
-    response.queueSeconds = pending.queueSeconds;
-    response.requestRetries = pending.requestRetries;
+    response.queueSeconds = secondsSince(pending.enqueued);
 
-    // Age-based shedding at first dispatch: a request that already
-    // waited past the bound would only add to the backlog it suffered
-    // from. Requeues are exempt — they were admitted in time.
-    if (pending.requestAttempt == 0 && options_.maxQueueAgeSeconds > 0.0 &&
-        pending.queueSeconds > options_.maxQueueAgeSeconds) {
+    // Age-based shedding at dispatch: a request that already waited
+    // past the bound would only add to the backlog it suffered from.
+    if (options_.maxQueueAgeSeconds > 0.0 &&
+        response.queueSeconds > options_.maxQueueAgeSeconds) {
         response.status = RequestStatus::kShed;
         response.diag = Diagnostic(
             ErrorCode::kOverloaded,
-            strCat("request waited ", pending.queueSeconds, "s (bound ",
+            strCat("request waited ", response.queueSeconds, "s (bound ",
                    options_.maxQueueAgeSeconds, "s); request shed"),
             "service");
         respond(std::move(response));
@@ -670,11 +590,9 @@ DseService::runRequest(Pending pending)
     const bool has_deadline = pending.request.deadlineSeconds > 0.0;
     double remaining = 0.0;
     if (has_deadline) {
-        // Queue wait — and any backoff delay a requeue spent — counts
-        // against the tenant's deadline: a request that waited it out
-        // is answered now, not after a futile sweep.
-        remaining = pending.request.deadlineSeconds -
-                    secondsSince(pending.enqueued);
+        // Queue wait counts against the tenant's deadline: a request
+        // that waited it out is answered now, not after a futile sweep.
+        remaining = pending.request.deadlineSeconds - response.queueSeconds;
         if (remaining <= 0.0) {
             response.status = RequestStatus::kPartial;
             response.diag =
@@ -686,15 +604,12 @@ DseService::runRequest(Pending pending)
     }
 
     // Request-level fault site, with the same bounded deterministic
-    // retry discipline as failed points: attempt k re-rolls under key
-    // hash(faultKey, k), so the schedule is identical at any
-    // concurrency. Backoff between attempts is a *timed requeue*: this
-    // executor lane moves on to other requests and the housekeeper
-    // re-admits the request at its tenant's queue front once the delay
-    // elapses — one backing-off request never stalls the pipeline.
+    // retry discipline as failed points: attempt k re-rolls at once
+    // under key hash(faultKey, k), so the schedule is identical at any
+    // concurrency.
     const uint64_t fault_key =
         pending.request.faultKey != 0 ? pending.request.faultKey : pending.id;
-    for (size_t attempt = pending.requestAttempt;; ++attempt) {
+    for (size_t attempt = 0;; ++attempt) {
         FaultScope scope(attempt == 0
                              ? fault_key
                              : hashCombine(hashMix(fault_key), attempt));
@@ -709,38 +624,6 @@ DseService::runRequest(Pending pending)
             return;
         }
         ++response.requestRetries;
-        if (options_.retryBackoffMs > 0.0) {
-            bool requeued = false;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                // Under shutdown the remaining schedule runs inline
-                // with no delay instead (decisions never depend on it).
-                if (!shuttingDown_ && !stop_) {
-                    Pending again;
-                    again.id = pending.id;
-                    again.request = std::move(pending.request);
-                    again.degraded = pending.degraded;
-                    again.enqueued = pending.enqueued;
-                    again.requestAttempt = attempt + 1;
-                    again.requestRetries = response.requestRetries;
-                    again.queueSeconds = pending.queueSeconds;
-                    again.notBefore =
-                        std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double, std::milli>(
-                                backoffMs(options_.retryBackoffMs,
-                                          attempt + 1)));
-                    delayed_.push_back(std::move(again));
-                    ++stats_.requeues;
-                    requeued = true;
-                }
-            }
-            if (requeued) {
-                houseCv_.notify_one();
-                return;  // no terminal response yet: the requeue owns it
-            }
-        }
     }
 
     SessionLease session(*this, pending.request);
@@ -757,21 +640,40 @@ DseService::runRequest(Pending pending)
     if (has_deadline)
         limits.deadlineSeconds = remaining;
 
-    // This request's store hits. The store's own hit counter is shared
-    // by every lane, so a delta of it would also count the hits of
-    // requests running at the same time.
+    // This request's store hits and point retries. The store's own hit
+    // counter is shared by every lane, so a delta of it would also count
+    // the hits of requests running at the same time.
     std::atomic<size_t> store_hits{0};
+    std::atomic<size_t> point_retries{0};
     std::function<ResilientWorker<ServicePoint>()> factory =
-        [this, &session, &grid, &store_hits]() {
+        [this, &session, &grid, &store_hits, &point_retries]() {
             std::shared_ptr<CloneSweepWorker> w = claimWorker(*session);
             ResilientWorker<ServicePoint> worker;
+            // A transient failure re-rolls in place, on a rebuilt clone:
+            // attempt k of point i runs under key hash(i, k), never
+            // under timing or thread placement, so the strategy sees one
+            // answer per point and a recovered fault leaves no trace.
             worker.evaluate =
-                [this, &session, &grid, &store_hits, w](
+                [this, &session, &grid, &store_hits, &point_retries, w](
                     size_t index,
                     const std::vector<int64_t>& values)
                 -> Result<ServicePoint> {
-                return evaluatePoint(*session, *w, grid, index, values,
-                                     store_hits);
+                auto attempt = [&] {
+                    return guardPoint<ServicePoint>(index, [&] {
+                        return evaluatePoint(*session, *w, grid, index, values,
+                                             store_hits);
+                    });
+                };
+                Result<ServicePoint> result = attempt();
+                for (size_t k = 1; k <= options_.maxRetries; ++k) {
+                    if (!transientPointFailure(result))
+                        break;
+                    w->rebuild();
+                    FaultScope scope(hashCombine(hashMix(index), k));
+                    ++point_retries;
+                    result = attempt();
+                }
+                return result;
             };
             worker.recover = [w]() { w->rebuild(); };
             worker.cacheStats = [w]() { return w->estimator.cacheStats(); };
@@ -793,71 +695,13 @@ DseService::runRequest(Pending pending)
     response.completed = std::move(outcome.completed);
     response.failures = std::move(outcome.failures);
     response.workerFailures = std::move(outcome.stats.workerFailures);
-    // The sweep counts every successful evaluate() — including ones the
-    // store answered. "evaluated" reports genuinely recomputed points,
-    // so warm-started requests read as (evaluated 0, storeHits N).
-    const size_t sweep_hits = store_hits.load();
-    response.evaluated = outcome.stats.evaluated > sweep_hits
-                             ? outcome.stats.evaluated - sweep_hits
-                             : 0;
-
-    // Bounded deterministic retry of transient point failures, serial
-    // and in grid order on this thread: attempt k re-rolls point i's
-    // fault dice under key hash(i, k) — never under timing or thread
-    // placement, so retried runs stay bit-identical at any thread count.
-    if (!outcome.stats.stopped && !response.failures.empty() &&
-        options_.maxRetries > 0) {
-        std::shared_ptr<CloneSweepWorker> retry_worker;
-        std::vector<int64_t> values;
-        for (size_t attempt = 1; attempt <= options_.maxRetries;
-             ++attempt) {
-            bool any_transient = false;
-            for (const PointFailure& failure : response.failures)
-                if (transientPointFailure(failure.diag.code))
-                    any_transient = true;
-            if (!any_transient || cancel_.cancelled())
-                break;
-            if (has_deadline && secondsSince(start) >= remaining)
-                break;
-            backoffSleep(options_.retryBackoffMs, attempt);
-            std::vector<PointFailure> still;
-            for (PointFailure& failure : response.failures) {
-                if (!transientPointFailure(failure.diag.code) ||
-                    cancel_.cancelled()) {
-                    still.push_back(std::move(failure));
-                    continue;
-                }
-                if (!retry_worker)
-                    retry_worker = claimWorker(*session);
-                grid.decode(failure.index, values);
-                FaultScope scope(
-                    hashCombine(hashMix(failure.index), attempt));
-                ++response.pointRetries;
-                const size_t hits_before = store_hits.load();
-                Result<ServicePoint> result =
-                    guardPoint<ServicePoint>(failure.index, [&] {
-                        return evaluatePoint(*session, *retry_worker, grid,
-                                             failure.index, values,
-                                             store_hits);
-                    });
-                if (result.ok()) {
-                    response.results[failure.index] = result.value();
-                    response.completed[failure.index] = 1;
-                    if (store_hits.load() == hits_before)
-                        ++response.evaluated;
-                } else {
-                    failure.diag = result.takeDiag();
-                    retry_worker->rebuild();
-                    still.push_back(std::move(failure));
-                }
-            }
-            response.failures = std::move(still);
-        }
-        if (retry_worker)
-            releaseWorker(*session, std::move(retry_worker));
-    }
-
+    // The sweep counts every point it evaluated once, however many
+    // attempts it took — including the points the store answered.
+    // "evaluated" reports genuinely recomputed points, so warm-started
+    // requests read as (evaluated 0, storeHits N).
     response.storeHits = store_hits.load();
+    response.evaluated = outcome.stats.evaluated - response.storeHits;
+    response.pointRetries = point_retries.load();
     response.runSeconds = secondsSince(start);
     if (outcome.stats.stopped && outcome.stats.stopReason) {
         response.status = RequestStatus::kPartial;

@@ -20,14 +20,16 @@
  *    another tenant's request.
  *  - Per-request deadlines ride the existing SweepLimits plumbing; the
  *    wall clock spent queued counts against the deadline.
- *  - Transient per-point failures (kFaultInjected, kWorkerFailed) get
- *    bounded retry-with-backoff, re-rolled serially in grid order with
- *    FaultScope(hash(index, attempt)) — the same deterministic key
+ *  - Transient per-point failures (kFaultInjected, kWorkerFailed) are
+ *    retried at once, in place, inside the sweep's evaluate hook:
+ *    attempt k of point i rebuilds the clone and re-rolls under
+ *    FaultScope(hash(hash(i), k)), the same deterministic key
  *    discipline as the sweep engine, so a fault-injected run is
- *    bit-identical at any thread count. Request-level kService faults
- *    get the same treatment keyed on the request id (or the caller's
- *    faultKey); their backoff is a *timed requeue*, never a sleep on an
- *    executor, so one backing-off request cannot stall the pipeline.
+ *    bit-identical at any thread count, and the strategy sees one
+ *    answer per point: a request whose faults all recover answers like
+ *    a clean one. Request-level kService faults re-roll the same way
+ *    on the executor lane, keyed on the request id (or the caller's
+ *    faultKey).
  *  - Admission control sheds (or, when configured, degrades to a
  *    sampled strategy with a smaller budget) once the queue exceeds a
  *    depth/age bound, so overload answers fast instead of timing out
@@ -35,9 +37,7 @@
  *  - Graceful shutdown: beginShutdown() — or SIGINT/SIGTERM via a
  *    CancelToken chained to processShutdownToken() — finishes in-flight
  *    requests early (partial results), answers every queued request
- *    with kShutdown, runs backing-off requests' remaining retry
- *    schedule immediately (backoff shapes timing, never decisions), and
- *    flushes the store.
+ *    with kShutdown, and flushes the store.
  *
  * Threading model (ROADMAP rules): submit()/wait() are any-thread.
  * ServiceOptions::concurrency executor threads each run one request at
@@ -53,19 +53,17 @@
  * happens-before the lease is returned, so estimator caches stay warm
  * without cross-request sharing). A batch below two fan-out grains
  * (StrategyWorkerPool::kFanOutGrain) runs on the lane alone, so small
- * requests spawn no thread and claim one clone. A
- * housekeeping thread promotes elapsed backoff requeues and appends
- * batched QoR-store records to disk off the request threads. Results are
- * bit-identical at any concurrency x sweepThreads combination: every
- * retry/fault/backoff decision keys on (point or request, attempt),
- * never on timing or executor placement.
+ * requests spawn no thread and claim one clone. A housekeeping thread
+ * appends batched QoR-store records to disk off the request threads.
+ * Results are bit-identical at any concurrency x sweepThreads
+ * combination: every retry/fault decision keys on (point or request,
+ * attempt), never on timing or executor placement.
  */
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -129,7 +127,9 @@ const char* requestStatusName(RequestStatus status);
 /**
  * The exactly-once terminal answer. results/completed are indexed by
  * grid index (like SweepOutcome); failures lists the points that
- * stayed failed after retries, in grid order.
+ * stayed failed after retries, in grid order. Each point the sweep
+ * reached counts once, in storeHits or in evaluated, however many
+ * attempts it took.
  */
 struct ServiceResponse {
     uint64_t id = 0;
@@ -145,9 +145,7 @@ struct ServiceResponse {
     size_t storeHits = 0;       ///< Points served from the QoR store.
     size_t pointRetries = 0;    ///< Per-point retry attempts spent.
     size_t requestRetries = 0;  ///< Request-level retry attempts spent.
-    /** Wall clock from submit to first dispatch (queue wait only;
-     * backoff requeue delay counts as run time, not queue wait). */
-    double queueSeconds = 0.0;
+    double queueSeconds = 0.0;  ///< Wall clock from submit to dispatch.
     double runSeconds = 0.0;
 };
 
@@ -158,7 +156,7 @@ struct ServiceOptions {
      * value — concurrency shapes wall clock only. */
     unsigned concurrency = 0;
     /** Most workers per request sweep, the lane thread included
-     * (HIDA_SERVICE_WORKERS); small batches use fewer. */
+     * (HIDA_SERVICE_WORKERS, default 1); small batches use fewer. */
     unsigned sweepThreads = 1;
     /** Dispatch slots per fair-queue visit for named tenants
      * (HIDA_SERVICE_TENANT_WEIGHTS, "name=w,name=w"); unnamed tenants
@@ -173,14 +171,9 @@ struct ServiceOptions {
     size_t degradeQueueDepth = 0;
     /** Shed a queued request older than this at dequeue (0 = never). */
     double maxQueueAgeSeconds = 0.0;
-    /** Bounded retries per failed point / failed request
+    /** Bounded in-place retries per failed point / failed request
      * (HIDA_SERVICE_RETRIES). */
     size_t maxRetries = 2;
-    /** Backoff before retry attempt k: backoffMs * 2^(k-1). Zero keeps
-     * tests instant; determinism never depends on it. Request-level
-     * backoff is served as a timed requeue (the executor moves on);
-     * point-level backoff sleeps only that request's executor lane. */
-    double retryBackoffMs = 0.0;
     /** QoR store path (HIDA_QOR_STORE; "" = in-memory memo only). */
     std::string storePath;
     TargetDevice device = TargetDevice::pynqZ2();
@@ -207,8 +200,7 @@ struct ServiceStats {
     size_t degraded = 0;
     size_t pointRetries = 0;
     size_t requestRetries = 0;
-    size_t requeues = 0;      ///< Request-level timed backoff requeues.
-    size_t maxInFlight = 0;   ///< Peak concurrently executing requests.
+    size_t maxInFlight = 0;  ///< Peak concurrently executing requests.
 };
 
 class DseService {
@@ -240,9 +232,8 @@ class DseService {
 
     /**
      * Stop admitting, answer every queued request with kShutdown, let
-     * in-flight requests finish early (partial results; a backing-off
-     * request runs its remaining retry schedule without the waits),
-     * flush the store. Idempotent; also triggered by
+     * in-flight requests finish early (partial results), flush the
+     * store. Idempotent; also triggered by
      * processShutdownToken() cancellation (SIGINT/SIGTERM). Responses
      * stay waitable after.
      */
@@ -280,14 +271,6 @@ class DseService {
         ServiceRequest request;
         bool degraded = false;
         std::chrono::steady_clock::time_point enqueued;
-        /** Timed-requeue state: next request-level fault attempt to
-         * roll (0 = never dispatched), retries spent so far, the queue
-         * wait recorded at first dispatch (< 0 = not yet dispatched)
-         * and, for delayed requeues, the eligibility time. */
-        size_t requestAttempt = 0;
-        size_t requestRetries = 0;
-        double queueSeconds = -1.0;
-        std::chrono::steady_clock::time_point notBefore;
     };
 
     /** Exclusive lease of a warm (or freshly built) Session; returns
@@ -304,9 +287,10 @@ class DseService {
     std::shared_ptr<CloneSweepWorker> claimWorker(Session& session);
     static void releaseWorker(Session& session,
                               std::shared_ptr<CloneSweepWorker> worker);
-    /** Serve one point from the store or evaluate and store it. A store
-     * hit increments @p store_hits, the calling request's own counter
-     * (atomic: a round of 128 points or more fans out to helpers). */
+    /** Serve one point from the store or evaluate and store it: one
+     * attempt. A store hit increments @p store_hits, the calling
+     * request's own counter (atomic: a round of 128 points or more fans
+     * out to helpers). */
     Result<ServicePoint> evaluatePoint(Session& session,
                                        CloneSweepWorker& worker,
                                        const DesignPointGrid& grid,
@@ -315,15 +299,8 @@ class DseService {
                                        std::atomic<size_t>& store_hits);
     void respond(ServiceResponse response);
     void respondLocked(ServiceResponse response);
-    /** Answer every never-started queued request with kShutdown;
-     * backing-off requeues stay (executors finish them inline). */
-    void drainFreshLocked();
-    /** Pop any backing-off requeue, ignoring its notBefore (shutdown
-     * path: the remaining schedule runs without the waits). */
-    bool pickRequeuedLocked(Pending* out);
-    /** Move delayed requeues whose backoff elapsed into their tenant's
-     * queue front. Returns whether any became runnable. */
-    bool promoteDueLocked(std::chrono::steady_clock::time_point now);
+    /** Answer every queued request with kShutdown. */
+    void drainQueueLocked();
 
     ServiceOptions options_;
     QorStore store_;
@@ -333,9 +310,7 @@ class DseService {
     std::condition_variable queueCv_;     ///< Executor wakeups.
     std::condition_variable houseCv_;     ///< Housekeeping wakeups.
     std::condition_variable responseCv_;  ///< wait() wakeups.
-    WeightedFairQueue<Pending> queue_;    ///< Runnable, per-tenant DRR.
-    std::vector<Pending> delayed_;        ///< Backoff requeues, unordered.
-    size_t freshQueued_ = 0;  ///< Admission depth: never-started entries.
+    WeightedFairQueue<Pending> queue_;    ///< Admitted, per-tenant DRR.
     size_t inFlight_ = 0;
     std::unordered_map<uint64_t, ServiceResponse> responses_;
     std::unordered_map<uint64_t, uint8_t> outstanding_;  ///< Totality check.

@@ -22,6 +22,9 @@
 #include <vector>
 
 #include "src/driver/driver.h"
+#include "src/ir/parser.h"
+#include "src/ir/printer.h"
+#include "src/ir/registry.h"
 #include "src/models/dnn_models.h"
 #include "src/models/polybench.h"
 #include "src/support/diagnostics.h"
@@ -284,6 +287,39 @@ TEST(CompileAutoTunedDeathTest, FactorBelowOneIsFatal)
     const FlowOptions options = optionsFor(Flow::kHida);
     EXPECT_EXIT(compileAutoTuned(build, options, TargetDevice::zu3eg(), 0),
                 ::testing::ExitedWithCode(kFatalExitCode), "max_pf");
+}
+
+/** The printed tiny CNN with its maxpool kernel edited to 0: it parses,
+ * and the verifier rejects it. */
+OwnedModule
+zeroKernelTinyCnn()
+{
+    registerAllDialects();
+    std::string text = toString(buildTinyCnn().get().op());
+    const std::string from = "kernel = 2";
+    const size_t pos = text.find(from);
+    HIDA_ASSERT(pos != std::string::npos, "the tiny CNN has no ", from);
+    text.replace(pos, from.size(), "kernel = 0");
+    return std::move(parseModule(text).value());
+}
+
+// Invalid input is the input's fault: both entry points verify it before
+// the first pass and exit through HIDA_FATAL, never a panic after it.
+TEST(CompileDeathTest, InvalidInputIsFatal)
+{
+    EXPECT_EXIT(
+        {
+            OwnedModule module = zeroKernelTinyCnn();
+            compile(module.get(), Flow::kHida, TargetDevice::zu3eg());
+        },
+        ::testing::ExitedWithCode(kFatalExitCode), "kernel >= 1");
+}
+
+TEST(CompileAutoTunedDeathTest, InvalidInputIsFatal)
+{
+    EXPECT_EXIT(compileAutoTuned(zeroKernelTinyCnn, optionsFor(Flow::kHida),
+                                 TargetDevice::zu3eg()),
+                ::testing::ExitedWithCode(kFatalExitCode), "kernel >= 1");
 }
 
 } // namespace

@@ -2,13 +2,12 @@
  * @file
  * Unit tests for the deficit-weighted fair queue underneath the DSE
  * service scheduler (src/service/fair_queue.h): weighted slot grants,
- * deficit forfeiture on drain (no banking), FIFO order within a
- * tenant, front re-admission, and the selective shutdown drain.
+ * deficit forfeiture on drain (no banking) and FIFO order within a
+ * tenant.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -84,44 +83,6 @@ TEST(WeightedFairQueueTest, DrainedTenantForfeitsLeftoverDeficit)
     queue.push("a", 5);
     queue.push("a", 6);
     EXPECT_EQ(popAll(queue), (std::vector<int>{2, 3, 4, 5, 6}));
-}
-
-TEST(WeightedFairQueueTest, PushFrontReadmitsAheadOfLaterArrivals)
-{
-    WeightedFairQueue<int> queue;
-    queue.push("a", 1);
-    queue.push("a", 2);
-    queue.pushFront("a", 99);  // e.g. a backoff requeue whose delay elapsed
-    EXPECT_EQ(popAll(queue), (std::vector<int>{99, 1, 2}));
-}
-
-TEST(WeightedFairQueueTest, DrainIfRemovesSelectivelyAndKeepsOrder)
-{
-    WeightedFairQueue<int> queue;
-    queue.setWeight("a", 2);
-    for (int i = 1; i <= 6; ++i)
-        queue.push(i % 2 == 0 ? "even" : "odd", i);
-    std::vector<int> drained;
-    queue.drainIf([](int item) { return item % 3 == 0; },
-                  [&](int item) { drained.push_back(item); });
-    EXPECT_EQ(drained, (std::vector<int>{6, 3}));  // per-tenant order
-    EXPECT_EQ(queue.size(), 4u);
-    std::vector<int> rest = popAll(queue);
-    std::sort(rest.begin(), rest.end());
-    EXPECT_EQ(rest, (std::vector<int>{1, 2, 4, 5}));
-}
-
-TEST(WeightedFairQueueTest, DrainIfCanEmptyATenantEntirely)
-{
-    WeightedFairQueue<int> queue;
-    queue.push("a", 1);
-    queue.push("b", 2);
-    queue.drainIf([](int item) { return item == 1; }, [](int) {});
-    EXPECT_EQ(queue.size(), 1u);
-    EXPECT_EQ(popAll(queue), (std::vector<int>{2}));
-    // The emptied tenant re-activates cleanly on its next push.
-    queue.push("a", 7);
-    EXPECT_EQ(popAll(queue), (std::vector<int>{7}));
 }
 
 } // namespace

@@ -10,16 +10,16 @@
  *    tenant-triggerable conditions.
  *  - Determinism: under HIDA_FAULT_INJECT-style configs, surviving
  *    points are bit-identical at any sweepThreads count, and retry
- *    re-rolls are keyed on (point index, attempt) — never timing.
+ *    re-rolls are keyed on (point index, attempt) — never timing. A
+ *    point retries in place, so a request whose faults all recover
+ *    answers byte-identically to the same request run clean.
  *  - Durability: a second service instance opened on the same
  *    HIDA_QOR_STORE path warm-starts with a hit rate above 50%
  *    (here: 100%); corrupt or foreign store bytes degrade to misses
  *    (kStoreCorrupt), never to wrong answers or aborts.
  *  - Concurrency and fairness: per-request payloads are bit-identical
- *    at any HIDA_SERVICE_CONCURRENCY, deficit-weighted fair queuing
- *    keeps a chatty tenant from starving a light one, and a
- *    backing-off request is a timed requeue that never stalls the
- *    executor lanes.
+ *    at any HIDA_SERVICE_CONCURRENCY, and deficit-weighted fair
+ *    queuing keeps a chatty tenant from starving a light one.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,13 +78,17 @@ smallRequest()
     return request;
 }
 
-/** The full 2400-point Table 1 LeNet grid: seconds of sweep on any
- * machine, so it reliably occupies an executor lane while a test
- * arranges the queue behind it. */
+/** The full 2400-point Table 1 LeNet grid, behind an unbound leading
+ * axis of @p repetitions values when that is nonzero. */
 DesignPointGrid
-bigGrid()
+bigGrid(int64_t repetitions = 0)
 {
     DesignPointGrid grid;
+    if (repetitions > 0) {
+        std::vector<int64_t> values(static_cast<size_t>(repetitions));
+        std::iota(values.begin(), values.end(), 0);
+        grid.addAxis("rep", std::move(values));
+    }
     grid.addDirectiveAxis("kpf1", {1, 2, 3, 6}, 1, "kpf_loop");
     grid.addDirectiveAxis("cpf1", {1}, 1, "cpf_loop");
     grid.addDirectiveAxis("kpf2", {1, 2, 4, 8, 16}, 2, "kpf_loop");
@@ -383,7 +388,74 @@ TEST_F(ServiceTest, PointRetriesRecoverTransientFaults)
     EXPECT_TRUE(response.failures.empty());
     for (uint8_t done : response.completed)
         EXPECT_EQ(done, 1);
+    // A retried point still counts once.
+    EXPECT_EQ(response.storeHits + response.evaluated, 8u);
     EXPECT_EQ(service.stats().pointRetries, response.pointRetries);
+
+    // Rate 1.0: every attempt faults, so each point spends all of its
+    // retries and stays failed; the request itself still completes.
+    ServiceOptions exhausting;
+    exhausting.maxRetries = 2;
+    DseService exhausted_service(exhausting);
+    setFaultConfig(faultsAt(FaultSite::kEstimator, 42, 1.0));
+    ServiceResponse exhausted =
+        exhausted_service.wait(exhausted_service.submit(smallRequest()));
+    setFaultConfig(FaultConfig());
+    EXPECT_EQ(exhausted.status, RequestStatus::kCompleted);
+    ASSERT_EQ(exhausted.failures.size(), 8u);
+    for (const PointFailure& failure : exhausted.failures)
+        EXPECT_EQ(failure.diag.code, ErrorCode::kFaultInjected);
+    EXPECT_EQ(exhausted.pointRetries, 16u);
+}
+
+TEST_F(ServiceTest, RecoveredFaultsDoNotShowInTheAnswer)
+{
+    // An evolve search picks its next points from the QoR of earlier
+    // ones. A point retries in place, so the strategy sees its recovered
+    // answer, never the fault: when every fault recovers, the request
+    // answers byte-identically to the same request run clean. Each run
+    // uses a fresh service (empty store), so every point rolls the
+    // estimator fault dice.
+    auto run = [](uint64_t fault_seed) {
+        ServiceOptions options;
+        options.maxRetries = 4;
+        DseService service(options);
+        if (fault_seed != 0)
+            setFaultConfig(faultsAt(FaultSite::kEstimator, fault_seed, 0.2));
+        ServiceRequest request = smallRequest();
+        request.grid = bigGrid();
+        request.strategy.kind = StrategyKind::kEvolve;
+        request.strategy.budget = 120;
+        request.strategy.seed = 42;
+        request.strategy.costLimit = 1.05;
+        ServiceResponse response = service.wait(service.submit(request));
+        setFaultConfig(FaultConfig());
+        return response;
+    };
+
+    const ServiceResponse clean = run(0);
+    ASSERT_EQ(clean.status, RequestStatus::kCompleted)
+        << clean.diag.message;
+    ASSERT_EQ(clean.results.size(), bigGrid().size());
+    // Fault seeds 1-8 at rate 0.2 leave no point failed after four
+    // retries, so each answer must equal the clean one.
+    for (uint64_t fault_seed = 1; fault_seed <= 8; ++fault_seed) {
+        SCOPED_TRACE(fault_seed);
+        const ServiceResponse faulted = run(fault_seed);
+        ASSERT_EQ(faulted.status, RequestStatus::kCompleted)
+            << faulted.diag.message;
+        ASSERT_TRUE(faulted.failures.empty());
+        EXPECT_GT(faulted.pointRetries, 0u);
+        EXPECT_EQ(faulted.completed, clean.completed);
+        ASSERT_EQ(faulted.results.size(), clean.results.size());
+        EXPECT_EQ(std::memcmp(faulted.results.data(), clean.results.data(),
+                              clean.results.size() * sizeof(ServicePoint)),
+                  0);
+        size_t completed = 0;
+        for (uint8_t done : faulted.completed)
+            completed += done;
+        EXPECT_EQ(faulted.storeHits + faulted.evaluated, completed);
+    }
 }
 
 TEST_F(ServiceTest, RequestLevelFaultExhaustsRetriesIntoFailed)
@@ -441,16 +513,26 @@ TEST_F(ServiceTest, UnrepresentableDeadlineIsNoDeadline)
 // Admission control and shutdown.
 // ---------------------------------------------------------------------------
 
-/** Occupy one executor lane deterministically: a full-grid sweep takes
- * seconds on any machine, so until its id is answered the lane is busy
- * and (at concurrency 1) the queue behind it is static. Returns once
+/** Repetitions of the Table 1 grid in a blocker's sweep. */
+constexpr int64_t kBlockerRepetitions = 100;
+
+/** Occupy one executor lane by construction: the Table 1 grid behind an
+ * unbound 100-value repetition axis. Each point is a fresh store key
+ * and, the repetition axis being the slowest, a real directive change,
+ * so the 240,000-point sweep takes over a second in a Release build,
+ * far longer than a test takes to arrange the queue behind it: it ends
+ * at @p deadline_seconds (0 = none) or at beginShutdown(). Returns once
  * the request left the queue, i.e. the lane owns it. */
 uint64_t
-submitBlocker(DseService& service)
+submitBlocker(DseService& service, double deadline_seconds = 0.0)
 {
     ServiceRequest request = smallRequest();
-    request.grid = bigGrid();
-    uint64_t id = service.submit(request);
+    request.grid = bigGrid(kBlockerRepetitions);
+    // Row-major proposes the grid in index order, the cheapest way to
+    // propose this many points under a sanitizer.
+    request.strategy.order = PointOrder::kRowMajor;
+    request.deadlineSeconds = deadline_seconds;
+    const uint64_t id = service.submit(std::move(request));
     while (service.queueDepth() > 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return id;
@@ -465,7 +547,7 @@ TEST_F(ServiceTest, OverloadShedsAtDepthBoundAndDegradesBelowIt)
     DseService service(options);
 
     const uint64_t blocker = submitBlocker(service);
-    // The lane sweeps for seconds; these submits see a static queue.
+    // The lane sweeps until shutdown; these submits see a static queue.
     const uint64_t plain = service.submit(smallRequest());     // depth 0->1
     const uint64_t degraded = service.submit(smallRequest());  // depth 1->2
     const uint64_t shed = service.submit(smallRequest());      // at bound
@@ -510,115 +592,20 @@ TEST_F(ServiceTest, StaleQueuedRequestsAreShedAtDequeue)
     ServiceOptions options;
     options.concurrency = 1;
     options.maxQueueAgeSeconds = 0.2;
-    options.maxRetries = 2;
-    options.retryBackoffMs = 500.0;
     DseService service(options);
 
-    // Occupy the lane for ~1.5s of *point-level* retry backoff (which,
-    // unlike request-level backoff, deliberately sleeps only this
-    // lane): every point of the blocker faults, so its retry schedule
-    // sleeps 500ms + 1s between deterministic re-rolls.
-    setFaultConfig(faultsAt(FaultSite::kEstimator, 42, 1.0));
-    const uint64_t blocker = service.submit(smallRequest());
-    while (service.queueDepth() > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    // Queued behind that with a 0.2s age bound: by the time the lane
-    // reaches it, running it would be overload amplification — it is
-    // shed instead.
+    // The blocker holds the only lane until its 0.4s deadline. Queued
+    // behind it with a 0.2s age bound, the next request has waited too
+    // long by the time the lane reaches it: running it would be
+    // overload amplification, so it is shed instead.
+    const uint64_t blocker = submitBlocker(service, 0.4);
     const uint64_t stale = service.submit(smallRequest());
 
     ServiceResponse response = service.wait(stale);
     EXPECT_EQ(response.status, RequestStatus::kShed);
     EXPECT_EQ(response.diag.code, ErrorCode::kOverloaded);
     EXPECT_GE(response.queueSeconds, 0.2);
-    ServiceResponse blocker_response = service.wait(blocker);
-    setFaultConfig(FaultConfig());
-    EXPECT_EQ(blocker_response.failures.size(), 8u);
-    EXPECT_GE(blocker_response.pointRetries, 8u);
-}
-
-TEST_F(ServiceTest, BackoffRequeueDoesNotStallThePipeline)
-{
-    // Find a fault key whose service-site verdict fires on attempts
-    // 0..2 (that request exhausts its retries) and one that never
-    // fires on attempt 0 (that request sails through). The verdict is
-    // a pure function of (seed, site, scope key), so probing here sees
-    // exactly what the service will see.
-    setFaultConfig(faultsAt(FaultSite::kService, 42, 0.5));
-    auto fires = [](uint64_t key, size_t attempt) {
-        FaultScope scope(attempt == 0 ? key
-                                      : hashCombine(hashMix(key), attempt));
-        return shouldInjectFault(FaultSite::kService);
-    };
-    uint64_t blocked_key = 0;
-    uint64_t free_key = 0;
-    for (uint64_t key = 1; key < 4096; ++key) {
-        if (blocked_key == 0 && fires(key, 0) && fires(key, 1) &&
-            fires(key, 2))
-            blocked_key = key;
-        if (free_key == 0 && !fires(key, 0))
-            free_key = key;
-        if (blocked_key != 0 && free_key != 0)
-            break;
-    }
-    ASSERT_NE(blocked_key, 0u);
-    ASSERT_NE(free_key, 0u);
-
-    // One lane, real backoff: under PR 9's dispatcher the backing-off
-    // request held the lane for 1s + 2s; with the timed requeue the
-    // free request must be answered while the faulted one is still
-    // waiting out its first backoff.
-    ServiceOptions options;
-    options.concurrency = 1;
-    options.maxRetries = 2;
-    options.retryBackoffMs = 1000.0;
-    DseService service(options);
-
-    ServiceRequest blocked_request = smallRequest();
-    blocked_request.faultKey = blocked_key;
-    const uint64_t blocked = service.submit(blocked_request);
-    ServiceRequest free_request = smallRequest();
-    free_request.faultKey = free_key;
-    const uint64_t free_id = service.submit(free_request);
-
-    ServiceResponse free_response = service.wait(free_id);
-    EXPECT_EQ(free_response.status, RequestStatus::kCompleted)
-        << free_response.diag.message;
-    // The faulted request is mid-backoff, not answered and not holding
-    // the lane.
-    ServiceStats mid = service.stats();
-    EXPECT_EQ(mid.failed, 0u);
-    EXPECT_GE(mid.requeues, 1u);
-
-    ServiceResponse blocked_response = service.wait(blocked);
-    setFaultConfig(FaultConfig());
-    EXPECT_EQ(blocked_response.status, RequestStatus::kFailed);
-    EXPECT_EQ(blocked_response.diag.code, ErrorCode::kFaultInjected);
-    EXPECT_EQ(blocked_response.requestRetries, 2u);
-    EXPECT_EQ(service.stats().requeues, 2u);
-}
-
-TEST_F(ServiceTest, ShutdownRunsRemainingRetryScheduleWithoutDelay)
-{
-    // A minute of backoff that must never actually be waited: shutdown
-    // runs the remaining retry schedule inline (backoff shapes timing,
-    // never decisions), so the request still fails with its full
-    // deterministic retry count — fast.
-    ServiceOptions options;
-    options.concurrency = 1;
-    options.maxRetries = 2;
-    options.retryBackoffMs = 60000.0;
-    DseService service(options);
-    setFaultConfig(faultsAt(FaultSite::kService, 42, 1.0));
-    const uint64_t id = service.submit(smallRequest());
-    while (service.stats().requeues == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    service.beginShutdown();
-    ServiceResponse response = service.wait(id);
-    setFaultConfig(FaultConfig());
-    EXPECT_EQ(response.status, RequestStatus::kFailed);
-    EXPECT_EQ(response.diag.code, ErrorCode::kFaultInjected);
-    EXPECT_EQ(response.requestRetries, 2u);
+    service.wait(blocker);
 }
 
 TEST_F(ServiceTest, WeightedFairQueuingPreventsStarvation)
@@ -632,7 +619,7 @@ TEST_F(ServiceTest, WeightedFairQueuingPreventsStarvation)
     options.tenantWeights["heavy"] = 2;
     DseService service(options);
 
-    const uint64_t blocker = submitBlocker(service);
+    const uint64_t blocker = submitBlocker(service, 0.3);
     std::vector<uint64_t> heavy;
     for (int i = 0; i < 6; ++i) {
         ServiceRequest request = smallRequest();
@@ -801,27 +788,17 @@ TEST_F(ServiceTest, ShutdownMidSweepYieldsPartialResults)
     ServiceOptions options;
     DseService service(options);
 
-    // The full 2400-point Table 1 grid: seconds of sweep on any
-    // machine, so beginShutdown() lands mid-run.
-    ServiceRequest request = smallRequest();
-    request.grid = DesignPointGrid();
-    request.grid.addDirectiveAxis("kpf1", {1, 2, 3, 6}, 1, "kpf_loop");
-    request.grid.addDirectiveAxis("cpf1", {1}, 1, "cpf_loop");
-    request.grid.addDirectiveAxis("kpf2", {1, 2, 4, 8, 16}, 2, "kpf_loop");
-    request.grid.addDirectiveAxis("cpf2", {1, 2, 3, 6}, 2, "cpf_loop");
-    request.grid.addDirectiveAxis("kpf3", {1, 2, 3, 4, 6, 8}, 3,
-                                  "kpf_loop");
-    request.grid.addDirectiveAxis("cpf3", {1, 2, 4, 8, 16}, 3, "cpf_loop");
-    const uint64_t id = service.submit(request);
-    while (service.queueDepth() > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // The blocker sweeps until shutdown, so beginShutdown() lands
+    // mid-run.
+    const uint64_t id = submitBlocker(service);
     service.beginShutdown();
 
     ServiceResponse response = service.wait(id);
     ASSERT_EQ(response.status, RequestStatus::kPartial);
     EXPECT_EQ(response.diag.code, ErrorCode::kShutdown);
-    EXPECT_EQ(response.results.size(), request.grid.size());
-    EXPECT_LT(response.evaluated, request.grid.size());
+    EXPECT_EQ(response.results.size(),
+              bigGrid(kBlockerRepetitions).size());
+    EXPECT_LT(response.evaluated, response.results.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -925,6 +902,37 @@ TEST_F(ServiceTest, FromEnvReadsTheDocumentedKnobs)
     EXPECT_EQ(options.tenantWeights["alice"], 4u);
     EXPECT_EQ(options.tenantWeights["bob"], 2u);
     EXPECT_EQ(options.storePath, "/tmp/hida-env-store.qst");
+
+    // Unset knobs keep the struct's defaults; the largest 64-bit weight
+    // still parses.
+    setenv("HIDA_SERVICE_TENANT_WEIGHTS", "alice=18446744073709551615", 1);
+    ServiceOptions defaults = ServiceOptions::fromEnv();
+    unsetenv("HIDA_SERVICE_TENANT_WEIGHTS");
+    EXPECT_EQ(defaults.sweepThreads, ServiceOptions().sweepThreads);
+    EXPECT_EQ(defaults.concurrency, ServiceOptions().concurrency);
+    EXPECT_EQ(defaults.maxQueueDepth, ServiceOptions().maxQueueDepth);
+    EXPECT_EQ(defaults.maxRetries, ServiceOptions().maxRetries);
+    EXPECT_EQ(defaults.tenantWeights["alice"],
+              std::numeric_limits<uint64_t>::max());
+}
+
+TEST(ServiceDeathTest, TenantWeightBeyond64BitsIsFatal)
+{
+    // setenv() before EXPECT_EXIT is inherited by the forked child. A
+    // weight must fit in 64 bits, as envUint's numbers must: past
+    // 2^64 - 1 it is fatal, never wrapped (2^64 + 1 to weight 1).
+    auto expectFatal = [](const char* weights) {
+        SCOPED_TRACE(weights);
+        setenv("HIDA_SERVICE_TENANT_WEIGHTS", weights, 1);
+        EXPECT_EXIT(ServiceOptions::fromEnv(),
+                    ::testing::ExitedWithCode(kFatalExitCode),
+                    "does not fit in 64 bits");
+    };
+    expectFatal("alice=18446744073709551616");
+    expectFatal("alice=18446744073709551617");
+    expectFatal("alice=36893488147419103234");
+    expectFatal("alice=99999999999999999999999");
+    unsetenv("HIDA_SERVICE_TENANT_WEIGHTS");
 }
 
 } // namespace
