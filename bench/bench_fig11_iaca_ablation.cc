@@ -7,17 +7,24 @@
  * to flawed (over-subscribed, misaligned) designs; where all arms work,
  * IA+CA spends several-fold less DSP/BRAM for the same throughput.
  *
- * Points are independent full compiles; the sweep is the exhaustive
- * strategy over the (arm, PF) grid through runStrategySweep at fan-out
- * grain 1 (its 20 points get one worker each up to HIDA_BENCH_THREADS;
- * the default grain of 64 would run them inline on one thread) and
- * prints in grid order, so the output is identical at any
- * HIDA_BENCH_THREADS. A lost point or worker is fatal: the figure is
- * printed whole or not at all.
+ * The arms and the factor are read only by parallelize, in the suffix,
+ * so a worker keeps one TrialEvaluator: its first point builds ResNet-18
+ * and runs the prefix, and every point runs the suffix at its arm and
+ * factor as an in-place trial on that module. A serial run compiles one
+ * prefix and 20 suffixes. The sweep is the exhaustive strategy over the
+ * (arm, PF) grid through runStrategySweep at fan-out grain 1 (its 20
+ * points get one worker each up to HIDA_BENCH_THREADS; the default grain
+ * of 64 would run them inline on one thread). A trial equals a fresh
+ * compile, so results do not depend on which worker ran which point;
+ * they print in grid order, so the output is identical at any
+ * HIDA_BENCH_THREADS. A failed point drops the worker's evaluator, so
+ * the next point rebuilds its prefix. A lost point or worker is fatal:
+ * the figure is printed whole or not at all.
  */
 
 #include <cstdio>
 #include <iterator>
+#include <memory>
 
 #include "src/driver/driver.h"
 #include "src/dse/strategy.h"
@@ -52,17 +59,23 @@ main()
     SweepOutcome<CompileResult> outcome = runStrategySweep<CompileResult>(
         grid, *exhaustive,
         [&]() {
+            auto evaluator =
+                std::make_shared<std::unique_ptr<TrialEvaluator>>();
             ResilientWorker<CompileResult> worker;
-            worker.evaluate = [&device, &arms](
+            worker.evaluate = [&device, &arms, evaluator](
                                   size_t, const std::vector<int64_t>& vals)
                 -> Result<CompileResult> {
-                OwnedModule module = buildDnnModel("ResNet-18", nullptr);
                 FlowOptions options = optionsFor(Flow::kHida);
+                if (!*evaluator)
+                    *evaluator = std::make_unique<TrialEvaluator>(
+                        buildDnnModel("ResNet-18", nullptr), options,
+                        device);
                 options.maxParallelFactor = vals[1];
                 const Arm& arm = arms[vals[0]];
                 options.strategy = {arm.ia, arm.ca};
-                return compile(module.get(), options, device);
+                return (*evaluator)->run(options);
             };
+            worker.recover = [evaluator]() { evaluator->reset(); };
             return worker;
         },
         nullptr, dseThreadCount(), SweepLimits(), schedule);

@@ -25,6 +25,8 @@
  *    store is flushed, and the bench exits 128+sig — so a kill/restart
  *    pair warm-starts from the persistent store (scripts/
  *    service_soak.sh drives exactly that and checks hit rate > 50%).
+ *    The first answered request prints "service traffic: first
+ *    response" to stderr, the soak's cue to send the signal.
  *
  * Knobs (all documented in the README table):
  *   HIDA_SERVICE_REQUESTS     total requests to submit (default 60)
@@ -230,7 +232,11 @@ main()
                 sample.digest = responseDigest(response, true);
                 sample.resultDigest = responseDigest(response, false);
                 std::lock_guard<std::mutex> lock(merge_mutex);
-                ++answered;
+                // The one progress line: a kill-and-restart driver
+                // (scripts/service_soak.sh) signals once it appears.
+                if (++answered == 1)
+                    std::fprintf(stderr,
+                                 "service traffic: first response\n");
                 store_hits += response.storeHits;
                 points_evaluated += response.evaluated;
                 point_failures += response.failures.size();

@@ -6,10 +6,12 @@
 #            request must be terminally answered (the bench exits
 #            non-zero on any totality violation).
 #   Phase B  the same traffic under deterministic fault injection
-#            (HIDA_FAULT_INJECT covering every site), SIGTERMed mid-run:
-#            the service must drain gracefully — in-flight finished
-#            early, queued answered `shutdown`, store flushed — and the
-#            bench must exit 143 (128+SIGTERM) with totality intact.
+#            (HIDA_FAULT_INJECT covering every site), SIGTERMed mid-run,
+#            as soon as the bench prints its first response: the service
+#            must drain gracefully — in-flight finished early, queued
+#            answered `shutdown`, store flushed — and the bench must exit
+#            143 (128+SIGTERM) with totality intact. A run that finishes
+#            before the signal lands fails the phase.
 #   Phase C  a restarted process on the same store serves the identical
 #            workload warm: the store hit rate must exceed 50% (phase A
 #            already paid for every point, so a healthy store serves
@@ -33,13 +35,12 @@
 # Phases A-C run at HIDA_SERVICE_CONCURRENCY (default 4 here so the
 # TSan job races the multi-lane scheduler, not just the sweep shards).
 # Knobs: HIDA_SERVICE_REQUESTS scales phases A, C and D (default 24 —
-# small enough for sanitizer builds); phase B submits 500x that so the
-# SIGTERM is guaranteed to land mid-run — after the signal, the
-# still-unsubmitted tail drains as instant `shutdown` rejections, so a
-# big count costs milliseconds, not minutes. SOAK_KILL_DELAY_S moves
-# the SIGTERM; BUILD_DIR picks the tree (a TSan build makes phase B a
-# data-race hunt). Work files live in a mktemp dir and are removed on
-# success.
+# small enough for sanitizer builds); phase B submits 500x that, far
+# more than a Release build answers before the signal lands — after the
+# signal, the still-unsubmitted tail drains as instant `shutdown`
+# rejections, so a big count costs milliseconds, not minutes. BUILD_DIR
+# picks the tree (a TSan build makes phase B a data-race hunt). Work
+# files live in a mktemp dir and are removed on success.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -47,7 +48,6 @@ BUILD_DIR="${BUILD_DIR:-$REPO_ROOT/build}"
 BENCH="$BUILD_DIR/bench_service_traffic"
 REQUESTS="${HIDA_SERVICE_REQUESTS:-24}"
 FAULT_REQUESTS="${SOAK_FAULT_REQUESTS:-$((REQUESTS * 500))}"
-KILL_DELAY="${SOAK_KILL_DELAY_S:-2}"
 CONCURRENCY="${HIDA_SERVICE_CONCURRENCY:-4}"
 export HIDA_SERVICE_CONCURRENCY="$CONCURRENCY"
 
@@ -70,26 +70,30 @@ HIDA_QOR_STORE="$STORE" HIDA_SERVICE_REQUESTS="$REQUESTS" \
 
 # ---- Phase B: fault traffic, SIGTERM mid-run ------------------------------
 echo "== phase B: fault traffic ($FAULT_REQUESTS requests) + SIGTERM" \
-     "after ${KILL_DELAY}s =="
+     "at the first response =="
 HIDA_FAULT_INJECT=any:42:0.01 HIDA_QOR_STORE="$STORE" \
     HIDA_SERVICE_REQUESTS="$FAULT_REQUESTS" \
-    HIDA_SERVICE_STATS="$WORK/b.json" "$BENCH" &
+    HIDA_SERVICE_STATS="$WORK/b.json" "$BENCH" 2> "$WORK/b.err" &
 pid=$!
-sleep "$KILL_DELAY"
+# Signal once the bench shows progress, not after a fixed delay: the
+# set-up time differs by an order of magnitude between a Release and a
+# TSan build, and the traffic after it takes far longer than one poll.
+while kill -0 "$pid" 2>/dev/null &&
+    ! grep -q 'first response' "$WORK/b.err"; do
+    sleep 0.05
+done
 kill -TERM "$pid" 2>/dev/null || true
 rc=0
 wait "$pid" || rc=$?
+cat "$WORK/b.err" >&2
 if [[ "$rc" -eq 143 ]]; then
     echo "OK: phase B drained gracefully on SIGTERM (exit 143)"
 elif [[ "$rc" -eq 0 ]]; then
-    # The run beat the kill — totality still proven, but say so: the
-    # kill delay (or request count) should be tuned up on this machine.
-    echo "WARN: phase B finished before the SIGTERM landed; raise" \
-         "SOAK_FAULT_REQUESTS or lower SOAK_KILL_DELAY_S for a real" \
-         "mid-run kill" >&2
+    echo "FAIL: phase B finished before the SIGTERM landed, so the" \
+         "graceful drain went untested; raise SOAK_FAULT_REQUESTS" >&2
+    exit 1
 else
-    echo "FAIL: phase B exited $rc (expected 143 after graceful drain," \
-         "or 0)" >&2
+    echo "FAIL: phase B exited $rc (expected 143 after graceful drain)" >&2
     exit 1
 fi
 [[ -s "$WORK/b.json" ]] ||

@@ -190,24 +190,6 @@ topLevelLoops(Block* block)
 }
 
 std::vector<ForOp>
-innermostLoops(Operation* root)
-{
-    // Post-order visits a loop's descendants right before the loop, so
-    // the loop holds another one exactly when the last loop visited is
-    // inside it.
-    std::vector<ForOp> result;
-    Operation* last_loop = nullptr;
-    root->walk([&](Operation* op) {
-        if (!isa<ForOp>(op))
-            return;
-        if (last_loop == nullptr || !op->isAncestorOf(last_loop))
-            result.push_back(ForOp(op));
-        last_loop = op;
-    });
-    return result;
-}
-
-std::vector<ForOp>
 perfectNest(ForOp outer)
 {
     std::vector<ForOp> nest = {outer};

@@ -106,12 +106,12 @@ addPrefixPasses(PassManager& pm, const FlowOptions& options)
 
 void
 addSuffixPasses(PassManager& pm, const FlowOptions& options,
-                ParallelizeSearch* search)
+                ParallelizeSearch* search, SitePlan* sites)
 {
     if (options.enableParallelization)
-        pm.addPass(createParallelizePass(options, search));
-    pm.addPass(createArrayPartitionPass(options));
-    pm.addPass(createPipelineDirectivesPass());
+        pm.addPass(createParallelizePass(options, search, sites));
+    pm.addPass(createArrayPartitionPass(options, sites));
+    pm.addPass(createPipelineDirectivesPass(sites));
 }
 
 namespace {
@@ -166,21 +166,73 @@ scoreDesign(ModuleOp module, QorEstimator& estimator)
     return result;
 }
 
+/** True when @p a and @p b agree on every FlowOptions field the prefix
+ * reads: the pass switches of addPrefixPasses, and the tiling of
+ * lower-nn-to-affine. */
+bool
+samePrefix(const FlowOptions& a, const FlowOptions& b)
+{
+    return a.enableDataflow == b.enableDataflow &&
+           a.enableTaskFusion == b.enableTaskFusion &&
+           a.enableTiling == b.enableTiling &&
+           a.enableMultiProducerElim == b.enableMultiProducerElim &&
+           a.enableBalancing == b.enableBalancing &&
+           a.tileSize == b.tileSize;
+}
+
 } // namespace
+
+TrialEvaluator::TrialEvaluator(OwnedModule module, const FlowOptions& options,
+                               const TargetDevice& device)
+    : TrialEvaluator(module.get(), options, device)
+{
+    owned_ = std::move(module);
+}
+
+TrialEvaluator::TrialEvaluator(ModuleOp module, const FlowOptions& options,
+                               const TargetDevice& device)
+    : module_(module), prefixOptions_(options), scorer_(device)
+{
+    registerAllDialects();
+    verifyInput(module);
+    PassManager prefix;
+    addPrefixPasses(prefix, options);
+    prefix.run(module);
+    prefixSeconds_ = prefix.totalSeconds();
+    prefixHash_ = module.op()->subtreeHash();
+}
+
+CompileResult
+TrialEvaluator::run(const FlowOptions& options)
+{
+    HIDA_ASSERT(samePrefix(options, prefixOptions_),
+                "a trial's options differ from the prefix's on a field "
+                "the prefix reads");
+    // Trials only write directive attributes through setAttr/removeAttr,
+    // so the structure epoch never moves, and the site plan and the
+    // memos and plans of the search and of the scorer stay valid from
+    // trial to trial, as in a DSE sweep.
+    if (trials_ > 0) {
+        stripSuffixDirectives(module_, sites_);
+        HIDA_ASSERT(module_.op()->subtreeHash() == prefixHash_,
+                    "the strip before trial ", trials_ + 1,
+                    " left a suffix directive behind");
+    }
+    PassManager suffix;
+    addSuffixPasses(suffix, options, &search_, &sites_);
+    suffix.run(module_);
+    ++trials_;
+    CompileResult result = scoreDesign(module_, scorer_);
+    result.compileSeconds = suffix.totalSeconds();
+    return result;
+}
 
 CompileResult
 compile(ModuleOp module, const FlowOptions& options, const TargetDevice& device)
 {
-    registerAllDialects();
-    verifyInput(module);
-    PassManager pm;
-    addPrefixPasses(pm, options);
-    addSuffixPasses(pm, options);
-    pm.run(module);
-
-    QorEstimator estimator(device);
-    CompileResult result = scoreDesign(module, estimator);
-    result.compileSeconds = pm.totalSeconds();
+    TrialEvaluator evaluator(module, options, device);
+    CompileResult result = evaluator.run(options);
+    result.compileSeconds += evaluator.prefixSeconds();
     return result;
 }
 
@@ -191,46 +243,21 @@ compile(ModuleOp module, Flow flow, const TargetDevice& device)
 }
 
 CompileResult
-compileAutoTuned(const std::function<OwnedModule()>& rebuild,
-                 const FlowOptions& base_options, const TargetDevice& device,
-                 int64_t max_pf)
+tuneParallelFactor(TrialEvaluator& evaluator, const FlowOptions& base_options,
+                   int64_t max_pf)
 {
     if (max_pf < 1)
-        HIDA_FATAL("compileAutoTuned: max_pf must be at least 1, got ",
-                   max_pf);
-    registerAllDialects();
-    OwnedModule owned = rebuild();
-    ModuleOp module = owned.get();
-    verifyInput(module);
-    PassManager prefix;
-    addPrefixPasses(prefix, base_options);
-    prefix.run(module);
-    double total_compile = prefix.totalSeconds();
-    const uint64_t prefix_hash = module.op()->subtreeHash();
-
-    // Trials only write directive attributes through setAttr/removeAttr,
-    // so the structure epoch never moves, and the memos and plans of the
-    // search and of the scorer stay valid from trial to trial, as in a
-    // DSE sweep.
-    ParallelizeSearch search;
-    QorEstimator scorer(device);
+        HIDA_FATAL("the parallel factor search needs max_pf of at least 1, "
+                   "got ", max_pf);
+    double total_compile = evaluator.prefixSeconds();
     CompileResult best;
     bool have_best = false;
     int regressions = 0;
     for (int64_t pf = 1;; pf *= 2) {
-        if (pf > 1) {
-            stripSuffixDirectives(module);
-            HIDA_ASSERT(module.op()->subtreeHash() == prefix_hash,
-                        "the strip before the trial at factor ", pf,
-                        " left a suffix directive behind");
-        }
         FlowOptions options = base_options;
         options.maxParallelFactor = pf;
-        PassManager suffix;
-        addSuffixPasses(suffix, options, &search);
-        suffix.run(module);
-        total_compile += suffix.totalSeconds();
-        CompileResult result = scoreDesign(module, scorer);
+        CompileResult result = evaluator.run(options);
+        total_compile += result.compileSeconds;
         // Rank by overload-degraded throughput: over-subscribed designs
         // only win if the extra parallelism outruns the degradation.
         if (!have_best ||
@@ -246,6 +273,16 @@ compileAutoTuned(const std::function<OwnedModule()>& rebuild,
     }
     best.compileSeconds = total_compile;
     return best;
+}
+
+CompileResult
+compileAutoTuned(const std::function<OwnedModule()>& rebuild,
+                 const FlowOptions& base_options, const TargetDevice& device,
+                 int64_t max_pf)
+{
+    registerAllDialects();
+    TrialEvaluator evaluator(rebuild(), base_options, device);
+    return tuneParallelFactor(evaluator, base_options, max_pf);
 }
 
 } // namespace hida

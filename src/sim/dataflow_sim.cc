@@ -13,6 +13,18 @@ namespace {
  * (overlay arrays), wiring from @p producer_of / @p consumers_of. Both
  * public simulate() entry points funnel here so the cached-skeleton path
  * and the ad-hoc path can never diverge numerically.
+ *
+ * The window stops early, exactly, once it is periodic. Let W be the
+ * largest channel capacity (at least 1). Frame g + 1 reads frame g,
+ * frame g + 1 of earlier nodes and frames g + 1 - W .. g of consumers,
+ * through max and + only. So once frame f >= W has every node one shift
+ * s later than the frame before, in each of the last W steps, every
+ * later frame g equals frame f plus (g - f) * s, and the frames the
+ * result reads are computed from that. The argument needs each producer
+ * to precede its consumers in node order (a later producer's frame is
+ * read before it is written) and latencies of at least 0 (so the start
+ * time's floor of 0 never binds after frame 0); without both, the whole
+ * window runs.
  */
 SimResult
 simulateCore(const SimGraph& graph, const std::vector<int>& producer_of,
@@ -22,10 +34,23 @@ simulateCore(const SimGraph& graph, const std::vector<int>& producer_of,
     const int n = static_cast<int>(graph.nodes.size());
     SimResult result;
 
+    int64_t window = 1;
+    for (size_t c = 0; c < graph.channels.size(); ++c)
+        window = std::max(window, capacities[c]);
+    bool may_stop = true;
+    for (int i = 0; i < n && may_stop; ++i) {
+        may_stop = latencies[i] >= 0;
+        for (int c : graph.nodes[i].inputs)
+            may_stop = may_stop && producer_of[c] < i;
+    }
+
     // finish[f * n + i]: cycle node i finishes frame f. One flat buffer,
     // so a simulation makes one allocation whatever the window.
     std::vector<int64_t> finish(static_cast<size_t>(frames) * n, 0);
     auto at = [&](int64_t f, int i) -> int64_t& { return finish[f * n + i]; };
+    int last = frames - 1;  // the last frame simulated
+    int64_t shift = 0;      // the shift of the run of uniform steps
+    int64_t run = 0;        // uniform steps in a row ending at frame f
     for (int f = 0; f < frames; ++f) {
         for (int i = 0; i < n; ++i) {
             int64_t start = 0;
@@ -49,6 +74,25 @@ simulateCore(const SimGraph& graph, const std::vector<int>& producer_of,
             }
             at(f, i) = start + latencies[i];
         }
+        if (!may_stop || f == 0)
+            continue;
+        const int64_t step = at(f, 0) - at(f - 1, 0);
+        bool uniform = true;
+        for (int i = 1; i < n && uniform; ++i)
+            uniform = at(f, i) - at(f - 1, i) == step;
+        if (!uniform) {
+            run = 0;
+        } else if (run > 0 && step == shift) {
+            ++run;
+        } else {
+            shift = step;
+            run = 1;
+        }
+        // Steps start at frame 1, so W steps in a row put f at W or later.
+        if (run >= window) {
+            last = f;
+            break;
+        }
     }
 
     int64_t first_done = 0;
@@ -61,10 +105,11 @@ simulateCore(const SimGraph& graph, const std::vector<int>& producer_of,
         int lo = frames / 2;
         int hi = frames - 1;
         auto frame_end = [&](int f) {
+            const int g = std::min(f, last);
             int64_t end = 0;
             for (int i = 0; i < n; ++i)
-                end = std::max(end, at(f, i));
-            return end;
+                end = std::max(end, at(g, i));
+            return end + (f - g) * shift;
         };
         result.steadyInterval =
             static_cast<double>(frame_end(hi) - frame_end(lo)) /

@@ -474,8 +474,10 @@ class Parallelizer {
 
 class ParallelizePass : public Pass {
   public:
-    ParallelizePass(FlowOptions options, ParallelizeSearch* search)
-        : Pass("parallelize"), options_(options), search_(search) {}
+    ParallelizePass(FlowOptions options, ParallelizeSearch* search,
+                    SitePlan* sites)
+        : Pass("parallelize"), options_(options), search_(search),
+          sites_(sites) {}
 
     void
     runOnModule(ModuleOp module) override
@@ -485,15 +487,11 @@ class ParallelizePass : public Pass {
         std::optional<ParallelizeSearch> cold;
         ParallelizeSearch& search =
             search_ != nullptr ? *search_ : cold.emplace();
+        SitePlan& plan = sites_ != nullptr ? *sites_ : own_;
         Parallelizer parallelizer(options_, *search.state_);
         // Top-down: outer schedules assign per-node budgets before the
         // nested schedules distribute them.
-        std::vector<Operation*> schedules;
-        module.op()->walk([&](Operation* op) {
-            if (isa<ScheduleOp>(op))
-                schedules.push_back(op);
-        }, WalkOrder::kPreOrder);
-        for (Operation* schedule : schedules)
+        for (Operation* schedule : plan.refresh(module).schedules())
             parallelizer.runOnSchedule(ScheduleOp(schedule));
 
         // Kernels without a dataflow opportunity (a single loop nest in the
@@ -508,12 +506,15 @@ class ParallelizePass : public Pass {
   private:
     FlowOptions options_;
     ParallelizeSearch* search_;
+    SitePlan* sites_;
+    SitePlan own_;
 };
 
 std::unique_ptr<Pass>
-createParallelizePass(FlowOptions options, ParallelizeSearch* search)
+createParallelizePass(FlowOptions options, ParallelizeSearch* search,
+                      SitePlan* sites)
 {
-    return std::make_unique<ParallelizePass>(options, search);
+    return std::make_unique<ParallelizePass>(options, search, sites);
 }
 
 } // namespace hida

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/ir/pass.h"
 
@@ -67,6 +68,76 @@ std::unique_ptr<Pass> createMultiProducerElimPass();
 std::unique_ptr<Pass> createBalanceDataPathsPass(FlowOptions options);
 
 /**
+ * Where the suffix passes and the strip act on one module, found by one
+ * pre-order walk:
+ *  - the schedules, in pre-order (parallelize's top-down visit);
+ *  - the innermost loops (pipeline-directives);
+ *  - each on-chip buffer with an affine access, with its shape and the
+ *    (dim, loop, stride) terms of its indices (array-partition);
+ *  - every affine.for, hida.node and hida.buffer (the strip).
+ *
+ * Structural-key rule: the plan reads only structure and registered
+ * structural keys (op kinds, operands, block arguments, parent links,
+ * types, and affine.apply's "coeffs" and "offset"), so it is kept while
+ * the module's root and structure epoch match the ones it was built for.
+ * Directive writes never rebuild it, so a run of trials on one prefixed
+ * module builds it once. A pass given no plan keeps its own, through the
+ * same code.
+ */
+class SitePlan {
+  public:
+    /** Loop @p loop indexes dimension @p dim with stride @p scale. */
+    struct AccessTerm {
+        size_t dim;
+        Operation* loop;
+        int64_t scale;  ///< max(|coeff|, 1) of the loop's IV.
+
+        bool operator==(const AccessTerm&) const = default;
+    };
+
+    /** An on-chip buffer array-partition derives directives for. */
+    struct Partition {
+        Operation* buffer;
+        std::vector<int64_t> shape;
+        std::vector<AccessTerm> terms;  ///< Deduplicated, first-seen order.
+        /** The distinct integer arrays array-partition has written on the
+         * buffer, reused so that a rewrite to one of them allocates
+         * nothing. */
+        std::vector<Attribute> written;
+    };
+
+    /** This plan, rebuilt first unless it was built for @p module's root
+     * at its current structure epoch. */
+    SitePlan& refresh(ModuleOp module);
+
+    /** Walks that built the plan since construction. */
+    uint64_t builds() const { return builds_; }
+
+    const std::vector<Operation*>& schedules() const { return schedules_; }
+    const std::vector<Operation*>& innermostLoops() const
+    {
+        return innermostLoops_;
+    }
+    std::vector<Partition>& partitions() { return partitions_; }
+    const std::vector<Operation*>& loops() const { return loops_; }
+    const std::vector<Operation*>& nodes() const { return nodes_; }
+    const std::vector<Operation*>& buffers() const { return buffers_; }
+
+  private:
+    void build(Operation* root);
+
+    Operation* root_ = nullptr;
+    uint64_t epoch_ = 0;
+    uint64_t builds_ = 0;
+    std::vector<Operation*> schedules_;
+    std::vector<Operation*> innermostLoops_;
+    std::vector<Partition> partitions_;
+    std::vector<Operation*> loops_;
+    std::vector<Operation*> nodes_;
+    std::vector<Operation*> buffers_;
+};
+
+/**
  * What parallelize keeps from one run to the next on one module: the
  * estimator its per-node search scores candidates with, and one plan per
  * schedule. A plan holds everything parallelize derives under a schedule
@@ -113,15 +184,21 @@ class ParallelizeSearch {
  * @param search the search estimator and schedule plans to run on; one
  *     may serve several runs on the same module (compileAutoTuned's
  *     trials) and stays warm across them. Null builds a cold one per run.
+ * @param sites the site plan to take the schedules from; null keeps the
+ *     pass's own.
  */
 std::unique_ptr<Pass> createParallelizePass(FlowOptions options,
-                                            ParallelizeSearch* search = nullptr);
+                                            ParallelizeSearch* search = nullptr,
+                                            SitePlan* sites = nullptr);
 
-/** Derive array partitions from unroll factors (Table 6). */
-std::unique_ptr<Pass> createArrayPartitionPass(FlowOptions options);
+/** Derive array partitions from unroll factors (Table 6), on the buffers
+ * of @p sites (null keeps the pass's own plan). */
+std::unique_ptr<Pass> createArrayPartitionPass(FlowOptions options,
+                                               SitePlan* sites = nullptr);
 
-/** Mark innermost loops for pipelining (Vitis-auto behaviour). */
-std::unique_ptr<Pass> createPipelineDirectivesPass();
+/** Mark innermost loops for pipelining (Vitis-auto behaviour), those of
+ * @p sites (null keeps the pass's own plan). */
+std::unique_ptr<Pass> createPipelineDirectivesPass(SitePlan* sites = nullptr);
 
 /** Create port/bundle/pack module interfaces (Table 3, "Module Interface"). */
 std::unique_ptr<Pass> createCreateInterfacesPass();
@@ -134,14 +211,17 @@ std::unique_ptr<Pass> createCreateInterfacesPass();
  *  - hida.node: "parallel_factor", "parallelized";
  *  - hida.buffer: "partition_fashions", "partition_factors",
  *    "vector_factor".
- * On a module those three passes ran on, this restores the IR they
- * started from, so compileAutoTuned can run its next trial in place. A
- * pass among them that starts writing another attribute must add it
- * here. The strip test in tests/transforms_test.cc catches any
- * omission; compileAutoTuned's hash check catches a hashed key left
- * behind.
+ * It visits the ops @p sites lists. On a module those three passes ran
+ * on, this restores the IR they started from, so a TrialEvaluator can
+ * run its next trial in place.
+ *
+ * Strip rule: a suffix pass that starts writing another attribute must
+ * add it here, and one that starts writing on another op kind must also
+ * add that kind to the site plan's strip lists. The strip test in
+ * tests/transforms_test.cc catches any omission; the evaluator's hash
+ * check catches a hashed key left behind.
  */
-void stripSuffixDirectives(ModuleOp module);
+void stripSuffixDirectives(ModuleOp module, SitePlan& sites);
 
 } // namespace hida
 

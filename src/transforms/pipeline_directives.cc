@@ -14,22 +14,28 @@ namespace {
 
 class PipelineDirectivesPass : public Pass {
   public:
-    PipelineDirectivesPass() : Pass("pipeline-directives") {}
+    explicit PipelineDirectivesPass(SitePlan* sites)
+        : Pass("pipeline-directives"), sites_(sites) {}
 
     void
     runOnModule(ModuleOp module) override
     {
-        for (ForOp loop : innermostLoops(module.op()))
-            loop.setPipelined();
+        SitePlan& plan = sites_ != nullptr ? *sites_ : own_;
+        for (Operation* loop : plan.refresh(module).innermostLoops())
+            ForOp(loop).setPipelined();
     }
+
+  private:
+    SitePlan* sites_;
+    SitePlan own_;
 };
 
 } // namespace
 
 std::unique_ptr<Pass>
-createPipelineDirectivesPass()
+createPipelineDirectivesPass(SitePlan* sites)
 {
-    return std::make_unique<PipelineDirectivesPass>();
+    return std::make_unique<PipelineDirectivesPass>(sites);
 }
 
 } // namespace hida

@@ -1,8 +1,8 @@
 /**
  * @file
  * Directive strip: undo what parallelize, array-partition and
- * pipeline-directives wrote, so compileAutoTuned can run its next
- * parallel-factor trial on the same module instead of rebuilding it.
+ * pipeline-directives wrote, so a TrialEvaluator can run its next trial
+ * on the same module instead of rebuilding it.
  */
 
 #include "src/dialect/affine/affine_ops.h"
@@ -12,24 +12,25 @@
 namespace hida {
 
 void
-stripSuffixDirectives(ModuleOp module)
+stripSuffixDirectives(ModuleOp module, SitePlan& sites)
 {
+    const SitePlan& plan = sites.refresh(module);
     // removeAttr leaves an op without the key untouched, so only the ops
     // a trial wrote are dirtied.
-    module.op()->walk([](Operation* op) {
-        if (isa<ForOp>(op)) {
-            op->removeAttr(ForOp::unrollId());
-            op->removeAttr(ForOp::pipelineId());
-            op->removeAttr(ForOp::iiId());
-        } else if (isa<NodeOp>(op)) {
-            op->removeAttr(NodeOp::parallelFactorId());
-            op->removeAttr(NodeOp::parallelizedId());
-        } else if (isa<BufferOp>(op)) {
-            op->removeAttr(BufferOp::partitionFashionsId());
-            op->removeAttr(BufferOp::partitionFactorsId());
-            op->removeAttr(BufferOp::vectorFactorId());
-        }
-    });
+    for (Operation* op : plan.loops()) {
+        op->removeAttr(ForOp::unrollId());
+        op->removeAttr(ForOp::pipelineId());
+        op->removeAttr(ForOp::iiId());
+    }
+    for (Operation* op : plan.nodes()) {
+        op->removeAttr(NodeOp::parallelFactorId());
+        op->removeAttr(NodeOp::parallelizedId());
+    }
+    for (Operation* op : plan.buffers()) {
+        op->removeAttr(BufferOp::partitionFashionsId());
+        op->removeAttr(BufferOp::partitionFactorsId());
+        op->removeAttr(BufferOp::vectorFactorId());
+    }
 }
 
 } // namespace hida

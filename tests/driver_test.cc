@@ -4,8 +4,10 @@
  * parallel-factor trial in place on one module, with warm estimators.
  * Each search must end on exactly the result the plain search reaches
  * by rebuilding the model and calling compile() for every trial. The
- * trial loop, mirrored through the public pieces, pins how often
- * parallelize's search misses the memo and builds a schedule plan.
+ * trial loop, run on an evaluator the test reads, pins how often
+ * parallelize's search misses the memo and builds a schedule plan, and
+ * that the site plan is built once. Trials shaped like Figures 10 and 11
+ * must equal fresh compiles.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -190,34 +193,17 @@ TEST(CompileAutoTunedTest, UnboundedFactorStopsOnRegressions)
     EXPECT_EQ(fields(result), fields(referenceAutoTuned(fresh, max_pf)));
 }
 
-/** The driver's score: throughput degraded by the worst overload. */
-double
-effectiveThroughput(const DesignQor& qor, const TargetDevice& device)
-{
-    double overload = 0.0;
-    if (device.dsp > 0)
-        overload = std::max(overload, static_cast<double>(qor.res.dsp) /
-                                          device.dsp);
-    if (device.bram18k > 0)
-        overload = std::max(overload, static_cast<double>(qor.res.bram18k) /
-                                          device.bram18k);
-    if (device.lut > 0)
-        overload = std::max(overload, static_cast<double>(qor.res.lut) /
-                                          device.lut);
-    double throughput = qor.throughput(device);
-    return overload > 1.0 ? throughput / overload : throughput;
-}
-
 TEST(ParallelizeSearchTest, TrialLoopCountsPinned)
 {
-    // compileAutoTuned's trial loop through the public pieces, on the
-    // compile-zoo configuration. One ParallelizeSearch serves every
-    // trial: each schedule's plan is built once per call, and a
+    // compileAutoTuned's trial loop on an evaluator the test can read,
+    // on the compile-zoo configuration. One ParallelizeSearch serves
+    // every trial: each schedule's plan is built once per call, and a
     // candidate's memo key carries no budget, so the misses left are
     // about the distinct (band, factors) candidates. With a fresh search
     // estimator per call and the budget in every key, a round of the six
     // models missed 7304 times and ran about 920 graph and connection
-    // analyses.
+    // analyses. The site plan is built once per call: no trial walks the
+    // module.
     struct Expected {
         std::string model;
         uint64_t misses;
@@ -232,52 +218,68 @@ TEST(ParallelizeSearchTest, TrialLoopCountsPinned)
     const int64_t max_pf = 512;
     for (const Expected& e : expected) {
         SCOPED_TRACE(e.model);
-        OwnedModule owned = buildDnnModel(e.model);
-        ModuleOp module = owned.get();
-        PassManager prefix;
-        addPrefixPasses(prefix, base);
-        prefix.run(module);
-        const uint64_t prefix_hash = module.op()->subtreeHash();
+        TrialEvaluator evaluator(buildDnnModel(e.model), base, device);
+        CompileResult tuned = tuneParallelFactor(evaluator, base, max_pf);
+        EXPECT_EQ(evaluator.trials(), 10u);
+        EXPECT_EQ(evaluator.search().cacheStats().misses, e.misses);
+        EXPECT_EQ(evaluator.search().planBuilds(), e.plans);
+        EXPECT_EQ(evaluator.sites().builds(), 1u);
 
-        ParallelizeSearch search;
-        QorEstimator scorer(device);
-        DesignQor best;
-        double best_throughput = 0.0;
-        int regressions = 0;
-        int trials = 0;
-        for (int64_t pf = 1;; pf *= 2) {
-            if (pf > 1) {
-                stripSuffixDirectives(module);
-                ASSERT_EQ(module.op()->subtreeHash(), prefix_hash);
-            }
-            FlowOptions options = base;
-            options.maxParallelFactor = pf;
-            PassManager suffix;
-            addSuffixPasses(suffix, options, &search);
-            suffix.run(module);
-            ++trials;
-            DesignQor qor = scorer.estimateFunc(topFunc(module));
-            double throughput = effectiveThroughput(qor, device);
-            if (trials == 1 || throughput > best_throughput * 1.02) {
-                best = qor;
-                best_throughput = throughput;
-                regressions = 0;
-            } else if (++regressions >= 3) {
-                break;
-            }
-            if (pf > max_pf / 2)
-                break;
-        }
-        EXPECT_EQ(trials, 10);
-        EXPECT_EQ(search.cacheStats().misses, e.misses);
-        EXPECT_EQ(search.planBuilds(), e.plans);
-
-        // The mirror ends where compileAutoTuned ends.
+        // compileAutoTuned is the same search on its own evaluator.
         auto rebuild = [&e] { return buildDnnModel(e.model); };
-        CompileResult tuned = compileAutoTuned(rebuild, base, device, max_pf);
-        EXPECT_EQ(best.latencyCycles, tuned.qor.latencyCycles);
-        EXPECT_EQ(bits(best.intervalCycles), bits(tuned.qor.intervalCycles));
-        EXPECT_EQ(bits(best_throughput), bits(tuned.effectiveThroughput));
+        EXPECT_EQ(fields(tuned),
+                  fields(compileAutoTuned(rebuild, base, device, max_pf)));
+    }
+}
+
+TEST(TrialEvaluatorTest, ShuffledTrialsEqualFreshCompiles)
+{
+    // Figures 10 and 11 in one: two prefixed ResNet-18s at different tile
+    // sizes, each serving trials at every factor and IA/CA arm, in an
+    // order shuffled across both. Each trial must equal a fresh compile
+    // of the same point, and each evaluator builds one site plan.
+    const TargetDevice device = TargetDevice::vu9pSlr();
+    const int64_t tiles[] = {4, 32};
+    const int64_t factors[] = {1, 4, 16, 64, 256};
+    const ParallelStrategy arms[] = {
+        {true, true}, {true, false}, {false, true}, {false, false}};
+    std::vector<FlowOptions> points;
+    for (int64_t tile : tiles) {
+        for (int64_t pf : factors) {
+            for (const ParallelStrategy& arm : arms) {
+                FlowOptions options = optionsFor(Flow::kHida);
+                options.tileSize = tile;
+                options.maxParallelFactor = pf;
+                options.strategy = arm;
+                points.push_back(options);
+            }
+        }
+    }
+    uint64_t state = 0x0F16u;
+    for (size_t i = points.size(); i > 1; --i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        std::swap(points[i - 1], points[(state >> 33) % i]);
+    }
+
+    std::map<int64_t, std::unique_ptr<TrialEvaluator>> evaluators;
+    for (const FlowOptions& options : points) {
+        std::unique_ptr<TrialEvaluator>& evaluator =
+            evaluators[options.tileSize];
+        if (!evaluator)
+            evaluator = std::make_unique<TrialEvaluator>(
+                buildDnnModel("ResNet-18"), options, device);
+        OwnedModule fresh = buildDnnModel("ResNet-18");
+        EXPECT_EQ(fields(evaluator->run(options)),
+                  fields(compile(fresh.get(), options, device)))
+            << "tile " << options.tileSize << " pf "
+            << options.maxParallelFactor << " ia "
+            << options.strategy.intensityAware << " ca "
+            << options.strategy.connectionAware;
+    }
+    for (const auto& [tile, evaluator] : evaluators) {
+        EXPECT_EQ(evaluator->trials(), std::size(factors) * std::size(arms))
+            << "tile " << tile;
+        EXPECT_EQ(evaluator->sites().builds(), 1u) << "tile " << tile;
     }
 }
 

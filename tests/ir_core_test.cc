@@ -17,6 +17,7 @@
 #include "src/ir/registry.h"
 #include "src/ir/verifier.h"
 #include "src/support/utils.h"
+#include "src/transforms/passes.h"
 
 namespace hida {
 namespace {
@@ -116,9 +117,11 @@ TEST_F(IrCoreTest, LoopNestAndTripCounts)
     ASSERT_EQ(nest.size(), 2u);
     EXPECT_EQ(nest[1].op(), inner.op());
 
-    auto innermost = innermostLoops(func.op());
+    SitePlan sites;
+    const std::vector<Operation*>& innermost =
+        sites.refresh(module.get()).innermostLoops();
     ASSERT_EQ(innermost.size(), 1u);
-    EXPECT_EQ(innermost[0].op(), inner.op());
+    EXPECT_EQ(innermost[0], inner.op());
 
     auto enclosing = enclosingLoops(inner.op());
     ASSERT_EQ(enclosing.size(), 1u);

@@ -6,16 +6,20 @@
  *
  * A stale plan is silent: the search runs on an old band, old trip counts
  * or old connections and writes plausible factors. The fuzzer serves a
- * few hundred suffix runs from one ParallelizeSearch, each with a random
- * maximum parallel factor and strategy, strips the directives between
- * runs, and every few runs edits the IR under one schedule: a loop's
- * tile_loop tag toggled, a loop's upper bound moved, an op inserted or
- * erased. After each run the printed IR must equal a cold run (no
- * search) on a fresh clone of the prefixed module with the same edits.
+ * few hundred suffix runs from one ParallelizeSearch and one SitePlan,
+ * the state a TrialEvaluator keeps, each with a random maximum parallel
+ * factor and strategy. It strips the directives between runs through the
+ * same site plan, and every few runs edits the IR under one schedule: a
+ * loop's tile_loop tag toggled, a loop's upper bound moved, an op
+ * inserted or erased. After each strip the printed IR must equal the
+ * prefixed module with the same edits, and after each run it must equal
+ * a cold run (no search, no shared site plan) on a fresh clone of it.
  * Each run must rebuild exactly the plans of the schedules an edit
  * landed under: the edited schedule and the schedules enclosing it for
  * an attribute edit, and every plan for a structural edit, since the
- * structure epoch belongs to the whole tree.
+ * structure epoch belongs to the whole tree. The site plan reads only
+ * structure, so it is built once after a structural edit and never
+ * after an attribute edit.
  *
  * Determinism: the xorshift seed is fixed per test, and a failure prints
  * the seed, the step and the trace of runs and edits.
@@ -147,19 +151,27 @@ class PlanFuzzer {
         ASSERT_FALSE(schedules_.empty());
         for (int step = 0; step < steps && !::testing::Test::HasFailure();
              ++step) {
-            // The first run builds every plan.
+            // The first run builds every plan and the site plan.
             std::vector<Operation*> rebuilt = schedules_;
+            bool structural = true;
+            const uint64_t site_builds = sites_.builds();
             if (step > 0) {
-                stripSuffixDirectives(warm_.get());
+                stripSuffixDirectives(warm_.get(), sites_);
+                if (toString(warm_.get().op()) !=
+                    toString(reference_.get().op())) {
+                    fail(step, "the strip left a suffix directive behind");
+                    return;
+                }
                 rebuilt.clear();
+                structural = false;
                 if (rng_.below(3) == 0)
-                    rebuilt = edit();
+                    rebuilt = edit(structural);
             }
             FlowOptions options = drawOptions();
             std::vector<uint64_t> before = planBuilds();
 
             PassManager warm;
-            addSuffixPasses(warm, options, &search_);
+            addSuffixPasses(warm, options, &search_, &sites_);
             warm.run(warm_.get());
             OwnedModule cold = OwnedModule::clone(reference_.get());
             PassManager fresh;
@@ -167,6 +179,15 @@ class PlanFuzzer {
             fresh.run(cold.get());
             if (toString(warm_.get().op()) != toString(cold.get().op())) {
                 fail(step, "the warm run's IR differs from the cold run's");
+                return;
+            }
+
+            if (sites_.builds() - site_builds != (structural ? 1u : 0u)) {
+                std::ostringstream what;
+                what << "the site plan was built "
+                     << sites_.builds() - site_builds << " times after "
+                     << (structural ? "a structural edit" : "no such edit");
+                fail(step, what.str());
                 return;
             }
 
@@ -233,9 +254,10 @@ class PlanFuzzer {
     }
 
     /** One edit under one schedule, on both modules. Returns the
-     * schedules whose plans the next run must rebuild. */
+     * schedules whose plans the next run must rebuild, and sets
+     * @p structural when the edit moved the structure epoch. */
     std::vector<Operation*>
-    edit()
+    edit(bool& structural)
     {
         std::vector<Operation*> warm_loops = opsOf<ForOp>(warm_.get());
         std::vector<Operation*> ref_loops = opsOf<ForOp>(reference_.get());
@@ -296,6 +318,7 @@ class PlanFuzzer {
         }
         // Structural: the tree's epoch moved, so every plan rebuilds.
         trace_.push_back(desc.str());
+        structural = true;
         return schedules_;
     }
 
@@ -313,6 +336,7 @@ class PlanFuzzer {
     OwnedModule warm_;
     OwnedModule reference_;
     ParallelizeSearch search_;
+    SitePlan sites_;
     XorShift rng_;
     uint64_t seed_;
     std::vector<Operation*> schedules_;

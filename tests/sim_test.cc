@@ -2,10 +2,17 @@
  * @file
  * Dataflow simulator tests: pipelined chains, bounded channels, join
  * back-pressure (the Figure 8 scenario), multi-producer sequentialization,
- * and parameterized sweeps over chain length and channel capacity.
+ * parameterized sweeps over chain length and channel capacity, and a
+ * seeded differential of the window's exact early stop against the full
+ * window.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
 
 #include "src/sim/dataflow_sim.h"
 
@@ -218,6 +225,164 @@ TEST_P(SimCapacityProperty, MoreCapacityNeverHurts)
 
 INSTANTIATE_TEST_SUITE_P(Capacities, SimCapacityProperty,
                          ::testing::Values(1, 2, 3, 4, 6));
+
+/** xorshift64* — tiny, seedable, and identical on every platform. */
+struct XorShift {
+    uint64_t state;
+    explicit XorShift(uint64_t seed) : state(seed ? seed : 0x9e3779b9ULL) {}
+
+    uint64_t
+    next()
+    {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        return state * 0x2545F4914F6CDD1DULL;
+    }
+
+    uint64_t below(uint64_t n) { return n ? next() % n : 0; }
+};
+
+/** The frame window simulated in full, every frame: the simulator's
+ * recurrence before it learned to stop at the periodic regime. */
+SimResult
+fullWindow(const SimGraph& graph, int frames)
+{
+    const int n = static_cast<int>(graph.nodes.size());
+    std::vector<int> producer_of(graph.channels.size(), -1);
+    std::vector<std::vector<int>> consumers_of(graph.channels.size());
+    for (int i = 0; i < n; ++i) {
+        for (int c : graph.nodes[i].outputs)
+            producer_of[c] = i;
+        for (int c : graph.nodes[i].inputs)
+            consumers_of[c].push_back(i);
+    }
+    std::vector<std::vector<int64_t>> at(frames, std::vector<int64_t>(n));
+    for (int f = 0; f < frames; ++f) {
+        for (int i = 0; i < n; ++i) {
+            int64_t start = 0;
+            if (f > 0)
+                start = std::max(start, at[f - 1][i]);
+            for (int c : graph.nodes[i].inputs)
+                if (producer_of[c] >= 0)
+                    start = std::max(start, at[f][producer_of[c]]);
+            for (int c : graph.nodes[i].outputs) {
+                int64_t cap = std::max<int64_t>(graph.channels[c].capacity, 1);
+                if (f >= cap)
+                    for (int consumer : consumers_of[c])
+                        start = std::max(start, at[f - cap][consumer]);
+            }
+            at[f][i] = start + graph.nodes[i].latency;
+        }
+    }
+    auto frame_end = [&](int f) {
+        int64_t end = 0;
+        for (int64_t finish : at[f])
+            end = std::max(end, finish);
+        return end;
+    };
+    SimResult result;
+    result.frameLatency = frame_end(0);
+    if (frames >= 2) {
+        int lo = frames / 2;
+        int hi = frames - 1;
+        result.steadyInterval =
+            static_cast<double>(frame_end(hi) - frame_end(lo)) /
+            static_cast<double>(hi - lo);
+    } else {
+        result.steadyInterval = static_cast<double>(result.frameLatency);
+    }
+    return result;
+}
+
+/** A random single-producer graph of 1-24 nodes: capacities 0-4,
+ * latencies skewed up to 1e6 (in about one graph in sixteen, one of them
+ * negative), and in about one graph in eight a channel whose producer
+ * does not precede a consumer. */
+SimGraph
+randomGraph(XorShift& rng)
+{
+    SimGraph graph;
+    const int n = 1 + static_cast<int>(rng.below(24));
+    for (int i = 0; i < n; ++i) {
+        SimNode node;
+        switch (rng.below(4)) {
+          case 0:
+            node.latency = static_cast<int64_t>(rng.below(4));
+            break;
+          case 1:
+            node.latency = static_cast<int64_t>(rng.below(100));
+            break;
+          case 2:
+            node.latency = static_cast<int64_t>(rng.below(10000));
+            break;
+          default:
+            node.latency = static_cast<int64_t>(rng.below(1000001));
+            break;
+        }
+        graph.nodes.push_back(node);
+    }
+    if (rng.below(16) == 0)
+        graph.nodes[rng.below(n)].latency =
+            -static_cast<int64_t>(rng.below(1000));
+    const bool back_edges = rng.below(8) == 0;
+    const int channels = static_cast<int>(rng.below(2 * n + 1));
+    for (int c = 0; c < channels; ++c) {
+        graph.channels.push_back({static_cast<int64_t>(rng.below(5))});
+        int producer = static_cast<int>(rng.below(n));
+        const int consumers = 1 + static_cast<int>(rng.below(3));
+        for (int k = 0; k < consumers; ++k) {
+            int consumer = static_cast<int>(rng.below(n));
+            if (!back_edges && consumer <= producer) {
+                if (producer + 1 >= n)
+                    continue;
+                consumer = producer + 1 +
+                           static_cast<int>(rng.below(n - producer - 1));
+            }
+            auto& inputs = graph.nodes[consumer].inputs;
+            if (std::find(inputs.begin(), inputs.end(), c) == inputs.end())
+                inputs.push_back(c);
+        }
+        graph.nodes[producer].outputs.push_back(c);
+    }
+    return graph;
+}
+
+/** Equal frame latencies and bit-equal intervals (a 2-frame window
+ * reads its interval over zero steps, a NaN on both sides). */
+bool
+sameBits(const SimResult& a, const SimResult& b)
+{
+    return a.frameLatency == b.frameLatency &&
+           std::bit_cast<uint64_t>(a.steadyInterval) ==
+               std::bit_cast<uint64_t>(b.steadyInterval);
+}
+
+TEST(SimTest, EarlyStopEqualsFullWindow)
+{
+    // The window stops once it is periodic; the frames it then computes
+    // from the shift must equal the simulated ones bit for bit, on both
+    // entry points and with and without cached adjacency.
+    XorShift rng(0x51A7E5EEDULL);
+    const int windows[] = {1, 2, 5, 9, 32, 64};
+    for (int trial = 0; trial < 50000; ++trial) {
+        SimGraph graph = randomGraph(rng);
+        const int frames = windows[rng.below(std::size(windows))];
+        const SimResult expected = fullWindow(graph, frames);
+        ASSERT_TRUE(sameBits(simulate(graph, frames), expected))
+            << "graph " << trial << ", " << frames << " frames";
+        std::vector<int64_t> latencies;
+        for (const SimNode& node : graph.nodes)
+            latencies.push_back(node.latency);
+        std::vector<int64_t> capacities;
+        for (const SimChannel& channel : graph.channels)
+            capacities.push_back(channel.capacity);
+        graph.buildAdjacency();
+        ASSERT_TRUE(sameBits(
+            simulate(graph, latencies, capacities, frames), expected))
+            << "graph " << trial << ", " << frames << " frames (overlay)";
+    }
+}
 
 } // namespace
 } // namespace hida

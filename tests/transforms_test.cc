@@ -11,6 +11,8 @@
 
 #include "src/analysis/dataflow_graph.h"
 #include "src/dialect/affine/affine_ops.h"
+#include "src/dialect/arith/arith_ops.h"
+#include "src/dialect/hida/hida_ops.h"
 #include "src/dialect/nn/nn_ops.h"
 #include "src/driver/driver.h"
 #include "src/frontend/loop_builder.h"
@@ -266,8 +268,9 @@ INSTANTIATE_TEST_SUITE_P(Budgets, PartitionProperty,
 /**
  * stripSuffixDirectives undoes a suffix run exactly: after each trial's
  * suffix and estimate, the strip must bring the printed IR back to the
- * post-prefix print. A printed comparison cannot collide the way
- * compileAutoTuned's hash check can.
+ * post-prefix print. A printed comparison cannot collide the way the
+ * trial evaluator's hash check can. The suffix and the strip share one
+ * site plan, as in a TrialEvaluator.
  */
 void
 expectStripRestoresPrefix(OwnedModule module, Flow flow,
@@ -278,17 +281,18 @@ expectStripRestoresPrefix(OwnedModule module, Flow flow,
     addPrefixPasses(prefix, options);
     prefix.run(module.get());
     const std::string after_prefix = toString(module.get().op());
+    SitePlan sites;
     for (int64_t pf : {1, 16, 512}) {
         SCOPED_TRACE(flowName(flow) + " pf=" + std::to_string(pf));
         options.maxParallelFactor = pf;
         PassManager suffix;
-        addSuffixPasses(suffix, options);
+        addSuffixPasses(suffix, options, nullptr, &sites);
         suffix.run(module.get());
         QorEstimator(device).estimateFunc(topFunc(module.get()));
         // Compare without printing: a mismatch would dump the whole IR.
         EXPECT_FALSE(toString(module.get().op()) == after_prefix)
             << "the suffix wrote nothing";
-        stripSuffixDirectives(module.get());
+        stripSuffixDirectives(module.get(), sites);
         EXPECT_TRUE(toString(module.get().op()) == after_prefix)
             << "the strip left a suffix directive behind";
     }
@@ -329,14 +333,15 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 2)));
 
 /**
- * innermostLoops in one walk returns what the per-loop definition did:
- * each loop whose own subtree walk finds no other loop, in post-order.
- * The definition is kept here as the reference.
+ * The site plan's innermost loops, found in its one pre-order walk, are
+ * what the per-loop definition gives: each loop whose own subtree walk
+ * finds no other loop, in walk order. The definition is kept here as the
+ * reference.
  */
-std::vector<ForOp>
+std::vector<Operation*>
 referenceInnermostLoops(Operation* root)
 {
-    std::vector<ForOp> result;
+    std::vector<Operation*> result;
     root->walk([&](Operation* op) {
         if (!isa<ForOp>(op))
             return;
@@ -346,12 +351,25 @@ referenceInnermostLoops(Operation* root)
                 has_nested_loop = true;
         });
         if (!has_nested_loop)
-            result.push_back(ForOp(op));
+            result.push_back(op);
     });
     return result;
 }
 
-TEST(InnermostLoopsTest, MatchesPerLoopWalkOnZooAfterPrefix)
+/** Ops of kind @p OpT in pre-order. */
+template <typename OpT>
+std::vector<Operation*>
+preOrder(Operation* root)
+{
+    std::vector<Operation*> ops;
+    root->walk([&](Operation* op) {
+        if (isa<OpT>(op))
+            ops.push_back(op);
+    }, WalkOrder::kPreOrder);
+    return ops;
+}
+
+TEST(SitePlanTest, MatchesPerKindWalksOnZooAfterPrefix)
 {
     for (const char* name :
          {"ResNet-18", "MobileNet", "ZFNet", "VGG-16", "YOLO", "MLP"}) {
@@ -360,24 +378,27 @@ TEST(InnermostLoopsTest, MatchesPerLoopWalkOnZooAfterPrefix)
         PassManager prefix;
         addPrefixPasses(prefix, optionsFor(Flow::kHida));
         prefix.run(module.get());
-        const std::vector<ForOp> expected =
-            referenceInnermostLoops(module.get().op());
-        const std::vector<ForOp> actual = innermostLoops(module.get().op());
-        ASSERT_FALSE(expected.empty());
-        ASSERT_EQ(actual.size(), expected.size());
-        for (size_t i = 0; i < expected.size(); ++i)
-            EXPECT_EQ(actual[i].op(), expected[i].op()) << "loop #" << i;
-        // Rooted at a loop, the walk visits the root too.
-        for (Operation* p = expected.front().op(); p != nullptr;
-             p = p->parentOp()) {
-            if (!isa<ForOp>(p))
-                continue;
-            const std::vector<ForOp> reference = referenceInnermostLoops(p);
-            const std::vector<ForOp> from_loop = innermostLoops(p);
-            ASSERT_EQ(from_loop.size(), reference.size());
-            for (size_t i = 0; i < reference.size(); ++i)
-                EXPECT_EQ(from_loop[i].op(), reference[i].op());
-        }
+        Operation* root = module.get().op();
+        SitePlan plan;
+        plan.refresh(module.get());
+        const std::vector<Operation*> innermost =
+            referenceInnermostLoops(root);
+        ASSERT_FALSE(innermost.empty());
+        EXPECT_TRUE(plan.innermostLoops() == innermost);
+        EXPECT_TRUE(plan.schedules() == preOrder<ScheduleOp>(root));
+        EXPECT_TRUE(plan.loops() == preOrder<ForOp>(root));
+        EXPECT_TRUE(plan.nodes() == preOrder<NodeOp>(root));
+        EXPECT_TRUE(plan.buffers() == preOrder<BufferOp>(root));
+        // Directive writes leave it alone; a structural edit rebuilds it.
+        plan.refresh(module.get());
+        ForOp(innermost.front()).setPipelined();
+        plan.refresh(module.get());
+        EXPECT_EQ(plan.builds(), 1u);
+        OpBuilder builder;
+        builder.setInsertionPointToStart(ForOp(innermost.front()).body());
+        ConstantOp::create(builder, Type::f32(), 1.0);
+        plan.refresh(module.get());
+        EXPECT_EQ(plan.builds(), 2u);
     }
 }
 
