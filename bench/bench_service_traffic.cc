@@ -24,7 +24,9 @@
  *    finish early (partial), queued ones are answered kShutdown, the
  *    store is flushed, and the bench exits 128+sig — so a kill/restart
  *    pair warm-starts from the persistent store (scripts/
- *    service_soak.sh drives exactly that and checks hit rate > 50%).
+ *    service_soak.sh drives exactly that, checks hit rate > 50%, and
+ *    requires the restart's "store_records_at_open" to equal the
+ *    killed run's "store_records").
  *    The first answered request prints "service traffic: first
  *    response" to stderr, the soak's cue to send the signal.
  *
@@ -203,6 +205,9 @@ main()
         options.degradeQueueDepth = std::max<size_t>(
             1, options.maxQueueDepth / 2);
     DseService service(options);
+    // What the store adopted from a previous process: the soak compares
+    // it with the record count that process left behind.
+    const size_t store_records_at_open = service.storeStats().records;
 
     std::mutex merge_mutex;
     size_t completed = 0, partial = 0, shed = 0, rejected = 0, failed = 0,
@@ -351,6 +356,8 @@ main()
                 "  \"store_hit_rate\": %.4f,\n"
                 "  \"store_hits\": %zu,\n"
                 "  \"store_misses\": %zu,\n"
+                "  \"store_records_at_open\": %zu,\n"
+                "  \"store_records\": %zu,\n"
                 "  \"completed\": %zu,\n"
                 "  \"partial\": %zu,\n"
                 "  \"shed\": %zu,\n"
@@ -370,7 +377,8 @@ main()
                 requests, clients, service.concurrency(), rps, p99,
                 percentile(queue_waits, 0.5), percentile(queue_waits, 0.99),
                 percentile(exec_times, 0.5), percentile(exec_times, 0.99),
-                shed_rate, hit_rate, store.hits, store.misses, completed,
+                shed_rate, hit_rate, store.hits, store.misses,
+                store_records_at_open, store.records, completed,
                 partial, shed, rejected, failed, degraded,
                 stats.pointRetries, stats.requestRetries, point_failures,
                 stats.maxInFlight, stats.submitted, stats.answered,

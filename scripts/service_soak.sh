@@ -15,9 +15,12 @@
 #   Phase C  a restarted process on the same store serves the identical
 #            workload warm: the store hit rate must exceed 50% (phase A
 #            already paid for every point, so a healthy store serves
-#            nearly everything from disk), and it must load the store
+#            nearly everything from disk), it must load the store
 #            without a `store-corrupt` diagnostic (a graceful drain
-#            leaves no torn append behind).
+#            leaves no torn append behind), and the keys it adopts
+#            (`store_records_at_open`) must be exactly the keys phase B
+#            held at exit (`store_records`): the drain flushed every
+#            record and the load lost none.
 #   Phase D  determinism: the same workload is replayed at request
 #            concurrency 1, 2 and 4 — clean and under fault injection —
 #            and the bench's response_digest (an order-independent fold
@@ -60,6 +63,12 @@ fi
 WORK="$(mktemp -d)"
 STORE="$WORK/qor_store.bin"
 trap 'rm -rf "$WORK"' EXIT
+
+# One field of a stats JSON file (numbers and quoted strings).
+json_field() {
+    sed -n 's/.*"'"$2"'": *"\{0,1\}\([^",}]*\)"\{0,1\}.*/\1/p' "$1" |
+        head -n 1
+}
 
 # ---- Phase A: clean traffic, cold store -----------------------------------
 echo "== phase A: clean traffic ($REQUESTS requests, cold store," \
@@ -112,10 +121,20 @@ if grep -q 'store-corrupt' "$WORK/c.err"; then
     exit 1
 fi
 
+# The drain flushed exactly what phase B held: the restart adopts that
+# many keys, no fewer (a lost flush) and no more.
+held="$(json_field "$WORK/b.json" store_records)"
+adopted="$(json_field "$WORK/c.json" store_records_at_open)"
+if [[ -z "$held" || -z "$adopted" || "$held" != "$adopted" ]]; then
+    echo "FAIL: the restart adopted ${adopted:-no} store records; phase B" \
+         "held ${held:-an unknown number} at exit" >&2
+    exit 1
+fi
+echo "OK: the restart adopted all $adopted records phase B held"
+
 # The acceptance bar: a restart on the surviving store must warm-start
 # with a hit rate above 0.5.
-hit_rate=$(grep -oE '"store_hit_rate": [0-9.]+' "$WORK/c.json" |
-           grep -oE '[0-9.]+$')
+hit_rate="$(json_field "$WORK/c.json" store_hit_rate)"
 ok=$(awk "BEGIN { print ($hit_rate > 0.5) ? 1 : 0 }")
 if [[ "$ok" -ne 1 ]]; then
     echo "FAIL: warm-start hit rate $hit_rate <= 0.5 — the store did" \
@@ -126,12 +145,6 @@ echo "OK: warm-start hit rate $hit_rate"
 
 # ---- Phase D: determinism across concurrency ------------------------------
 echo "== phase D: response determinism across concurrency 1/2/4 =="
-
-# One field of a stats JSON file (numbers and quoted strings).
-json_field() {
-    sed -n 's/.*"'"$2"'": *"\{0,1\}\([^",}]*\)"\{0,1\}.*/\1/p' "$1" |
-        head -n 1
-}
 
 # Run the bench workload at a given concurrency (fresh store each run so
 # every leg sees identical conditions); print its stats file's path.

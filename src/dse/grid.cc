@@ -15,6 +15,11 @@ DesignPointGrid::addAxis(std::string name, std::vector<int64_t> values)
     GridAxis axis;
     axis.name = std::move(name);
     axis.values = std::move(values);
+    const size_t n = axis.values.size();
+    for (size_t& stride : strides_)
+        stride *= n;
+    strides_.push_back(1);
+    size_ *= n;
     axes_.push_back(std::move(axis));
     contentHash_ = hashAxes(axes_);
     return *this;
@@ -41,15 +46,6 @@ DesignPointGrid::axisIndex(std::string_view name) const
         if (axes_[i].name == name)
             return i;
     HIDA_PANIC("unknown grid axis ", std::string(name));
-}
-
-size_t
-DesignPointGrid::size() const
-{
-    size_t n = 1;
-    for (const GridAxis& axis : axes_)
-        n *= axis.values.size();
-    return n;
 }
 
 void
@@ -114,10 +110,7 @@ DesignPointGrid::orderedIndex(size_t pos, PointOrder order) const
     size_t parity = 0;
     for (size_t i = 0; i < axes_.size(); ++i) {
         size_t m = axes_[i].values.size();
-        size_t stride = 1;
-        for (size_t j = i + 1; j < axes_.size(); ++j)
-            stride *= axes_[j].values.size();
-        size_t d = (pos / stride) % m;
+        size_t d = (pos / strides_[i]) % m;
         size_t g = parity ? (m - 1 - d) : d;
         index = index * m + g;
         // An even-radix digit flips the reflection of everything below
@@ -165,10 +158,9 @@ DesignPointGrid::pointFingerprint(size_t index) const
     HIDA_ASSERT(index < size(), "point index out of range");
     // decode() order (axis 0 first), without materializing the values.
     uint64_t h = hashCombine(contentHash_, index);
-    size_t stride = size();
-    for (const GridAxis& axis : axes_) {
-        stride /= axis.values.size();
-        int64_t v = axis.values[(index / stride) % axis.values.size()];
+    for (size_t i = 0; i < axes_.size(); ++i) {
+        const std::vector<int64_t>& values = axes_[i].values;
+        int64_t v = values[(index / strides_[i]) % values.size()];
         h = hashCombine(h, static_cast<uint64_t>(v));
     }
     return h;

@@ -100,7 +100,7 @@ class DesignPointGrid {
     size_t axisIndex(std::string_view name) const;
 
     /** Number of points (product of axis sizes; 1 for an empty grid). */
-    size_t size() const;
+    size_t size() const { return size_; }
 
     /**
      * Decode linear @p index into per-axis values (axis 0 slowest).
@@ -156,6 +156,10 @@ class DesignPointGrid {
 
     std::vector<GridAxis> axes_;
     uint64_t contentHash_ = hashAxes({});
+    /** Cached at addAxis: the point count and, per axis, the product of
+     * the sizes of the axes after it (the axis's row-major stride). */
+    size_t size_ = 1;
+    std::vector<size_t> strides_;
 };
 
 /**

@@ -16,7 +16,9 @@ constexpr RecordLog::Format kFormat = {"qor store", "HIDAQST1", 1};
 std::optional<Diagnostic>
 QorStore::open(std::string path, uint64_t content_tag, size_t payload_size)
 {
-    counts_ = Stats();
+    hits_.store(0, std::memory_order_relaxed);
+    misses_.store(0, std::memory_order_relaxed);
+    injectedMisses_.store(0, std::memory_order_relaxed);
     const RecordLog::LoadStats& stats =
         log_.open(std::move(path), kFormat, payload_size, content_tag);
     if (stats.headerMismatch)
@@ -38,11 +40,15 @@ QorStore::open(std::string path, uint64_t content_tag, size_t payload_size)
 QorStore::Stats
 QorStore::stats() const
 {
-    Stats stats = log_.locked([&] { return counts_; });
+    Stats stats;
     const RecordLog::LoadStats& load = log_.loadStats();
     stats.restored = load.restored;
     stats.droppedCorrupt = load.droppedCorrupt;
     stats.headerMismatch = load.headerMismatch;
+    stats.hits = hits_.load(std::memory_order_relaxed);
+    stats.misses = misses_.load(std::memory_order_relaxed);
+    stats.injectedMisses = injectedMisses_.load(std::memory_order_relaxed);
+    stats.records = log_.size();
     return stats;
 }
 
@@ -52,17 +58,19 @@ QorStore::lookup(uint64_t key, void* out)
     // The injection verdict depends only on (seed, site, FaultScope
     // key), so a forced miss lands on the same points at any thread
     // count — and a miss only costs a recompute of the same value.
-    const bool injected = shouldInjectFault(FaultSite::kStore);
-    return log_.read(key, [&](const uint8_t* payload) {
-        if (injected || payload == nullptr) {
-            ++counts_.misses;
-            counts_.injectedMisses += injected ? 1 : 0;
+    if (shouldInjectFault(FaultSite::kStore)) {
+        injectedMisses_.fetch_add(1, std::memory_order_relaxed);
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+    }
+    const bool hit = log_.read(key, [&](const uint8_t* payload) {
+        if (payload == nullptr)
             return false;
-        }
         std::memcpy(out, payload, log_.payloadSize());
-        ++counts_.hits;
         return true;
     });
+    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    return hit;
 }
 
 } // namespace hida

@@ -29,12 +29,15 @@
  *
  * Thread safety: all methods after open() are safe to call from any
  * thread — service worker pools and concurrent requests share a store
- * by design. insert() never performs I/O; the owner drains the queue
- * off the hot path — the DSE service's housekeeping thread flushes
- * when needsFlush() on its tick. open() itself is driver-thread only,
- * like SweepJournal::open().
+ * by design. The record table sits under the RecordLog's lookup lock;
+ * the hit/miss counters are relaxed atomics beside it, so stats()
+ * takes no lock. insert() never performs I/O; the owner drains the
+ * queue off the hot path — the DSE service's housekeeping thread
+ * flushes when needsFlush() on its tick. open() itself is
+ * driver-thread only, like SweepJournal::open().
  */
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -55,6 +58,7 @@ class QorStore {
         size_t hits = 0;            ///< lookup() served from memory.
         size_t misses = 0;          ///< lookup() absent (incl. injected).
         size_t injectedMisses = 0;  ///< Misses forced by FaultSite::kStore.
+        size_t records = 0;         ///< Keys held (adopted + inserted).
     };
 
     /**
@@ -76,7 +80,8 @@ class QorStore {
     /** Number of records currently held (adopted + inserted). */
     size_t size() const { return log_.size(); }
 
-    /** Counter snapshot (copied under the lookup lock). */
+    /** Counter snapshot; takes no lock, so concurrent lookups may land
+     * between the counters it reads. */
     Stats stats() const;
 
     /**
@@ -102,8 +107,13 @@ class QorStore {
 
   private:
     RecordLog log_;
-    /** hits/misses/injectedMisses, guarded by log_'s lookup lock. */
-    Stats counts_;
+    /** Bumped by every lookup on every lane, so they get a cache line
+     * of their own: on a line shared with the service's cancel token,
+     * which follows the store and which every sweep polls before each
+     * point, each bump would stall the other lanes' stop checks. */
+    alignas(64) std::atomic<size_t> hits_{0};
+    std::atomic<size_t> misses_{0};
+    std::atomic<size_t> injectedMisses_{0};
 };
 
 } // namespace hida

@@ -29,6 +29,18 @@ recordChecksum(uint64_t key, const uint8_t* payload, size_t payload_size)
     return h;
 }
 
+/** The most occupied slots per slot: past a 7/8 load the table
+ * doubles. The control tags keep long probes cheap, since a probe
+ * reads a slot only when its tag matches. */
+constexpr size_t kLoadNum = 7;
+constexpr size_t kLoadDen = 8;
+
+uint8_t
+controlTag(uint64_t hash)
+{
+    return static_cast<uint8_t>(0x80 | (hash >> 57));
+}
+
 /** Cut @p path back to @p size bytes; failure leaves a tail the next
  * load stops at. */
 void
@@ -49,7 +61,10 @@ RecordLog::open(std::string path, const Format& format, size_t payload_size,
     payloadSize_ = payload_size;
     tag_ = tag;
     loadStats_ = LoadStats();
-    records_.clear();
+    control_.reset();
+    slots_.reset();
+    capacity_ = 0;
+    count_.store(0, std::memory_order_relaxed);
     queue_.clear();
     fileEnd_ = 0;
     failing_ = false;
@@ -85,7 +100,8 @@ RecordLog::open(std::string path, const Format& format, size_t payload_size,
             ++loadStats_.droppedCorrupt;
             break;
         }
-        records_[key].assign(payload, payload + payloadSize_);
+        bool fresh = false;
+        std::memcpy(claim(key, fresh), payload, payloadSize_);
         ++loadStats_.restored;
         fileEnd_ += record.size();
     }
@@ -96,10 +112,77 @@ RecordLog::open(std::string path, const Format& format, size_t payload_size,
 }
 
 size_t
-RecordLog::size() const
+RecordLog::probe(uint64_t key, uint64_t hash) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_.size();
+    const size_t mask = capacity_ - 1;
+    const uint8_t tag = controlTag(hash);
+    // The load bound keeps a slot empty, so every probe ends.
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+        const uint8_t control = control_[i];
+        if (control == 0)
+            return i;
+        if (control == tag) {
+            uint64_t held = 0;
+            std::memcpy(&held, slots_.get() + i * slotSize(), sizeof(held));
+            if (held == key)
+                return i;
+        }
+    }
+}
+
+const uint8_t*
+RecordLog::find(uint64_t key) const
+{
+    if (capacity_ == 0)
+        return nullptr;
+    const size_t i = probe(key, hashMix(key));
+    if (control_[i] == 0)
+        return nullptr;
+    return slots_.get() + i * slotSize() + sizeof(key);
+}
+
+uint8_t*
+RecordLog::claim(uint64_t key, bool& fresh)
+{
+    const size_t count = count_.load(std::memory_order_relaxed);
+    if ((count + 1) * kLoadDen > capacity_ * kLoadNum)
+        grow();
+    const uint64_t hash = hashMix(key);
+    const size_t i = probe(key, hash);
+    uint8_t* slot = slots_.get() + i * slotSize();
+    fresh = control_[i] == 0;
+    if (fresh) {
+        control_[i] = controlTag(hash);
+        std::memcpy(slot, &key, sizeof(key));
+        count_.store(count + 1, std::memory_order_relaxed);
+    }
+    return slot + sizeof(key);
+}
+
+void
+RecordLog::grow()
+{
+    const size_t capacity = capacity_ == 0 ? 16 : 2 * capacity_;
+    const size_t slot_size = slotSize();
+    std::unique_ptr<uint8_t[]> control(new uint8_t[capacity]());
+    // Slots are written before they are read, so they start raw.
+    std::unique_ptr<uint8_t[]> slots(new uint8_t[capacity * slot_size]);
+    const size_t mask = capacity - 1;
+    for (size_t from = 0; from < capacity_; ++from) {
+        if (control_[from] == 0)
+            continue;
+        const uint8_t* slot = slots_.get() + from * slot_size;
+        uint64_t key = 0;
+        std::memcpy(&key, slot, sizeof(key));
+        size_t to = hashMix(key) & mask;
+        while (control[to] != 0)
+            to = (to + 1) & mask;
+        control[to] = control_[from];
+        std::memcpy(slots.get() + to * slot_size, slot, slot_size);
+    }
+    control_ = std::move(control);
+    slots_ = std::move(slots);
+    capacity_ = capacity;
 }
 
 size_t
@@ -114,9 +197,10 @@ RecordLog::put(uint64_t key, const void* payload)
 {
     const auto* bytes = static_cast<const uint8_t*>(payload);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, fresh] = records_.try_emplace(key);
-    if (fresh || std::memcmp(it->second.data(), bytes, payloadSize_) != 0) {
-        it->second.assign(bytes, bytes + payloadSize_);
+    bool fresh = false;
+    uint8_t* held = claim(key, fresh);
+    if (fresh || std::memcmp(held, bytes, payloadSize_) != 0) {
+        std::memcpy(held, bytes, payloadSize_);
         if (!path_.empty()) {
             const uint64_t checksum = recordChecksum(key, bytes, payloadSize_);
             const size_t at = queue_.size();

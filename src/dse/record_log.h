@@ -5,15 +5,24 @@
  * @file
  * Append-only record file: the one reader and writer of the files
  * behind SweepJournal and QorStore, which keep a key -> fixed-size
- * payload map in memory and on disk.
+ * payload table in memory and on disk.
  *
  * Format: a 24-byte header {magic[8], version u32, payload size u32,
  * tag u64}, then (key u64, payload, checksum u64) records. The checksum
  * is hashMix(key) folded with each payload byte by hashCombine. A later
  * record of a key supersedes an earlier one.
  *
+ * Memory: one open-addressing table, payloads inline. Capacity is a
+ * power of two; a key probes linearly from hashMix(key), and a control
+ * byte per slot (0 = empty, else a tag of the hash) tracks occupancy
+ * apart from the key, so every 64-bit key is legal. The table doubles
+ * past a 7/8 load, so a store record (8-byte key, 16-byte payload,
+ * control byte) costs 29-57 bytes between doublings and at most 86
+ * while one runs, against about 88 for a hash-map node plus a heap
+ * payload.
+ *
  * Durability model:
- *  - put() changes the map and queues the record when the key's bytes
+ *  - put() changes the table and queues the record when the key's bytes
  *    changed; flush() appends the queue in one write after the last
  *    good byte. A crash loses at most the queue and leaves a torn tail.
  *  - open() adopts records up to the first short or corrupt one and
@@ -26,17 +35,19 @@
  *
  * Thread safety: open() is driver-thread only, before the log is
  * shared. Everything else may run on any thread. One lookup lock
- * guards the map and the queue; flush() holds it only to take the
- * queue, and a second lock serializes writers. A file has one writer:
- * two live logs on one path append over each other, and a later load
- * drops the damage as corrupt records (misses, never wrong values).
+ * guards the table (growth included) and the queue; flush() holds it
+ * only to take the queue, and a second lock serializes writers. A file
+ * has one writer: two live logs on one path append over each other,
+ * and a later load drops the damage as corrupt records (misses, never
+ * wrong values).
  */
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace hida {
@@ -73,32 +84,23 @@ class RecordLog {
     const std::string& path() const { return path_; }
     size_t payloadSize() const { return payloadSize_; }
     const LoadStats& loadStats() const { return loadStats_; }
-    /** Number of keys held (adopted + put). */
-    size_t size() const;
+    /** Number of keys held (adopted + put); reads no lock. */
+    size_t size() const { return count_.load(std::memory_order_relaxed); }
     /** Records put since the last successful flush. */
     size_t queued() const;
 
     /**
      * Return @p fn(payload) run under the lookup lock, where payload
      * points at @p key's payloadSize() bytes, or is null when the key
-     * is absent. State only such calls touch is guarded by that lock.
+     * is absent. The pointer is into the table, which the next put may
+     * move: @p fn copies what it needs and must not keep it.
      */
     template <typename Fn>
     auto
     read(uint64_t key, Fn&& fn) const
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = records_.find(key);
-        return fn(it == records_.end() ? nullptr : it->second.data());
-    }
-
-    /** Return @p fn() run under the lookup lock. */
-    template <typename Fn>
-    auto
-    locked(Fn&& fn) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return fn();
+        return fn(find(key));
     }
 
     /** Hold @p payload under @p key and queue it unless the key already
@@ -110,6 +112,17 @@ class RecordLog {
 
   private:
     size_t recordSize() const { return payloadSize_ + 2 * sizeof(uint64_t); }
+    /** Table slot bytes: the key, then the payload. */
+    size_t slotSize() const { return payloadSize_ + sizeof(uint64_t); }
+    /** @p key's payload in the table, or null. Lookup lock held. */
+    const uint8_t* find(uint64_t key) const;
+    /** @p key's payload in the table, claimed (growing the table first
+     * if due) when absent; @p fresh says which. Lookup lock held. */
+    uint8_t* claim(uint64_t key, bool& fresh);
+    /** The slot holding @p key, or the empty slot its probe ends at. */
+    size_t probe(uint64_t key, uint64_t hash) const;
+    /** Rehash into twice the capacity (16 slots when empty). */
+    void grow();
     bool append(const std::vector<uint8_t>& records);
 
     std::string path_;
@@ -119,8 +132,12 @@ class RecordLog {
     LoadStats loadStats_;
 
     mutable std::mutex mutex_;  ///< The lookup lock.
-    std::unordered_map<uint64_t, std::vector<uint8_t>> records_;
-    std::vector<uint8_t> queue_;  ///< Serialized records, oldest first.
+    /** Per slot: 0 when empty, else 0x80 | the top 7 bits of the hash. */
+    std::unique_ptr<uint8_t[]> control_;
+    std::unique_ptr<uint8_t[]> slots_;  ///< capacity_ * slotSize() bytes.
+    size_t capacity_ = 0;               ///< A power of two, or 0.
+    std::atomic<size_t> count_{0};      ///< Occupied slots; written locked.
+    std::vector<uint8_t> queue_;        ///< Serialized records, oldest first.
 
     std::mutex flushMutex_;
     size_t fileEnd_ = 0;    ///< Bytes known good on disk; 0: no header.

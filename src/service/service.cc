@@ -42,12 +42,16 @@ serviceModelHash(const ServiceRequest& request)
     return hashCombine(h, request.dataflow ? 1 : 0);
 }
 
-/** Warm-session pool key: the coordinates that select the prototype. */
+/** Warm-session pool key: the coordinates that select the prototype.
+ * Built without a stream: it is made once per request. */
 std::string
 sessionKey(const ServiceRequest& request)
 {
-    return strCat(request.model, "|b", request.batch,
-                  request.dataflow ? "|df" : "|nodf");
+    std::string key = request.model;
+    key += "|b";
+    key += std::to_string(request.batch);
+    key += request.dataflow ? "|df" : "|nodf";
+    return key;
 }
 
 bool
@@ -169,7 +173,7 @@ class DseService::SessionLease {
   public:
     SessionLease(DseService& service, const ServiceRequest& request)
         : service_(service), key_(sessionKey(request)),
-          session_(service.acquireSession(request))
+          session_(service.acquireSession(key_, request))
     {
     }
 
@@ -216,7 +220,7 @@ DseService::submit(ServiceRequest request)
     std::lock_guard<std::mutex> lock(mutex_);
     const uint64_t id = nextId_++;
     ++stats_.submitted;
-    outstanding_[id] = 1;
+    answers_.try_emplace(id);
 
     auto answerLocked = [&](RequestStatus status, ErrorCode code,
                             std::string message) {
@@ -285,12 +289,21 @@ ServiceResponse
 DseService::wait(uint64_t id)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    HIDA_ASSERT(responses_.count(id) != 0 || outstanding_.count(id) != 0,
+    auto it = answers_.find(id);
+    HIDA_ASSERT(it != answers_.end() && it->second.waiter == nullptr,
                 "wait() on unknown or already-consumed request id ", id);
-    responseCv_.wait(lock, [&] { return responses_.count(id) != 0; });
-    auto it = responses_.find(id);
-    ServiceResponse response = std::move(it->second);
-    responses_.erase(it);
+    // The node outlives rehashes by other submits; the iterator may not.
+    Answer& answer = it->second;
+    if (!answer.response) {
+        ++stats_.blockedWaits;
+        // The condvar lives on this stack: respondLocked notifies it
+        // under the lock, before this thread can see the response.
+        std::condition_variable answered;
+        answer.waiter = &answered;
+        answered.wait(lock, [&] { return answer.response.has_value(); });
+    }
+    ServiceResponse response = std::move(*answer.response);
+    answers_.erase(id);
     return response;
 }
 
@@ -350,10 +363,9 @@ DseService::respondLocked(ServiceResponse response)
 {
     // The totality invariant: exactly one terminal response per
     // submitted id. A double answer is a service bug, not tenant input.
-    auto it = outstanding_.find(response.id);
-    HIDA_ASSERT(it != outstanding_.end(), "request ", response.id,
-                " answered twice (or never submitted)");
-    outstanding_.erase(it);
+    auto it = answers_.find(response.id);
+    HIDA_ASSERT(it != answers_.end() && !it->second.response, "request ",
+                response.id, " answered twice (or never submitted)");
     ++stats_.answered;
     switch (response.status) {
       case RequestStatus::kCompleted:
@@ -376,8 +388,11 @@ DseService::respondLocked(ServiceResponse response)
         ++stats_.degraded;
     stats_.pointRetries += response.pointRetries;
     stats_.requestRetries += response.requestRetries;
-    responses_.emplace(response.id, std::move(response));
-    responseCv_.notify_all();
+    Answer& answer = it->second;
+    answer.response = std::move(response);
+    // Only the thread waiting on this id has anything to wake for.
+    if (answer.waiter != nullptr)
+        answer.waiter->notify_one();
 }
 
 void
@@ -455,11 +470,12 @@ DseService::housekeepingMain()
 }
 
 std::unique_ptr<DseService::Session>
-DseService::acquireSession(const ServiceRequest& request)
+DseService::acquireSession(const std::string& key,
+                           const ServiceRequest& request)
 {
     {
         std::lock_guard<std::mutex> lock(sessionsMutex_);
-        auto it = warmSessions_.find(sessionKey(request));
+        auto it = warmSessions_.find(key);
         if (it != warmSessions_.end() && !it->second.empty()) {
             std::unique_ptr<Session> session = std::move(it->second.back());
             it->second.pop_back();
@@ -566,7 +582,7 @@ DseService::runRequest(Pending pending)
     // Request-scoped tag via the RAII scope: this thread is reused by
     // the next request, so a bare set would leak the tag across tenants
     // (pinned by tests/diagnostics_test.cc).
-    DiagnosticTagScope tag(strCat("req", pending.id));
+    DiagnosticTagScope tag("req" + std::to_string(pending.id));
     const auto start = std::chrono::steady_clock::now();
     ServiceResponse response;
     response.id = pending.id;
@@ -613,13 +629,14 @@ DseService::runRequest(Pending pending)
         FaultScope scope(attempt == 0
                              ? fault_key
                              : hashCombine(hashMix(fault_key), attempt));
-        auto injected = maybeInjectFault(
-            FaultSite::kService, strCat("request #", pending.id));
-        if (!injected)
+        // Check the verdict before building the site string: the clean
+        // path runs once per request.
+        if (!shouldInjectFault(FaultSite::kService))
             break;
         if (attempt >= options_.maxRetries) {
             response.status = RequestStatus::kFailed;
-            response.diag = std::move(*injected);
+            response.diag = *maybeInjectFault(
+                FaultSite::kService, strCat("request #", pending.id));
             respond(std::move(response));
             return;
         }

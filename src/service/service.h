@@ -39,11 +39,13 @@
  *    requests early (partial results), answers every queued request
  *    with kShutdown, and flushes the store.
  *
- * Threading model (ROADMAP rules): submit()/wait() are any-thread.
- * ServiceOptions::concurrency executor threads each run one request at
- * a time end to end, drawn from per-tenant FIFOs under deficit-weighted
- * fair queuing (src/service/fair_queue.h) so one chatty tenant cannot
- * starve the rest. Each in-flight request exclusively leases a Session
+ * Threading model (ROADMAP rules): submit()/wait() are any-thread; a
+ * blocked wait() sleeps on a condition variable of its own, which only
+ * its request's answer notifies. ServiceOptions::concurrency executor
+ * threads each run one request at a time end to end, drawn from
+ * per-tenant FIFOs under deficit-weighted fair queuing
+ * (src/service/fair_queue.h) so one chatty tenant cannot starve the
+ * rest. Each in-flight request exclusively leases a Session
  * — prototype plus warm clone pool — from a per-model warm-session
  * pool; two concurrent requests on the same model get *independent*
  * Session instances, so no IR is ever shared across requests. Within a
@@ -200,7 +202,8 @@ struct ServiceStats {
     size_t degraded = 0;
     size_t pointRetries = 0;
     size_t requestRetries = 0;
-    size_t maxInFlight = 0;  ///< Peak concurrently executing requests.
+    size_t maxInFlight = 0;   ///< Peak concurrently executing requests.
+    size_t blockedWaits = 0;  ///< wait() calls that blocked for the answer.
 };
 
 class DseService {
@@ -226,7 +229,8 @@ class DseService {
     /**
      * Block until @p id's terminal response and consume it. Exactly one
      * wait() per submit() (a second call on the same id panics — the
-     * response was already handed out). Any thread.
+     * response was already handed out, or another thread waits on it).
+     * The answer wakes this thread alone. Any thread.
      */
     ServiceResponse wait(uint64_t id);
 
@@ -273,6 +277,14 @@ class DseService {
         std::chrono::steady_clock::time_point enqueued;
     };
 
+    /** One submitted request from submit() until wait() consumes its
+     * response. */
+    struct Answer {
+        std::optional<ServiceResponse> response;
+        /** The blocked wait()'s own condvar, notified by the answer. */
+        std::condition_variable* waiter = nullptr;
+    };
+
     /** Exclusive lease of a warm (or freshly built) Session; returns
      * it to the pool on destruction. */
     class SessionLease;
@@ -280,7 +292,8 @@ class DseService {
     void executorMain(unsigned lane);
     void housekeepingMain();
     void runRequest(Pending pending);
-    std::unique_ptr<Session> acquireSession(const ServiceRequest& request);
+    std::unique_ptr<Session> acquireSession(const std::string& key,
+                                            const ServiceRequest& request);
     void releaseSession(const std::string& key,
                         std::unique_ptr<Session> session);
     std::unique_ptr<Session> buildSession(const ServiceRequest& request);
@@ -298,6 +311,7 @@ class DseService {
                                        const std::vector<int64_t>& values,
                                        std::atomic<size_t>& store_hits);
     void respond(ServiceResponse response);
+    /** Hold @p response for its wait() and wake that thread alone. */
     void respondLocked(ServiceResponse response);
     /** Answer every queued request with kShutdown. */
     void drainQueueLocked();
@@ -307,13 +321,13 @@ class DseService {
     CancelToken cancel_;
 
     mutable std::mutex mutex_;
-    std::condition_variable queueCv_;     ///< Executor wakeups.
-    std::condition_variable houseCv_;     ///< Housekeeping wakeups.
-    std::condition_variable responseCv_;  ///< wait() wakeups.
-    WeightedFairQueue<Pending> queue_;    ///< Admitted, per-tenant DRR.
+    std::condition_variable queueCv_;   ///< Executor wakeups.
+    std::condition_variable houseCv_;   ///< Housekeeping wakeups.
+    WeightedFairQueue<Pending> queue_;  ///< Admitted, per-tenant DRR.
     size_t inFlight_ = 0;
-    std::unordered_map<uint64_t, ServiceResponse> responses_;
-    std::unordered_map<uint64_t, uint8_t> outstanding_;  ///< Totality check.
+    /** Every submitted, not yet consumed request: the totality check
+     * and the response hand-off. */
+    std::unordered_map<uint64_t, Answer> answers_;
     ServiceStats stats_;
     uint64_t nextId_ = 1;
     bool shuttingDown_ = false;

@@ -101,8 +101,9 @@ simulateCore(const SimGraph& graph, const std::vector<int>& producer_of,
     result.frameLatency = first_done;
 
     if (frames >= 2) {
-        // Measure the interval over the second half of the window.
-        int lo = frames / 2;
+        // Measure the interval over the second half of the window; a
+        // 2-frame window has one step, from frame 0 to frame 1.
+        int lo = std::min(frames / 2, frames - 2);
         int hi = frames - 1;
         auto frame_end = [&](int f) {
             const int g = std::min(f, last);

@@ -21,6 +21,10 @@
  *
  * Determinism: the xorshift seed is fixed per shape, and a failure
  * prints the seed, the case and the case's trace.
+ *
+ * The fuzzer's 48 keys never grow the in-memory table far, so a
+ * differential test drives one RecordLog per shape through more than
+ * 200,000 keys against a std::unordered_map reference.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +42,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/dse/journal.h"
@@ -507,6 +512,103 @@ TEST_P(RecordFileTest, ConcurrentPutsLookupsAndFlushesLoseNoRecord)
         EXPECT_EQ(shape->get(shape->keyOf(slot), {value}), value)
             << "slot " << slot;
     }
+    std::remove(path.c_str());
+}
+
+TEST_P(RecordFileTest, TableMatchesAMapReferenceAtScale)
+{
+    // One RecordLog with the shape's payload size and keys, grown many
+    // times over: keys 0 and ~0, keys that share their low 32 bits,
+    // then 200,000 of the shape's own. Every put must queue exactly
+    // when the key's bytes changed, and a reopen must restore exactly
+    // the reference map.
+    std::unique_ptr<Shape> shape = makeShape(GetParam());
+    const std::string path = ::testing::TempDir() + "hida_record_table_" +
+                             std::string(shape->name()) + ".bin";
+    std::remove(path.c_str());
+    const RecordLog::Format format = {"record table", "HIDATBL1", 1};
+    const size_t payload = shape->valueSize();
+    RecordLog log;
+    ASSERT_EQ(log.open(path, format, payload, /*tag=*/7).restored, 0u);
+
+    std::vector<uint64_t> keys = {0, ~uint64_t{0}};
+    for (uint64_t high = 1; high <= 1000; ++high)
+        keys.push_back(high << 32 | 0x5eed);
+    for (uint64_t slot = 0; slot < 200000; ++slot)
+        keys.push_back(shape->keyOf(slot));
+
+    XorShift rng(0x7AB1E ^ payload);
+    std::unordered_map<uint64_t, Bytes> reference;
+    size_t queued = 0, written = 0;
+    auto put = [&](uint64_t key, const Bytes& value) {
+        auto [it, fresh] = reference.try_emplace(key, value);
+        if (fresh || it->second != value) {
+            it->second = value;
+            ++queued;
+            ++written;
+        }
+        ASSERT_EQ(log.put(key, value.data()), queued) << "key " << key;
+    };
+    auto randomValue = [&] {
+        Bytes value(payload);
+        for (uint8_t& byte : value)
+            byte = static_cast<uint8_t>(rng.next());
+        return value;
+    };
+    auto flush = [&] {
+        log.flush();
+        queued = 0;
+        ASSERT_EQ(log.queued(), 0u);
+    };
+
+    for (size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_NO_FATAL_FAILURE(put(keys[i], randomValue()));
+        if (i % 65536 == 65535) {
+            ASSERT_NO_FATAL_FAILURE(flush());
+        }
+    }
+    // Re-puts: half repeat the held bytes and queue nothing, half change
+    // one byte and queue one record each.
+    for (size_t i = 0; i < 100000; ++i) {
+        const uint64_t key = keys[rng.below(keys.size())];
+        Bytes value = reference.at(key);
+        if (rng.below(2) == 0) {
+            const uint8_t flip = static_cast<uint8_t>(1 + rng.below(255));
+            value[rng.below(payload)] ^= flip;
+        }
+        ASSERT_NO_FATAL_FAILURE(put(key, value));
+    }
+    EXPECT_EQ(log.size(), reference.size());
+    EXPECT_EQ(log.queued(), queued);
+
+    auto matches = [&](const RecordLog& table) {
+        size_t found = 0;
+        for (const auto& [key, value] : reference)
+            found += table.read(key, [&](const uint8_t* held) {
+                return held != nullptr &&
+                       std::memcmp(held, value.data(), payload) == 0;
+            });
+        return found;
+    };
+    EXPECT_EQ(matches(log), reference.size());
+    for (uint64_t slot = 200000; slot < 201000; ++slot) {
+        const uint64_t absent = shape->keyOf(slot);
+        if (reference.count(absent) != 0)
+            continue;
+        EXPECT_TRUE(log.read(absent, [](const uint8_t* held) {
+            return held == nullptr;
+        })) << "key " << absent;
+    }
+
+    ASSERT_NO_FATAL_FAILURE(flush());
+    RecordLog reopened;
+    const RecordLog::LoadStats& stats =
+        reopened.open(path, format, payload, /*tag=*/7);
+    EXPECT_EQ(stats.restored, written);
+    EXPECT_EQ(stats.droppedCorrupt, 0u);
+    EXPECT_FALSE(stats.headerMismatch);
+    EXPECT_EQ(reopened.size(), reference.size());
+    EXPECT_EQ(matches(reopened), reference.size());
     std::remove(path.c_str());
 }
 

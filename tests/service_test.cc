@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -672,6 +673,66 @@ TEST_F(ServiceTest, ConcurrentRequestsShareTheLanes)
     // Identical sweeps take long enough that at least two of the four
     // lanes must have overlapped.
     EXPECT_GE(stats.maxInFlight, 2u);
+}
+
+TEST_F(ServiceTest, EveryAnswerWakesItsOwnWaiterOnce)
+{
+    // Eight clients (the benchmark's open-loop waiter count) share two
+    // lanes. Each answer wakes only its own waiter, so every response
+    // must reach the thread waiting on its id, once. A malformed request
+    // and any shed one are answered inside submit(), before their
+    // wait(); a request waited on at once usually blocks, and the first
+    // of a pair waited on second is usually answered meanwhile.
+    ServiceOptions options;
+    options.concurrency = 2;
+    options.maxQueueDepth = 12;  // two lanes, up to 16 requests out
+    DseService service(options);
+    constexpr size_t kClients = 8, kPairs = 150;
+    std::vector<std::atomic<int>> answers(1 + 2 * kClients * kPairs);
+    std::atomic<size_t> wrong{0};
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c)
+        clients.emplace_back([&, c] {
+            auto take = [&](uint64_t id, bool malformed) {
+                const ServiceResponse response = service.wait(id);
+                answers[id].fetch_add(1);
+                const bool expected =
+                    malformed ? response.status == RequestStatus::kRejected &&
+                                    response.diag.code ==
+                                        ErrorCode::kInvalidRequest
+                              : response.status == RequestStatus::kShed ||
+                                    (response.status ==
+                                         RequestStatus::kCompleted &&
+                                     response.results.size() == 8);
+                if (response.id != id || !expected)
+                    ++wrong;
+            };
+            for (size_t k = 0; k < kPairs; ++k) {
+                ServiceRequest request = smallRequest();
+                request.tenant = strCat("client", c);
+                const bool malformed = k % 10 == 0;
+                if (malformed)
+                    request.batch = 0;
+                const uint64_t first = service.submit(request);
+                request.batch = 1;
+                const uint64_t second = service.submit(request);
+                take(second, false);
+                take(first, malformed);
+            }
+        });
+    for (std::thread& client : clients)
+        client.join();
+    EXPECT_EQ(wrong.load(), 0u);
+    const ServiceStats stats = service.stats();
+    ASSERT_EQ(stats.submitted, answers.size() - 1);
+    EXPECT_EQ(stats.answered, stats.submitted);
+    EXPECT_EQ(stats.rejected, kClients * kPairs / 10);
+    for (size_t id = 1; id < answers.size(); ++id)
+        ASSERT_EQ(answers[id].load(), 1) << "request " << id;
+    // Both orders ran: some waits blocked, and besides the malformed
+    // requests' waits, some found a lane's answer already there.
+    EXPECT_GT(stats.blockedWaits, 0u);
+    EXPECT_LT(stats.blockedWaits, stats.submitted - stats.rejected);
 }
 
 TEST_F(ServiceTest, StoreAccountingIsPerRequestUnderConcurrency)

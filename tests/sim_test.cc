@@ -167,6 +167,21 @@ TEST(SimTest, OverlayMatchesPatchedGraph)
               simulate(patched, 1));
 }
 
+TEST(SimTest, TwoFrameWindowMeasuresItsOneStep)
+{
+    // Frame 0 ends at 10 + 30 + 20 = 60. Frame 1 runs the nodes over
+    // 10..20, 40..70 and 70..90, so the one step of a 2-frame window
+    // reads 90 - 60 on both entry points.
+    SimGraph graph = chain(3, 10, 2);
+    graph.nodes[1].latency = 30;
+    graph.nodes[2].latency = 20;
+    const SimResult result = simulate(graph, 2);
+    EXPECT_EQ(result.frameLatency, 60);
+    EXPECT_DOUBLE_EQ(result.steadyInterval, 90.0 - 60.0);
+    graph.buildAdjacency();
+    EXPECT_EQ(simulate(graph, {10, 30, 20}, {2, 2}, 2), result);
+}
+
 TEST(SimTest, CachedAdjacencyDoesNotChangeResults)
 {
     // The Figure 8 join graph with and without buildAdjacency(): the
@@ -284,7 +299,7 @@ fullWindow(const SimGraph& graph, int frames)
     SimResult result;
     result.frameLatency = frame_end(0);
     if (frames >= 2) {
-        int lo = frames / 2;
+        int lo = std::min(frames / 2, frames - 2);
         int hi = frames - 1;
         result.steadyInterval =
             static_cast<double>(frame_end(hi) - frame_end(lo)) /
@@ -348,8 +363,7 @@ randomGraph(XorShift& rng)
     return graph;
 }
 
-/** Equal frame latencies and bit-equal intervals (a 2-frame window
- * reads its interval over zero steps, a NaN on both sides). */
+/** Equal frame latencies and bit-equal intervals. */
 bool
 sameBits(const SimResult& a, const SimResult& b)
 {
